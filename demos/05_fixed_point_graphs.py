@@ -6,7 +6,8 @@ For a holomorphic map F(z, w) of the polydisk into the unit disk, each
 frozen z gives a one-variable self-map w -> F(z, w).  When that slice
 map has an attracting interior fixed point, the fixed point w = g(z)
 depends holomorphically on z.  This script locates slice fixed points,
-continues the graph over a grid, and checks the certificate it emits.
+solves for the graph at every node of a grid, and checks the certificate
+it emits.
 """
 
 import numpy as np

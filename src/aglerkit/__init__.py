@@ -37,7 +37,6 @@ from .kernels import (
     KernelBundle,
     VerificationReport,
     check_bounds,
-    schwarz_pick_1d,
     verify_decomposition,
 )
 from .moebius import MoebiusAutomorphism, detect_automorphism, fit_moebius
@@ -147,7 +146,6 @@ __all__ = [
     "random_disk",
     "random_polydisk",
     "reduce_dimension",
-    "schwarz_pick_1d",
     "solve_gram",
     "solve_pick",
     "sos_residual",

@@ -19,7 +19,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import (
@@ -54,19 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write("%s: error: %s\n" % (self.prog, message))
         raise SystemExit(EXIT_USAGE)
-
-
-def _thread_limit():
-    """Honor AGLERKIT_THREADS; the pipelines here are single threaded."""
-    raw = os.environ.get("AGLERKIT_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        sys.stderr.write("ignoring non-integer AGLERKIT_THREADS=%r\n" % raw)
-        return None
-    return max(1, value)
 
 
 def _read_input(path):
@@ -143,7 +129,9 @@ def _cmd_verify(args):
     report = verify_decomposition(
         bundle, samples=int(args.samples), seed=int(args.seed), tol=args.tol
     )
-    bounds = check_bounds(bundle, samples=int(args.samples), seed=int(args.seed) + 1)
+    bounds = check_bounds(
+        bundle, samples=int(args.samples), seed=int(args.seed) + 1, tol=args.tol
+    )
     _emit(
         {
             "command": "verify",
@@ -180,7 +168,7 @@ def _cmd_fixedgraph(args):
     payload = _read_input(args.input)
     smap = SchurMap.from_json(payload)
     schur_report = smap.check_schur(samples=int(args.samples), seed=int(args.seed))
-    records = find_fixed_w(smap, [0.0] * smap.n)
+    records = find_fixed_w(smap, [0.0] * smap.n, tol=args.tol)
     interior = [r for r in records if r.classification == CLASS_INTERIOR]
     result = {
         "command": "fixedgraph",
@@ -196,6 +184,7 @@ def _cmd_fixedgraph(args):
         interior[0],
         radius=args.radius,
         grid=int(args.grid),
+        tol=args.tol,
         seed=int(args.seed) + 1,
     )
     result["verdict"] = "graph"
@@ -226,10 +215,6 @@ def build_parser():
             "Certified Agler decompositions on the bidisk: stability, "
             "sum-of-squares certificates, kernel verification, Pick "
             "interpolation, fixed-point graphs, retract normal forms."
-        ),
-        epilog=(
-            "The AGLERKIT_THREADS environment variable caps worker threads; "
-            "current pipelines run single threaded regardless."
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
@@ -291,7 +276,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
-    _thread_limit()
     try:
         return args.handler(args)
     except FileNotFoundError as exc:

@@ -297,35 +297,3 @@ def check_bounds(
         tol=tol,
         passed=passed,
     )
-
-
-def schwarz_pick_1d(f, samples: int = 200, seed: int = 5, tol: float = 1e-10) -> dict:
-    """Check the one-variable Schwarz-Pick chain for a Schur-class evaluator f.
-
-        |f(z)-f(w)|^2 / |z-w|^2
-            <= |1 - f(z) conj(f(w))|^2 / |1 - z conj(w)|^2
-            <= (1-|f(z)|^2)(1-|f(w)|^2) / ((1-|z|^2)(1-|w|^2))
-    """
-    rng = np.random.default_rng(seed)
-    from .sampling import random_disk
-
-    z = random_disk(rng, samples, 0.9)
-    w = random_disk(rng, samples, 0.9)
-    keep = np.abs(z - w) > 1e-6
-    z, w = z[keep], w[keep]
-    fz = np.asarray([f(t) for t in z], dtype=complex)
-    fw = np.asarray([f(t) for t in w], dtype=complex)
-    left = np.abs((fz - fw) / (z - w)) ** 2
-    mid = np.abs((1.0 - fz * fw.conj()) / (1.0 - z * w.conj())) ** 2
-    right = (1.0 - np.abs(fz) ** 2) * (1.0 - np.abs(fw) ** 2) / (
-        (1.0 - np.abs(z) ** 2) * (1.0 - np.abs(w) ** 2))
-    first = float((left - mid).max(initial=-np.inf))
-    second = float((mid - right).max(initial=-np.inf))
-    return {
-        "format": FORMAT_TAG,
-        "first_violation_max": first,
-        "second_violation_max": second,
-        "samples": int(z.size),
-        "tol": tol,
-        "passed": bool(first <= tol and second <= tol),
-    }

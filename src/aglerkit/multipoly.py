@@ -101,7 +101,7 @@ class MultiPoly:
         if self._coef.size == 0:
             return np.zeros(pts.shape[:-1], dtype=complex)
         powers = pts[..., None, :] ** self._expo
-        return np.prod(powers, axis=-1) @ self._coef
+        return powers.prod(axis=-1) @ self._coef
 
     def __call__(self, *coords):
         if len(coords) != self.nvars:
@@ -254,6 +254,8 @@ class RationalMap:
         self.numerator = numerator
         self.denominator = denominator
         self.zero_tol = float(zero_tol)
+        # |den| at or below this counts as a pole; fixed per map, so computed once
+        self._pole_tol = self.zero_tol * max(denominator.coeff_norm(), 1.0)
 
     @property
     def nvars(self):
@@ -262,8 +264,7 @@ class RationalMap:
     def evaluate(self, points):
         num = self.numerator.evaluate(points)
         den = self.denominator.evaluate(points)
-        scale = max(self.denominator.coeff_norm(), 1.0)
-        if np.any(np.abs(den) <= self.zero_tol * scale):
+        if np.any(np.abs(den) <= self._pole_tol):
             raise DomainError("denominator vanishes at an evaluation point")
         return num / den
 

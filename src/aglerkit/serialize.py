@@ -38,7 +38,11 @@ def pairs_to_matrix(obj) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     if arr.shape[-1] != 2:
         raise ValueError("expected trailing [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # assigned part by part: re + 1j*im would turn a -0.0 real part into 0.0
+    out = np.empty(arr.shape[:-1], dtype=complex)
+    out.real = arr[..., 0]
+    out.imag = arr[..., 1]
+    return out
 
 
 def canonical_dumps(obj) -> str:

@@ -173,6 +173,13 @@ class TestVerify:
         assert report["verification"]["identity1_max"] > 1e-6
         assert report["verification"]["witnesses"]
 
+    def test_tol_reaches_the_bounds_check(self, classic_certificate, capsys):
+        code = main(["verify", "--input", str(classic_certificate), "--tol", "1e-7"])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verification"]["tol"] == 1e-7
+        assert payload["bounds"]["tol"] == 1e-7
+
     def test_zero_samples_is_a_usage_error(self, classic_certificate):
         code = main(
             ["verify", "--input", str(classic_certificate), "--samples", "0"]
@@ -216,6 +223,13 @@ class TestFixedgraph:
         assert payload["graph"]["provenance"]["max_residual"] <= 1e-9
         assert payload["graph"]["provenance"]["slice_pick_min_eig"] >= -1e-8
         assert payload["fixed_points"][0]["classification"] == "interior"
+
+    def test_tol_reaches_the_graph(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "smap.json", product_average_smap_payload())
+        code = main(["fixedgraph", "--input", inp, "--grid", "5", "--tol", "1e-10"])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["graph"]["provenance"]["tol"] == 1e-10
 
     def test_boundary_attractor_exit_2(self, tmp_path, capsys):
         # F(z, w) = (1 + w)/2 has no interior fixed point

@@ -54,6 +54,20 @@ def boundary_attractor_map():
     return SchurMap(1, rational=RationalMap(num))
 
 
+def nonlinear_rational_map():
+    # F = (0.3 z1 + 0.2 z2 + w^2 + 0.1 z1 w) / (2 - 0.5 z1 z2 w), |F| <= 0.8
+    num = MultiPoly(3, {(1, 0, 0): 0.3, (0, 1, 0): 0.2, (0, 0, 2): 1.0, (1, 0, 1): 0.1})
+    den = MultiPoly(3, {(0, 0, 0): 2.0, (1, 1, 1): -0.5})
+    return RationalMap(num, den)
+
+
+def escaping_graph_map():
+    # F(z, w) = (z + w + z w) / 2, fixed point z / (1 - z); it leaves the
+    # disk where Re z > 1/2
+    num = MultiPoly(2, {(1, 0): 0.5, (0, 1): 0.5, (1, 1): 0.5})
+    return SchurMap(1, rational=RationalMap(num))
+
+
 def random_average_map(rng, nvars=2, max_power=2, bound=0.8):
     """F(z, w) = (f0(z) + w) / 2 for a random polynomial with coeff sum <= bound."""
     exponents = [
@@ -285,10 +299,18 @@ class TestLocalGraph:
         with pytest.raises(InconsistencyError):
             local_graph(smap, record, [[0.1]])
 
+    def test_matches_continue_graph_at_grid_points(self):
+        smap = SchurMap(2, rational=nonlinear_rational_map())
+        record = find_fixed_w(smap, [0.0, 0.0])[0]
+        graph = continue_graph(smap, record, radius=0.85, grid=7)
+        nodes = np.stack(np.meshgrid(*graph.axes, indexing="ij"), axis=-1)
+        values, residuals = local_graph(smap, record, nodes.reshape(-1, 2))
+        assert np.max(np.abs(values - graph.values.ravel())) <= 1e-14
+        assert np.max(residuals) <= 1e-12
+
     def test_degenerate_anchor_raises_with_location(self):
         # d/dw of (z + w + z w)/2 is (1 + z)/2, equal to 1 at z = 1
-        num = MultiPoly(2, {(1, 0): 0.5, (0, 1): 0.5, (1, 1): 0.5})
-        smap = SchurMap(1, rational=RationalMap(num))
+        smap = escaping_graph_map()
         record = FixedPointRecord(
             z=(1.0 - 1e-9,),
             w=0.5,
@@ -338,6 +360,27 @@ class TestContinueGraph:
         assert np.max(np.abs(graph.values - f0.evaluate(zz))) <= 1e-10
         probe = np.array([0.33 + 0.21j, -0.4 + 0.05j])
         assert abs(graph.evaluate(probe) - complex(f0.evaluate(probe))) <= 1e-10
+
+    def test_callable_map_matches_rational_map(self):
+        rational = nonlinear_rational_map()
+        exact = SchurMap(2, rational=rational)
+        sampled = SchurMap(2, fn=lambda z, w: rational(z[0], z[1], w))
+        graphs = [
+            continue_graph(smap, find_fixed_w(smap, [0.0, 0.0])[0], radius=0.85, grid=8)
+            for smap in (exact, sampled)
+        ]
+        assert np.max(np.abs(graphs[0].values - graphs[1].values)) <= 1e-12
+        assert graphs[1].max_residual <= 1e-12
+
+    def test_node_whose_fixed_point_leaves_the_disk_raises_with_location(self):
+        smap = escaping_graph_map()
+        record = find_fixed_w(smap, [0.0])[0]
+        assert record.classification == CLASS_INTERIOR
+        with pytest.raises(DegenerateContinuationError) as excinfo:
+            continue_graph(smap, record, radius=0.9, grid=12)
+        location = excinfo.value.location
+        assert location is not None
+        assert location[0].real > 0.5
 
     def test_identity_slice_is_refused(self):
         smap = identity_in_w_map()

@@ -273,6 +273,13 @@ class TestCertificateSerialization:
         assert back.seed == cert.seed
         assert len(back.a_polys) == len(cert.a_polys)
 
+    def test_json_round_trip_is_byte_identical(self):
+        cert = solve_gram(CLASSIC, tol=1e-8, seed=42)
+        text = canonical_dumps(cert.to_json())
+        assert "-0.0" in text
+        back = SosCertificate.from_json(cert.to_json())
+        assert canonical_dumps(back.to_json()) == text
+
     def test_schema_has_format_tag_and_gram_fields(self):
         cert = solve_gram(CLASSIC, tol=1e-8, seed=42)
         obj = cert.to_json()
