@@ -8,9 +8,12 @@ bidisk as
     (1 - |z1|^2) sum_i |A_i(z)|^2  +  (1 - |z2|^2) sum_j |B_j(z)|^2.
 
 The solver finds positive semidefinite Gram matrices representing the
-two sums by alternating projections between the affine matching
+two sums by alternating projections between the coefficient-matching
 constraints and the semidefinite cone, with a short Gauss-Newton polish
-at the end.  The result is a certificate object that serializes to JSON.
+at the end.  The matching constraints only couple Gram entries with the
+same displacement (a - c, b - d), and on each such class the projection
+has a closed form (a DCT-II), so no large linear system is ever formed.
+The result is a certificate object that serializes to JSON.
 """
 
 import numpy as np

@@ -67,14 +67,11 @@ from .sampling import disk_points, random_disk, random_polydisk
 from .serialize import FORMAT_TAG, canonical_dumps, load_json, write_json_atomic
 from .sos import (
     SosCertificate,
-    SymmetrizedVectors,
-    build_constraints,
     gram_pair_tensor,
     solve_gram,
     sos_residual,
     sos_target_tensor,
     factors_from_gram,
-    symmetrize,
 )
 from .stability import (
     INCONCLUSIVE,
@@ -122,10 +119,8 @@ __all__ = [
     "SchurMap",
     "SosCertificate",
     "StabilityReport",
-    "SymmetrizedVectors",
     "VerificationReport",
     "ZERO_FOUND",
-    "build_constraints",
     "canonical_dumps",
     "check_bounds",
     "check_stability",
@@ -151,7 +146,6 @@ __all__ = [
     "sos_residual",
     "sos_target_tensor",
     "factors_from_gram",
-    "symmetrize",
     "uniqueness_check",
     "verify_decomposition",
     "verify_idempotent",

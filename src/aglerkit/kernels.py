@@ -15,9 +15,10 @@ and likewise K2, L2 from b.  The kernels are evaluated from factor
 polynomials, so K_j(z, z) >= 0 holds structurally; when a bundle is built
 from a certificate the factors are re-derived from the stored Gram matrices
 so that those matrices are what verification actually tests.  When the
-vectors are reflection-closed (see sos.symmetrize) the pointwise bound
-|L_j(z, w)|^2 <= K_j(z, z) K_j(w, w) holds as well, and on the diagonal
-L_j(z, z) equals the partial derivative of f.
+vectors are reflection-closed (KernelBundle.from_certificate with
+symmetrized=True) the pointwise bound |L_j(z, w)|^2 <= K_j(z, z) K_j(w, w)
+holds as well, and on the diagonal L_j(z, z) equals the partial derivative
+of f.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Shared numerical kernels: Hermitian eigensolves, PSD projection and
-factorization, univariate roots, affine least-squares projection.
+factorization, univariate roots.  The projection onto the Gram coefficient
+constraints is not a generic least-squares solve: it is closed-form per
+displacement class and lives in sos.DisplacementProjector.
 
 Backed by LAPACK through numpy; the contracts (ordering, tolerances, error
 behavior) are what the rest of the package relies on.
@@ -108,43 +110,3 @@ def roots_univariate(coeffs, lead_tol: float = 0.0) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     return np.roots(c[: degree + 1][::-1])
 
-
-class AffineProjector:
-    """Euclidean projector onto {y : E y = d} with precomputed pseudoinverse.
-
-    Rank deficiency is handled by the minimum-norm correction; when the system
-    is inconsistent the projection target is the least-squares solution set.
-    """
-
-    def __init__(self, e_mat, d_vec):
-        e_mat = np.asarray(e_mat, dtype=float)
-        d_vec = np.asarray(d_vec, dtype=float)
-        if e_mat.ndim != 2 or d_vec.ndim != 1 or e_mat.shape[0] != d_vec.size:
-            raise ValueError("inconsistent system shapes")
-        self.e_mat = e_mat
-        self.d_vec = d_vec
-        pinv = np.linalg.pinv(e_mat)
-        self._gram = pinv @ e_mat  # projector onto row space
-        self._particular = pinv @ d_vec
-        self.consistency_defect = float(
-            np.max(np.abs(e_mat @ self._particular - d_vec), initial=0.0)
-        )
-
-    def project(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x - self._gram @ x + self._particular
-
-    def residual(self, x) -> float:
-        return float(np.max(np.abs(self.e_mat @ x - self.d_vec), initial=0.0))
-
-
-def affine_project(x, e_mat, d_vec, least_squares: bool = False) -> np.ndarray:
-    """Project x onto {y : E y = d}; error if inconsistent unless least_squares."""
-    proj = AffineProjector(e_mat, d_vec)
-    scale = 1.0 + float(np.max(np.abs(proj.d_vec), initial=0.0))
-    if not least_squares and proj.consistency_defect > 1e-8 * scale:
-        raise ValueError(
-            f"system inconsistent (defect {proj.consistency_defect:.3e}); "
-            "pass least_squares=True to project onto the least-squares set"
-        )
-    return proj.project(x)

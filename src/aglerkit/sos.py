@@ -8,12 +8,20 @@ bidegrees at most (n, m-1), with
         = (1 - z1 conj(w1)) * sum_j A_j(z) conj(A_j(w))
         + (1 - z2 conj(w2)) * sum_j B_j(z) conj(B_j(w)).
 
-Matching coefficients of z1^a z2^b conj(w1)^c conj(w2)^d turns this into an
-affine constraint system on the Gram matrices G_A = sum a_j a_j*,
+Matching coefficients of z1^a z2^b conj(w1)^c conj(w2)^d gives linear
+constraints L(G_A, G_B) = T on the Gram matrices G_A = sum a_j a_j*,
 G_B = sum b_j b_j* over the monomial bases {z1^a z2^b : a <= n-1, b <= m} and
-{a <= n, b <= m-1}.  solve_gram finds a PSD pair satisfying the constraints:
-a global phase of alternating projections with outer-normal correction on the
-PSD cone (Dykstra), plus a rank-truncated Gauss-Newton polish on the spectral
+{a <= n, b <= m-1}.  L keeps the displacement (a - c, b - d), so the
+constraints split into one block per displacement class.  On a class, LL*
+is a Kronecker sum of two path-graph Laplacians, diagonal in a DCT-II basis,
+and its only null vector is the constant on the class.  The class sums of T
+are the Fourier coefficients of |p|^2 - |p~|^2 on the torus, where
+|p~| = |p|, so they vanish for every p: the constraints are always
+consistent and the projection onto them is closed-form.
+
+solve_gram finds a PSD pair satisfying the constraints: a global phase of
+alternating projections with outer-normal correction on the PSD cone
+(Dykstra), plus a rank-truncated Gauss-Newton polish on the spectral
 factors, which restores fast local convergence when the feasible set touches
 the cone boundary (as it does whenever p has boundary zeros).
 
@@ -28,11 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError
-from .numerics import eig_hermitian, hermitize, project_psd, psd_factor, AffineProjector
+from .numerics import eig_hermitian, hermitize, project_psd, psd_factor
 from .poly2 import BivariatePolynomial
 from .serialize import FORMAT_TAG, matrix_to_pairs, pairs_to_matrix
-
-SQRT2 = float(np.sqrt(2.0))
 
 
 # ----------------------------------------------------------------------
@@ -47,16 +53,22 @@ def sos_target_tensor(p: BivariatePolynomial) -> np.ndarray:
 
 
 def gram_pair_tensor(gram_a: np.ndarray, gram_b: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Coefficient tensor of the right-hand side for the given Gram pair."""
-    out = np.zeros((n + 1, m + 1, n + 1, m + 1), dtype=complex)
+    """Coefficient tensor of the right-hand side for the given Gram pair.
+
+    This is the constraint map L; it broadcasts over leading axes of the
+    two Gram arrays.
+    """
+    gram_a, gram_b = np.asarray(gram_a), np.asarray(gram_b)
+    lead = np.broadcast_shapes(gram_a.shape[:-2], gram_b.shape[:-2])
+    out = np.zeros(lead + (n + 1, m + 1, n + 1, m + 1), dtype=complex)
     if gram_a.size:
-        a4 = gram_a.reshape(n, m + 1, n, m + 1)
-        out[:n, :, :n, :] += a4
-        out[1:, :, 1:, :] -= a4
+        a4 = gram_a.reshape(gram_a.shape[:-2] + (n, m + 1, n, m + 1))
+        out[..., :n, :, :n, :] += a4
+        out[..., 1:, :, 1:, :] -= a4
     if gram_b.size:
-        b4 = gram_b.reshape(n + 1, m, n + 1, m)
-        out[:, :m, :, :m] += b4
-        out[:, 1:, :, 1:] -= b4
+        b4 = gram_b.reshape(gram_b.shape[:-2] + (n + 1, m, n + 1, m))
+        out[..., :, :m, :, :m] += b4
+        out[..., :, 1:, :, 1:] -= b4
     return out
 
 
@@ -113,76 +125,84 @@ def sos_residual(
 
 
 # ----------------------------------------------------------------------
-# real parametrization of Hermitian pairs
+# closed-form projection onto the coefficient constraints
 # ----------------------------------------------------------------------
 
-def herm_to_vec(mat: np.ndarray) -> np.ndarray:
-    """Isometric real parametrization: diagonal, then sqrt(2) * upper triangle."""
-    order = mat.shape[0]
-    iu = np.triu_indices(order, 1)
-    return np.concatenate([
-        mat.diagonal().real,
-        SQRT2 * mat[iu].real,
-        SQRT2 * mat[iu].imag,
-    ])
+def _gram_pair_adjoint(tensor: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of gram_pair_tensor: one slice difference per Gram."""
+    adj_a = tensor[:n, :, :n, :] - tensor[1:, :, 1:, :]
+    adj_b = tensor[:, :m, :, :m] - tensor[:, 1:, :, 1:]
+    return adj_a.reshape((n * (m + 1),) * 2), adj_b.reshape(((n + 1) * m,) * 2)
 
 
-def vec_to_herm(vec: np.ndarray, order: int) -> np.ndarray:
-    mat = np.zeros((order, order), dtype=complex)
-    mat[np.diag_indices(order)] = vec[:order]
-    k = order * (order - 1) // 2
-    re = vec[order:order + k] / SQRT2
-    im = vec[order + k:order + 2 * k] / SQRT2
-    iu = np.triu_indices(order, 1)
-    mat[iu] = re + 1j * im
-    mat[iu[1], iu[0]] = re - 1j * im
-    return mat
+def displacement_class_sums(tensor: np.ndarray) -> np.ndarray:
+    """Sums of T[a, b, c, d] over each class (a - c, b - d), indexed by offset.
 
-
-class _Parametrization:
-    """Split/join between (G_A, G_B) and the stacked real parameter vector."""
-
-    def __init__(self, n: int, m: int):
-        self.n, self.m = n, m
-        self.order_a = n * (m + 1)
-        self.order_b = (n + 1) * m
-        self.len_a = self.order_a ** 2
-        self.len_b = self.order_b ** 2
-        self.length = self.len_a + self.len_b
-
-    def pack(self, gram_a, gram_b) -> np.ndarray:
-        return np.concatenate([herm_to_vec(gram_a), herm_to_vec(gram_b)])
-
-    def unpack(self, vec) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            vec_to_herm(vec[: self.len_a], self.order_a),
-            vec_to_herm(vec[self.len_a:], self.order_b),
-        )
-
-    def tensor(self, vec) -> np.ndarray:
-        gram_a, gram_b = self.unpack(vec)
-        return gram_pair_tensor(gram_a, gram_b, self.n, self.m)
-
-
-def build_constraints(p: BivariatePolynomial) -> tuple[np.ndarray, np.ndarray, "_Parametrization"]:
-    """Real linear system E theta = d equivalent to the coefficient matching.
-
-    Columns are probed through the (linear) Gram-to-tensor map, one per real
-    parameter of the Hermitian pair; rows stack real and imaginary parts of
-    every coefficient equation.
+    For the target tensor these are the Fourier coefficients of
+    |p|^2 - |p~|^2 on the torus, where |p~| = |p|, so they vanish.
     """
-    n, m = p.bidegree
-    par = _Parametrization(n, m)
-    target = sos_target_tensor(p)
-    d_vec = np.concatenate([target.real.ravel(), target.imag.ravel()])
-    e_mat = np.zeros((d_vec.size, par.length))
-    probe = np.zeros(par.length)
-    for k in range(par.length):
-        probe[k] = 1.0
-        tens = par.tensor(probe)
-        e_mat[:, k] = np.concatenate([tens.real.ravel(), tens.imag.ravel()])
-        probe[k] = 0.0
-    return e_mat, d_vec, par
+    n1, m1 = tensor.shape[:2]
+    a, b, c, d = np.indices(tensor.shape)
+    sums = np.zeros((2 * n1 - 1, 2 * m1 - 1), dtype=complex)
+    np.add.at(sums, (a - c + n1 - 1, b - d + m1 - 1), tensor)
+    return sums
+
+
+def _diagonal_dct(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DCT-II along every diagonal of a size x size index plane.
+
+    Returns U acting on the flattened plane and the eigenvalues lam of the
+    path-graph Laplacian on each diagonal: row r of U is the mode k that
+    lives on position r's diagonal (of length l) at its k-th entry, with
+    lam[r] = 2 - 2 cos(pi k / l).
+    """
+    u = np.zeros((size * size, size * size))
+    lam = np.zeros(size * size)
+    for delta in range(1 - size, size):
+        length = size - abs(delta)
+        k = np.arange(length)
+        flat = (k + max(delta, 0)) * size + (k + max(-delta, 0))
+        basis = np.sqrt(2.0 / length) * np.cos(np.pi * np.outer(k, 2 * k + 1) / (2 * length))
+        basis[0] = np.sqrt(1.0 / length)
+        u[np.ix_(flat, flat)] = basis
+        lam[flat] = 2.0 - 2.0 * np.cos(np.pi * k / length)
+    return u, lam
+
+
+class DisplacementProjector:
+    """Frobenius projection of Hermitian pairs onto {L(G_A, G_B) = T}.
+
+    LL* acts on the (a, c) and (b, d) index planes as the sum of the
+    path-graph Laplacians along their diagonals, so it is diagonal after a
+    DCT-II on every diagonal of both planes (see the module docstring).
+    """
+
+    def __init__(self, target: np.ndarray):
+        self.target = target
+        n1, m1 = target.shape[:2]
+        self.n, self.m = n1 - 1, m1 - 1
+        self.order_a = self.n * m1
+        self.order_b = n1 * self.m
+        self._u1, lam1 = _diagonal_dct(n1)
+        self._u2, lam2 = _diagonal_dct(m1)
+        lam = lam1[:, None] + lam2[None, :]
+        self._inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)
+
+    def residual(self, gram_a: np.ndarray, gram_b: np.ndarray) -> np.ndarray:
+        """L(G_A, G_B) - T."""
+        return gram_pair_tensor(gram_a, gram_b, self.n, self.m) - self.target
+
+    def project(self, gram_a, gram_b, residual=None) -> tuple[np.ndarray, np.ndarray]:
+        """G - L*((LL*)^+ (L G - T)); pass residual when L G - T is at hand."""
+        if residual is None:
+            residual = self.residual(gram_a, gram_b)
+        n1, m1 = self.n + 1, self.m + 1
+        planes = residual.transpose(0, 2, 1, 3).reshape(n1 * n1, m1 * m1)
+        spectrum = self._u1 @ planes @ self._u2.T
+        planes = self._u1.T @ (spectrum * self._inverse) @ self._u2
+        dual = planes.reshape(n1, n1, m1, m1).transpose(0, 2, 1, 3)
+        step_a, step_b = _gram_pair_adjoint(dual, self.n, self.m)
+        return hermitize(gram_a - step_a), hermitize(gram_b - step_b)
 
 
 # ----------------------------------------------------------------------
@@ -249,79 +269,70 @@ class SosCertificate:
 # Gauss-Newton polish on spectral factors
 # ----------------------------------------------------------------------
 
-def _factor_residual(par, target, x_fac, y_fac):
-    gram_a = x_fac @ x_fac.conj().T if x_fac.size else np.zeros((par.order_a, par.order_a), complex)
-    gram_b = y_fac @ y_fac.conj().T if y_fac.size else np.zeros((par.order_b, par.order_b), complex)
-    diff = gram_pair_tensor(gram_a, gram_b, par.n, par.m) - target
+def _factor_residual(proj, x_fac, y_fac):
+    diff = proj.residual(x_fac @ x_fac.conj().T, y_fac @ y_fac.conj().T)
     return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
 
-def _factor_jacobian(par, x_fac, y_fac):
+def _factor_directions(fac):
+    """d(X X*) for a unit step in Re, then Im, of each entry of X, column by column."""
+    rows = fac.shape[0]
+    left = np.eye(rows)[None, :, :, None] * fac.conj().T[:, None, None, :]  # e_u x_j*
+    left = np.stack([left, 1j * left], axis=2)
+    return (left + left.conj().swapaxes(-1, -2)).reshape(2 * fac.size, rows, rows)
+
+
+def _factor_jacobian(proj, x_fac, y_fac):
     """Real Jacobian of the factor residual; columns follow Re/Im of each entry."""
-    cols = []
-
-    def push(block, order, is_a):
-        rows, rank = block.shape
-        for j in range(rank):
-            for u in range(rows):
-                for real_part in (True, False):
-                    unit = np.zeros((rows, rank), dtype=complex)
-                    unit[u, j] = 1.0 if real_part else 1.0j
-                    dg = unit @ block.conj().T + block @ unit.conj().T
-                    if is_a:
-                        tens = gram_pair_tensor(dg, np.zeros((par.order_b, par.order_b), complex),
-                                                par.n, par.m)
-                    else:
-                        tens = gram_pair_tensor(np.zeros((par.order_a, par.order_a), complex), dg,
-                                                par.n, par.m)
-                    cols.append(np.concatenate([tens.real.ravel(), tens.imag.ravel()]))
-
-    if x_fac.size:
-        push(x_fac, par.order_a, True)
-    if y_fac.size:
-        push(y_fac, par.order_b, False)
-    return np.stack(cols, axis=1) if cols else np.zeros((2 * (par.n + 1) ** 2 * (par.m + 1) ** 2, 0))
+    none = np.zeros((0, 0), dtype=complex)
+    tens = np.concatenate([
+        gram_pair_tensor(_factor_directions(x_fac), none, proj.n, proj.m),
+        gram_pair_tensor(none, _factor_directions(y_fac), proj.n, proj.m),
+    ]).reshape(-1, proj.target.size)
+    return np.concatenate([tens.real, tens.imag], axis=1).T
 
 
 def _apply_step(x_fac, y_fac, step, scale):
-    na = x_fac.size
-    dx = (step[:2 * na:2] + 1j * step[1:2 * na:2]) if na else np.zeros(0)
-    dy = (step[2 * na::2] + 1j * step[2 * na + 1::2]) if y_fac.size else np.zeros(0)
-    x_new = x_fac + scale * dx.reshape(x_fac.shape, order="F") if na else x_fac
-    y_new = y_fac + scale * dy.reshape(y_fac.shape, order="F") if y_fac.size else y_fac
-    return x_new, y_new
+    delta = step[0::2] + 1j * step[1::2]
+    dx, dy = delta[:x_fac.size], delta[x_fac.size:]
+    return (x_fac + scale * dx.reshape(x_fac.shape, order="F"),
+            y_fac + scale * dy.reshape(y_fac.shape, order="F"))
 
 
-def _gauss_newton(par, target, x_fac, y_fac, tol, max_iter=40):
+def _polish_floor(tol):
+    return max(tol * 1e-4, 1e-14)
+
+
+def _gauss_newton(proj, x_fac, y_fac, tol, max_iter=40):
     """Local refinement of the factor pair; returns (x, y, iterations) or None.
 
     Iterates past the acceptance tolerance while steps keep improving, down
     to a floor well below it, and hands back the best iterate seen.
     """
-    floor = max(tol * 1e-4, 1e-14)
+    floor = _polish_floor(tol)
     best = (np.inf, x_fac, y_fac, 0)
     for it in range(max_iter):
-        res = _factor_residual(par, target, x_fac, y_fac)
+        res = _factor_residual(proj, x_fac, y_fac)
         norm_inf = float(np.max(np.abs(res), initial=0.0))
         if norm_inf < best[0]:
             best = (norm_inf, x_fac, y_fac, it)
         if norm_inf <= floor:
             return x_fac, y_fac, it
-        jac = _factor_jacobian(par, x_fac, y_fac)
+        jac = _factor_jacobian(proj, x_fac, y_fac)
         if jac.shape[1] == 0:
             break
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         improved = False
         for scale in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             x_new, y_new = _apply_step(x_fac, y_fac, step, scale)
-            res_new = _factor_residual(par, target, x_new, y_new)
+            res_new = _factor_residual(proj, x_new, y_new)
             if float(np.max(np.abs(res_new), initial=0.0)) < norm_inf:
                 x_fac, y_fac = x_new, y_new
                 improved = True
                 break
         if not improved:
             break
-    res = _factor_residual(par, target, x_fac, y_fac)
+    res = _factor_residual(proj, x_fac, y_fac)
     norm_inf = float(np.max(np.abs(res), initial=0.0))
     if norm_inf < best[0]:
         best = (norm_inf, x_fac, y_fac, max_iter)
@@ -330,8 +341,7 @@ def _gauss_newton(par, target, x_fac, y_fac, tol, max_iter=40):
     return None
 
 
-def _rank_candidates(gram, thresholds):
-    w, _ = eig_hermitian(gram)
+def _rank_candidates(w, thresholds):
     if w.size == 0:
         return [0]
     top = max(float(w[-1]), 0.0)
@@ -345,27 +355,26 @@ def _rank_candidates(gram, thresholds):
     return ranks
 
 
-def _truncated_factor(gram, rank):
+def _truncated_factor(eig, rank):
+    w, v = eig
     if rank == 0:
-        return np.zeros((gram.shape[0], 0), dtype=complex)
-    w, v = eig_hermitian(gram)
+        return np.zeros((v.shape[0], 0), dtype=complex)
     w = np.clip(w, 0.0, None)
     idx = np.argsort(w)[::-1][:rank]
     return v[:, idx] * np.sqrt(w[idx])
 
 
-def _attempt_polish(par, target, gram_a, gram_b, tol):
+def _attempt_polish(proj, gram_a, gram_b, tol):
+    eig_a, eig_b = eig_hermitian(gram_a), eig_hermitian(gram_b)
     thresholds = (1e-2, 1e-4, 1e-8)
-    for ra, rb in zip(_rank_candidates(gram_a, thresholds), _rank_candidates(gram_b, thresholds)):
-        x0 = _truncated_factor(gram_a, ra)
-        y0 = _truncated_factor(gram_b, rb)
-        result = _gauss_newton(par, target, x0, y0, tol)
+    for ra, rb in zip(_rank_candidates(eig_a.eigenvalues, thresholds),
+                      _rank_candidates(eig_b.eigenvalues, thresholds)):
+        result = _gauss_newton(proj, _truncated_factor(eig_a, ra), _truncated_factor(eig_b, rb), tol)
         if result is not None:
             return result
     # last resort: full-rank factors
-    x0 = _truncated_factor(gram_a, gram_a.shape[0])
-    y0 = _truncated_factor(gram_b, gram_b.shape[0])
-    return _gauss_newton(par, target, x0, y0, tol)
+    return _gauss_newton(proj, _truncated_factor(eig_a, gram_a.shape[0]),
+                         _truncated_factor(eig_b, gram_b.shape[0]), tol)
 
 
 # ----------------------------------------------------------------------
@@ -373,6 +382,7 @@ def _attempt_polish(par, target, gram_a, gram_b, tol):
 # ----------------------------------------------------------------------
 
 _POLISH_CHECKPOINTS = (500, 1500, 4000, 10000, 25000, 60000, 150000)
+_RANK_TOL = 1e-9  # relative eigenvalue cutoff of the factors of a converged pair
 
 
 def solve_gram(
@@ -380,8 +390,6 @@ def solve_gram(
     tol: float = 1e-9,
     max_iter: int = 200000,
     seed: int = 42,
-    rank_tol: float = 1e-9,
-    polish: bool = True,
 ) -> SosCertificate:
     """Find a PSD Gram pair certifying the decomposition identity for p.
 
@@ -395,14 +403,12 @@ def solve_gram(
     p_norm = p.scale(1.0 / scale)
     n, m = p.bidegree
 
-    e_mat, d_vec, par = build_constraints(p_norm)
     target = sos_target_tensor(p_norm)
-    projector = AffineProjector(e_mat, d_vec)
-    scale_free = 1.0 + float(np.max(np.abs(d_vec), initial=0.0))
-    if projector.consistency_defect > 1e-10 * scale_free:
+    proj = DisplacementProjector(target)
+    defect = float(np.max(np.abs(displacement_class_sums(target))))
+    if defect > 1e-10 * (1.0 + float(np.max(np.abs(target)))):
         raise InfeasibleError(
-            "coefficient constraints are inconsistent",
-            residual=projector.consistency_defect, iterations=0,
+            "coefficient constraints are inconsistent", residual=defect, iterations=0,
         )
 
     rng = np.random.default_rng(seed)
@@ -413,9 +419,8 @@ def solve_gram(
         raw = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
         return hermitize(raw)
 
-    x_vec = projector.project(par.pack(random_hermitian(par.order_a),
-                                       random_hermitian(par.order_b)))
-    correction = np.zeros_like(x_vec)
+    x_a, x_b = proj.project(random_hermitian(proj.order_a), random_hermitian(proj.order_b))
+    corr_a, corr_b = np.zeros_like(x_a), np.zeros_like(x_b)
 
     trace = []
     best_res = np.inf
@@ -426,13 +431,12 @@ def solve_gram(
 
     for k in range(max_iter):
         iterations = k + 1
-        gram_a, gram_b = par.unpack(x_vec + correction)
-        psd_a = project_psd(gram_a)
-        psd_b = project_psd(gram_b)
-        y_vec = par.pack(psd_a, psd_b)
-        correction = (x_vec + correction) - y_vec
+        z_a, z_b = x_a + corr_a, x_b + corr_b
+        psd_a, psd_b = project_psd(z_a), project_psd(z_b)
+        corr_a, corr_b = z_a - psd_a, z_b - psd_b
 
-        res = float(np.max(np.abs(gram_pair_tensor(psd_a, psd_b, n, m) - target)))
+        residual = proj.residual(psd_a, psd_b)
+        res = float(np.max(np.abs(residual)))
         trace.append(res)
         if res < best_res:
             best_res = res
@@ -440,29 +444,24 @@ def solve_gram(
         if res <= tol:
             converged = True
             break
-        if polish and (iterations in _POLISH_CHECKPOINTS):
-            polish_out = _attempt_polish(par, target, psd_a, psd_b, tol)
+        if iterations in _POLISH_CHECKPOINTS:
+            polish_out = _attempt_polish(proj, psd_a, psd_b, tol)
             if polish_out is not None:
                 break
-        x_vec = projector.project(y_vec)
+        x_a, x_b = proj.project(psd_a, psd_b, residual)
 
-    if not converged and polish_out is None and polish and best_pair is not None:
-        polish_out = _attempt_polish(par, target, best_pair[0], best_pair[1], tol)
+    # a pair that only just met tol is polished too, so that sampled checks
+    # at the same tol, which add up many coefficient errors, still pass
+    if polish_out is None and best_pair is not None and best_res > _polish_floor(tol):
+        polish_out = _attempt_polish(proj, best_pair[0], best_pair[1], tol)
 
     polish_iterations = 0
     if polish_out is not None:
         x_fac, y_fac, polish_iterations = polish_out
-        gram_a = x_fac @ x_fac.conj().T if x_fac.size else np.zeros((par.order_a,) * 2, complex)
-        gram_b = y_fac @ y_fac.conj().T if y_fac.size else np.zeros((par.order_b,) * 2, complex)
-        gram_a, gram_b = hermitize(gram_a), hermitize(gram_b)
-        a_cols = [x_fac[:, j] for j in range(x_fac.shape[1])] if x_fac.size else []
-        b_cols = [y_fac[:, j] for j in range(y_fac.shape[1])] if y_fac.size else []
+        gram_a, gram_b = hermitize(x_fac @ x_fac.conj().T), hermitize(y_fac @ y_fac.conj().T)
     elif converged:
         gram_a, gram_b = best_pair
-        fac_a = psd_factor(gram_a, rank_tol) if gram_a.size else np.zeros((0, 0), complex)
-        fac_b = psd_factor(gram_b, rank_tol) if gram_b.size else np.zeros((0, 0), complex)
-        a_cols = [fac_a[:, j] for j in range(fac_a.shape[1])]
-        b_cols = [fac_b[:, j] for j in range(fac_b.shape[1])]
+        x_fac, y_fac = psd_factor(gram_a, _RANK_TOL), psd_factor(gram_b, _RANK_TOL)
     else:
         raise InfeasibleError(
             f"no PSD Gram pair within tolerance {tol:.1e} "
@@ -470,73 +469,27 @@ def solve_gram(
             residual=best_res, iterations=iterations,
         )
 
-    final_res = float(np.max(np.abs(gram_pair_tensor(gram_a, gram_b, n, m) - target)))
+    final_res = float(np.max(np.abs(proj.residual(gram_a, gram_b))))
     if final_res > tol:
         raise InfeasibleError(
             f"refined residual {final_res:.3e} still above tolerance {tol:.1e}",
             residual=final_res, iterations=iterations,
         )
 
-    def col_to_poly(col, rows, cols_):
-        return BivariatePolynomial((col * scale).reshape(rows, cols_))
-
-    a_polys = [col_to_poly(c, n, m + 1) for c in a_cols] if n > 0 else []
-    b_polys = [col_to_poly(c, n + 1, m) for c in b_cols] if m > 0 else []
+    def factor_polys(fac, shape):
+        return [BivariatePolynomial((col * scale).reshape(shape)) for col in fac.T]
 
     return SosCertificate(
         p=p,
         p_tilde=p.reflect(),
         gram_a=gram_a * scale ** 2,
         gram_b=gram_b * scale ** 2,
-        a_polys=a_polys,
-        b_polys=b_polys,
+        a_polys=factor_polys(x_fac, (n, m + 1)) if n > 0 else [],
+        b_polys=factor_polys(y_fac, (n + 1, m)) if m > 0 else [],
         residual=final_res,
         iterations=iterations,
         seed=seed,
         tol=tol,
         polish_iterations=polish_iterations,
         residual_trace=np.asarray(trace),
-    )
-
-
-# ----------------------------------------------------------------------
-# symmetrization
-# ----------------------------------------------------------------------
-
-@dataclass
-class SymmetrizedVectors:
-    """Reflection-closed factor vectors, scaled so the Gram sums are unchanged.
-
-    The list a holds (1/sqrt(2)) * [A_1..A_r, A~_1..A~_r] with reflections at
-    bidegree (n-1, m); likewise b at bidegree (n, m-1).  Componentwise
-    reflection permutes each list, so |a(z)| = |a~(z)| pointwise, which is
-    what the Cauchy-Schwarz bound between the difference and Pick kernels
-    needs.
-    """
-
-    a: list[BivariatePolynomial]
-    b: list[BivariatePolynomial]
-    a_degrees: tuple[int, int]
-    b_degrees: tuple[int, int]
-
-    def a_reflected(self) -> list[BivariatePolynomial]:
-        return [q.reflect(self.a_degrees) for q in self.a]
-
-    def b_reflected(self) -> list[BivariatePolynomial]:
-        return [q.reflect(self.b_degrees) for q in self.b]
-
-
-def symmetrize(cert: SosCertificate) -> SymmetrizedVectors:
-    if cert.residual > cert.tol:
-        raise ValueError("certificate residual exceeds its tolerance")
-    n, m = cert.p.bidegree
-    a_deg, b_deg = (n - 1, m), (n, m - 1)
-    inv = 1.0 / SQRT2
-    a_half = [q.padded(a_deg).scale(inv) for q in cert.a_polys]
-    b_half = [q.padded(b_deg).scale(inv) for q in cert.b_polys]
-    return SymmetrizedVectors(
-        a=a_half + [q.reflect(a_deg) for q in a_half],
-        b=b_half + [q.reflect(b_deg) for q in b_half],
-        a_degrees=a_deg,
-        b_degrees=b_deg,
     )

@@ -5,8 +5,6 @@ import pytest
 
 from aglerkit.errors import NotPSDError
 from aglerkit.numerics import (
-    AffineProjector,
-    affine_project,
     eig_hermitian,
     hermitian_defect,
     hermitize,
@@ -160,43 +158,3 @@ class TestRootsUnivariate:
                 value = np.polyval(coeffs[::-1], root)
                 assert abs(value) <= 1e-8 * scale * max(1.0, abs(root)) ** degree
 
-
-class TestAffineProjection:
-    def test_feasible_point_is_fixed(self):
-        e = np.array([[1.0, 1.0]])
-        d = np.array([1.0])
-        x = np.array([0.5, 0.5])
-        assert np.allclose(affine_project(x, e, d), x)
-
-    def test_projection_of_origin_onto_coordinate_constraint(self):
-        e = np.array([[1.0, 0.0, 0.0]])
-        d = np.array([1.0])
-        assert np.allclose(affine_project(np.zeros(3), e, d), [1.0, 0.0, 0.0])
-
-    def test_projection_onto_antidiagonal(self):
-        e = np.array([[1.0, 1.0]])
-        d = np.array([0.0])
-        assert np.allclose(affine_project(np.array([2.0, 0.0]), e, d), [1.0, -1.0])
-
-    def test_projection_is_idempotent_and_feasible(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            e = rng.standard_normal((3, 8))
-            d = e @ rng.standard_normal(8)  # consistent by construction
-            proj = AffineProjector(e, d)
-            x = rng.standard_normal(8)
-            y = proj.project(x)
-            assert proj.residual(y) <= 1e-9 * (1 + np.abs(d).max())
-            assert np.allclose(proj.project(y), y)
-
-    def test_inconsistent_system_requires_least_squares_flag(self):
-        e = np.array([[1.0, 0.0], [1.0, 0.0]])
-        d = np.array([0.0, 1.0])
-        with pytest.raises(ValueError):
-            affine_project(np.zeros(2), e, d)
-        out = affine_project(np.zeros(2), e, d, least_squares=True)
-        assert out[0] == pytest.approx(0.5)
-
-    def test_shape_mismatch_is_rejected(self):
-        with pytest.raises(ValueError):
-            AffineProjector(np.zeros((2, 3)), np.zeros(3))
