@@ -13,6 +13,7 @@ from aglerkit.numerics import (
     require_hermitian,
     roots_univariate,
 )
+from aglerkit.sos import DisplacementProjector, gram_pair_tensor
 
 
 def random_hermitian(rng, order):
@@ -158,3 +159,17 @@ class TestRootsUnivariate:
                 value = np.polyval(coeffs[::-1], root)
                 assert abs(value) <= 1e-8 * scale * max(1.0, abs(root)) ** degree
 
+
+
+class TestAffineProjection:
+    """The Gram projection onto {L(G_A, G_B) = T} leaves the affine set fixed."""
+
+    def test_feasible_point_is_fixed(self):
+        rng = np.random.default_rng(23)
+        for n, m in [(1, 1), (2, 3), (3, 2)]:
+            gram_a = random_hermitian(rng, n * (m + 1))
+            gram_b = random_hermitian(rng, (n + 1) * m)
+            proj = DisplacementProjector(gram_pair_tensor(gram_a, gram_b, n, m))
+            out_a, out_b = proj.project(gram_a, gram_b)
+            assert np.max(np.abs(out_a - gram_a)) <= 1e-12
+            assert np.max(np.abs(out_b - gram_b)) <= 1e-12
