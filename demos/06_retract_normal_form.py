@@ -43,6 +43,13 @@ print("    graph component at x=%s: f(x) = %s  (x^2 = %s)"
       % (x[0], np.round(nf.f_components[0].evaluate(x), 12), np.round(x[0] ** 2, 12)))
 print("    image point:", np.round(nf.image_point(x), 6))
 
+# image_point also takes a whole (N, k) array of free coordinates and
+# returns the (N, n) image points, solving every graph once per batch.
+xs = np.array([[0.4 - 0.25j], [-0.1 + 0.5j], [0.3j]])
+print("    batched image points:")
+for row in np.round(nf.image_point(xs), 6):
+    print("     ", row)
+
 describe("product (z1, z2, z1 z2)",
          RetractMap(3, (MultiPoly(3, {(1, 0, 0): 1.0}),
                         MultiPoly(3, {(0, 1, 0): 1.0}),

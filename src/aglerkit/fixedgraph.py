@@ -37,8 +37,8 @@ class SchurMap:
 
     The map may be given as a rational map in n + 1 variables (w last),
     which yields exact partial derivatives, or as a raw callable
-    ``fn(z, w)`` in which case derivatives fall back to central
-    differences with the given step.
+    ``fn(z, w)`` on one point, which an adapter calls row by row and
+    whose derivatives fall back to central differences with the given step.
     """
 
     def __init__(self, n, fn=None, rational=None, step=1e-6, name=None):
@@ -56,34 +56,47 @@ class SchurMap:
         self.step = float(step)
         self.name = name
         self._partial_cache = {}
+        self._evaluate = rational.evaluate if rational is not None else self._row_loop
+
+    @classmethod
+    def _batched(cls, n, evaluate):
+        """Map given by ``evaluate`` on (N, n + 1) rows (w last), returning (N,).
+
+        Used for reduced retract components, whose every call is one batched
+        graph solve; partials are central differences.
+        """
+        smap = cls(n, fn=evaluate)
+        smap._evaluate = evaluate
+        return smap
+
+    def _row_loop(self, pts):
+        """A raw callable takes one (z, w) pair per call; the only row loop."""
+        return np.array(
+            [complex(self.fn(row[: self.n], complex(row[self.n]))) for row in pts],
+            dtype=complex,
+        )
 
     def _rows(self, Z, W, index=None):
         """F, or its partial in variable ``index`` (w is index n), at each row pair.
 
         W has shape (N,) and Z shape (N, n), or (n,) for one z shared by
-        every row.  A rational map is evaluated in one call on an
-        (N, n + 1) array; a callable map row by row, with partials by
-        central differences.
+        every row.  Every kind of map is evaluated by one call on an
+        (N, n + 1) array; partials are exact for a rational map and central
+        differences otherwise, plus and minus sharing one call.
         """
-        if self.rational is not None:
-            pts = np.empty((len(W), self.n + 1), dtype=complex)
-            pts[:, : self.n] = Z
-            pts[:, self.n] = W
-            rmap = self.rational if index is None else self._partial_map(index)
-            return np.asarray(rmap.evaluate(pts), dtype=complex)
+        pts = np.empty((len(W), self.n + 1), dtype=complex)
+        pts[:, : self.n] = Z
+        pts[:, self.n] = W
         if index is None:
-            rows = Z if Z.ndim == 2 else [Z] * len(W)
-            return np.array(
-                [complex(self.fn(z, complex(w))) for z, w in zip(rows, W)], dtype=complex
-            )
+            return np.asarray(self._evaluate(pts), dtype=complex)
+        if self.rational is not None:
+            return np.asarray(self._partial_map(index).evaluate(pts), dtype=complex)
         h = self.step
-        if index == self.n:
-            plus, minus = self._rows(Z, W + h), self._rows(Z, W - h)
-        else:
-            shift = np.zeros(self.n)
-            shift[index] = h
-            plus, minus = self._rows(Z + shift, W), self._rows(Z - shift, W)
-        return (plus - minus) / (2.0 * h)
+        both = np.concatenate([pts, pts])
+        both[: len(W), index] += h
+        both[len(W):, index] -= h
+        values = np.asarray(self._evaluate(both), dtype=complex)
+        return (values[: len(W)] - values[len(W):]) / (2.0 * h)
 
     def _at(self, z, w, index=None):
         """_rows at one z point and a scalar or array of w values."""
@@ -338,9 +351,9 @@ class GraphFunction:
     """Graph w = f(z) stored on a grid, with residuals and provenance.
 
     axes holds one node array per z variable; values and residuals are
-    arrays over the Cartesian product of the axes.  Evaluation at a new
-    point either delegates to an attached evaluator callable or reruns
-    Newton seeded from the nearest grid node.
+    arrays over the Cartesian product of the axes.  Evaluation at new
+    points either delegates to an attached evaluator, a callable on (N, k)
+    rows, or reruns Newton seeded from each row's nearest grid node.
     """
 
     axes: tuple
@@ -358,23 +371,31 @@ class GraphFunction:
         return float(np.max(arr))
 
     def evaluate(self, z):
-        z = np.asarray(z, dtype=complex).reshape(-1)
+        """f at one point (k,), as a complex, or at the rows of (N, k), as (N,).
+
+        An attached evaluator gets the rows; otherwise each row reruns
+        Newton from its nearest grid node, all rows in one sweep.
+        """
+        z = np.asarray(z, dtype=complex)
+        rows = z if z.ndim == 2 else z.reshape(1, -1)
         if self.evaluator is not None:
-            return complex(self.evaluator(z))
-        if self.smap is None:
-            raise InconsistencyError("graph has no evaluator and no map attached")
-        if z.size != len(self.axes):
-            raise ValueError("point dimension does not match the graph axes")
-        idx = tuple(
-            int(np.argmin(np.abs(ax - zi))) for ax, zi in zip(self.axes, z)
-        )
-        w, _, ok = _newton(self.smap, z, np.asarray(self.values)[idx])
-        if not ok[0]:
-            raise DegenerateContinuationError(
-                "fixed-point refinement failed at a query point",
-                location=tuple(complex(v) for v in z),
+            values = np.asarray(self.evaluator(rows), dtype=complex)
+        else:
+            if self.smap is None:
+                raise InconsistencyError("graph has no evaluator and no map attached")
+            if rows.shape[1] != len(self.axes):
+                raise ValueError("point dimension does not match the graph axes")
+            nearest = tuple(
+                np.argmin(np.abs(ax[None, :] - rows[:, i, None]), axis=1)
+                for i, ax in enumerate(self.axes)
             )
-        return complex(w[0])
+            values, _, ok = _newton(self.smap, rows, np.asarray(self.values)[nearest])
+            if not ok.all():
+                raise DegenerateContinuationError(
+                    "fixed-point refinement failed at a query point",
+                    location=tuple(complex(v) for v in rows[np.argmin(ok)]),
+                )
+        return values if z.ndim == 2 else complex(values[0])
 
     @classmethod
     def constant(cls, value, axes=(), provenance=None):
@@ -389,7 +410,7 @@ class GraphFunction:
             values=values,
             residuals=residuals,
             provenance=prov,
-            evaluator=lambda _z, _c=complex(value): _c,
+            evaluator=lambda rows, _c=complex(value): np.full(len(rows), _c),
         )
 
     def to_json(self):

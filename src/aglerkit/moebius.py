@@ -76,12 +76,14 @@ def fit_moebius(nodes, values):
 def detect_automorphism(slice_fn, tol: float = 1e-8, verify_nodes: int = 50):
     """Return the disk automorphism matching slice_fn on the disk, or None.
 
-    slice_fn is a callable on complex scalars.  The decision is sample-based:
-    a three-point Moebius fit, a verification batch, a circle/unimodularity
-    test, and a final re-verification of the extracted (u, a) form.
+    slice_fn maps a 1-d array of disk points to the array of its values; it
+    is called twice, on the three fit nodes and on the verification nodes.
+    The decision is sample-based: a three-point Moebius fit, a verification
+    batch, a circle/unimodularity test, and a final re-verification of the
+    extracted (u, a) form.
     """
     try:
-        fit_values = np.array([slice_fn(w) for w in _FIT_NODES], dtype=complex)
+        fit_values = np.asarray(slice_fn(_FIT_NODES), dtype=complex)
     except Exception:
         return None
     coeffs = fit_moebius(_FIT_NODES, fit_values)
@@ -93,7 +95,7 @@ def detect_automorphism(slice_fn, tol: float = 1e-8, verify_nodes: int = 50):
         return (a_c * w + b_c) / (c_c * w + 1.0)
 
     check = disk_points(verify_nodes, 0.9)
-    target = np.array([slice_fn(w) for w in check], dtype=complex)
+    target = np.asarray(slice_fn(check), dtype=complex)
     if np.max(np.abs(mu(check) - target)) > tol:
         return None
 

@@ -60,15 +60,18 @@ def eig_hermitian(mat) -> EigenDecomposition:
 
 
 def project_psd(mat) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix (eigenvalue clipping)."""
+    """Frobenius-nearest positive semidefinite matrix (eigenvalue clipping).
+
+    The input must be exactly Hermitian, as every Dykstra iterate is by
+    construction; it is not re-validated, and a PSD input comes back as is.
+    """
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
-        return hermitize(mat)
-    w, v = eig_hermitian(mat)
+        return mat
+    w, v = np.linalg.eigh(mat)
     if w[0] >= 0.0:
-        return hermitize(mat)
-    clipped = np.clip(w, 0.0, None)
-    return hermitize((v * clipped) @ v.conj().T)
+        return mat
+    return hermitize((v * np.clip(w, 0.0, None)) @ v.conj().T)
 
 
 def psd_factor(mat, rank_tol: float = 1e-9) -> np.ndarray:

@@ -12,6 +12,12 @@ included).  This module verifies idempotence, classifies components,
 peels off graph components one at a time through fixed-point reduction
 in the last variable, and assembles the conjugation chain plus residual
 diagnostics for the resulting normal form.
+
+Evaluation works on whole arrays: the maps take (N, n) rows, and the
+conjugation chain, image_point and the graph evaluators act on the last
+axis, so (k,) gives (n,) and (N, k) gives (N, n).  A reduced map solves
+its graph once per batch for all of its components, nested once per
+recursion depth.
 """
 
 from __future__ import annotations
@@ -63,28 +69,24 @@ class RetractMap:
     def identity(cls, n):
         return cls(n, tuple(MultiPoly.variable(n, i) for i in range(n)))
 
-    def component_value(self, index, z):
-        comp = self.components[index]
-        z = np.asarray(z, dtype=complex).reshape(self.n)
-        if isinstance(comp, (MultiPoly, RationalMap)):
-            return complex(comp.evaluate(z))
-        return complex(comp(z))
+    def _columns(self, pts, cols):
+        """Components ``cols`` at the rows of an (N, n) array, as (N, len(cols))."""
+        out = np.empty((len(pts), len(cols)), dtype=complex)
+        for c, j in enumerate(cols):
+            comp = self.components[j]
+            if isinstance(comp, (MultiPoly, RationalMap)):
+                out[:, c] = comp.evaluate(pts)
+            else:
+                out[:, c] = [complex(comp(p)) for p in pts]
+        return out
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex).reshape(self.n)
-        return np.array(
-            [self.component_value(j, z) for j in range(self.n)], dtype=complex
-        )
+        z = np.asarray(z, dtype=complex).reshape(1, self.n)
+        return self._columns(z, range(self.n))[0]
 
     def evaluate_batch(self, points):
         pts = np.asarray(points, dtype=complex).reshape(-1, self.n)
-        out = np.empty((len(pts), self.n), dtype=complex)
-        for j, comp in enumerate(self.components):
-            if isinstance(comp, (MultiPoly, RationalMap)):
-                out[:, j] = comp.evaluate(pts)
-            else:
-                out[:, j] = [complex(comp(p)) for p in pts]
-        return out
+        return self._columns(pts, range(self.n))
 
     def to_json(self):
         comps = []
@@ -122,6 +124,17 @@ class RetractMap:
 
     def __repr__(self):
         return "RetractMap(n=%d)" % self.n
+
+
+class _DerivedMap(RetractMap):
+    """Reduced or permuted map, evaluated as a whole by columns(pts, cols).
+
+    It has no component objects (each is None), so it cannot be serialized.
+    """
+
+    def __init__(self, n, columns):
+        super().__init__(n, (None,) * n)
+        self._columns = columns
 
 
 def verify_idempotent(rho, samples=400, seed=7, radius=0.9, tol=1e-9):
@@ -170,24 +183,19 @@ class ComponentRole:
         return payload
 
 
-def _active_variables(rho, j, bases, tol=1e-9):
-    probes = (0.31 + 0.17j, -0.42 - 0.05j)
-    active = []
-    for i in range(rho.n):
-        changed = False
-        for base in bases:
-            ref = rho.component_value(j, base)
-            for repl in probes:
-                trial = np.array(base, dtype=complex)
-                trial[i] = repl
-                if abs(rho.component_value(j, trial) - ref) > tol:
-                    changed = True
-                    break
-            if changed:
-                break
-        if changed:
-            active.append(i)
-    return active
+def _active_variables(rho, bases, tol=1e-9):
+    """Boolean (n, n) array: entry (i, j) says variable i changes component j.
+
+    Each variable in turn is set to two probe values at every base point,
+    and all the probes go through the map in one batch.
+    """
+    probes = np.array([0.31 + 0.17j, -0.42 - 0.05j])
+    n = rho.n
+    trials = np.broadcast_to(bases[None, :, None, :], (n, len(bases), 2, n)).copy()
+    trials[np.arange(n), :, :, np.arange(n)] = probes
+    values = rho.evaluate_batch(np.concatenate([bases, trials.reshape(-1, n)]))
+    ref, moved = values[: len(bases)], values[len(bases):].reshape(trials.shape)
+    return (np.abs(moved - ref[None, :, None, :]) > tol).any(axis=(1, 2))
 
 
 def classify_components(rho, samples=60, seed=97, radius=0.85, tol=1e-9):
@@ -205,6 +213,7 @@ def classify_components(rho, samples=60, seed=97, radius=0.85, tol=1e-9):
     bases = random_polydisk(rng, 3, rho.n, 0.8)
 
     roles = []
+    active = None
     for j in range(rho.n):
         col = vals[:, j]
         mean = complex(col.mean())
@@ -218,29 +227,24 @@ def classify_components(rho, samples=60, seed=97, radius=0.85, tol=1e-9):
         if np.max(np.abs(col - pts[:, j])) <= tol:
             roles.append(ComponentRole(ROLE_IDENTITY, source=j))
             continue
-        active = _active_variables(rho, j, bases, tol=tol)
+        if active is None:
+            active = _active_variables(rho, bases, tol=tol)
         role = ComponentRole(ROLE_GENERIC)
-        if len(active) == 1:
-            i = active[0]
+        sources = np.flatnonzero(active[:, j])
+        if len(sources) == 1:
+            i = int(sources[0])
 
             def slice_fn(w, _j=j, _i=i):
-                point = np.zeros(rho.n, dtype=complex)
-                point[_i] = w
-                return rho.component_value(_j, point)
+                points = np.zeros((len(w), rho.n), dtype=complex)
+                points[:, _i] = w
+                return rho._columns(points, [_j])[:, 0]
 
             phi = detect_automorphism(slice_fn, tol=1e-8)
             if phi is not None:
                 check = disk_points(10, 0.8)
-                base = bases[0].copy()
-                observed = np.array(
-                    [
-                        rho.component_value(
-                            j, _with_coordinate(base, i, w)
-                        )
-                        for w in check
-                    ],
-                    dtype=complex,
-                )
+                points = np.repeat(bases[:1], len(check), axis=0)
+                points[:, i] = check
+                observed = rho._columns(points, [j])[:, 0]
                 if np.max(np.abs(observed - phi(check))) <= 1e-7:
                     if i == j:
                         if not phi.is_identity(1e-8):
@@ -264,12 +268,6 @@ def classify_components(rho, samples=60, seed=97, radius=0.85, tol=1e-9):
     return roles
 
 
-def _with_coordinate(base, index, value):
-    out = np.array(base, dtype=complex)
-    out[index] = value
-    return out
-
-
 @dataclass(frozen=True)
 class MoebiusStep:
     """Chain step applying a disk automorphism to one coordinate."""
@@ -279,12 +277,12 @@ class MoebiusStep:
 
     def apply(self, z):
         out = np.array(z, dtype=complex)
-        out[self.index] = self.phi(complex(out[self.index]))
+        out[..., self.index] = self.phi(out[..., self.index])
         return out
 
     def invert(self, z):
         out = np.array(z, dtype=complex)
-        out[self.index] = self.phi.inverse()(complex(out[self.index]))
+        out[..., self.index] = self.phi.inverse()(out[..., self.index])
         return out
 
     def lifted(self, dim):
@@ -301,14 +299,12 @@ class PermStep:
     order: tuple
 
     def apply(self, z):
-        z = np.asarray(z, dtype=complex)
-        return z[np.array(self.order, dtype=int)]
+        return np.asarray(z, dtype=complex)[..., list(self.order)]
 
     def invert(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.empty_like(z)
-        for i, src in enumerate(self.order):
-            out[src] = z[i]
+        out[..., list(self.order)] = z
         return out
 
     def lifted(self, dim):
@@ -320,7 +316,10 @@ class PermStep:
 
 
 class ConjugationChain:
-    """Composition of coordinate permutations and per-coordinate Moebius maps."""
+    """Composition of coordinate permutations and per-coordinate Moebius maps.
+
+    apply and apply_inverse act on the last axis of (..., n) arrays.
+    """
 
     def __init__(self, steps=()):
         self.steps = tuple(steps)
@@ -364,57 +363,19 @@ class ConjugationChain:
         return len(self.steps)
 
 
-class _PermutedComponent:
-    """Component j of P . rho . P^{-1} for callable components."""
-
-    def __init__(self, rho, order, j):
-        self.rho = rho
-        self.order = tuple(order)
-        self.j = int(j)
-
-    def __call__(self, v):
-        v = np.asarray(v, dtype=complex).reshape(self.rho.n)
-        z = np.empty_like(v)
-        for i, src in enumerate(self.order):
-            z[src] = v[i]
-        return self.rho.component_value(self.order[self.j], z)
-
-
 def _permute_map(rho, order):
-    """P . rho . P^{-1}; polynomial and rational components stay exact."""
+    """P . rho . P^{-1}; a map of polynomial and rational components stays exact."""
     n = rho.n
-    inv = [0] * n
-    for i, src in enumerate(order):
-        inv[src] = i
-    comps = []
-    for j in range(n):
-        comp = rho.components[order[j]]
-        if isinstance(comp, MultiPoly):
-            comps.append(comp.embed(n, inv))
-        elif isinstance(comp, RationalMap):
-            comps.append(
-                RationalMap(
-                    comp.numerator.embed(n, inv), comp.denominator.embed(n, inv)
-                )
-            )
-        else:
-            comps.append(_PermutedComponent(rho, order, j))
-    return RetractMap(n, tuple(comps))
-
-
-class _ReducedComponent:
-    """Component i of the reduced map z' -> rho_head(z', f(z'))."""
-
-    def __init__(self, rho, index, graph):
-        self.rho = rho
-        self.index = int(index)
-        self.graph = graph
-
-    def __call__(self, zhat):
-        zhat = np.asarray(zhat, dtype=complex).reshape(self.rho.n - 1)
-        w = self.graph.evaluate(zhat)
-        full = np.append(zhat, w)
-        return self.rho.component_value(self.index, full)
+    inv = np.argsort(order)
+    comps = [rho.components[j] for j in order]
+    if not all(isinstance(comp, (MultiPoly, RationalMap)) for comp in comps):
+        order = np.asarray(order)
+        return _DerivedMap(n, lambda pts, cols: rho._columns(pts[:, inv], order[list(cols)]))
+    return RetractMap(n, tuple(
+        comp.embed(n, inv) if isinstance(comp, MultiPoly)
+        else RationalMap(comp.numerator.embed(n, inv), comp.denominator.embed(n, inv))
+        for comp in comps
+    ))
 
 
 def _schur_from_last(rho):
@@ -424,12 +385,7 @@ def _schur_from_last(rho):
         return SchurMap(head, rational=comp)
     if isinstance(comp, MultiPoly):
         return SchurMap(head, rational=RationalMap(comp))
-
-    def fn(zhat, w, _rho=rho):
-        full = np.append(np.asarray(zhat, dtype=complex), w)
-        return _rho.component_value(_rho.n - 1, full)
-
-    return SchurMap(head, fn=fn)
+    return SchurMap._batched(head, lambda pts: rho._columns(pts, [head])[:, 0])
 
 
 def reduce_dimension(rho, grid=12, radius=0.85, newton_tol=1e-12, seed=5005):
@@ -437,8 +393,9 @@ def reduce_dimension(rho, grid=12, radius=0.85, newton_tol=1e-12, seed=5005):
 
     Returns (reduced, graph): the graph solves w = rho_last(z', w), and the
     reduced map is z' -> rho_head(z', f(z')), an idempotent self-map of
-    D^{n-1}.  The image of the origin under rho seeds the anchor fixed
-    point, so no search is needed.
+    D^{n-1} whose components share one batched graph solve per call.  The
+    image of the origin under rho seeds the anchor fixed point, so no
+    search is needed.
     """
     if rho.n < 2:
         raise ValueError("reduction needs at least two variables")
@@ -461,11 +418,29 @@ def reduce_dimension(rho, grid=12, radius=0.85, newton_tol=1e-12, seed=5005):
     graph = continue_graph(
         smap, record, radius=radius, grid=grid, tol=newton_tol, seed=seed
     )
-    head_comps = tuple(
-        _ReducedComponent(rho, i, graph) for i in range(rho.n - 1)
-    )
-    reduced = RetractMap(rho.n - 1, head_comps)
-    return reduced, graph
+
+    def columns(pts, cols):
+        return rho._columns(np.column_stack([pts, graph.evaluate(pts)]), cols)
+
+    return _DerivedMap(rho.n - 1, columns), graph
+
+
+def _image_rows(x, k, e_sources, columns):
+    """Free coordinates (k,) or (N, k) -> points (n,) or (N, n): the free
+    block, its copies, then one column per callable on (N, k) rows."""
+    x = np.asarray(x, dtype=complex)
+    rows = x if x.ndim == 2 else x.reshape(1, k)
+    m = len(e_sources)
+    out = np.empty((len(rows), k + m + len(columns)), dtype=complex)
+    out[:, :k] = rows
+    out[:, k : k + m] = rows[:, list(e_sources)]
+    for t, col in enumerate(columns):
+        out[:, k + m + t] = col(rows)
+    return out if x.ndim == 2 else out[0]
+
+
+def _constant(value):
+    return lambda rows, _c=complex(value): np.full(len(rows), _c)
 
 
 @dataclass
@@ -474,28 +449,15 @@ class _CoreForm:
 
     k: int
     e_sources: list
-    tail: list  # ("const", value) or ("graph", evaluator, GraphFunction)
+    tail: list  # (evaluator on (N, k) rows, GraphFunction or None for a constant)
     chain: ConjugationChain
 
     def image_vector(self, x):
-        x = np.asarray(x, dtype=complex).reshape(self.k)
-        parts = [complex(v) for v in x]
-        parts.extend(complex(x[s]) for s in self.e_sources)
-        for item in self.tail:
-            if item[0] == "const":
-                parts.append(complex(item[1]))
-            else:
-                parts.append(complex(item[1](x)))
-        return np.array(parts, dtype=complex)
+        return _image_rows(x, self.k, self.e_sources, [ev for ev, _ in self.tail])
 
 
 def _graph_evaluator(core, graph):
-    def evaluate(x):
-        head = core.image_vector(np.asarray(x, dtype=complex).reshape(core.k))
-        zhat = core.chain.apply_inverse(head)
-        return graph.evaluate(zhat)
-
-    return evaluate
+    return lambda rows: graph.evaluate(core.chain.apply_inverse(core.image_vector(rows)))
 
 
 def _normalize(rho, opts, depth=0):
@@ -515,7 +477,7 @@ def _normalize(rho, opts, depth=0):
             return _CoreForm(1, [], [], ConjugationChain())
         if role.kind == ROLE_CONSTANT:
             return _CoreForm(
-                0, [], [("const", role.value)], ConjugationChain([PermStep((0,))])
+                0, [], [(_constant(role.value), None)], ConjugationChain([PermStep((0,))])
             )
         raise InconsistencyError(
             "a one-variable idempotent self-map of the disk must be the "
@@ -536,7 +498,7 @@ def _normalize(rho, opts, depth=0):
         )
         core = _normalize(reduced, opts, depth + 1)
         chain = ConjugationChain((step,) + core.chain.lifted(d).steps)
-        tail = list(core.tail) + [("graph", _graph_evaluator(core, graph), graph)]
+        tail = list(core.tail) + [(_graph_evaluator(core, graph), graph)]
         return _CoreForm(core.k, list(core.e_sources), tail, chain)
 
     ids = [j for j, role in enumerate(roles) if role.kind == ROLE_IDENTITY]
@@ -550,7 +512,7 @@ def _normalize(rho, opts, depth=0):
     steps.append(PermStep(tuple(ids + copies + consts)))
     rank = {src: pos for pos, src in enumerate(ids)}
     e_sources = [rank[roles[j].source] for j in copies]
-    tail = [("const", roles[j].value) for j in consts]
+    tail = [(_constant(roles[j].value), None) for j in consts]
     return _CoreForm(len(ids), e_sources, tail, ConjugationChain(steps))
 
 
@@ -558,9 +520,9 @@ def _normalize(rho, opts, depth=0):
 class NormalForm:
     """Normalized retract: free block, copy block, graph block.
 
-    normalized_map is Phi . rho . Phi^{-1} for the stored conjugation Phi; on
-    image points assembled by image_point it agrees with the identity up
-    to the recorded residuals.
+    normalized_map is Phi . rho . Phi^{-1} for the stored conjugation Phi,
+    on (..., n) arrays; on image points assembled by image_point it agrees
+    with the identity up to the recorded residuals.
     """
 
     n: int
@@ -580,12 +542,8 @@ class NormalForm:
         return len(self.f_components)
 
     def image_point(self, x):
-        x = np.asarray(x, dtype=complex).reshape(self.k)
-        parts = [complex(v) for v in x]
-        parts.extend(complex(x[s]) for s in self.e_sources)
-        for comp in self.f_components:
-            parts.append(comp.evaluate(x))
-        return np.array(parts, dtype=complex)
+        """Normalized image point of free coordinates: (k,) -> (n,), (N, k) -> (N, n)."""
+        return _image_rows(x, self.k, self.e_sources, [c.evaluate for c in self.f_components])
 
     def to_json(self):
         return {
@@ -636,40 +594,33 @@ def normal_form(
     core = _normalize(rho, opts)
     chain = core.chain
 
-    def normalized_map(v, _rho=rho, _chain=chain, _n=rho.n):
-        v = np.asarray(v, dtype=complex).reshape(_n)
-        return _chain.apply(_rho(_chain.apply_inverse(v)))
+    def normalized_map(v, _rho=rho, _chain=chain):
+        v = np.asarray(v, dtype=complex)
+        return _chain.apply(_rho.evaluate_batch(_chain.apply_inverse(v)).reshape(v.shape))
 
     k = core.k
     m = len(core.e_sources)
     axes = tuple(disk_points(int(grid), float(radius)) for _ in range(k))
     shape = tuple(len(ax) for ax in axes)
-    defect_grid = np.zeros(shape, dtype=float)
-    value_grids = [np.zeros(shape, dtype=complex) for _ in core.tail]
-    for idx in np.ndindex(*shape):
-        x = np.array([axes[i][idx[i]] for i in range(k)], dtype=complex)
-        v = core.image_vector(x)
-        w = normalized_map(v)
-        defect_grid[idx] = float(np.max(np.abs(w - v))) if v.size else 0.0
-        for t in range(len(core.tail)):
-            value_grids[t][idx] = v[k + m + t]
+    size = int(np.prod(shape))
+    nodes = np.array(np.meshgrid(*axes, indexing="ij"), dtype=complex).reshape(k, size).T
+    images = core.image_vector(nodes)
+    defect_grid = np.max(np.abs(normalized_map(images) - images), axis=1).reshape(shape)
 
     f_components = []
-    for t, item in enumerate(core.tail):
-        if item[0] == "const":
+    for t, (evaluator, graph) in enumerate(core.tail):
+        if graph is None:
             prov = {"method": "constant", "position": k + m + t}
-            evaluator = (lambda _z, _c=complex(item[1]): _c)
         else:
             prov = {
                 "method": "fixed_point_composition",
                 "position": k + m + t,
-                "source": dict(item[2].provenance),
+                "source": dict(graph.provenance),
             }
-            evaluator = item[1]
         f_components.append(
             GraphFunction(
                 axes=axes,
-                values=value_grids[t],
+                values=images[:, k + m + t].reshape(shape),
                 residuals=defect_grid.copy(),
                 provenance=prov,
                 evaluator=evaluator,

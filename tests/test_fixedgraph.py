@@ -361,6 +361,16 @@ class TestContinueGraph:
         probe = np.array([0.33 + 0.21j, -0.4 + 0.05j])
         assert abs(graph.evaluate(probe) - complex(f0.evaluate(probe))) <= 1e-10
 
+    def test_evaluate_rows_match_single_points(self):
+        smap, _ = random_average_map(np.random.default_rng(606))
+        graph = continue_graph(smap, find_fixed_w(smap, [0.0, 0.0])[0], radius=0.8, grid=10)
+        rows = random_polydisk(np.random.default_rng(61), 25, 2, 0.85)
+        batch = graph.evaluate(rows)
+        assert batch.shape == (25,)
+        single = [graph.evaluate(z) for z in rows]
+        assert all(isinstance(v, complex) for v in single)
+        assert np.max(np.abs(batch - np.array(single))) <= 1e-12
+
     def test_callable_map_matches_rational_map(self):
         rational = nonlinear_rational_map()
         exact = SchurMap(2, rational=rational)

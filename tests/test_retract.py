@@ -58,6 +58,18 @@ def triple_product_map():
     )
 
 
+def cubic_curve_map():
+    # (z1, z2, z3) -> (z1, z1^2, z1^3): two graphs, peeled off at depths 0 and 1
+    return RetractMap(
+        3,
+        (
+            MultiPoly(3, {(1, 0, 0): 1.0}),
+            MultiPoly(3, {(2, 0, 0): 1.0}),
+            MultiPoly(3, {(3, 0, 0): 1.0}),
+        ),
+    )
+
+
 def constant_second_map():
     # (z1, z2) -> (z1, c)
     return RetractMap(
@@ -223,6 +235,22 @@ class TestConjugationChain:
         assert len(clone) == 2
         assert np.max(np.abs(clone.apply(z) - chain.apply(z))) <= 1e-15
 
+    def test_chain_acts_on_rows_like_single_points(self):
+        chain = ConjugationChain(
+            (
+                MoebiusStep(2, MoebiusAutomorphism(np.exp(0.4j), 0.2 - 0.3j)),
+                PermStep((2, 0, 1)),
+                MoebiusStep(0, MoebiusAutomorphism(-1.0, 0.1j)),
+            )
+        )
+        rows = random_polydisk(np.random.default_rng(41), 9, 3, 0.8)
+        for method in (chain.apply, chain.apply_inverse):
+            batch = method(rows)
+            assert batch.shape == rows.shape
+            single = np.array([method(z) for z in rows])
+            assert np.max(np.abs(batch - single)) <= 1e-12
+        assert np.max(np.abs(chain.apply_inverse(chain.apply(rows)) - rows)) <= 1e-12
+
     def test_perm_step_lifted_keeps_tail_fixed(self):
         step = PermStep((1, 0)).lifted(3)
         assert np.array_equal(step.apply([1.0, 2.0, 3.0]), [2.0, 1.0, 3.0])
@@ -251,6 +279,26 @@ class TestReduceDimension:
         reduced, graph = reduce_dimension(constant_second_map())
         assert np.max(np.abs(graph.values - CONST)) <= 1e-12
         assert abs(reduced([0.7])[0] - 0.7) <= 1e-12
+
+    def test_reduced_map_rows_match_single_points(self):
+        reduced, _ = reduce_dimension(triple_product_map())
+        pts = random_polydisk(np.random.default_rng(43), 12, 2, 0.8)
+        batch = reduced.evaluate_batch(pts)
+        single = np.array([reduced(z) for z in pts])
+        assert batch.shape == (12, 2)
+        assert np.max(np.abs(batch - single)) <= 1e-12
+
+    def test_twice_reduced_map_rows_match_single_points(self):
+        # (z1, z1^2, z1^3) -> (z1, z1^2) -> (z1): the second graph solve
+        # runs the first one inside every Newton step
+        once, _ = reduce_dimension(cubic_curve_map())
+        twice, graph = reduce_dimension(once)
+        assert np.max(np.abs(graph.values - graph.axes[0] ** 2)) <= 1e-10
+        pts = random_polydisk(np.random.default_rng(47), 10, 1, 0.8)
+        batch = twice.evaluate_batch(pts)
+        single = np.array([twice(z) for z in pts])
+        assert np.max(np.abs(batch - single)) <= 1e-12
+        assert np.max(np.abs(batch - pts)) <= 1e-10
 
     def test_single_variable_map_is_rejected(self):
         rho = RetractMap(1, (MultiPoly(1, {(1,): 1.0}),))
@@ -304,6 +352,26 @@ class TestNormalForm:
         a, b = 0.31 - 0.05j, -0.22 + 0.4j
         point = nf.image_point([a, b])
         assert abs(point[2] - a * b) <= 1e-9
+
+    def test_cubic_curve_has_two_nested_graphs(self):
+        nf = normal_form(cubic_curve_map())
+        assert (nf.k, nf.copy_count, nf.graph_count) == (1, 0, 2)
+        assert nf.diagnostics["normal_form_residual"] <= 1e-8
+        rng = np.random.default_rng(53)
+        for x in 0.6 * np.exp(2j * np.pi * rng.random((20, 1))) * np.sqrt(rng.random((20, 1))):
+            original = nf.conjugation.apply_inverse(nf.image_point(x))
+            assert np.max(np.abs(original - np.array([x[0], x[0] ** 2, x[0] ** 3]))) <= 1e-8
+
+    def test_image_point_rows_match_single_points(self):
+        rng = np.random.default_rng(59)
+        for rho in (triple_product_map(), cubic_curve_map(), duplicate_map()):
+            nf = normal_form(rho)
+            xs = 0.6 * (rng.uniform(-1, 1, (15, nf.k)) + 1j * rng.uniform(-1, 1, (15, nf.k))) / np.sqrt(2)
+            batch = nf.image_point(xs)
+            assert batch.shape == (15, nf.n)
+            single = np.array([nf.image_point(x) for x in xs])
+            assert single.shape == (15, nf.n)
+            assert np.max(np.abs(batch - single)) <= 1e-12
 
     def test_constant_component_map(self):
         nf = normal_form(constant_second_map())
