@@ -1,7 +1,8 @@
 """Shared numerical kernels: Hermitian eigensolves, PSD projection and
-factorization, univariate roots.  The projection onto the Gram coefficient
-constraints is not a generic least-squares solve: it is closed-form per
-displacement class and lives in sos.DisplacementProjector.
+factorization, the roots of many univariate polynomials at once.  The
+projection onto the Gram coefficient constraints is not a generic
+least-squares solve: it is closed-form per displacement class and lives in
+sos.DisplacementProjector.
 
 Backed by LAPACK through numpy; the contracts (ordering, tolerances, error
 behavior) are what the rest of the package relies on.
@@ -91,25 +92,32 @@ def psd_factor(mat, rank_tol: float = 1e-9) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def roots_univariate(coeffs, lead_tol: float = 0.0) -> np.ndarray:
-    """Roots of sum(coeffs[k] * w**k) via companion-matrix eigenvalues.
+def roots_rows(rows, lead_tol: float = 0.0) -> np.ndarray:
+    """Roots of each row's sum(rows[r, k] * w**k), NaN-padded to k_max columns.
 
-    Leading coefficients with modulus <= lead_tol * max|c| are trimmed first.
-    The zero polynomial (everything trimmed) is rejected.
+    Leading coefficients with modulus <= lead_tol * max|row| are trimmed first,
+    then each row's roots are np.roots' of the rest, bit for bit: the same
+    companion matrices, one eigvals call per companion size, and the exact
+    zero low-order coefficients appended as roots at 0.  A zero row is
+    rejected.
     """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must form a nonempty vector")
-    top = float(np.max(np.abs(c)))
-    if top == 0.0:
+    c = np.asarray(rows, dtype=complex)
+    if c.ndim != 2 or c.shape[1] == 0:
+        raise ValueError("coefficients must form nonempty rows")
+    mag = np.abs(c)
+    top = np.max(mag, axis=1)
+    if np.any(top == 0.0):
         raise ValueError("zero polynomial has no well-defined root set")
-    cutoff = lead_tol * top
-    degree = c.size - 1
-    while degree > 0 and abs(c[degree]) <= cutoff:
-        degree -= 1
-    if degree == 0:
-        if abs(c[0]) <= cutoff:
-            raise ValueError("zero polynomial has no well-defined root set")
-        return np.zeros(0, dtype=complex)
-    return np.roots(c[: degree + 1][::-1])
-
+    degree = c.shape[1] - 1 - np.argmax((mag > lead_tol * top[:, None])[:, ::-1], axis=1)
+    low = np.argmax(c != 0, axis=1)
+    size = degree - low
+    cols = np.arange(c.shape[1] - 1)
+    roots = np.where((cols >= size[:, None]) & (cols < degree[:, None]), 0j, np.nan)
+    for n in np.unique(size[size > 0]):
+        sel = np.flatnonzero(size == n)
+        desc = np.take_along_axis(c[sel], degree[sel, None] - np.arange(n + 1), axis=1)
+        companion = np.zeros((sel.size, n, n), dtype=complex)
+        companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        roots[sel, :n] = np.linalg.eigvals(companion)
+    return roots

@@ -3,8 +3,12 @@
 A polynomial is stable when it has no zeros in the open bidisk; zeros on the
 boundary are allowed and do not disqualify the StableOpen verdict.  The scan
 fixes one variable on torus and interior-disk sample grids and finds the roots
-of the remaining univariate slice, in both variable orders.  This is a
-sampling certificate: verdicts are exact about the witnesses they report and
+of the remaining univariate slice, in both variable orders.  The roots of all
+slices come from one batched companion eigensolve per companion size
+(numerics.roots_rows); the verdict is the one a scan of the slices in order
+would reach (z1 fixed, then z2; torus samples before interior ones), and its
+first degenerate slice or confirmed zero ends the scan.  This is a sampling
+certificate: verdicts are exact about the witnesses they report and
 honest (Inconclusive) when a candidate zero cannot be confirmed.
 """
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import roots_univariate
+from .numerics import roots_rows
 from .poly2 import BivariatePolynomial
 from .serialize import FORMAT_TAG, complex_to_pair
 
@@ -82,38 +86,50 @@ def check_stability(
         raise ValueError("the zero polynomial is identically zero on the bidisk")
 
     samples = _fixed_samples(torus_grid, disk_grid)
-    degen_tol = tol * coeff_scale
-    min_root_modulus = np.inf
-    pending_witness = None  # candidate zero that failed the confirmation check
-
-    for swap in (False, True):
-        coeff_grid = p.coeffs.T if swap else p.coeffs
+    # scan order: z1 fixed, then z2 fixed; in each, the samples in order
+    fixed = np.tile(samples, 2)
+    swapped = np.repeat([False, True], samples.size)
+    degenerate = np.zeros(fixed.size, dtype=bool)
+    # roots[r] holds row r's roots, NaN-padded; a spare column serves constants
+    roots = np.full((fixed.size, max(p.coeffs.shape)), np.nan, dtype=complex)
+    for half, coeff_grid in enumerate((p.coeffs, p.coeffs.T)):
+        rows = slice(half * samples.size, (half + 1) * samples.size)
         # slice_coeffs[s, k] is the coefficient of w**k in p(fixed_s, w)
         powers = samples.reshape(-1, 1) ** np.arange(coeff_grid.shape[0])
         slice_coeffs = powers @ coeff_grid
-        for fixed, row in zip(samples, slice_coeffs):
-            if np.max(np.abs(row)) <= degen_tol:
-                witness = (0.0 + 0.0j, fixed) if swap else (fixed, 0.0 + 0.0j)
-                return _confirmed(p, witness, samples, torus_grid, disk_grid, tol,
-                                  min_root_modulus)
-            roots = roots_univariate(row, lead_tol=1e-13)
-            if roots.size == 0:
-                continue
-            moduli = np.abs(roots)
-            min_root_modulus = min(min_root_modulus, float(moduli.min()))
-            inside = moduli < 1.0 - tol
-            if np.any(inside):
-                root = roots[np.argmin(moduli)]
-                witness = (root, fixed) if swap else (fixed, root)
-                if abs(p(*witness)) <= tol * max(1.0, coeff_scale):
-                    return _confirmed(p, witness, samples, torus_grid, disk_grid, tol,
-                                      min_root_modulus)
-                pending_witness = witness
+        flat = np.max(np.abs(slice_coeffs), axis=1) <= tol * coeff_scale
+        degenerate[rows] = flat
+        roots[rows][~flat, : slice_coeffs.shape[1] - 1] = roots_rows(
+            slice_coeffs[~flat], lead_tol=1e-13
+        )
+
+    moduli = np.abs(roots)
+    moduli[np.isnan(roots)] = np.inf
+    row_min = np.min(moduli, axis=1)
+    # a slice with a root inside proposes its smallest root as a zero of p
+    candidates = np.flatnonzero(row_min < 1.0 - tol)
+    best = roots[candidates, np.argmin(moduli[candidates], axis=1)]
+    at = fixed[candidates]
+    w1, w2 = np.where(swapped[candidates], best, at), np.where(swapped[candidates], at, best)
+    confirmed = np.abs(p(w1, w2)) <= tol * max(1.0, coeff_scale)
+    # the first degenerate slice or confirmed candidate in scan order decides
+    decisive = degenerate.copy()
+    decisive[candidates[confirmed]] = True
+    if np.any(decisive):
+        first = np.argmax(decisive)
+        if degenerate[first]:
+            witness = (0j, fixed[first]) if swapped[first] else (fixed[first], 0j)
+        else:
+            k = np.searchsorted(candidates, first)
+            witness = (w1[k], w2[k])
+        return _confirmed(p, witness, torus_grid, disk_grid, tol, np.min(row_min[: first + 1]))
 
     min_modulus = _torus_min_modulus(p, torus_grid)
-    if pending_witness is not None:
+    min_root_modulus = np.min(row_min)
+    if candidates.size:
+        # the last candidate that failed the confirmation check
         verdict = INCONCLUSIVE
-        witness = pending_witness
+        witness = (complex(w1[-1]), complex(w2[-1]))
     elif min_root_modulus > 1.0 + tol and min_modulus > tol:
         verdict = STABLE_CLOSED_STRICT
         witness = None
@@ -131,7 +147,7 @@ def check_stability(
     )
 
 
-def _confirmed(p, witness, samples, torus_grid, disk_grid, tol, min_root_modulus):
+def _confirmed(p, witness, torus_grid, disk_grid, tol, min_root_modulus):
     value = abs(p(*witness))
     coeff_scale = float(np.max(np.abs(p.coeffs)))
     verdict = ZERO_FOUND if value <= tol * max(1.0, coeff_scale) else INCONCLUSIVE

@@ -11,7 +11,7 @@ from aglerkit.numerics import (
     project_psd,
     psd_factor,
     require_hermitian,
-    roots_univariate,
+    roots_rows,
 )
 from aglerkit.sos import DisplacementProjector, gram_pair_tensor
 
@@ -123,6 +123,12 @@ class TestPsdFactor:
             psd_factor(np.diag([-1.0, 1.0]))
 
 
+def roots_univariate(coeffs, lead_tol=0.0):
+    """One row through roots_rows, NaN padding dropped."""
+    row = roots_rows([coeffs], lead_tol=lead_tol)[0]
+    return row[~np.isnan(row)]
+
+
 class TestRootsUnivariate:
     def test_quadratic_with_real_roots(self):
         roots = np.sort_complex(roots_univariate([-1.0, 0.0, 1.0]))
@@ -159,6 +165,26 @@ class TestRootsUnivariate:
                 value = np.polyval(coeffs[::-1], root)
                 assert abs(value) <= 1e-8 * scale * max(1.0, abs(root)) ** degree
 
+    def test_batch_equals_np_roots_row_by_row_bit_for_bit(self):
+        # degrees 1-6, leading coefficients under the trim cutoff, exact zero
+        # low-order coefficients (roots at 0) and constants, in one batch
+        rng = np.random.default_rng(17)
+        rows = rng.standard_normal((300, 7)) + 1j * rng.standard_normal((300, 7))
+        degree = rng.integers(0, 7, size=300)
+        low = rng.integers(0, 4, size=300)
+        cols = np.arange(7)
+        tiny = 1e-15 * rng.integers(0, 2, size=(300, 1))  # trimmed, or exactly 0
+        rows = np.where(cols > degree[:, None], tiny * rows, rows)
+        rows[(cols < low[:, None]) & (cols < degree[:, None])] = 0.0
+        batch = roots_rows(rows, lead_tol=1e-13)
+        assert batch.shape == (300, 6)
+        for row, got in zip(rows, batch):
+            cutoff = 1e-13 * np.max(np.abs(row))
+            d = max(np.flatnonzero(np.abs(row) > cutoff))
+            want = np.roots(row[: d + 1][::-1])
+            assert np.array_equal(got[: want.size], want)
+            assert np.all(np.isnan(got[want.size:]))
+        assert set(np.sum(~np.isnan(batch), axis=1)) == set(range(7))
 
 
 class TestAffineProjection:
