@@ -7,7 +7,10 @@ of the remaining univariate slice, in both variable orders.  The roots of all
 slices come from one batched companion eigensolve per companion size
 (numerics.roots_rows); the verdict is the one a scan of the slices in order
 would reach (z1 fixed, then z2; torus samples before interior ones), and its
-first degenerate slice or confirmed zero ends the scan.  This is a sampling
+first degenerate slice or confirmed zero with an interior fixed coordinate
+ends the scan.  Torus slices give no witness: one that vanishes identically is
+a boundary zero set, and a root inside on one leaves the verdict Inconclusive,
+as it may be a boundary zero that rounding moved inside.  This is a sampling
 certificate: verdicts are exact about the witnesses they report and
 honest (Inconclusive) when a candidate zero cannot be confirmed.
 """
@@ -112,9 +115,12 @@ def check_stability(
     at = fixed[candidates]
     w1, w2 = np.where(swapped[candidates], best, at), np.where(swapped[candidates], at, best)
     confirmed = np.abs(p(w1, w2)) <= tol * max(1.0, coeff_scale)
-    # the first degenerate slice or confirmed candidate in scan order decides
+    # the first degenerate slice or confirmed candidate in scan order decides,
+    # if its fixed coordinate is inside; on torus rows by index, as
+    # |exp(2 pi i k / N)| can round below 1
     decisive = degenerate.copy()
     decisive[candidates[confirmed]] = True
+    decisive[np.tile(np.arange(samples.size) < torus_grid, 2)] = False
     if np.any(decisive):
         first = np.argmax(decisive)
         if degenerate[first]:

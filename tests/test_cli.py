@@ -41,6 +41,25 @@ def interior_zero_payload():
     }
 
 
+def boundary_line_payload():
+    # p = z1 - 1, vanishing only on the boundary line z1 = 1
+    return {
+        "polynomial": {"bidegree": [1, 0], "coeffs": [[[-1.0, 0.0]], [[1.0, 0.0]]]}
+    }
+
+
+def boundary_cube_payload():
+    # p = (2 - z1 - z2)**3, a triple zero at the torus point (1, 1)
+    coeffs = [[8.0, -12.0, 6.0, -1.0], [-12.0, 12.0, -3.0, 0.0],
+              [6.0, -3.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]
+    return {
+        "polynomial": {
+            "bidegree": [3, 3],
+            "coeffs": [[[c, 0.0] for c in row] for row in coeffs],
+        }
+    }
+
+
 def product_average_smap_payload():
     # F(z1, z2, w) = (z1 z2 + w) / 2 in the flat rational encoding
     return {
@@ -99,6 +118,19 @@ class TestStability:
         assert payload["report"]["verdict"] == "ZeroFound"
         assert "witness" in payload["report"]
 
+    def test_boundary_zero_line_exit_0(self, tmp_path, capsys):
+        # the slice z1 = 1 vanishes identically, but it lies on the torus
+        inp = write_json(tmp_path / "p.json", boundary_line_payload())
+        assert main(["stability", "--input", inp]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"]["verdict"] == "StableOpen"
+
+    def test_boundary_cube_is_inconclusive_exit_3(self, tmp_path, capsys):
+        inp = write_json(tmp_path / "p.json", boundary_cube_payload())
+        assert main(["stability", "--input", inp]) == EXIT_INCONCLUSIVE
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"]["verdict"] == "Inconclusive"
+
     def test_missing_file_exit_66(self, tmp_path):
         assert (
             main(["stability", "--input", str(tmp_path / "absent.json")])
@@ -149,6 +181,14 @@ class TestDecompose:
         payload = json.loads(capsys.readouterr().out)
         assert payload["stability"]["verdict"] == "ZeroFound"
         assert "certificate" not in payload
+
+
+    def test_boundary_zero_line_certifies_and_verifies(self, tmp_path):
+        inp = write_json(tmp_path / "p.json", boundary_line_payload())
+        out = tmp_path / "cert.json"
+        assert main(["decompose", "--input", inp, "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["stability"]["verdict"] == "StableOpen"
+        assert main(["verify", "--input", str(out), "--output", str(tmp_path / "v.json")]) == EXIT_OK
 
 
 class TestVerify:

@@ -66,6 +66,46 @@ class TestVerdicts:
         assert abs(p(*report.witness)) <= report.tolerance
 
 
+def boundary_power(k):
+    p = BivariatePolynomial.constant(1.0)
+    for _ in range(k):
+        p = p * CLASSIC
+    return p
+
+
+class TestBoundaryZeros:
+    """A zero on the boundary never counts as a zero in the open bidisk."""
+
+    def test_boundary_zero_line_is_stable_open(self):
+        # the slice z1 = 1 vanishes identically; it is a torus slice
+        report = check_stability(BivariatePolynomial([[-1.0], [1.0]]))
+        assert report.verdict == STABLE_OPEN
+        assert report.min_modulus == 0.0
+
+    def test_boundary_line_times_classic_is_stable_open(self):
+        p = BivariatePolynomial([[1.0], [-1.0]]) * CLASSIC  # (1 - z1)(2 - z1 - z2)
+        assert check_stability(p).verdict == STABLE_OPEN
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_boundary_powers_are_not_zero_found(self, k):
+        # the multiple zero at (1, 1) splits into torus-slice roots just inside
+        report = check_stability(boundary_power(k))
+        assert report.verdict == INCONCLUSIVE
+
+    def test_zero_found_witnesses_are_strictly_inside(self):
+        rng = np.random.default_rng(53)
+        polys = [BivariatePolynomial([[-0.5], [1.0]]), BivariatePolynomial.monomial(1, 1)]
+        polys += [BivariatePolynomial(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+                  for n, m in rng.integers(1, 4, size=(20, 2))]
+        found = 0
+        for p in polys:
+            report = check_stability(p, torus_grid=64, disk_grid=8)
+            if report.verdict == ZERO_FOUND:
+                found += 1
+                assert max(abs(report.witness[0]), abs(report.witness[1])) < 1.0
+        assert found >= 10
+
+
 class TestSelfConsistency:
     def test_witness_always_confirms_numerically(self):
         rng = np.random.default_rng(41)
