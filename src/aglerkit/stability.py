@@ -2,17 +2,16 @@
 
 A polynomial is stable when it has no zeros in the open bidisk; zeros on the
 boundary are allowed and do not disqualify the StableOpen verdict.  The scan
-fixes one variable on torus and interior-disk sample grids and finds the roots
-of the remaining univariate slice, in both variable orders.  The roots of all
-slices come from one batched companion eigensolve per companion size
-(numerics.roots_rows); the verdict is the one a scan of the slices in order
-would reach (z1 fixed, then z2; torus samples before interior ones), and its
-first degenerate slice or confirmed zero with an interior fixed coordinate
-ends the scan.  Torus slices give no witness: one that vanishes identically is
-a boundary zero set, and a root inside on one leaves the verdict Inconclusive,
-as it may be a boundary zero that rounding moved inside.  This is a sampling
-certificate: verdicts are exact about the witnesses they report and
-honest (Inconclusive) when a candidate zero cannot be confirmed.
+fixes one variable on torus and interior-disk sample grids and takes the roots
+of every univariate slice, in both variable orders, from one batched companion
+eigensolve per companion size.  A slice proposes its smallest root inside, and
+an interior slice that vanishes identically proposes w = 0.  The first
+proposal in scan order (z1 fixed, then z2; torus samples first) on an interior
+slice where p is small, about which a disk that holds a zero of p lies inside,
+is the ZeroFound witness; any other makes the verdict Inconclusive.  So no
+boundary zero becomes a witness, even one that rounding moved or split inside.
+This is a sampling certificate: verdicts are exact about the witnesses they
+report and honest (Inconclusive) when a candidate zero cannot be confirmed.
 """
 
 from __future__ import annotations
@@ -96,52 +95,45 @@ def check_stability(
     # roots[r] holds row r's roots, NaN-padded; a spare column serves constants
     roots = np.full((fixed.size, max(p.coeffs.shape)), np.nan, dtype=complex)
     for half, coeff_grid in enumerate((p.coeffs, p.coeffs.T)):
-        rows = slice(half * samples.size, (half + 1) * samples.size)
+        part = slice(half * samples.size, (half + 1) * samples.size)
         # slice_coeffs[s, k] is the coefficient of w**k in p(fixed_s, w)
         powers = samples.reshape(-1, 1) ** np.arange(coeff_grid.shape[0])
         slice_coeffs = powers @ coeff_grid
         flat = np.max(np.abs(slice_coeffs), axis=1) <= tol * coeff_scale
-        degenerate[rows] = flat
-        roots[rows][~flat, : slice_coeffs.shape[1] - 1] = roots_rows(
+        degenerate[part] = flat
+        roots[part][~flat, : slice_coeffs.shape[1] - 1] = roots_rows(
             slice_coeffs[~flat], lead_tol=1e-13
         )
 
-    moduli = np.abs(roots)
-    moduli[np.isnan(roots)] = np.inf
+    moduli = np.nan_to_num(np.abs(roots), nan=np.inf)
     row_min = np.min(moduli, axis=1)
-    # a slice with a root inside proposes its smallest root as a zero of p
-    candidates = np.flatnonzero(row_min < 1.0 - tol)
-    best = roots[candidates, np.argmin(moduli[candidates], axis=1)]
-    at = fixed[candidates]
-    w1, w2 = np.where(swapped[candidates], best, at), np.where(swapped[candidates], at, best)
+    # torus rows by index, as |exp(2 pi i k / N)| can round below 1
+    interior = np.tile(np.arange(samples.size) >= torus_grid, 2)
+    # proposed zeros of p: (fixed, 0) on a degenerate interior slice, and the
+    # smallest root on a slice with a root inside
+    rows = np.flatnonzero((degenerate & interior) | (row_min < 1.0 - tol))
+    root = np.where(degenerate[rows], 0j, roots[rows, np.argmin(moduli[rows], axis=1)])
+    flip, at = swapped[rows], fixed[rows]
+    w1, w2 = np.where(flip, root, at), np.where(flip, at, root)
+    # a proposal counts if p is small there, its slice is an interior one, and
+    # along the coordinate it was found in (the fixed one on a degenerate
+    # slice) a disk that holds a zero of p lies inside
     confirmed = np.abs(p(w1, w2)) <= tol * max(1.0, coeff_scale)
-    # the first degenerate slice or confirmed candidate in scan order decides,
-    # if its fixed coordinate is inside; on torus rows by index, as
-    # |exp(2 pi i k / N)| can round below 1
-    decisive = degenerate.copy()
-    decisive[candidates[confirmed]] = True
-    decisive[np.tile(np.arange(samples.size) < torus_grid, 2)] = False
-    if np.any(decisive):
-        first = np.argmax(decisive)
-        if degenerate[first]:
-            witness = (0j, fixed[first]) if swapped[first] else (fixed[first], 0j)
-        else:
-            k = np.searchsorted(candidates, first)
-            witness = (w1[k], w2[k])
-        return _confirmed(p, witness, torus_grid, disk_grid, tol, np.min(row_min[: first + 1]))
+    confirmed &= (_zero_reach(p, w1, w2, flip != degenerate[rows]) < 1.0) & interior[rows]
 
     min_modulus = _torus_min_modulus(p, torus_grid)
     min_root_modulus = np.min(row_min)
-    if candidates.size:
-        # the last candidate that failed the confirmation check
-        verdict = INCONCLUSIVE
-        witness = (complex(w1[-1]), complex(w2[-1]))
+    if np.any(confirmed):
+        # the first in scan order ends the scan
+        k = np.argmax(confirmed)
+        verdict, min_root_modulus = ZERO_FOUND, np.min(row_min[: rows[k] + 1])
+    elif rows.size:
+        verdict, k = INCONCLUSIVE, -1  # the last proposal is pending
     elif min_root_modulus > 1.0 + tol and min_modulus > tol:
         verdict = STABLE_CLOSED_STRICT
-        witness = None
     else:
         verdict = STABLE_OPEN
-        witness = None
+    witness = (complex(w1[k]), complex(w2[k])) if rows.size else None
     return StabilityReport(
         verdict=verdict,
         witness=witness,
@@ -153,19 +145,33 @@ def check_stability(
     )
 
 
-def _confirmed(p, witness, torus_grid, disk_grid, tol, min_root_modulus):
-    value = abs(p(*witness))
-    coeff_scale = float(np.max(np.abs(p.coeffs)))
-    verdict = ZERO_FOUND if value <= tol * max(1.0, coeff_scale) else INCONCLUSIVE
-    return StabilityReport(
-        verdict=verdict,
-        witness=(complex(witness[0]), complex(witness[1])),
-        min_modulus=_torus_min_modulus(p, torus_grid),
-        min_root_modulus=float(min_root_modulus),
-        torus_grid=torus_grid,
-        disk_grid=disk_grid,
-        tolerance=tol,
-    )
+def _zero_reach(p, w1, w2, in_z1):
+    """|w| + r, with r the radius of a disk about w that holds a zero of f.
+
+    w is w1 (in_z1) or w2, and f is p along w.  f of degree d has a zero
+    within d |f(w) / f'(w)| of w (f'/f sums 1/(w - zeta)), and within
+    |f(w) / a_d|^(1/d) for a multiple one; each value is widened by its
+    rounding error.
+    """
+    f = _widened(p, w1, w2, 1.0)
+    n, m = p.bidegree
+    radii = []
+    for d, variable, lead in ((m, 2, p.coeffs[:, -1:]), (n, 1, p.coeffs[-1:, :])):
+        slope = _widened(p.derivative(variable), w1, w2, -1.0)
+        top = _widened(BivariatePolynomial(lead), w1, w2, -1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            radius = np.minimum(d * f / slope, (f / top) ** (1.0 / max(d, 1)))
+        # f == 0: every term of p vanishes exactly at w
+        radii.append(np.where(f == 0.0, 0.0, radius))
+    return np.abs(np.where(in_z1, w1, w2)) + np.where(in_z1, radii[1], radii[0])
+
+
+def _widened(q: BivariatePolynomial, w1, w2, sign: float) -> np.ndarray:
+    """|q(w1, w2)| plus sign times a bound on its rounding error, at least 0."""
+    n, m = q.bidegree
+    majorant = np.abs(BivariatePolynomial(np.abs(q.coeffs))(np.abs(w1), np.abs(w2)))
+    error = 8 * (n + m + 2) * np.finfo(float).eps * majorant
+    return np.maximum(np.abs(q(w1, w2)) + sign * error, 0.0)
 
 
 def _torus_min_modulus(p: BivariatePolynomial, torus_grid: int) -> float:

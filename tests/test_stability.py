@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aglerkit.poly2 import BivariatePolynomial
 from aglerkit.stability import (
@@ -104,6 +106,42 @@ class TestBoundaryZeros:
                 found += 1
                 assert max(abs(report.witness[0]), abs(report.witness[1])) < 1.0
         assert found >= 10
+
+
+    def test_boundary_zero_line_cubed_is_not_zero_found(self):
+        # (1 - z1)**3: rounding splits the triple root 1 of interior slices
+        # into roots just inside; the disk about them reaches the boundary
+        p = BivariatePolynomial([[1.0], [-1.0]])
+        report = check_stability(p * p * p)
+        assert report.verdict == INCONCLUSIVE
+
+    def test_multiple_interior_zero_is_still_found(self):
+        # (z1 + z2 - 1.99)**2 vanishes doubly at z1 = z2 = 0.995
+        q = BivariatePolynomial([[-1.99, 1.0], [1.0, 0.0]])
+        report = check_stability(q * q)
+        assert report.verdict == ZERO_FOUND
+        assert max(abs(report.witness[0]), abs(report.witness[1])) < 1.0
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.tuples(
+            st.one_of(st.just(1.0), st.floats(0.0, 1.0)),  # |b| + |c|, 1: equality
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),  # |b| share
+            st.booleans(),  # b and c share a phase
+            st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+        ),
+        min_size=1, max_size=4,
+    ))
+    def test_products_of_stable_linear_factors_are_never_zero_found(self, factors):
+        # a - b z1 - c z2 with |b| + |c| <= |a| has no zero in the open bidisk
+        p = BivariatePolynomial.constant(1.0)
+        for total, share, aligned, turn_a, turn_b, turn_c in factors:
+            phase_a, phase_b = np.exp(2j * np.pi * turn_a), np.exp(2j * np.pi * turn_b)
+            phase_c = phase_b if aligned else np.exp(2j * np.pi * turn_c)
+            b, c = total * share * phase_b, total * (1.0 - share) * phase_c
+            p = p * BivariatePolynomial(phase_a * np.array([[1.0, -c], [-b, 0.0]]))
+        report = check_stability(p, torus_grid=128, disk_grid=16)
+        assert report.verdict != ZERO_FOUND
 
 
 class TestSelfConsistency:
