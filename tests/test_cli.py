@@ -182,13 +182,13 @@ class TestDecompose:
         assert payload["stability"]["verdict"] == "ZeroFound"
         assert "certificate" not in payload
 
-
     def test_boundary_zero_line_certifies_and_verifies(self, tmp_path):
         inp = write_json(tmp_path / "p.json", boundary_line_payload())
         out = tmp_path / "cert.json"
         assert main(["decompose", "--input", inp, "--output", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["stability"]["verdict"] == "StableOpen"
-        assert main(["verify", "--input", str(out), "--output", str(tmp_path / "v.json")]) == EXIT_OK
+        report = str(tmp_path / "verify.json")
+        assert main(["verify", "--input", str(out), "--output", report]) == EXIT_OK
 
 
 class TestVerify:

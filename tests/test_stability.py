@@ -17,6 +17,7 @@ from aglerkit.stability import (
 
 
 CLASSIC = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])  # 2 - z1 - z2
+LINE = BivariatePolynomial([[1.0], [-1.0]])  # 1 - z1
 
 
 class TestVerdicts:
@@ -68,11 +69,11 @@ class TestVerdicts:
         assert abs(p(*report.witness)) <= report.tolerance
 
 
-def boundary_power(k):
-    p = BivariatePolynomial.constant(1.0)
+def power(p, k):
+    result = BivariatePolynomial.constant(1.0)
     for _ in range(k):
-        p = p * CLASSIC
-    return p
+        result = result * p
+    return result
 
 
 class TestBoundaryZeros:
@@ -80,25 +81,30 @@ class TestBoundaryZeros:
 
     def test_boundary_zero_line_is_stable_open(self):
         # the slice z1 = 1 vanishes identically; it is a torus slice
-        report = check_stability(BivariatePolynomial([[-1.0], [1.0]]))
+        report = check_stability(-LINE)
         assert report.verdict == STABLE_OPEN
         assert report.min_modulus == 0.0
 
     def test_boundary_line_times_classic_is_stable_open(self):
-        p = BivariatePolynomial([[1.0], [-1.0]]) * CLASSIC  # (1 - z1)(2 - z1 - z2)
-        assert check_stability(p).verdict == STABLE_OPEN
+        assert check_stability(LINE * CLASSIC).verdict == STABLE_OPEN
 
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_boundary_powers_are_not_zero_found(self, k):
-        # the multiple zero at (1, 1) splits into torus-slice roots just inside
-        report = check_stability(boundary_power(k))
-        assert report.verdict == INCONCLUSIVE
+    @pytest.mark.parametrize(
+        "p", [power(CLASSIC, 3), power(CLASSIC, 4), power(LINE, 3)],
+        ids=["classic_cubed", "classic_4th", "line_cubed"],
+    )
+    def test_multiple_boundary_zeros_are_inconclusive(self, p):
+        # rounding splits a multiple boundary zero into slice roots just
+        # inside: on torus slices for the powers of 2 - z1 - z2, on interior
+        # ones for (1 - z1)**3, where the disk about them reaches the boundary
+        assert check_stability(p).verdict == INCONCLUSIVE
 
     def test_zero_found_witnesses_are_strictly_inside(self):
         rng = np.random.default_rng(53)
         polys = [BivariatePolynomial([[-0.5], [1.0]]), BivariatePolynomial.monomial(1, 1)]
-        polys += [BivariatePolynomial(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
-                  for n, m in rng.integers(1, 4, size=(20, 2))]
+        for n, m in rng.integers(1, 4, size=(20, 2)):
+            polys.append(BivariatePolynomial(
+                rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            ))
         found = 0
         for p in polys:
             report = check_stability(p, torus_grid=64, disk_grid=8)
@@ -106,14 +112,6 @@ class TestBoundaryZeros:
                 found += 1
                 assert max(abs(report.witness[0]), abs(report.witness[1])) < 1.0
         assert found >= 10
-
-
-    def test_boundary_zero_line_cubed_is_not_zero_found(self):
-        # (1 - z1)**3: rounding splits the triple root 1 of interior slices
-        # into roots just inside; the disk about them reaches the boundary
-        p = BivariatePolynomial([[1.0], [-1.0]])
-        report = check_stability(p * p * p)
-        assert report.verdict == INCONCLUSIVE
 
     def test_multiple_interior_zero_is_still_found(self):
         # (z1 + z2 - 1.99)**2 vanishes doubly at z1 = z2 = 0.995
