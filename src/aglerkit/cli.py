@@ -9,9 +9,10 @@ byte-identical file.
 Exit codes:
     0   success (verdict favorable)
     1   a verification check failed
-    2   definitive negative: zero found, not solvable, infeasible,
-        not idempotent, or structurally inconsistent input
-    3   inconclusive or degenerate (no verdict either way)
+    2   definitive negative: zero found, not solvable, not idempotent,
+        or structurally inconsistent input
+    3   inconclusive or degenerate (no verdict either way), including a
+        Gram solve that stops at --max-iter above tolerance
     64  command line usage error
     66  input file missing or unreadable
 """
@@ -281,10 +282,10 @@ def main(argv=None):
     except FileNotFoundError as exc:
         sys.stderr.write("input file not found: %s\n" % exc)
         return EXIT_NOFILE
-    except (NotSolvableError, InfeasibleError, InconsistencyError, NotPSDError, DomainError) as exc:
+    except (NotSolvableError, InconsistencyError, NotPSDError, DomainError) as exc:
         sys.stderr.write("%s\n" % exc)
         return EXIT_NEGATIVE
-    except DegenerateContinuationError as exc:
+    except (DegenerateContinuationError, InfeasibleError) as exc:
         sys.stderr.write("%s\n" % exc)
         return EXIT_INCONCLUSIVE
     except (KeyError, ValueError, TypeError) as exc:

@@ -397,22 +397,6 @@ class GraphFunction:
                 )
         return values if z.ndim == 2 else complex(values[0])
 
-    @classmethod
-    def constant(cls, value, axes=(), provenance=None):
-        shape = tuple(len(ax) for ax in axes)
-        values = np.full(shape, complex(value), dtype=complex)
-        residuals = np.zeros(shape, dtype=float)
-        prov = {"method": "constant"}
-        if provenance:
-            prov.update(provenance)
-        return cls(
-            axes=tuple(np.asarray(ax, dtype=complex) for ax in axes),
-            values=values,
-            residuals=residuals,
-            provenance=prov,
-            evaluator=lambda rows, _c=complex(value): np.full(len(rows), _c),
-        )
-
     def to_json(self):
         return {
             "axes": [[complex_to_pair(v) for v in ax] for ax in self.axes],

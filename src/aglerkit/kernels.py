@@ -19,6 +19,10 @@ vectors are reflection-closed (KernelBundle.from_certificate with
 symmetrized=True) the pointwise bound |L_j(z, w)|^2 <= K_j(z, z) K_j(w, w)
 holds as well, and on the diagonal L_j(z, z) equals the partial derivative
 of f.
+
+A bundle holds p, the factors and their reflections on one zero-padded grid,
+so one polyval2d call gives a point set's table: (p, p~), (a, a~), (b, b~).
+f, K_j and L_j are products of tables; the checks build one per point set.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval2d
 
 from .errors import DomainError
 from .poly2 import BivariatePolynomial
@@ -34,15 +39,8 @@ from .serialize import FORMAT_TAG, complex_to_pair
 from .sos import SosCertificate, factors_from_gram
 
 SAMPLE_RADIUS = 0.95
-
-
-def _eval_stack(polys, z1, z2) -> np.ndarray:
-    """Stack of polynomial values, shape (len(polys),) + broadcast shape."""
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    if not polys:
-        return np.zeros((0,) + np.broadcast(z1, z2).shape, dtype=complex)
-    return np.stack([q(z1, z2) for q in polys])
+PSD_SUBSETS = 10
+PSD_SUBSET_SIZE = 10
 
 
 class KernelBundle:
@@ -53,18 +51,16 @@ class KernelBundle:
         p: BivariatePolynomial,
         a_vec: list[BivariatePolynomial],
         b_vec: list[BivariatePolynomial],
-        a_degrees=None,
-        b_degrees=None,
     ):
         n, m = p.bidegree
         self.p = p
-        self.p_tilde = p.reflect()
         self.a_vec = list(a_vec)
         self.b_vec = list(b_vec)
-        self.a_degrees = a_degrees if a_degrees is not None else (n - 1, m)
-        self.b_degrees = b_degrees if b_degrees is not None else (n, m - 1)
-        self.a_tilde = [q.reflect(self.a_degrees) for q in self.a_vec]
-        self.b_tilde = [q.reflect(self.b_degrees) for q in self.b_vec]
+        # each group, then its reflections at its degree box, on one grid
+        groups = ((n, m), [p]), ((n - 1, m), self.a_vec), ((n, m - 1), self.b_vec)
+        polys = [q for degrees, group in groups for q in group + [g.reflect(degrees) for g in group]]
+        self._coeffs = np.stack([q.padded((n, m)).coeffs for q in polys], axis=-1)
+        self._bounds = (2, 2 + 2 * len(self.a_vec))
 
     @classmethod
     def from_certificate(cls, cert: SosCertificate, symmetrized: bool = True) -> "KernelBundle":
@@ -82,7 +78,7 @@ class KernelBundle:
         a_polys = factors_from_gram(cert.gram_a, a_deg)
         b_polys = factors_from_gram(cert.gram_b, b_deg)
         if not symmetrized:
-            return cls(cert.p, a_polys, b_polys, a_deg, b_deg)
+            return cls(cert.p, a_polys, b_polys)
         inv = 1.0 / np.sqrt(2.0)
         a_half = [q.padded(a_deg).scale(inv) for q in a_polys]
         b_half = [q.padded(b_deg).scale(inv) for q in b_polys]
@@ -90,11 +86,14 @@ class KernelBundle:
             cert.p,
             a_half + [q.reflect(a_deg) for q in a_half],
             b_half + [q.reflect(b_deg) for q in b_half],
-            a_deg,
-            b_deg,
         )
 
     # -- evaluation ---------------------------------------------------
+
+    def _table(self, z1, z2):
+        """Values at the points, three stacks on axis 0: (p, p~), (a, a~), (b, b~)."""
+        values = polyval2d(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex), self._coeffs)
+        return np.split(values, self._bounds)
 
     def eval_f(self, z1, z2):
         """f = p~/p; rejects points outside the closed bidisk or too close to a zero of p."""
@@ -102,33 +101,40 @@ class KernelBundle:
         z2 = np.asarray(z2, dtype=complex)
         if np.any(np.abs(z1) > 1.0 + 1e-12) or np.any(np.abs(z2) > 1.0 + 1e-12):
             raise DomainError("evaluation outside the closed bidisk")
-        den = self.p(z1, z2)
-        if np.any(np.abs(den) <= 1e-12):
-            raise DomainError("denominator p vanishes at an evaluation point")
-        return self.p_tilde(z1, z2) / den
-
-    def _pair(self, j):
-        if j == 1:
-            return self.a_vec, self.a_tilde
-        if j == 2:
-            return self.b_vec, self.b_tilde
-        raise ValueError("kernel index must be 1 or 2")
+        return _f(self._table(z1, z2))
 
     def K(self, j, z, w):
         """Pick-type kernel K_j(z, w)."""
-        vec, _ = self._pair(j)
-        vz = _eval_stack(vec, *z)
-        vw = _eval_stack(vec, *w)
-        num = np.sum(vz * vw.conj(), axis=0)
-        return num / (self.p(*z) * np.conj(self.p(*w)))
+        return _K(j, self._table(*z), self._table(*w))
 
     def L(self, j, z, w):
         """Difference-quotient kernel L_j(z, w); note p(z) p(w), no conjugation."""
-        vec, tilde = self._pair(j)
-        tz = _eval_stack(tilde, *z)
-        vw = _eval_stack(vec, *w)
-        num = np.sum(tz * vw, axis=0)
-        return num / (self.p(*z) * self.p(*w))
+        return _L(j, self._table(*z), self._table(*w))
+
+
+def _half(table, j):
+    """Length of kernel j's vector; its stack holds the vector, then the reflections."""
+    if j not in (1, 2):
+        raise ValueError("kernel index must be 1 or 2")
+    return len(table[j]) // 2
+
+
+def _f(table):
+    p, p_tilde = table[0]
+    if np.any(np.abs(p) <= 1e-12):
+        raise DomainError("denominator p vanishes at an evaluation point")
+    return p_tilde / p
+
+
+def _K(j, tz, tw):
+    """K_j from the tables at z and at w."""
+    r = _half(tz, j)
+    return np.sum(tz[j][:r] * tw[j][:r].conj(), axis=0) / (tz[0][0] * np.conj(tw[0][0]))
+
+
+def _L(j, tz, tw):
+    r = _half(tz, j)
+    return np.sum(tz[j][r:] * tw[j][:r], axis=0) / (tz[0][0] * tw[0][0])
 
 
 # ----------------------------------------------------------------------
@@ -193,43 +199,36 @@ def verify_decomposition(
     samples: int = 500,
     seed: int = 1234,
     tol: float = 1e-9,
-    radius: float = SAMPLE_RADIUS,
-    psd_subsets: int = 10,
-    psd_subset_size: int = 10,
 ) -> VerificationReport:
     """Check both kernel identities, the Cauchy-Schwarz bound, and sampled Gram positivity."""
     if samples < 1:
         raise ValueError("need at least one sample pair")
     rng = np.random.default_rng(seed)
-    zs = random_polydisk(rng, samples, 2, radius)
-    ws = random_polydisk(rng, samples, 2, radius)
+    zs = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
+    ws = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
     z = (zs[:, 0], zs[:, 1])
     w = (ws[:, 0], ws[:, 1])
+    tz, tw = bundle._table(*z), bundle._table(*w)
 
-    fz = bundle.eval_f(*z)
-    fw = bundle.eval_f(*w)
-    k1, k2 = bundle.K(1, z, w), bundle.K(2, z, w)
-    l1, l2 = bundle.L(1, z, w), bundle.L(2, z, w)
+    fz, fw = _f(tz), _f(tw)
+    k1, k2 = _K(1, tz, tw), _K(2, tz, tw)
+    l1, l2 = _L(1, tz, tw), _L(2, tz, tw)
 
     id1 = np.abs(1.0 - fz * fw.conj()
                  - (1.0 - z[0] * w[0].conj()) * k1
                  - (1.0 - z[1] * w[1].conj()) * k2)
     id2 = np.abs(fz - fw - (z[0] - w[0]) * l1 - (z[1] - w[1]) * l2)
 
-    k1_zz = bundle.K(1, z, z).real
-    k2_zz = bundle.K(2, z, z).real
-    k1_ww = bundle.K(1, w, w).real
-    k2_ww = bundle.K(2, w, w).real
-    cs1 = np.abs(l1) ** 2 - k1_zz * k1_ww
-    cs2 = np.abs(l2) ** 2 - k2_zz * k2_ww
+    cs1 = np.abs(l1) ** 2 - _K(1, tz, tz).real * _K(1, tw, tw).real
+    cs2 = np.abs(l2) ** 2 - _K(2, tz, tz).real * _K(2, tw, tw).real
 
     psd_min = np.inf
-    for _ in range(psd_subsets):
-        idx = rng.choice(samples, size=min(psd_subset_size, samples), replace=False)
-        sub = (z[0][idx], z[1][idx])
+    for _ in range(PSD_SUBSETS):
+        idx = rng.choice(samples, size=min(PSD_SUBSET_SIZE, samples), replace=False)
+        rows = bundle._table(z[0][idx, None], z[1][idx, None])
+        cols = bundle._table(z[0][None, idx], z[1][None, idx])
         for j in (1, 2):
-            grid = bundle.K(j, (sub[0][:, None], sub[1][:, None]),
-                            (sub[0][None, :], sub[1][None, :]))
+            grid = _K(j, rows, cols)
             grid = 0.5 * (grid + grid.conj().T)
             psd_min = min(psd_min, float(np.linalg.eigvalsh(grid)[0]))
 
@@ -262,15 +261,15 @@ def check_bounds(
     samples: int = 1000,
     seed: int = 99,
     tol: float = 1e-9,
-    radius: float = SAMPLE_RADIUS,
 ) -> BoundReport:
     """Diagonal kernel growth bounds: K_j(z,z) <= 1/(1-|z_j|^2)."""
     rng = np.random.default_rng(seed)
-    zs = random_polydisk(rng, samples, 2, radius)
+    zs = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
     z = (zs[:, 0], zs[:, 1])
-    fz = bundle.eval_f(*z)
-    k1 = bundle.K(1, z, z).real
-    k2 = bundle.K(2, z, z).real
+    tz = bundle._table(*z)
+    fz = _f(tz)
+    k1 = _K(1, tz, tz).real
+    k2 = _K(2, tz, tz).real
     cap1 = 1.0 / (1.0 - np.abs(z[0]) ** 2)
     cap2 = 1.0 / (1.0 - np.abs(z[1]) ** 2)
     margin = float(min((cap1 - k1).min(), (cap2 - k2).min()))
@@ -280,14 +279,12 @@ def check_bounds(
         ((1.0 - np.abs(z[1]) ** 2) * k2 - residual).max(),
     ))
 
-    ws = random_polydisk(rng, samples, 2, radius)
-    w = (ws[:, 0], ws[:, 1])
+    ws = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
+    tw = bundle._table(ws[:, 0], ws[:, 1])
     cs = -np.inf
-    for j in (1, 2):
-        kzw = bundle.K(j, z, w)
-        kzz = bundle.K(j, z, z).real
-        kww = bundle.K(j, w, w).real
-        cs = max(cs, float((np.abs(kzw) ** 2 - kzz * kww).max()))
+    for j, kzz in ((1, k1), (2, k2)):
+        kww = _K(j, tw, tw).real
+        cs = max(cs, float((np.abs(_K(j, tz, tw)) ** 2 - kzz * kww).max()))
 
     passed = bool(margin >= -tol and defect <= tol and cs <= tol)
     return BoundReport(

@@ -75,17 +75,6 @@ class MultiPoly:
     def monomial(cls, nvars, exponents, coeff=1.0):
         return cls(nvars, {tuple(exponents): complex(coeff)})
 
-    @property
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(key) for key in self.terms)
-
-    def max_exponents(self):
-        if not self.terms:
-            return (0,) * self.nvars
-        return tuple(int(v) for v in self._expo.max(axis=0))
-
     def coeff_norm(self):
         if self._coef.size == 0:
             return 0.0

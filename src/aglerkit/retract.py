@@ -425,17 +425,18 @@ def reduce_dimension(rho, grid=12, radius=0.85, newton_tol=1e-12, seed=5005):
     return _DerivedMap(rho.n - 1, columns), graph
 
 
-def _image_rows(x, k, e_sources, columns):
+def _image_rows(x, k, e_sources, tail):
     """Free coordinates (k,) or (N, k) -> points (n,) or (N, n): the free
-    block, its copies, then one column per callable on (N, k) rows."""
+    block, its copies, then the tail columns left to right, each from the
+    (N, k + m + t) columns before it."""
     x = np.asarray(x, dtype=complex)
     rows = x if x.ndim == 2 else x.reshape(1, k)
     m = len(e_sources)
-    out = np.empty((len(rows), k + m + len(columns)), dtype=complex)
+    out = np.empty((len(rows), k + m + len(tail)), dtype=complex)
     out[:, :k] = rows
     out[:, k : k + m] = rows[:, list(e_sources)]
-    for t, col in enumerate(columns):
-        out[:, k + m + t] = col(rows)
+    for t, col in enumerate(tail):
+        out[:, k + m + t] = col(out[:, : k + m + t])
     return out if x.ndim == 2 else out[0]
 
 
@@ -449,15 +450,13 @@ class _CoreForm:
 
     k: int
     e_sources: list
-    tail: list  # (evaluator on (N, k) rows, GraphFunction or None for a constant)
+    tail: list  # (evaluator on the columns before it, GraphFunction or None for a constant)
     chain: ConjugationChain
-
-    def image_vector(self, x):
-        return _image_rows(x, self.k, self.e_sources, [ev for ev, _ in self.tail])
 
 
 def _graph_evaluator(core, graph):
-    return lambda rows: graph.evaluate(core.chain.apply_inverse(core.image_vector(rows)))
+    """The graph's column from the image columns of the reduced core before it."""
+    return lambda prefix: graph.evaluate(core.chain.apply_inverse(prefix))
 
 
 def _normalize(rho, opts, depth=0):
@@ -522,7 +521,8 @@ class NormalForm:
 
     normalized_map is Phi . rho . Phi^{-1} for the stored conjugation Phi,
     on (..., n) arrays; on image points assembled by image_point it agrees
-    with the identity up to the recorded residuals.
+    with the identity up to the recorded residuals.  image_point fills the
+    tail columns left to right, each from the columns before it.
     """
 
     n: int
@@ -532,6 +532,7 @@ class NormalForm:
     conjugation: ConjugationChain
     normalized_map: object
     diagnostics: dict = field(default_factory=dict)
+    _tail: list = field(default_factory=list, init=False, repr=False)  # set by normal_form
 
     @property
     def copy_count(self):
@@ -543,7 +544,7 @@ class NormalForm:
 
     def image_point(self, x):
         """Normalized image point of free coordinates: (k,) -> (n,), (N, k) -> (N, n)."""
-        return _image_rows(x, self.k, self.e_sources, [c.evaluate for c in self.f_components])
+        return _image_rows(x, self.k, self.e_sources, self._tail)
 
     def to_json(self):
         return {
@@ -600,15 +601,16 @@ def normal_form(
 
     k = core.k
     m = len(core.e_sources)
+    tail = [ev for ev, _ in core.tail]
     axes = tuple(disk_points(int(grid), float(radius)) for _ in range(k))
     shape = tuple(len(ax) for ax in axes)
     size = int(np.prod(shape))
     nodes = np.array(np.meshgrid(*axes, indexing="ij"), dtype=complex).reshape(k, size).T
-    images = core.image_vector(nodes)
+    images = _image_rows(nodes, k, core.e_sources, tail)
     defect_grid = np.max(np.abs(normalized_map(images) - images), axis=1).reshape(shape)
 
     f_components = []
-    for t, (evaluator, graph) in enumerate(core.tail):
+    for t, (_, graph) in enumerate(core.tail):
         if graph is None:
             prov = {"method": "constant", "position": k + m + t}
         else:
@@ -623,7 +625,8 @@ def normal_form(
                 values=images[:, k + m + t].reshape(shape),
                 residuals=defect_grid.copy(),
                 provenance=prov,
-                evaluator=evaluator,
+                # free coordinates in: builds the columns before t
+                evaluator=lambda rows, t=t: _image_rows(rows, k, core.e_sources, tail[: t + 1])[:, -1],
             )
         )
 
@@ -637,7 +640,7 @@ def normal_form(
         "radius": float(radius),
         "seed": int(seed),
     }
-    return NormalForm(
+    form = NormalForm(
         n=rho.n,
         k=k,
         e_sources=tuple(core.e_sources),
@@ -646,3 +649,5 @@ def normal_form(
         normalized_map=normalized_map,
         diagnostics=diagnostics,
     )
+    form._tail = tail
+    return form

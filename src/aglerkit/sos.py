@@ -224,14 +224,6 @@ class SosCertificate:
     polish_iterations: int = 0
     residual_trace: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def rank_a(self) -> int:
-        return len(self.a_polys)
-
-    @property
-    def rank_b(self) -> int:
-        return len(self.b_polys)
-
     def to_json(self) -> dict:
         return {
             "format": FORMAT_TAG,
@@ -393,9 +385,10 @@ def solve_gram(
 ) -> SosCertificate:
     """Find a PSD Gram pair certifying the decomposition identity for p.
 
-    Stability of p is the caller's responsibility (gate with check_stability);
-    for unstable p the PSD constraint is infeasible and the solver raises
-    InfeasibleError with the best residual reached.
+    Stability of p is the caller's responsibility (gate with check_stability).
+    With no pair within tol after max_iter iterations and the polish, it
+    raises InfeasibleError with the best residual reached: for unstable p no
+    pair exists, but stopping at max_iter alone proves nothing.
     """
     scale = p.coeff_norm()
     if scale == 0.0:

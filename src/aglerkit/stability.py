@@ -10,6 +10,8 @@ proposal in scan order (z1 fixed, then z2; torus samples first) on an interior
 slice where p is small, about which a disk that holds a zero of p lies inside,
 is the ZeroFound witness; any other makes the verdict Inconclusive.  So no
 boundary zero becomes a witness, even one that rounding moved or split inside.
+The smallest |p| on the torus grid (min_modulus) comes from the same slice
+rows: the torus rows times the torus powers give p on the whole grid.
 This is a sampling certificate: verdicts are exact about the witnesses they
 report and honest (Inconclusive) when a candidate zero cannot be confirmed.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval2d
 
 from .numerics import roots_rows
 from .poly2 import BivariatePolynomial
@@ -94,11 +97,11 @@ def check_stability(
     degenerate = np.zeros(fixed.size, dtype=bool)
     # roots[r] holds row r's roots, NaN-padded; a spare column serves constants
     roots = np.full((fixed.size, max(p.coeffs.shape)), np.nan, dtype=complex)
+    powers = samples.reshape(-1, 1) ** np.arange(max(p.coeffs.shape))
     for half, coeff_grid in enumerate((p.coeffs, p.coeffs.T)):
         part = slice(half * samples.size, (half + 1) * samples.size)
         # slice_coeffs[s, k] is the coefficient of w**k in p(fixed_s, w)
-        powers = samples.reshape(-1, 1) ** np.arange(coeff_grid.shape[0])
-        slice_coeffs = powers @ coeff_grid
+        slice_coeffs = powers[:, : coeff_grid.shape[0]] @ coeff_grid
         flat = np.max(np.abs(slice_coeffs), axis=1) <= tol * coeff_scale
         degenerate[part] = flat
         roots[part][~flat, : slice_coeffs.shape[1] - 1] = roots_rows(
@@ -118,10 +121,12 @@ def check_stability(
     # a proposal counts if p is small there, its slice is an interior one, and
     # along the coordinate it was found in (the fixed one on a degenerate
     # slice) a disk that holds a zero of p lies inside
-    confirmed = np.abs(p(w1, w2)) <= tol * max(1.0, coeff_scale)
-    confirmed &= (_zero_reach(p, w1, w2, flip != degenerate[rows]) < 1.0) & interior[rows]
+    modulus, reach = _zero_reach(p, w1, w2, flip != degenerate[rows])
+    confirmed = (modulus <= tol * max(1.0, coeff_scale)) & (reach < 1.0) & interior[rows]
 
-    min_modulus = _torus_min_modulus(p, torus_grid)
+    # the last order's torus rows times the torus powers: p on the torus grid
+    torus = powers[:torus_grid, : slice_coeffs.shape[1]]
+    min_modulus = float(np.min(np.abs(slice_coeffs[:torus_grid] @ torus.T)))
     min_root_modulus = np.min(row_min)
     if np.any(confirmed):
         # the first in scan order ends the scan
@@ -146,35 +151,29 @@ def check_stability(
 
 
 def _zero_reach(p, w1, w2, in_z1):
-    """|w| + r, with r the radius of a disk about w that holds a zero of f.
+    """|p(w)| and |w| + r, with r the radius of a disk about w that holds a zero of f.
 
     w is w1 (in_z1) or w2, and f is p along w.  f of degree d has a zero
     within d |f(w) / f'(w)| of w (f'/f sums 1/(w - zeta)), and within
     |f(w) / a_d|^(1/d) for a multiple one; each value is widened by its
-    rounding error.
+    rounding error.  p, dp/dz2, the z2-leading coefficient, dp/dz1 and the
+    z1-leading coefficient share one zero-padded grid, evaluated once with
+    its majorant.  Zero padding does not change Horner values, and the
+    whole grid's error bound 8 (n + m + 2) eps times the majorant is at
+    least each polynomial's own, so the disk still holds a zero.
     """
-    f = _widened(p, w1, w2, 1.0)
     n, m = p.bidegree
-    radii = []
-    for d, variable, lead in ((m, 2, p.coeffs[:, -1:]), (n, 1, p.coeffs[-1:, :])):
-        slope = _widened(p.derivative(variable), w1, w2, -1.0)
-        top = _widened(BivariatePolynomial(lead), w1, w2, -1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            radius = np.minimum(d * f / slope, (f / top) ** (1.0 / max(d, 1)))
-        # f == 0: every term of p vanishes exactly at w
-        radii.append(np.where(f == 0.0, 0.0, radius))
-    return np.abs(np.where(in_z1, w1, w2)) + np.where(in_z1, radii[1], radii[0])
-
-
-def _widened(q: BivariatePolynomial, w1, w2, sign: float) -> np.ndarray:
-    """|q(w1, w2)| plus sign times a bound on its rounding error, at least 0."""
-    n, m = q.bidegree
-    majorant = np.abs(BivariatePolynomial(np.abs(q.coeffs))(np.abs(w1), np.abs(w2)))
-    error = 8 * (n + m + 2) * np.finfo(float).eps * majorant
-    return np.maximum(np.abs(q(w1, w2)) + sign * error, 0.0)
-
-
-def _torus_min_modulus(p: BivariatePolynomial, torus_grid: int) -> float:
-    torus = np.exp(2j * np.pi * np.arange(torus_grid) / torus_grid)
-    z1, z2 = np.meshgrid(torus, torus, indexing="ij")
-    return float(np.min(np.abs(p(z1, z2))))
+    lead2, lead1 = BivariatePolynomial(p.coeffs[:, -1:]), BivariatePolynomial(p.coeffs[-1:, :])
+    parts = (p, p.derivative(2), lead2, p.derivative(1), lead1)
+    stack = np.stack([q.padded((n, m)).coeffs for q in parts], axis=-1)
+    values = np.abs(polyval2d(w1, w2, stack))
+    error = 8 * (n + m + 2) * np.finfo(float).eps * polyval2d(np.abs(w1), np.abs(w2), np.abs(stack))
+    f = values[0] + error[0]
+    low = np.maximum(values - error, 0.0)
+    # row 0 of radius is along z2 (degree m), row 1 along z1 (degree n)
+    d = np.array([[m], [n]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = np.minimum(d * f / low[1::2], (f / low[2::2]) ** (1.0 / np.maximum(d, 1)))
+    # f == 0: every term of p vanishes exactly at w
+    radius = np.where(f == 0.0, 0.0, radius)
+    return values[0], np.where(in_z1, np.abs(w1) + radius[1], np.abs(w2) + radius[0])

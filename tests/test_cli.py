@@ -190,6 +190,15 @@ class TestDecompose:
         report = str(tmp_path / "verify.json")
         assert main(["verify", "--input", str(out), "--output", report]) == EXIT_OK
 
+    def test_iteration_budget_running_out_is_inconclusive_exit_3(self, tmp_path, capsys):
+        # the cube has a certificate; stopping at --max-iter proves nothing
+        inp = write_json(tmp_path / "p.json", boundary_cube_payload())
+        out = tmp_path / "cert.json"
+        code = main(["decompose", "--input", inp, "--max-iter", "300", "--output", str(out)])
+        assert code == EXIT_INCONCLUSIVE
+        assert "best residual" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_round_trip_passes(self, classic_certificate, tmp_path, capsys):

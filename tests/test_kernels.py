@@ -74,7 +74,7 @@ class TestMonomialProductBundle:
 
 class TestHandCertificateKernels:
     def hand_bundle(self):
-        return KernelBundle(CLASSIC, [HAND_A], [HAND_B], (0, 1), (1, 0))
+        return KernelBundle(CLASSIC, [HAND_A], [HAND_B])
 
     def test_first_kernel_closed_form(self):
         # K1(z, w) = 2 (1 - z2)(1 - conj(w2)) / (p(z) conj(p(w)))
@@ -114,17 +114,17 @@ class TestHandCertificateKernels:
 
 class TestDomainGuards:
     def test_evaluation_outside_bidisk_is_rejected(self):
-        bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B], (0, 1), (1, 0))
+        bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B])
         with pytest.raises(DomainError):
             bundle.eval_f(1.5, 0.0)
 
     def test_evaluation_at_boundary_zero_is_rejected(self):
-        bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B], (0, 1), (1, 0))
+        bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B])
         with pytest.raises(DomainError):
             bundle.eval_f(1.0, 1.0)
 
     def test_invalid_kernel_index(self):
-        bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B], (0, 1), (1, 0))
+        bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B])
         with pytest.raises(ValueError):
             bundle.K(3, (0.0, 0.0), (0.0, 0.0))
 
@@ -142,6 +142,31 @@ def classic_cert():
 @pytest.fixture(scope="module")
 def classic_bundle(classic_cert):
     return KernelBundle.from_certificate(classic_cert)
+
+
+class TestOnePointSetOneTable:
+    """A batched call evaluates each point on its own, so it gives one-point values exactly.
+
+    The one-point calls take length-1 arrays, as numpy multiplies scalars by
+    another routine, and the vectors here hold at most two factors, as numpy
+    sums a longer one-point vector in another order.
+    """
+
+    def check(self, bundle, seed):
+        z, w = random_pairs(np.random.default_rng(seed), 40)
+        points = [((z[0][i:i + 1], z[1][i:i + 1]), (w[0][i:i + 1], w[1][i:i + 1])) for i in range(40)]
+        assert np.array_equal(bundle.eval_f(*z), np.concatenate([bundle.eval_f(*zi) for zi, _ in points]))
+        for j in (1, 2):
+            for kernel in (bundle.K, bundle.L):
+                single = np.concatenate([kernel(j, zi, wi) for zi, wi in points])
+                assert np.array_equal(kernel(j, z, w), single)
+
+    @pytest.mark.parametrize("symmetrized", [False, True])
+    def test_certificate_bundle(self, classic_cert, symmetrized):
+        self.check(KernelBundle.from_certificate(classic_cert, symmetrized=symmetrized), 215)
+
+    def test_hand_bundle(self):
+        self.check(KernelBundle(CLASSIC, [HAND_A], [HAND_B]), 217)
 
 
 class TestVerification:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aglerkit import fixedgraph
 from aglerkit.errors import DegenerateContinuationError, InconsistencyError
 from aglerkit.moebius import MoebiusAutomorphism
 from aglerkit.multipoly import MultiPoly, RationalMap
@@ -372,6 +373,33 @@ class TestNormalForm:
             single = np.array([nf.image_point(x) for x in xs])
             assert single.shape == (15, nf.n)
             assert np.max(np.abs(batch - single)) <= 1e-12
+
+    def test_image_point_columns_are_the_component_values(self):
+        rng = np.random.default_rng(61)
+        for rho in (triple_product_map(), cubic_curve_map()):
+            nf = normal_form(rho)
+            k, m = nf.k, nf.copy_count
+            xs = 0.6 * (rng.uniform(-1, 1, (12, k)) + 1j * rng.uniform(-1, 1, (12, k))) / np.sqrt(2)
+            image = nf.image_point(xs)
+            assert np.array_equal(image[:, :k], xs)
+            assert np.array_equal(image[:, k : k + m], xs[:, list(nf.e_sources)])
+            for t, comp in enumerate(nf.f_components):
+                assert np.array_equal(image[:, k + m + t], comp.evaluate(xs))
+
+    def test_image_point_solves_each_graph_column_once(self, monkeypatch):
+        # each of the two nested graph columns is solved once per query,
+        # the second from the first's column: 5 Newton sweeps in all
+        nf = normal_form(cubic_curve_map())
+        calls = []
+        newton = fixedgraph._newton
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(fixedgraph, "_newton", counted)
+        nf.image_point([0.3 - 0.1j])
+        assert len(calls) == 5
 
     def test_constant_component_map(self):
         nf = normal_form(constant_second_map())

@@ -363,9 +363,9 @@ class TestSymmetrize:
         rng = np.random.default_rng(105)
         for _ in range(100):
             z1, z2 = 0.9 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / SQRT2
-            for vec, tilde in ((sym.a_vec, sym.a_tilde), (sym.b_vec, sym.b_tilde)):
+            for vec, degrees in ((sym.a_vec, (0, 1)), (sym.b_vec, (1, 0))):
                 norm = sum(abs(q(z1, z2)) ** 2 for q in vec)
-                norm_refl = sum(abs(q(z1, z2)) ** 2 for q in tilde)
+                norm_refl = sum(abs(q.reflect(degrees)(z1, z2)) ** 2 for q in vec)
                 assert norm == pytest.approx(norm_refl, abs=1e-10)
 
     def test_symmetrized_identity_residual_matches_original(self, bundles):

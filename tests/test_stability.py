@@ -180,6 +180,22 @@ class TestSelfConsistency:
             assert np.max(ratio) <= 1.0 + 1e-10
 
 
+    def test_torus_minimum_matches_direct_evaluation(self):
+        # min_modulus comes from the slice rows; evaluate p on the meshgrid instead
+        rng = np.random.default_rng(49)
+        polys = [CLASSIC, LINE, CLASSIC * CLASSIC * LINE]
+        polys += [BivariatePolynomial(rng.standard_normal((n + 1, m + 1))
+                                      + 1j * rng.standard_normal((n + 1, m + 1)))
+                  for n, m in ((1, 3), (3, 1), (4, 4), (6, 2))]
+        for p in polys:
+            for torus_grid in (32, 128):
+                torus = np.exp(2j * np.pi * np.arange(torus_grid) / torus_grid)
+                direct = np.min(np.abs(p(*np.meshgrid(torus, torus, indexing="ij"))))
+                report = check_stability(p, torus_grid=torus_grid, disk_grid=8)
+                bound = 4 * np.finfo(float).eps * np.sum(np.abs(p.coeffs))
+                assert abs(report.min_modulus - direct) <= bound
+
+
 class TestValidation:
     def test_zero_polynomial_is_rejected(self):
         with pytest.raises(ValueError):
