@@ -47,7 +47,6 @@ from .pick import (
     SOLVABLE_UNIQUE,
     PickProblem,
     SchurInterpolant,
-    geometric_kernel,
     is_solvable,
     pick_matrix,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "disk_points",
     "find_fixed_w",
     "fit_moebius",
-    "geometric_kernel",
     "gram_pair_tensor",
     "is_solvable",
     "load_json",

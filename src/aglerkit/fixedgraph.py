@@ -13,6 +13,7 @@ together by one damped Newton sweep from the anchor value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,17 +32,31 @@ IDENTITY_IN_W = "identity"
 UNIQUE_GRAPH = "unique_graph"
 NO_FIXED_POINTS = "no_fixed_points"
 
+_DIFF_STEP = 1e-6  # central-difference step of dF/dw for a raw callable
+_SCHUR_RADIUS = 0.95  # polydisk radius of the sampled |F| <= 1 check
+_SCHUR_TOL = 1e-9
+_DEDUP_TOL = 1e-8  # Newton solutions this close count as one fixed point
+_DERIV_TOL = 1e-6  # |dF/dw| within this of 1 classifies as an automorphism
+_SLICE_CHECKS = 20  # random w-slices compared with an automorphic anchor slice
+_SLICE_CHECK_SEED = 307
+_PICK_SLICES = 4  # random grid nodes whose w-slice gets a Pick test
+_PICK_NODES = 8
+_UNIQUE_SAMPLES = 10  # z points of the uniqueness trichotomy
+_UNIQUE_SEED = 2024
+_UNIQUE_RADIUS = 0.8
+_IDENTITY_TOL = 1e-10
+
 
 class SchurMap:
     """Map F(z, w) with z in the polydisk D^n and w in the disk.
 
     The map may be given as a rational map in n + 1 variables (w last),
-    which yields exact partial derivatives, or as a raw callable
-    ``fn(z, w)`` on one point, which an adapter calls row by row and
-    whose derivatives fall back to central differences with the given step.
+    which yields an exact dF/dw, or as a raw callable ``fn(z, w)`` on one
+    point, which an adapter calls row by row and whose dF/dw falls back to
+    central differences.
     """
 
-    def __init__(self, n, fn=None, rational=None, step=1e-6, name=None):
+    def __init__(self, n, fn=None, rational=None, name=None):
         self.n = int(n)
         if self.n < 1:
             raise ValueError("the map needs at least one z variable")
@@ -53,9 +68,7 @@ class SchurMap:
             raise ValueError("provide a callable or a rational map")
         self.fn = fn
         self.rational = rational
-        self.step = float(step)
         self.name = name
-        self._partial_cache = {}
         self._evaluate = rational.evaluate if rational is not None else self._row_loop
 
     @classmethod
@@ -63,7 +76,7 @@ class SchurMap:
         """Map given by ``evaluate`` on (N, n + 1) rows (w last), returning (N,).
 
         Used for reduced retract components, whose every call is one batched
-        graph solve; partials are central differences.
+        graph solve; dF/dw is a central difference.
         """
         smap = cls(n, fn=evaluate)
         smap._evaluate = evaluate
@@ -76,33 +89,32 @@ class SchurMap:
             dtype=complex,
         )
 
-    def _rows(self, Z, W, index=None):
-        """F, or its partial in variable ``index`` (w is index n), at each row pair.
+    def _rows(self, Z, W, dw=False):
+        """F, or dF/dw when ``dw`` is set, at each row pair.
 
         W has shape (N,) and Z shape (N, n), or (n,) for one z shared by
         every row.  Every kind of map is evaluated by one call on an
-        (N, n + 1) array; partials are exact for a rational map and central
-        differences otherwise, plus and minus sharing one call.
+        (N, n + 1) array; dF/dw is exact for a rational map and a central
+        difference otherwise, plus and minus sharing one call.
         """
         pts = np.empty((len(W), self.n + 1), dtype=complex)
         pts[:, : self.n] = Z
         pts[:, self.n] = W
-        if index is None:
+        if not dw:
             return np.asarray(self._evaluate(pts), dtype=complex)
         if self.rational is not None:
-            return np.asarray(self._partial_map(index).evaluate(pts), dtype=complex)
-        h = self.step
+            return np.asarray(self._dw_map.evaluate(pts), dtype=complex)
         both = np.concatenate([pts, pts])
-        both[: len(W), index] += h
-        both[len(W):, index] -= h
+        both[: len(W), self.n] += _DIFF_STEP
+        both[len(W):, self.n] -= _DIFF_STEP
         values = np.asarray(self._evaluate(both), dtype=complex)
-        return (values[: len(W)] - values[len(W):]) / (2.0 * h)
+        return (values[: len(W)] - values[len(W):]) / (2.0 * _DIFF_STEP)
 
-    def _at(self, z, w, index=None):
+    def _at(self, z, w, dw=False):
         """_rows at one z point and a scalar or array of w values."""
         z = np.asarray(z, dtype=complex).reshape(self.n)
         warr = np.asarray(w, dtype=complex)
-        values = self._rows(z, warr.reshape(-1), index)
+        values = self._rows(z, warr.reshape(-1), dw)
         if warr.ndim == 0:
             return complex(values[0])
         return values.reshape(warr.shape)
@@ -110,35 +122,30 @@ class SchurMap:
     def __call__(self, z, w):
         return self._at(z, w)
 
-    def _partial_map(self, index):
-        if index not in self._partial_cache:
-            self._partial_cache[index] = self.rational.partial(index)
-        return self._partial_cache[index]
+    @cached_property
+    def _dw_map(self):
+        """Exact dF/dw of a rational map, built on first use."""
+        return self.rational.partial(self.n)
 
     def partial_w(self, z, w):
         """dF/dw at (z, w)."""
-        return self._at(z, w, self.n)
+        return self._at(z, w, dw=True)
 
-    def partial_z(self, index, z, w):
-        """dF/dz_index at (z, w)."""
-        index = int(index)
-        if not 0 <= index < self.n:
-            raise ValueError("z-variable index out of range")
-        return self._at(z, w, index)
-
-    def check_schur(self, samples=200, seed=11, radius=0.95, tol=1e-9):
+    def check_schur(self, samples=200, seed=11):
         """Sample |F| over the polydisk and report the worst modulus."""
+        if samples < 1:
+            raise ValueError("samples must be a positive integer")
         rng = np.random.default_rng(seed)
-        zs = random_polydisk(rng, samples, self.n, radius)
-        ws = random_disk(rng, samples, radius)
+        zs = random_polydisk(rng, samples, self.n, _SCHUR_RADIUS)
+        ws = random_disk(rng, samples, _SCHUR_RADIUS)
         moduli = np.abs(self._rows(zs, ws))
         worst = float(moduli.max(initial=0.0))
         report = {
             "max_modulus": worst,
             "samples": int(samples),
-            "radius": float(radius),
-            "tol": float(tol),
-            "passed": bool(worst <= 1.0 + tol),
+            "radius": _SCHUR_RADIUS,
+            "tol": _SCHUR_TOL,
+            "passed": bool(worst <= 1.0 + _SCHUR_TOL),
         }
         if worst > 0.0:
             i = int(np.argmax(moduli))
@@ -232,7 +239,7 @@ def _newton(smap, Z, W, tol=1e-12, max_iter=50):
             if not live.size:
                 break
             z, w, g = z[keep], w[keep], g[keep]
-        dg = smap._rows(z, w, smap.n) - 1.0
+        dg = smap._rows(z, w, dw=True) - 1.0
         stuck = np.abs(dg) < 1e-14
         if np.count_nonzero(stuck):
             iterations[live[stuck]] = iteration
@@ -256,12 +263,12 @@ def _newton(smap, Z, W, tol=1e-12, max_iter=50):
     return W, iterations, converged
 
 
-def find_fixed_w(smap, z, seeds=None, tol=1e-12, dedup_tol=1e-8, deriv_tol=1e-6):
+def find_fixed_w(smap, z, seeds=None, tol=1e-12):
     """All fixed points of w -> F(z, w) found from a spread of seeds.
 
     Each converged solution is classified by the modulus of the slice
     derivative: well below 1 is an interior (attracting) point, within
-    deriv_tol of 1 is the automorphism case.  A modulus above 1 + 1e-8 is
+    _DERIV_TOL of 1 is the automorphism case.  A modulus above 1 + 1e-8 is
     impossible for a disk self-map and raises InconsistencyError, as do
     two distinct interior fixed points on one slice.
     """
@@ -274,7 +281,7 @@ def find_fixed_w(smap, z, seeds=None, tol=1e-12, dedup_tol=1e-8, deriv_tol=1e-6)
     for w, iterations, ok in zip(ws, counts, oks):
         if not ok or abs(w) > 1.0 + 1e-9:
             continue
-        if any(abs(w - prev) <= dedup_tol for prev, _ in found):
+        if any(abs(w - prev) <= _DEDUP_TOL for prev, _ in found):
             continue
         found.append((w, iterations))
 
@@ -289,7 +296,7 @@ def find_fixed_w(smap, z, seeds=None, tol=1e-12, dedup_tol=1e-8, deriv_tol=1e-6)
             )
         if abs(w) >= 1.0 - 1e-8:
             classification = CLASS_BOUNDARY
-        elif mod <= 1.0 - deriv_tol:
+        elif mod <= 1.0 - _DERIV_TOL:
             classification = CLASS_INTERIOR
         else:
             classification = CLASS_AUTOMORPHISM
@@ -317,7 +324,7 @@ def find_fixed_w(smap, z, seeds=None, tol=1e-12, dedup_tol=1e-8, deriv_tol=1e-6)
     return records
 
 
-def detect_w_automorphism(smap, z_center=None, tol=1e-8, check_slices=20, seed=307):
+def detect_w_automorphism(smap, z_center=None):
     """Moebius form of the w-slices, or None.
 
     If the slice at the base point is a disk automorphism, every other
@@ -329,16 +336,16 @@ def detect_w_automorphism(smap, z_center=None, tol=1e-8, check_slices=20, seed=3
     if z_center is None:
         z_center = np.zeros(smap.n, dtype=complex)
     z_center = np.asarray(z_center, dtype=complex).reshape(smap.n)
-    phi = detect_automorphism(lambda w: smap(z_center, w), tol=tol)
+    phi = detect_automorphism(lambda w: smap(z_center, w))
     if phi is None:
         return None
-    rng = np.random.default_rng(seed)
-    bases = random_polydisk(rng, check_slices, smap.n, 0.8)
+    rng = np.random.default_rng(_SLICE_CHECK_SEED)
+    bases = random_polydisk(rng, _SLICE_CHECKS, smap.n, 0.8)
     probes = disk_points(12, 0.85)
     expected = phi(probes)
     for base in bases:
         values = smap(base, probes)
-        if np.max(np.abs(values - expected)) > max(10.0 * tol, 1e-7):
+        if np.max(np.abs(values - expected)) > 1e-7:
             raise InconsistencyError(
                 "the w-slice at one base point is a disk automorphism but "
                 "another slice differs from it"
@@ -436,48 +443,36 @@ def local_graph(smap, record, points, tol=1e-12):
     return values, residuals
 
 
-def continue_graph(
-    smap,
-    record,
-    radius=0.9,
-    grid=20,
-    axes=None,
-    tol=1e-12,
-    seed=1914,
-    pick_slices=4,
-    pick_nodes=8,
-):
+def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     """Continue an interior fixed point into a graph over a product grid.
 
     Solves every grid node at once by damped Newton from the anchor value,
     then validates the result: residuals at every node, the slice
     derivative bound max |dF/dw|, and a Pick matrix test on a few w-slices
     for Schur-class positivity.  All diagnostics land in the returned
-    GraphFunction's provenance.  The default axes are disk_points(grid,
-    radius) for every z variable.
+    GraphFunction's provenance.  The axes are disk_points(grid, radius) for
+    every z variable; a radius outside (0, 1] raises ValueError, as F is
+    Schur-class only on the closed polydisk.
     """
+    if not 0.0 < radius <= 1.0:
+        raise ValueError("grid radius must lie in (0, 1]")
     phi = detect_w_automorphism(smap, z_center=record.z)
     if phi is not None:
         raise InconsistencyError(
             "the anchor w-slice is a disk automorphism; its fixed point does "
             "not continue to a unique graph"
         )
-    if axes is None:
-        axes = tuple(disk_points(grid, radius) for _ in range(smap.n))
-    else:
-        axes = tuple(np.asarray(ax, dtype=complex).ravel() for ax in axes)
-        if len(axes) != smap.n:
-            raise ValueError("need one axis per z variable")
+    axes = tuple(disk_points(grid, radius) for _ in range(smap.n))
     shape = tuple(len(ax) for ax in axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, smap.n)
     values, residuals = local_graph(smap, record, nodes, tol)
-    max_deriv = float(np.max(np.abs(smap._rows(nodes, values, smap.n))))
+    max_deriv = float(np.max(np.abs(smap._rows(nodes, values, dw=True))))
     max_modulus = float(np.max(np.abs(values)))
 
     anchor_z = np.asarray(record.z, dtype=complex).reshape(smap.n)
     rng = np.random.default_rng(seed)
-    flat_indices = rng.choice(len(nodes), size=min(pick_slices, len(nodes)), replace=False)
-    w_nodes = disk_points(pick_nodes, 0.7)
+    flat_indices = rng.choice(len(nodes), size=min(_PICK_SLICES, len(nodes)), replace=False)
+    w_nodes = disk_points(_PICK_NODES, 0.7)
     pick_min_eig = np.inf
     for base in [anchor_z, *nodes[flat_indices]]:
         eigs, _ = eig_hermitian(pick_matrix(w_nodes, smap(base, w_nodes)))
@@ -493,7 +488,7 @@ def continue_graph(
         "max_value_modulus": max_modulus,
         "max_residual": float(np.max(residuals)),
         "slice_pick_min_eig": float(pick_min_eig),
-        "slice_pick_nodes": int(pick_nodes),
+        "slice_pick_nodes": _PICK_NODES,
         "tol": float(tol),
         "seed": int(seed),
     }
@@ -506,7 +501,7 @@ def continue_graph(
     )
 
 
-def uniqueness_check(smap, samples=10, seed=2024, radius=0.8, tol=1e-10):
+def uniqueness_check(smap):
     """Trichotomy for the fixed-point structure of the w-slices.
 
     Returns "identity" when F(z, w) = w identically, "unique_graph" when
@@ -514,12 +509,12 @@ def uniqueness_check(smap, samples=10, seed=2024, radius=0.8, tol=1e-10):
     "no_fixed_points" when some slice has none (the attractor sits on the
     boundary or the slice is an automorphism).
     """
-    rng = np.random.default_rng(seed)
-    zs = random_polydisk(rng, samples, smap.n, radius)
+    rng = np.random.default_rng(_UNIQUE_SEED)
+    zs = random_polydisk(rng, _UNIQUE_SAMPLES, smap.n, _UNIQUE_RADIUS)
     identity = True
     for z in zs:
-        probes = random_disk(rng, 4, radius)
-        if any(abs(smap(z, complex(w)) - complex(w)) > tol for w in probes):
+        probes = random_disk(rng, 4, _UNIQUE_RADIUS)
+        if any(abs(smap(z, complex(w)) - complex(w)) > _IDENTITY_TOL for w in probes):
             identity = False
             break
     if identity:

@@ -21,6 +21,8 @@ from .serialize import complex_to_pair, pair_to_complex
 
 _FIT_NODES = np.array([0.30 + 0.00j, -0.35 + 0.20j, 0.10 + 0.45j])
 _CIRCLE_NODES = np.exp(2j * np.pi * np.arange(8) / 8)
+_CHECK_NODES = disk_points(50, 0.9)
+_FIT_TOL = 1e-8  # largest fit error on the check nodes, and of |phi| - 1 on the circle
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def fit_moebius(nodes, values):
     return tuple(coeffs)
 
 
-def detect_automorphism(slice_fn, tol: float = 1e-8, verify_nodes: int = 50):
+def detect_automorphism(slice_fn):
     """Return the disk automorphism matching slice_fn on the disk, or None.
 
     slice_fn maps a 1-d array of disk points to the array of its values; it
@@ -94,9 +96,8 @@ def detect_automorphism(slice_fn, tol: float = 1e-8, verify_nodes: int = 50):
     def mu(w):
         return (a_c * w + b_c) / (c_c * w + 1.0)
 
-    check = disk_points(verify_nodes, 0.9)
-    target = np.asarray(slice_fn(check), dtype=complex)
-    if np.max(np.abs(mu(check) - target)) > tol:
+    target = np.asarray(slice_fn(_CHECK_NODES), dtype=complex)
+    if np.max(np.abs(mu(_CHECK_NODES) - target)) > _FIT_TOL:
         return None
 
     # automorphism test: unimodular on the circle, center strictly inside
@@ -104,7 +105,7 @@ def detect_automorphism(slice_fn, tol: float = 1e-8, verify_nodes: int = 50):
     if np.min(np.abs(denom)) < 1e-12:
         return None
     circle_vals = (a_c * _CIRCLE_NODES + b_c) / denom
-    if np.max(np.abs(np.abs(circle_vals) - 1.0)) > max(tol, 1e-8):
+    if np.max(np.abs(np.abs(circle_vals) - 1.0)) > _FIT_TOL:
         return None
     center = mu(0.0)
     if abs(center) >= 1.0 - 1e-9:
@@ -119,9 +120,9 @@ def detect_automorphism(slice_fn, tol: float = 1e-8, verify_nodes: int = 50):
     if abs(probe - a_point) < 1e-6:
         probe = -0.29 + 0.41j
     u = mu(probe) * (1.0 - np.conj(a_point) * probe) / (a_point - probe)
-    if abs(abs(u) - 1.0) > max(tol, 1e-8):
+    if abs(abs(u) - 1.0) > _FIT_TOL:
         return None
     phi = MoebiusAutomorphism(u / abs(u), a_point)
-    if np.max(np.abs(phi(check) - target)) > 10 * tol:
+    if np.max(np.abs(phi(_CHECK_NODES) - target)) > 10 * _FIT_TOL:
         return None
     return phi

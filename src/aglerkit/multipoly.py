@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DomainError
 from .serialize import complex_to_pair, pair_to_complex
 
+_POLE_TOL = 1e-12  # |den| at or below this times max(coeff norm, 1) counts as a pole
+
 
 def _normalize_key(exponents, nvars):
     key = tuple(int(e) for e in exponents)
@@ -231,7 +233,7 @@ def _coerce(value, nvars):
 class RationalMap:
     """Quotient of two sparse polynomials with exact partial derivatives."""
 
-    def __init__(self, numerator, denominator=None, zero_tol=1e-12):
+    def __init__(self, numerator, denominator=None):
         if denominator is None:
             denominator = MultiPoly.constant(numerator.nvars, 1.0)
         if not isinstance(numerator, MultiPoly) or not isinstance(denominator, MultiPoly):
@@ -242,9 +244,7 @@ class RationalMap:
             raise ValueError("denominator is identically zero")
         self.numerator = numerator
         self.denominator = denominator
-        self.zero_tol = float(zero_tol)
-        # |den| at or below this counts as a pole; fixed per map, so computed once
-        self._pole_tol = self.zero_tol * max(denominator.coeff_norm(), 1.0)
+        self._pole_tol = _POLE_TOL * max(denominator.coeff_norm(), 1.0)
 
     @property
     def nvars(self):
@@ -275,7 +275,7 @@ class RationalMap:
             - self.numerator * self.denominator.partial(index)
         )
         den = self.denominator * self.denominator
-        return RationalMap(num, den, zero_tol=self.zero_tol)
+        return RationalMap(num, den)
 
     def to_json(self):
         return {

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import AglerkitError, NotPSDError
 
-HERMITIAN_TOL = 1e-14
+_HERMITIAN_TOL = 1e-10  # largest |M - M*| relative to 1 + max|M|
+_RANK_TOL = 1e-9  # eigenvalue cutoff of psd_factor relative to the largest
 
 
 class EigenDecomposition(NamedTuple):
@@ -37,13 +38,13 @@ def hermitian_defect(mat) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def require_hermitian(mat, tol=1e-10) -> np.ndarray:
+def require_hermitian(mat) -> np.ndarray:
     """Validate near-Hermitianness (relative to scale) and symmetrize exactly."""
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     scale = 1.0 + (float(np.max(np.abs(mat))) if mat.size else 0.0)
-    if hermitian_defect(mat) > tol * scale:
+    if hermitian_defect(mat) > _HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return hermitize(mat)
 
@@ -75,20 +76,20 @@ def project_psd(mat) -> np.ndarray:
     return hermitize((v * np.clip(w, 0.0, None)) @ v.conj().T)
 
 
-def psd_factor(mat, rank_tol: float = 1e-9) -> np.ndarray:
+def psd_factor(mat) -> np.ndarray:
     """Rank-revealing factor W with M ~= W @ W.conj().T.
 
-    Eigenvalues below rank_tol (relative to the largest) are dropped; an
-    eigenvalue below -rank_tol relative to scale raises NotPSDError.
+    Eigenvalues below _RANK_TOL (relative to the largest) are dropped; an
+    eigenvalue below -_RANK_TOL relative to scale raises NotPSDError.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.size == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
     w, v = eig_hermitian(mat)
     top = max(float(w[-1]), 0.0)
-    if w[0] < -rank_tol * (1.0 + top):
+    if w[0] < -_RANK_TOL * (1.0 + top):
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e}, below the PSD tolerance")
-    keep = w > rank_tol * top
+    keep = w > _RANK_TOL * top
     return v[:, keep] * np.sqrt(w[keep])
 
 

@@ -162,21 +162,3 @@ def solve(problem: PickProblem) -> SchurInterpolant:
 
     return SchurInterpolant(stages=stages, terminal=0.0 + 0.0j)
 
-
-def geometric_kernel(k1_samples, k2_samples) -> tuple[np.ndarray, float]:
-    """Entrywise K1 / (1 - K2) with its smallest eigenvalue.
-
-    When K2 comes from a decomposition bundle restricted to a one-variable
-    slice, the geometric series sum_t K1 K2^t makes this a positive kernel;
-    diagonal K2 values at or above 1 are rejected.
-    """
-    k1 = np.asarray(k1_samples, dtype=complex)
-    k2 = np.asarray(k2_samples, dtype=complex)
-    if k1.shape != k2.shape or k1.ndim != 2 or k1.shape[0] != k1.shape[1]:
-        raise ValueError("kernel sample matrices must be square and congruent")
-    diag = np.real(np.diagonal(k2))
-    if np.any(diag >= 1.0 - 1e-9):
-        raise ValueError("diagonal K2 samples must stay strictly below 1")
-    quotient = k1 / (1.0 - k2)
-    w, _ = eig_hermitian(0.5 * (quotient + quotient.conj().T))
-    return quotient, float(w[0]) if w.size else 0.0

@@ -44,6 +44,8 @@ ROLE_COPY = "copy"
 ROLE_CONSTANT = "constant"
 ROLE_GENERIC = "generic"
 
+_SCAN_SAMPLES = 60  # polydisk points at which classify_components compares columns
+
 
 class RetractMap:
     """Self-map of D^n given componentwise.
@@ -139,6 +141,8 @@ class _DerivedMap(RetractMap):
 
 def verify_idempotent(rho, samples=400, seed=7, radius=0.9, tol=1e-9):
     """Sample rho(rho(z)) - rho(z) over the polydisk and report the defect."""
+    if samples < 1:
+        raise ValueError("samples must be a positive integer")
     rng = np.random.default_rng(seed)
     pts = random_polydisk(rng, samples, rho.n, radius)
     first = rho.evaluate_batch(pts)
@@ -198,7 +202,7 @@ def _active_variables(rho, bases, tol=1e-9):
     return (np.abs(moved - ref[None, :, None, :]) > tol).any(axis=(1, 2))
 
 
-def classify_components(rho, samples=60, seed=97, radius=0.85, tol=1e-9):
+def classify_components(rho, seed=97, radius=0.85, tol=1e-9):
     """Role of each component: identity, copy of a variable, constant, generic.
 
     A copy is a component of the form phi(z_i) for a disk automorphism phi
@@ -208,7 +212,7 @@ def classify_components(rho, samples=60, seed=97, radius=0.85, tol=1e-9):
     identity coordinate.  Violations raise InconsistencyError.
     """
     rng = np.random.default_rng(seed)
-    pts = random_polydisk(rng, samples, rho.n, radius)
+    pts = random_polydisk(rng, _SCAN_SAMPLES, rho.n, radius)
     vals = rho.evaluate_batch(pts)
     bases = random_polydisk(rng, 3, rho.n, 0.8)
 
@@ -239,7 +243,7 @@ def classify_components(rho, samples=60, seed=97, radius=0.85, tol=1e-9):
                 points[:, _i] = w
                 return rho._columns(points, [_j])[:, 0]
 
-            phi = detect_automorphism(slice_fn, tol=1e-8)
+            phi = detect_automorphism(slice_fn)
             if phi is not None:
                 check = disk_points(10, 0.8)
                 points = np.repeat(bases[:1], len(check), axis=0)
@@ -388,7 +392,7 @@ def _schur_from_last(rho):
     return SchurMap._batched(head, lambda pts: rho._columns(pts, [head])[:, 0])
 
 
-def reduce_dimension(rho, grid=12, radius=0.85, newton_tol=1e-12, seed=5005):
+def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
     """Split the last component off as a fixed-point graph.
 
     Returns (reduced, graph): the graph solves w = rho_last(z', w), and the
@@ -402,7 +406,7 @@ def reduce_dimension(rho, grid=12, radius=0.85, newton_tol=1e-12, seed=5005):
     smap = _schur_from_last(rho)
     q = rho(np.zeros(rho.n, dtype=complex))
     q_head = q[:-1]
-    records = find_fixed_w(smap, q_head, seeds=[complex(q[-1])], tol=newton_tol)
+    records = find_fixed_w(smap, q_head, seeds=[complex(q[-1])])
     if not records:
         raise DegenerateContinuationError(
             "could not refine the seed fixed point at the image of the origin",
@@ -415,9 +419,7 @@ def reduce_dimension(rho, grid=12, radius=0.85, newton_tol=1e-12, seed=5005):
             "(classification %r)" % record.classification,
             location=tuple(complex(v) for v in q_head),
         )
-    graph = continue_graph(
-        smap, record, radius=radius, grid=grid, tol=newton_tol, seed=seed
-    )
+    graph = continue_graph(smap, record, radius=radius, grid=grid, seed=seed)
 
     def columns(pts, cols):
         return rho._columns(np.column_stack([pts, graph.evaluate(pts)]), cols)
@@ -430,6 +432,8 @@ def _image_rows(x, k, e_sources, tail):
     block, its copies, then the tail columns left to right, each from the
     (N, k + m + t) columns before it."""
     x = np.asarray(x, dtype=complex)
+    if x.ndim not in (1, 2) or x.shape[-1] != k:
+        raise ValueError("free coordinates need a trailing axis of length %d" % k)
     rows = x if x.ndim == 2 else x.reshape(1, k)
     m = len(e_sources)
     out = np.empty((len(rows), k + m + len(tail)), dtype=complex)
@@ -463,7 +467,6 @@ def _normalize(rho, opts, depth=0):
     d = rho.n
     roles = classify_components(
         rho,
-        samples=opts["scan_samples"],
         seed=opts["seed"] + 17 * depth,
         radius=opts["scan_radius"],
         tol=opts["role_tol"],
@@ -492,7 +495,6 @@ def _normalize(rho, opts, depth=0):
             rho_p,
             grid=opts["grid"],
             radius=opts["radius"],
-            newton_tol=opts["newton_tol"],
             seed=opts["seed"] + 29 * depth,
         )
         core = _normalize(reduced, opts, depth + 1)
@@ -557,23 +559,18 @@ class NormalForm:
         }
 
 
-def normal_form(
-    rho,
-    tol=1e-9,
-    grid=12,
-    radius=0.85,
-    seed=23,
-    samples=400,
-    newton_tol=1e-12,
-):
+def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
     """Normal form of an idempotent self-map of the polydisk.
 
     Verifies idempotence first (InconsistencyError on failure), classifies
     components, conjugates twisted copies to plain ones, peels generic
     components off as fixed-point graphs, and materializes every graph
     component over a grid on the free block together with the residual
-    ||rho_norm(v) - v||_inf at each node.
+    ||rho_norm(v) - v||_inf at each node.  A grid radius outside (0, 1]
+    raises ValueError.
     """
+    if not 0.0 < radius <= 1.0:
+        raise ValueError("grid radius must lie in (0, 1]")
     report = verify_idempotent(
         rho, samples=samples, seed=seed, radius=min(radius + 0.05, 0.95), tol=tol
     )
@@ -587,8 +584,6 @@ def normal_form(
         "grid": int(grid),
         "radius": float(radius),
         "seed": int(seed),
-        "newton_tol": float(newton_tol),
-        "scan_samples": 60,
         "scan_radius": min(float(radius), 0.85),
         "role_tol": max(float(tol), 1e-9),
     }

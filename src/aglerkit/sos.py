@@ -374,7 +374,6 @@ def _attempt_polish(proj, gram_a, gram_b, tol):
 # ----------------------------------------------------------------------
 
 _POLISH_CHECKPOINTS = (500, 1500, 4000, 10000, 25000, 60000, 150000)
-_RANK_TOL = 1e-9  # relative eigenvalue cutoff of the factors of a converged pair
 
 
 def solve_gram(
@@ -454,7 +453,7 @@ def solve_gram(
         gram_a, gram_b = hermitize(x_fac @ x_fac.conj().T), hermitize(y_fac @ y_fac.conj().T)
     elif converged:
         gram_a, gram_b = best_pair
-        x_fac, y_fac = psd_factor(gram_a, _RANK_TOL), psd_factor(gram_b, _RANK_TOL)
+        x_fac, y_fac = psd_factor(gram_a), psd_factor(gram_b)
     else:
         raise InfeasibleError(
             f"no PSD Gram pair within tolerance {tol:.1e} "

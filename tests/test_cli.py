@@ -1,8 +1,11 @@
 """End-to-end tests of the command line interface and its exit-code contract."""
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from aglerkit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    build_parser,
     main,
 )
 from aglerkit.pick import NOT_SOLVABLE, SOLVABLE_UNIQUE
@@ -296,6 +300,14 @@ class TestFixedgraph:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "no_interior_fixed_point"
 
+    @pytest.mark.parametrize(
+        "flags", [["--samples", "0"], ["--radius", "1.5"], ["--radius", "-0.5"]]
+    )
+    def test_out_of_range_flags_exit_64(self, tmp_path, capsys, flags):
+        inp = write_json(tmp_path / "smap.json", product_average_smap_payload())
+        assert main(["fixedgraph", "--input", inp] + flags) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
 
 class TestRetract:
     def test_swap_map_exit_2(self, tmp_path):
@@ -314,8 +326,58 @@ class TestRetract:
         assert len(form["f_components"]) == 1
         assert form["diagnostics"]["normal_form_residual"] <= 1e-8
 
+    def test_zero_samples_exit_64(self, tmp_path, capsys):
+        # (z1, (z1 + z2) / 2) is not idempotent: the default run exits 2
+        inp = write_json(
+            tmp_path / "rho.json",
+            {
+                "n": 2,
+                "components": [
+                    {"nvars": 2, "terms": {"1,0": [1.0, 0.0]}},
+                    {"nvars": 2, "terms": {"1,0": [0.5, 0.0], "0,1": [0.5, 0.0]}},
+                ],
+            },
+        )
+        assert main(["retract", "--input", inp]) == EXIT_NEGATIVE
+        assert main(["retract", "--input", inp, "--samples", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_radius_outside_unit_interval_exit_64(self, tmp_path):
+        inp = write_json(tmp_path / "rho.json", parabola_retract_payload())
+        for radius in ("1.5", "-0.5"):
+            assert main(["retract", "--input", inp, "--radius", radius]) == EXIT_USAGE
+
+
+def readme_synopsis():
+    """Subcommand -> set of flags, from the README "Command line" code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    synopsis = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        assert words[0] == "aglerkit"
+        synopsis[words[1]] = set(re.findall(r"--[a-z-]+", line))
+    return synopsis
+
 
 class TestUsageAndDeterminism:
+    def test_readme_synopsis_lists_every_flag(self):
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        flags = {
+            name: {
+                option
+                for action in sub._actions
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            }
+            for name, sub in subparsers.choices.items()
+        }
+        assert readme_synopsis() == flags
+
     def test_no_subcommand_exit_64(self):
         assert main([]) == EXIT_USAGE
 

@@ -105,20 +105,12 @@ class TestSchurMap:
         z = np.array([0.3 + 0.1j, -0.2 + 0.4j])
         w = 0.25 - 0.15j
         assert abs(smap.partial_w(z, w) - 0.5) <= 1e-15
-        assert abs(smap.partial_z(0, z, w) - z[1] / 2) <= 1e-15
-        assert abs(smap.partial_z(1, z, w) - z[0] / 2) <= 1e-15
 
     def test_callable_partials_use_central_differences(self):
         smap = SchurMap(2, fn=lambda z, w: (z[0] * z[1] + w) / 2)
         z = np.array([0.3 + 0.1j, -0.2 + 0.4j])
         w = 0.25 - 0.15j
         assert abs(smap.partial_w(z, w) - 0.5) <= 1e-9
-        assert abs(smap.partial_z(0, z, w) - z[1] / 2) <= 1e-9
-
-    def test_partial_index_out_of_range(self):
-        smap = scaling_map()
-        with pytest.raises(ValueError):
-            smap.partial_z(1, [0.5], 0.1)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -141,6 +133,10 @@ class TestSchurMap:
         assert report["passed"] is False
         assert report["max_modulus"] > 1.5
         assert "witness" in report
+
+    def test_check_schur_needs_a_sample(self):
+        with pytest.raises(ValueError):
+            product_average_map().check_schur(samples=0)
 
     def test_serialization_round_trip(self):
         smap = product_average_map()
@@ -410,11 +406,17 @@ class TestContinueGraph:
         with pytest.raises(InconsistencyError):
             continue_graph(smap, forged)
 
-    def test_axes_count_must_match_dimension(self):
+    @pytest.mark.parametrize("radius", [0.0, -0.5, 1.5, float("nan")])
+    def test_radius_outside_unit_interval_is_rejected(self, radius):
         smap = product_average_map()
         record = find_fixed_w(smap, [0.0, 0.0])[0]
         with pytest.raises(ValueError):
-            continue_graph(smap, record, axes=(np.array([0.0, 0.1]),))
+            continue_graph(smap, record, radius=radius, grid=4)
+
+    def test_unit_radius_is_accepted(self):
+        smap = product_average_map()
+        graph = continue_graph(smap, find_fixed_w(smap, [0.0, 0.0])[0], radius=1.0, grid=4)
+        assert graph.provenance["radius"] == 1.0
 
     def test_reruns_are_byte_identical(self):
         smap = product_average_map()

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from aglerkit.errors import NotSolvableError
-from aglerkit.kernels import KernelBundle
 from aglerkit.pick import (
     NOT_SOLVABLE,
     SOLVABLE,
     SOLVABLE_UNIQUE,
     PickProblem,
     # SchurInterpolant imported below through solve results
-    geometric_kernel,
     is_solvable,
     pick_matrix,
     solve,
 )
 from aglerkit.pick import SchurInterpolant
-from aglerkit.poly2 import BivariatePolynomial
-from aglerkit.sos import SosCertificate, gram_from_factors
 
 
 def random_blaschke(rng, degree):
@@ -196,42 +192,3 @@ class TestProblemValidation:
         assert np.allclose(back.nodes, problem.nodes)
         assert np.allclose(back.targets, problem.targets)
         assert back.tol == problem.tol
-
-
-class TestGeometricKernel:
-    def test_ones_over_one_minus_zero(self):
-        quotient, min_eig = geometric_kernel(np.ones((3, 3)), np.zeros((3, 3)))
-        assert np.allclose(quotient, np.ones((3, 3)))
-        assert min_eig >= -1e-12
-
-    def test_identity_over_half_ones(self):
-        quotient, min_eig = geometric_kernel(np.eye(2), 0.5 * np.ones((2, 2)))
-        assert np.allclose(quotient, 2.0 * np.eye(2))
-        assert min_eig >= -1e-12
-
-    def test_degenerate_diagonal_is_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_kernel(np.eye(2), np.diag([1.0, 0.0]))
-
-    def test_shape_mismatch_is_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_kernel(np.eye(2), np.eye(3))
-
-    def test_slice_samples_from_monomial_product_bundle(self):
-        # K1, K2 sampled along t -> (t, 0.4) for f = z1 z2 give a PSD quotient
-        one = BivariatePolynomial.constant(1.0, bidegree=(1, 1))
-        a = BivariatePolynomial([[1.0, 0.0]])
-        b = BivariatePolynomial([[0.0], [1.0]])
-        cert = SosCertificate(
-            p=one, p_tilde=one.reflect(),
-            gram_a=gram_from_factors([a], 0, 1), gram_b=gram_from_factors([b], 1, 0),
-            a_polys=[a], b_polys=[b], residual=0.0, iterations=0, seed=0, tol=1e-12,
-        )
-        bundle = KernelBundle.from_certificate(cert, symmetrized=True)
-        t = np.linspace(-0.5, 0.5, 6)
-        z = (t[:, None] + 0 * t[None, :], np.full((6, 6), 0.4))
-        w = (0 * t[:, None] + t[None, :], np.full((6, 6), 0.4))
-        k1 = bundle.K(1, z, w)
-        k2 = bundle.K(2, z, w)
-        _, min_eig = geometric_kernel(k1, k2)
-        assert min_eig >= -1e-9

@@ -157,6 +157,10 @@ class TestVerifyIdempotent:
         assert report["radius"] == 0.7
         assert report["max_modulus"] <= 0.7 + 1e-12
 
+    def test_zero_samples_is_rejected(self):
+        with pytest.raises(ValueError):
+            verify_idempotent(swap_map(), samples=0)
+
 
 class TestClassifyComponents:
     def test_duplicate_is_identity_plus_copy(self):
@@ -353,6 +357,19 @@ class TestNormalForm:
         a, b = 0.31 - 0.05j, -0.22 + 0.4j
         point = nf.image_point([a, b])
         assert abs(point[2] - a * b) <= 1e-9
+
+    def test_free_coordinates_of_the_wrong_width_are_rejected(self):
+        nf = normal_form(triple_product_map())
+        for x in ([[0.3]], [0.3], [0.3, 0.2, 0.1], 0.3):
+            with pytest.raises(ValueError):
+                nf.image_point(x)
+        with pytest.raises(ValueError):
+            nf.f_components[0].evaluate([0.3])
+
+    @pytest.mark.parametrize("radius", [0.0, -0.5, 1.5])
+    def test_radius_outside_unit_interval_is_rejected(self, radius):
+        with pytest.raises(ValueError):
+            normal_form(parabola_map(), radius=radius)
 
     def test_cubic_curve_has_two_nested_graphs(self):
         nf = normal_form(cubic_curve_map())
