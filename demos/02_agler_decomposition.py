@@ -10,9 +10,14 @@ bidisk as
 The solver finds positive semidefinite Gram matrices representing the
 two sums by alternating projections between the coefficient-matching
 constraints and the semidefinite cone, with a short Gauss-Newton polish
-at the end.  The matching constraints only couple Gram entries with the
-same displacement (a - c, b - d), and on each such class the projection
-has a closed form (a DCT-II), so no large linear system is ever formed.
+on the factors of the Gram matrices.  The matching constraints only
+couple Gram entries with the same displacement (a - c, b - d), and on
+each such class the projection has a closed form (a DCT-II), so no large
+linear system is ever formed.  The polish is tried after 50 projection
+rounds, then at 150, 500, 1500, ...; each of its steps is a least-squares
+solve on the upper triangle of the Hermitian coefficient residual, half
+its rows.  It counts only when its residual times (n+1)^2 (m+1)^2, the
+number of terms a sampled check adds up, is at most the tolerance.
 The result is a certificate object that serializes to JSON.
 """
 

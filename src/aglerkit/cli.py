@@ -12,7 +12,7 @@ Exit codes:
     2   definitive negative: zero found, not solvable, not idempotent,
         or structurally inconsistent input
     3   inconclusive or degenerate (no verdict either way), including a
-        Gram solve that stops at --max-iter above tolerance
+        Gram solve stopped at --max-iter and a LAPACK failure
     64  command line usage error
     66  input file missing or unreadable
 """
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .errors import (
     DegenerateContinuationError,
@@ -166,6 +168,8 @@ def _cmd_pick(args):
 
 
 def _cmd_fixedgraph(args):
+    if not 0.0 < args.radius <= 1.0 or int(args.grid) < 1:
+        raise ValueError("--radius must lie in (0, 1] and --grid must be positive")
     payload = _read_input(args.input)
     smap = SchurMap.from_json(payload)
     schur_report = smap.check_schur(samples=int(args.samples), seed=int(args.seed))
@@ -285,7 +289,7 @@ def main(argv=None):
     except (NotSolvableError, InconsistencyError, NotPSDError, DomainError) as exc:
         sys.stderr.write("%s\n" % exc)
         return EXIT_NEGATIVE
-    except (DegenerateContinuationError, InfeasibleError) as exc:
+    except (DegenerateContinuationError, InfeasibleError, np.linalg.LinAlgError) as exc:
         sys.stderr.write("%s\n" % exc)
         return EXIT_INCONCLUSIVE
     except (KeyError, ValueError, TypeError) as exc:

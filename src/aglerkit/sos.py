@@ -23,7 +23,11 @@ solve_gram finds a PSD pair satisfying the constraints: a global phase of
 alternating projections with outer-normal correction on the PSD cone
 (Dykstra), plus a rank-truncated Gauss-Newton polish on the spectral
 factors, which restores fast local convergence when the feasible set touches
-the cone boundary (as it does whenever p has boundary zeros).
+the cone boundary (as it does whenever p has boundary zeros).  The polish is
+tried at Dykstra iterations 50, 150, 500, 1500, ... and once Dykstra meets
+tol.  L(G_A, G_B) - T is Hermitian, so its steps solve on half the rows, the
+upper triangle.  A polish counts only if its residual times (n+1)^2 (m+1)^2,
+the number of terms a sampled check of the identity sums, is at most tol.
 
 Certificates are scale-free: p is normalized to unit coefficient norm
 internally and the reported residual is relative to ||p||^2.
@@ -261,9 +265,21 @@ class SosCertificate:
 # Gauss-Newton polish on spectral factors
 # ----------------------------------------------------------------------
 
-def _factor_residual(proj, x_fac, y_fac):
-    diff = proj.residual(x_fac @ x_fac.conj().T, y_fac @ y_fac.conj().T)
-    return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
+def _half_rows(proj):
+    """Flat indices of the upper triangle and of its off-diagonal part, and row weights.
+
+    Re on the first and Im on the second carry the Hermitian residual; weights
+    sqrt(2) off the diagonal keep its Frobenius norm, so steps stay the same.
+    """
+    order = (proj.n + 1) * (proj.m + 1)
+    i, j = np.triu_indices(order)
+    flat, off = i * order + j, i != j
+    return flat, flat[off], np.where(np.concatenate([off, off[off]]), np.sqrt(2.0), 1.0)
+
+
+def _factor_residual(proj, rows, x_fac, y_fac):
+    diff = proj.residual(x_fac @ x_fac.conj().T, y_fac @ y_fac.conj().T).ravel()
+    return np.concatenate([diff[rows[0]].real, diff[rows[1]].imag])
 
 
 def _factor_directions(fac):
@@ -274,14 +290,25 @@ def _factor_directions(fac):
     return (left + left.conj().swapaxes(-1, -2)).reshape(2 * fac.size, rows, rows)
 
 
-def _factor_jacobian(proj, x_fac, y_fac):
+def _factor_jacobian(proj, rows, x_fac, y_fac):
     """Real Jacobian of the factor residual; columns follow Re/Im of each entry."""
     none = np.zeros((0, 0), dtype=complex)
     tens = np.concatenate([
         gram_pair_tensor(_factor_directions(x_fac), none, proj.n, proj.m),
         gram_pair_tensor(none, _factor_directions(y_fac), proj.n, proj.m),
     ]).reshape(-1, proj.target.size)
-    return np.concatenate([tens.real, tens.imag], axis=1).T
+    return np.concatenate([tens[:, rows[0]].real, tens[:, rows[1]].imag], axis=1).T
+
+
+# Steps drop singular values below this fraction of the largest: near a
+# rank-deficient solution (a boundary zero of p) they sit at rounding level.
+_STEP_RCOND = 1e-10
+
+
+def _gauss_newton_step(proj, rows, x_fac, y_fac, res):
+    """Minimum-norm least-squares step on the weighted half-size system."""
+    jac = _factor_jacobian(proj, rows, x_fac, y_fac) * rows[2][:, None]
+    return np.linalg.lstsq(jac, -rows[2] * res, rcond=_STEP_RCOND)[0]
 
 
 def _apply_step(x_fac, y_fac, step, scale):
@@ -298,38 +325,31 @@ def _polish_floor(tol):
 def _gauss_newton(proj, x_fac, y_fac, tol, max_iter=40):
     """Local refinement of the factor pair; returns (x, y, iterations) or None.
 
-    Iterates past the acceptance tolerance while steps keep improving, down
-    to a floor well below it, and hands back the best iterate seen.
+    Steps while they improve, down to a floor well below tol, or until LAPACK
+    fails.  Accepts only if the residual times (n+1)^2 (m+1)^2, the number of
+    terms `verify` sums in its sampled identity, is at most tol.
     """
-    floor = _polish_floor(tol)
-    best = (np.inf, x_fac, y_fac, 0)
-    for it in range(max_iter):
-        res = _factor_residual(proj, x_fac, y_fac)
-        norm_inf = float(np.max(np.abs(res), initial=0.0))
-        if norm_inf < best[0]:
-            best = (norm_inf, x_fac, y_fac, it)
-        if norm_inf <= floor:
-            return x_fac, y_fac, it
-        jac = _factor_jacobian(proj, x_fac, y_fac)
-        if jac.shape[1] == 0:
+    rows = _half_rows(proj)
+    res = _factor_residual(proj, rows, x_fac, y_fac)
+    norm_inf = float(np.max(np.abs(res), initial=0.0))
+    it = 0
+    while it < max_iter and norm_inf > _polish_floor(tol) and x_fac.size + y_fac.size:
+        try:
+            step = _gauss_newton_step(proj, rows, x_fac, y_fac, res)
+        except np.linalg.LinAlgError:
             break
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        improved = False
         for scale in (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125):
             x_new, y_new = _apply_step(x_fac, y_fac, step, scale)
-            res_new = _factor_residual(proj, x_new, y_new)
-            if float(np.max(np.abs(res_new), initial=0.0)) < norm_inf:
-                x_fac, y_fac = x_new, y_new
-                improved = True
+            res_new = _factor_residual(proj, rows, x_new, y_new)
+            norm_new = float(np.max(np.abs(res_new), initial=0.0))
+            if norm_new < norm_inf:
                 break
-        if not improved:
+        else:
             break
-    res = _factor_residual(proj, x_fac, y_fac)
-    norm_inf = float(np.max(np.abs(res), initial=0.0))
-    if norm_inf < best[0]:
-        best = (norm_inf, x_fac, y_fac, max_iter)
-    if best[0] <= tol:
-        return best[1], best[2], best[3]
+        x_fac, y_fac, res, norm_inf = x_new, y_new, res_new, norm_new
+        it += 1
+    if norm_inf * proj.target.size <= tol:
+        return x_fac, y_fac, it
     return None
 
 
@@ -359,21 +379,21 @@ def _truncated_factor(eig, rank):
 def _attempt_polish(proj, gram_a, gram_b, tol):
     eig_a, eig_b = eig_hermitian(gram_a), eig_hermitian(gram_b)
     thresholds = (1e-2, 1e-4, 1e-8)
-    for ra, rb in zip(_rank_candidates(eig_a.eigenvalues, thresholds),
-                      _rank_candidates(eig_b.eigenvalues, thresholds)):
+    pairs = zip(_rank_candidates(eig_a.eigenvalues, thresholds),
+                _rank_candidates(eig_b.eigenvalues, thresholds))
+    full = (gram_a.shape[0], gram_b.shape[0])
+    for ra, rb in dict.fromkeys([*pairs, full]):  # full-rank factors last, once
         result = _gauss_newton(proj, _truncated_factor(eig_a, ra), _truncated_factor(eig_b, rb), tol)
         if result is not None:
             return result
-    # last resort: full-rank factors
-    return _gauss_newton(proj, _truncated_factor(eig_a, gram_a.shape[0]),
-                         _truncated_factor(eig_b, gram_b.shape[0]), tol)
+    return None
 
 
 # ----------------------------------------------------------------------
 # solver
 # ----------------------------------------------------------------------
 
-_POLISH_CHECKPOINTS = (500, 1500, 4000, 10000, 25000, 60000, 150000)
+_POLISH_CHECKPOINTS = (50, 150, 500, 1500, 4000, 10000, 25000, 60000, 150000)
 
 
 def solve_gram(

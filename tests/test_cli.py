@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from aglerkit import cli
 from aglerkit.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NEGATIVE,
@@ -70,6 +72,14 @@ def product_average_smap_payload():
         "n": 2,
         "numerator": {"nvars": 3, "terms": {"1,1,0": [0.5, 0.0], "0,0,1": [0.5, 0.0]}},
         "denominator": {"nvars": 3, "terms": {"0,0,0": [1.0, 0.0]}},
+    }
+
+
+def boundary_attractor_smap_payload():
+    # F(z, w) = (1 + w)/2 has no interior fixed point
+    return {
+        "n": 1,
+        "numerator": {"nvars": 2, "terms": {"0,0": [0.5, 0.0], "0,1": [0.5, 0.0]}},
     }
 
 
@@ -203,6 +213,25 @@ class TestDecompose:
         assert "best residual" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lapack_failure_is_inconclusive_exit_3(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which would otherwise read as bad input
+        def failing_lstsq(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        inp = write_json(tmp_path / "p.json", classic_poly_payload())
+        monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+        # a failed polish step ends the attempt; the budget then runs out
+        assert main(["decompose", "--input", inp, "--max-iter", "200"]) == EXIT_INCONCLUSIVE
+        assert "best residual" in capsys.readouterr().err
+
+        def solve_calling_lstsq(*args, **kwargs):
+            return failing_lstsq()
+
+        # a LAPACK failure that escapes the solver is inconclusive too
+        monkeypatch.setattr(cli, "solve_gram", solve_calling_lstsq)
+        assert main(["decompose", "--input", inp]) == EXIT_INCONCLUSIVE
+        assert "SVD did not converge" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_round_trip_passes(self, classic_certificate, tmp_path, capsys):
@@ -285,17 +314,7 @@ class TestFixedgraph:
         assert payload["graph"]["provenance"]["tol"] == 1e-10
 
     def test_boundary_attractor_exit_2(self, tmp_path, capsys):
-        # F(z, w) = (1 + w)/2 has no interior fixed point
-        inp = write_json(
-            tmp_path / "smap.json",
-            {
-                "n": 1,
-                "numerator": {
-                    "nvars": 2,
-                    "terms": {"0,0": [0.5, 0.0], "0,1": [0.5, 0.0]},
-                },
-            },
-        )
+        inp = write_json(tmp_path / "smap.json", boundary_attractor_smap_payload())
         assert main(["fixedgraph", "--input", inp]) == EXIT_NEGATIVE
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "no_interior_fixed_point"
@@ -305,6 +324,13 @@ class TestFixedgraph:
     )
     def test_out_of_range_flags_exit_64(self, tmp_path, capsys, flags):
         inp = write_json(tmp_path / "smap.json", product_average_smap_payload())
+        assert main(["fixedgraph", "--input", inp] + flags) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", [["--radius", "1.5"], ["--grid", "0"]])
+    def test_grid_flags_checked_before_the_map_exit_64(self, tmp_path, capsys, flags):
+        # a map with no interior fixed point never reaches the graph
+        inp = write_json(tmp_path / "smap.json", boundary_attractor_smap_payload())
         assert main(["fixedgraph", "--input", inp] + flags) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 

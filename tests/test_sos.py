@@ -16,8 +16,12 @@ from aglerkit.poly2 import BivariatePolynomial
 from aglerkit.serialize import canonical_dumps
 from aglerkit.sos import (
     DisplacementProjector,
+    _STEP_RCOND,
     SosCertificate,
     _factor_jacobian,
+    _gauss_newton,
+    _gauss_newton_step,
+    _half_rows,
     displacement_class_sums,
     factors_from_gram,
     gram_from_factors,
@@ -204,12 +208,9 @@ class TestClosedFormProjection:
         generic = rng.standard_normal((3, 3, 3, 3))
         assert np.max(np.abs(displacement_class_sums(generic))) > 0.1
 
-    def test_batched_jacobian_equals_per_column_reference(self):
-        rng = np.random.default_rng(13)
-        n, m = 2, 3
-        proj = DisplacementProjector(sos_target_tensor(self.random_polynomial(rng, n, m)))
-        x_fac = rng.standard_normal((n * (m + 1), 3)) + 1j * rng.standard_normal((n * (m + 1), 3))
-        y_fac = rng.standard_normal(((n + 1) * m, 2)) + 1j * rng.standard_normal(((n + 1) * m, 2))
+    @staticmethod
+    def full_row_jacobian(n, m, x_fac, y_fac):
+        """Real Jacobian over every Re and Im entry of the residual, probed column by column."""
         columns = []
         for fac, is_a in ((x_fac, True), (y_fac, False)):
             rows, rank = fac.shape
@@ -223,7 +224,58 @@ class TestClosedFormProjection:
                         tens = gram_pair_tensor(dg, zero, n, m) if is_a \
                             else gram_pair_tensor(zero, dg, n, m)
                         columns.append(np.concatenate([tens.real.ravel(), tens.imag.ravel()]))
-        np.testing.assert_array_equal(_factor_jacobian(proj, x_fac, y_fac), np.stack(columns, axis=1))
+        return np.stack(columns, axis=1)
+
+    @staticmethod
+    def random_factor(rng, rows, rank):
+        return rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+
+    def test_batched_jacobian_equals_per_column_reference(self):
+        rng = np.random.default_rng(13)
+        n, m = 2, 3
+        proj = DisplacementProjector(sos_target_tensor(self.random_polynomial(rng, n, m)))
+        x_fac = self.random_factor(rng, n * (m + 1), 3)
+        y_fac = self.random_factor(rng, (n + 1) * m, 2)
+        upper, strict, _ = rows = _half_rows(proj)
+        full = self.full_row_jacobian(n, m, x_fac, y_fac)
+        reference = np.concatenate([full[upper], full[proj.target.size + strict]])
+        np.testing.assert_array_equal(_factor_jacobian(proj, rows, x_fac, y_fac), reference)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 3)])
+    def test_half_row_step_equals_full_row_step(self, n, m):
+        # the dropped rows mirror the kept ones, so the least-squares problem is the same
+        rng = np.random.default_rng(400 + 10 * n + m)
+        proj = DisplacementProjector(sos_target_tensor(self.random_polynomial(rng, n, m)))
+        x_fac = self.random_factor(rng, n * (m + 1), n * (m + 1))
+        y_fac = self.random_factor(rng, (n + 1) * m, (n + 1) * m)
+        diff = proj.residual(x_fac @ x_fac.conj().T, y_fac @ y_fac.conj().T)
+        full_res = np.concatenate([diff.real.ravel(), diff.imag.ravel()])
+        full_step = np.linalg.lstsq(
+            self.full_row_jacobian(n, m, x_fac, y_fac), -full_res, rcond=_STEP_RCOND
+        )[0]
+        upper, strict, _ = rows = _half_rows(proj)
+        flat = diff.ravel()
+        half_res = np.concatenate([flat[upper].real, flat[strict].imag])
+        half_step = _gauss_newton_step(proj, rows, x_fac, y_fac, half_res)
+        assert np.linalg.norm(half_step - full_step) <= 1e-12 * np.linalg.norm(full_step)
+
+    def test_lapack_failure_ends_the_polish_attempt(self, monkeypatch):
+        calls = []
+
+        def failing_lstsq(*args, **kwargs):
+            calls.append(1)
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+        rng = np.random.default_rng(17)
+        proj = DisplacementProjector(sos_target_tensor(CLASSIC.scale(1.0 / CLASSIC.coeff_norm())))
+        x_fac, y_fac = self.random_factor(rng, 2, 1), self.random_factor(rng, 2, 1)
+        assert _gauss_newton(proj, x_fac, y_fac, 1e-9) is None
+        assert len(calls) == 1
+        # a solve whose every polish fails still ends in the budget error, not a LAPACK one
+        with pytest.raises(InfeasibleError):
+            solve_gram(CLASSIC, max_iter=200)
+        assert len(calls) > 1
 
 
 class TestParametrization:
@@ -388,10 +440,47 @@ def strictly_stable(coeffs, margin=2.0 / 3.0):
 
 def assert_certifies(p):
     cert = solve_gram(p)
-    assert cert.residual <= cert.tol
+    # the acceptance rule: verify sums (n+1)^2 (m+1)^2 coefficient errors against tol
+    n, m = p.bidegree
+    assert cert.residual * (n + 1) ** 2 * (m + 1) ** 2 <= cert.tol
     bundle = KernelBundle.from_certificate(cert)
     assert verify_decomposition(bundle).passed
     assert check_bounds(bundle).passed
+    return cert
+
+
+DEG33 = np.zeros((4, 4))
+DEG33[0, 0], DEG33[1, 0], DEG33[0, 1], DEG33[1, 2], DEG33[3, 3] = 8.0, -1.0, -2.0, -1.0, -1.0
+CORPUS = {
+    "classic": CLASSIC,
+    "wide_margin": BivariatePolynomial([[4.0, -1.0], [-1.0, 0.0]]),
+    "product_22": BivariatePolynomial([[8.0, -6.0, 1.0], [-6.0, 2.0, 0.0], [1.0, 0.0, 0.0]]),
+    "degree_12": BivariatePolynomial([[4.0, -1.0, -1.0], [-1.0, 0.0, 0.0]]),
+    "degree_33": BivariatePolynomial(DEG33),
+}
+
+
+def seeded_strictly_stable(seed, n, m):
+    rng = np.random.default_rng(seed)
+    return strictly_stable(rng.standard_normal((n + 1, m + 1)) + 1j * rng.standard_normal((n + 1, m + 1)))
+
+
+class TestAcceptanceRule:
+    """A certificate is returned only when the sampled identity can pass at the same tol."""
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus_certificates_meet_the_rule(self, name):
+        assert_certifies(CORPUS[name])
+
+    @pytest.mark.parametrize("seed,n,m", [(1, 1, 1), (2, 1, 3), (3, 2, 2), (4, 3, 1), (5, 2, 3), (6, 3, 3)])
+    def test_seeded_random_certificates_meet_the_rule(self, seed, n, m):
+        assert_certifies(seeded_strictly_stable(seed, n, m))
+
+    @pytest.mark.parametrize("p", [CORPUS["product_22"], CORPUS["degree_33"], seeded_strictly_stable(7, 2, 2)],
+                             ids=["product_22", "degree_33", "random_22"])
+    def test_polish_ends_dykstra_by_the_second_checkpoint(self, p):
+        # a change that delays the polish shows here as a count, not a timing
+        assert assert_certifies(p).iterations <= 150
 
 
 class TestStrictlyStableSweep:
