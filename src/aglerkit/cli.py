@@ -98,6 +98,8 @@ def _cmd_stability(args):
 
 
 def _cmd_decompose(args):
+    if int(args.max_iter) < 1 or not args.tol > 0.0:
+        raise ValueError("--max-iter must be positive and --tol must be positive")
     payload = _read_input(args.input)
     p = _polynomial_from(payload)
     pre = check_stability(p, torus_grid=128, disk_grid=16, tol=args.tol)

@@ -32,7 +32,7 @@ IDENTITY_IN_W = "identity"
 UNIQUE_GRAPH = "unique_graph"
 NO_FIXED_POINTS = "no_fixed_points"
 
-_DIFF_STEP = 1e-6  # central-difference step of dF/dw for a raw callable
+_DIFF_STEP = 1e-6  # central-difference step of dF/dw for a row evaluator
 _SCHUR_RADIUS = 0.95  # polydisk radius of the sampled |F| <= 1 check
 _SCHUR_TOL = 1e-9
 _DEDUP_TOL = 1e-8  # Newton solutions this close count as one fixed point
@@ -50,52 +50,33 @@ _IDENTITY_TOL = 1e-10
 class SchurMap:
     """Map F(z, w) with z in the polydisk D^n and w in the disk.
 
-    The map may be given as a rational map in n + 1 variables (w last),
-    which yields an exact dF/dw, or as a raw callable ``fn(z, w)`` on one
-    point, which an adapter calls row by row and whose dF/dw falls back to
-    central differences.
+    The map is given either exactly, as a rational map in n + 1 variables
+    (w last) with an exact dF/dw, or by ``evaluate``, a callable taking
+    (N, n + 1) rows (w last) to (N,) values, whose dF/dw is a central
+    difference.  Exactly one of the two must be given.
     """
 
-    def __init__(self, n, fn=None, rational=None, name=None):
+    def __init__(self, n, rational=None, evaluate=None, name=None):
         self.n = int(n)
         if self.n < 1:
             raise ValueError("the map needs at least one z variable")
+        if (rational is None) == (evaluate is None):
+            raise ValueError("provide exactly one of a rational map and a row evaluator")
         if rational is not None and rational.nvars != self.n + 1:
             raise ValueError(
                 "rational map must use %d variables (z..., w)" % (self.n + 1)
             )
-        if fn is None and rational is None:
-            raise ValueError("provide a callable or a rational map")
-        self.fn = fn
         self.rational = rational
         self.name = name
-        self._evaluate = rational.evaluate if rational is not None else self._row_loop
-
-    @classmethod
-    def _batched(cls, n, evaluate):
-        """Map given by ``evaluate`` on (N, n + 1) rows (w last), returning (N,).
-
-        Used for reduced retract components, whose every call is one batched
-        graph solve; dF/dw is a central difference.
-        """
-        smap = cls(n, fn=evaluate)
-        smap._evaluate = evaluate
-        return smap
-
-    def _row_loop(self, pts):
-        """A raw callable takes one (z, w) pair per call; the only row loop."""
-        return np.array(
-            [complex(self.fn(row[: self.n], complex(row[self.n]))) for row in pts],
-            dtype=complex,
-        )
+        self._evaluate = rational.evaluate if rational is not None else evaluate
 
     def _rows(self, Z, W, dw=False):
         """F, or dF/dw when ``dw`` is set, at each row pair.
 
         W has shape (N,) and Z shape (N, n), or (n,) for one z shared by
-        every row.  Every kind of map is evaluated by one call on an
+        every row.  Either kind of map is evaluated by one call on an
         (N, n + 1) array; dF/dw is exact for a rational map and a central
-        difference otherwise, plus and minus sharing one call.
+        difference for a row evaluator, plus and minus sharing one call.
         """
         pts = np.empty((len(W), self.n + 1), dtype=complex)
         pts[:, : self.n] = Z
@@ -157,7 +138,7 @@ class SchurMap:
 
     def to_json(self):
         if self.rational is None:
-            raise ValueError("a map built from a raw callable cannot be serialized")
+            raise ValueError("a map given by a row evaluator cannot be serialized")
         payload = {"n": self.n}
         payload.update(self.rational.to_json())
         if self.name:
@@ -358,17 +339,15 @@ class GraphFunction:
     """Graph w = f(z) stored on a grid, with residuals and provenance.
 
     axes holds one node array per z variable; values and residuals are
-    arrays over the Cartesian product of the axes.  Evaluation at new
-    points either delegates to an attached evaluator, a callable on (N, k)
-    rows, or reruns Newton seeded from each row's nearest grid node.
+    arrays over the Cartesian product of the axes.  evaluator computes f
+    at new points: a callable taking (N, k) rows to (N,) values.
     """
 
     axes: tuple
     values: np.ndarray
     residuals: np.ndarray
+    evaluator: object
     provenance: dict = field(default_factory=dict)
-    smap: SchurMap | None = None
-    evaluator: object | None = None
 
     @property
     def max_residual(self):
@@ -378,30 +357,10 @@ class GraphFunction:
         return float(np.max(arr))
 
     def evaluate(self, z):
-        """f at one point (k,), as a complex, or at the rows of (N, k), as (N,).
-
-        An attached evaluator gets the rows; otherwise each row reruns
-        Newton from its nearest grid node, all rows in one sweep.
-        """
+        """f at one point (k,), as a complex, or at the rows of (N, k), as (N,)."""
         z = np.asarray(z, dtype=complex)
         rows = z if z.ndim == 2 else z.reshape(1, -1)
-        if self.evaluator is not None:
-            values = np.asarray(self.evaluator(rows), dtype=complex)
-        else:
-            if self.smap is None:
-                raise InconsistencyError("graph has no evaluator and no map attached")
-            if rows.shape[1] != len(self.axes):
-                raise ValueError("point dimension does not match the graph axes")
-            nearest = tuple(
-                np.argmin(np.abs(ax[None, :] - rows[:, i, None]), axis=1)
-                for i, ax in enumerate(self.axes)
-            )
-            values, _, ok = _newton(self.smap, rows, np.asarray(self.values)[nearest])
-            if not ok.all():
-                raise DegenerateContinuationError(
-                    "fixed-point refinement failed at a query point",
-                    location=tuple(complex(v) for v in rows[np.argmin(ok)]),
-                )
+        values = np.asarray(self.evaluator(rows), dtype=complex)
         return values if z.ndim == 2 else complex(values[0])
 
     def to_json(self):
@@ -411,6 +370,16 @@ class GraphFunction:
             "residuals": np.asarray(self.residuals, dtype=float).tolist(),
             "provenance": dict(self.provenance),
         }
+
+
+def _solve_rows(smap, rows, start, tol, failure):
+    """Newton from ``start`` at each row; a failed row raises with its location."""
+    values, _, ok = _newton(smap, rows, start, tol=tol)
+    if not ok.all():
+        raise DegenerateContinuationError(
+            failure, location=tuple(complex(v) for v in rows[np.argmin(ok)])
+        )
+    return values
 
 
 def local_graph(smap, record, points, tol=1e-12):
@@ -433,12 +402,10 @@ def local_graph(smap, record, points, tol=1e-12):
             location=tuple(complex(v) for v in record.z),
         )
     pts = np.asarray(points, dtype=complex).reshape(-1, smap.n)
-    values, _, ok = _newton(smap, pts, np.full(len(pts), complex(record.w)), tol=tol)
-    if not ok.all():
-        raise DegenerateContinuationError(
-            "Newton from the anchor value failed to converge at a point",
-            location=tuple(complex(v) for v in pts[np.argmin(ok)]),
-        )
+    values = _solve_rows(
+        smap, pts, np.full(len(pts), complex(record.w)), tol,
+        "Newton from the anchor value failed to converge at a point",
+    )
     residuals = np.abs(smap._rows(pts, values) - values)
     return values, residuals
 
@@ -452,7 +419,8 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     for Schur-class positivity.  All diagnostics land in the returned
     GraphFunction's provenance.  The axes are disk_points(grid, radius) for
     every z variable; a radius outside (0, 1] raises ValueError, as F is
-    Schur-class only on the closed polydisk.
+    Schur-class only on the closed polydisk.  The graph evaluates new
+    points by Newton at ``tol``, each seeded from its nearest grid node.
     """
     if not 0.0 < radius <= 1.0:
         raise ValueError("grid radius must lie in (0, 1]")
@@ -466,6 +434,7 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     shape = tuple(len(ax) for ax in axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, smap.n)
     values, residuals = local_graph(smap, record, nodes, tol)
+    grid_values = values.reshape(shape)
     max_deriv = float(np.max(np.abs(smap._rows(nodes, values, dw=True))))
     max_modulus = float(np.max(np.abs(values)))
 
@@ -492,12 +461,25 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
         "tol": float(tol),
         "seed": int(seed),
     }
+
+    def evaluator(rows):
+        if rows.shape[1] != smap.n:
+            raise ValueError("point dimension does not match the graph axes")
+        nearest = tuple(
+            np.argmin(np.abs(ax[None, :] - rows[:, i, None]), axis=1)
+            for i, ax in enumerate(axes)
+        )
+        return _solve_rows(
+            smap, rows, grid_values[nearest], tol,
+            "fixed-point refinement failed at a query point",
+        )
+
     return GraphFunction(
         axes=axes,
-        values=values.reshape(shape),
+        values=grid_values,
         residuals=residuals.reshape(shape),
+        evaluator=evaluator,
         provenance=provenance,
-        smap=smap,
     )
 
 

@@ -4,7 +4,9 @@
 bidegree bookkeeping and reflection.  The fixed-point and retract layers
 work with maps of three or more variables where dense grids get wasteful,
 so this module stores a sparse exponent-to-coefficient table instead and
-adds exact partial derivatives for quotients.
+adds exact partial derivatives for quotients.  These are the exact maps
+of those layers; ``evaluate`` on a ``(..., nvars)`` array is the one way
+to evaluate either kind.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ class MultiPoly:
             self._coef = np.zeros(0, dtype=complex)
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars, {})
-
-    @classmethod
     def constant(cls, nvars, value):
         return cls(nvars, {(0,) * nvars: complex(value)})
 
@@ -72,10 +70,6 @@ class MultiPoly:
         expo = [0] * nvars
         expo[index] = 1
         return cls(nvars, {tuple(expo): 1.0 + 0.0j})
-
-    @classmethod
-    def monomial(cls, nvars, exponents, coeff=1.0):
-        return cls(nvars, {tuple(exponents): complex(coeff)})
 
     def coeff_norm(self):
         if self._coef.size == 0:
@@ -93,18 +87,6 @@ class MultiPoly:
             return np.zeros(pts.shape[:-1], dtype=complex)
         powers = pts[..., None, :] ** self._expo
         return powers.prod(axis=-1) @ self._coef
-
-    def __call__(self, *coords):
-        if len(coords) != self.nvars:
-            raise ValueError(
-                "expected %d coordinate arguments, got %d" % (self.nvars, len(coords))
-            )
-        broad = np.broadcast_arrays(*[np.asarray(c, dtype=complex) for c in coords])
-        pts = np.stack(broad, axis=-1)
-        values = self.evaluate(pts)
-        if np.ndim(values) == 0:
-            return complex(values)
-        return values
 
     def partial(self, index):
         """Partial derivative with respect to variable ``index``."""
@@ -164,12 +146,6 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other, self.nvars)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, numbers.Number):
             return MultiPoly(
@@ -186,17 +162,6 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def allclose(self, other, tol=1e-12):
-        other = _coerce(other, self.nvars)
-        if other is NotImplemented:
-            raise TypeError("cannot compare with %r" % type(other))
-        keys = set(self.terms) | set(other.terms)
-        for key in keys:
-            delta = self.terms.get(key, 0.0) - other.terms.get(key, 0.0)
-            if abs(delta) > tol:
-                return False
-        return True
 
     def to_json(self):
         return {
@@ -256,18 +221,6 @@ class RationalMap:
         if np.any(np.abs(den) <= self._pole_tol):
             raise DomainError("denominator vanishes at an evaluation point")
         return num / den
-
-    def __call__(self, *coords):
-        if len(coords) != self.nvars:
-            raise ValueError(
-                "expected %d coordinate arguments, got %d" % (self.nvars, len(coords))
-            )
-        broad = np.broadcast_arrays(*[np.asarray(c, dtype=complex) for c in coords])
-        pts = np.stack(broad, axis=-1)
-        values = self.evaluate(pts)
-        if np.ndim(values) == 0:
-            return complex(values)
-        return values
 
     def partial(self, index):
         num = (

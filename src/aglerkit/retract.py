@@ -50,8 +50,8 @@ _SCAN_SAMPLES = 60  # polydisk points at which classify_components compares colu
 class RetractMap:
     """Self-map of D^n given componentwise.
 
-    Components may be MultiPoly or RationalMap instances (exact, and
-    serializable) or plain callables taking the full coordinate vector.
+    Each component is exact, a MultiPoly or a RationalMap in n variables,
+    so the map serializes; anything else raises TypeError.
     """
 
     def __init__(self, n, components, name=None):
@@ -62,7 +62,9 @@ class RetractMap:
         if len(components) != self.n:
             raise ValueError("need exactly one component per coordinate")
         for comp in components:
-            if isinstance(comp, (MultiPoly, RationalMap)) and comp.nvars != self.n:
+            if not isinstance(comp, (MultiPoly, RationalMap)):
+                raise TypeError("a component must be a MultiPoly or a RationalMap")
+            if comp.nvars != self.n:
                 raise ValueError("component variable count does not match the map")
         self.components = components
         self.name = name
@@ -75,11 +77,7 @@ class RetractMap:
         """Components ``cols`` at the rows of an (N, n) array, as (N, len(cols))."""
         out = np.empty((len(pts), len(cols)), dtype=complex)
         for c, j in enumerate(cols):
-            comp = self.components[j]
-            if isinstance(comp, (MultiPoly, RationalMap)):
-                out[:, c] = comp.evaluate(pts)
-            else:
-                out[:, c] = [complex(comp(p)) for p in pts]
+            out[:, c] = self.components[j].evaluate(pts)
         return out
 
     def __call__(self, z):
@@ -91,14 +89,11 @@ class RetractMap:
         return self._columns(pts, range(self.n))
 
     def to_json(self):
-        comps = []
-        for comp in self.components:
-            if isinstance(comp, MultiPoly):
-                comps.append({"type": "polynomial", "data": comp.to_json()})
-            elif isinstance(comp, RationalMap):
-                comps.append({"type": "rational", "data": comp.to_json()})
-            else:
-                raise ValueError("callable components cannot be serialized")
+        comps = [
+            {"type": "polynomial" if isinstance(comp, MultiPoly) else "rational",
+             "data": comp.to_json()}
+            for comp in self.components
+        ]
         payload = {"n": self.n, "components": comps}
         if self.name:
             payload["name"] = str(self.name)
@@ -131,12 +126,15 @@ class RetractMap:
 class _DerivedMap(RetractMap):
     """Reduced or permuted map, evaluated as a whole by columns(pts, cols).
 
-    It has no component objects (each is None), so it cannot be serialized.
+    It has no component objects, so it cannot be serialized.
     """
 
     def __init__(self, n, columns):
-        super().__init__(n, (None,) * n)
+        self.n = n
         self._columns = columns
+
+    def to_json(self):
+        raise ValueError("a reduced or permuted map cannot be serialized")
 
 
 def verify_idempotent(rho, samples=400, seed=7, radius=0.9, tol=1e-9):
@@ -368,13 +366,13 @@ class ConjugationChain:
 
 
 def _permute_map(rho, order):
-    """P . rho . P^{-1}; a map of polynomial and rational components stays exact."""
+    """P . rho . P^{-1}; a map of exact components stays exact."""
     n = rho.n
     inv = np.argsort(order)
-    comps = [rho.components[j] for j in order]
-    if not all(isinstance(comp, (MultiPoly, RationalMap)) for comp in comps):
+    if isinstance(rho, _DerivedMap):
         order = np.asarray(order)
         return _DerivedMap(n, lambda pts, cols: rho._columns(pts[:, inv], order[list(cols)]))
+    comps = [rho.components[j] for j in order]
     return RetractMap(n, tuple(
         comp.embed(n, inv) if isinstance(comp, MultiPoly)
         else RationalMap(comp.numerator.embed(n, inv), comp.denominator.embed(n, inv))
@@ -383,13 +381,12 @@ def _permute_map(rho, order):
 
 
 def _schur_from_last(rho):
-    comp = rho.components[-1]
     head = rho.n - 1
-    if isinstance(comp, RationalMap):
-        return SchurMap(head, rational=comp)
-    if isinstance(comp, MultiPoly):
-        return SchurMap(head, rational=RationalMap(comp))
-    return SchurMap._batched(head, lambda pts: rho._columns(pts, [head])[:, 0])
+    if isinstance(rho, _DerivedMap):
+        # every call is one batched graph solve of the reduced map
+        return SchurMap(head, evaluate=lambda pts: rho._columns(pts, [head])[:, 0])
+    comp = rho.components[-1]
+    return SchurMap(head, rational=comp if isinstance(comp, RationalMap) else RationalMap(comp))
 
 
 def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
@@ -567,10 +564,12 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
     components off as fixed-point graphs, and materializes every graph
     component over a grid on the free block together with the residual
     ||rho_norm(v) - v||_inf at each node.  A grid radius outside (0, 1]
-    raises ValueError.
+    or a grid of fewer than one node per axis raises ValueError.
     """
     if not 0.0 < radius <= 1.0:
         raise ValueError("grid radius must lie in (0, 1]")
+    if int(grid) < 1:
+        raise ValueError("grid must be a positive integer")
     report = verify_idempotent(
         rho, samples=samples, seed=seed, radius=min(radius + 0.05, 0.95), tol=tol
     )

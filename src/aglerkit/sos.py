@@ -35,7 +35,7 @@ internally and the reported residual is relative to ||p||^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,7 +226,6 @@ class SosCertificate:
     seed: int
     tol: float
     polish_iterations: int = 0
-    residual_trace: np.ndarray | None = field(default=None, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -407,8 +406,11 @@ def solve_gram(
     Stability of p is the caller's responsibility (gate with check_stability).
     With no pair within tol after max_iter iterations and the polish, it
     raises InfeasibleError with the best residual reached: for unstable p no
-    pair exists, but stopping at max_iter alone proves nothing.
+    pair exists, but stopping at max_iter alone proves nothing.  A max_iter
+    below 1 or a tol that is not positive raises ValueError.
     """
+    if max_iter < 1 or not tol > 0.0:
+        raise ValueError("max_iter must be at least 1 and tol must be positive")
     scale = p.coeff_norm()
     if scale == 0.0:
         raise ValueError("cannot decompose the zero polynomial")
@@ -434,7 +436,6 @@ def solve_gram(
     x_a, x_b = proj.project(random_hermitian(proj.order_a), random_hermitian(proj.order_b))
     corr_a, corr_b = np.zeros_like(x_a), np.zeros_like(x_b)
 
-    trace = []
     best_res = np.inf
     best_pair = None
     converged = False
@@ -449,7 +450,6 @@ def solve_gram(
 
         residual = proj.residual(psd_a, psd_b)
         res = float(np.max(np.abs(residual)))
-        trace.append(res)
         if res < best_res:
             best_res = res
             best_pair = (psd_a, psd_b)
@@ -503,5 +503,4 @@ def solve_gram(
         seed=seed,
         tol=tol,
         polish_iterations=polish_iterations,
-        residual_trace=np.asarray(trace),
     )

@@ -213,6 +213,16 @@ class TestDecompose:
         assert "best residual" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--max-iter", "0"], ["--max-iter", "-5"], ["--tol", "0"], ["--tol", "-1e-9"]]
+    )
+    def test_bad_budget_or_tolerance_exit_64(self, tmp_path, capsys, flags):
+        # checked before the input is read, so an unstable input exits 64 too
+        for name, payload in (("p", classic_poly_payload()), ("bad", interior_zero_payload())):
+            inp = write_json(tmp_path / (name + ".json"), payload)
+            assert main(["decompose", "--input", inp] + flags) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_lapack_failure_is_inconclusive_exit_3(self, tmp_path, monkeypatch, capsys):
         # LinAlgError subclasses ValueError, which would otherwise read as bad input
         def failing_lstsq(*args, **kwargs):
@@ -372,6 +382,20 @@ class TestRetract:
         inp = write_json(tmp_path / "rho.json", parabola_retract_payload())
         for radius in ("1.5", "-0.5"):
             assert main(["retract", "--input", inp, "--radius", radius]) == EXIT_USAGE
+
+    def test_grid_below_one_exit_64(self, tmp_path, capsys):
+        # the constant map needs no grid solve, the identity only disk_points
+        constant = {"n": 1, "components": [
+            {"type": "polynomial", "data": {"nvars": 1, "terms": {"0": [0.3, 0.0]}}}]}
+        identity = {"n": 1, "components": [
+            {"type": "polynomial", "data": {"nvars": 1, "terms": {"1": [1.0, 0.0]}}}]}
+        for name, payload in (("constant", constant), ("identity", identity)):
+            inp = write_json(tmp_path / (name + ".json"), payload)
+            assert main(["retract", "--input", inp]) == EXIT_OK
+            capsys.readouterr()
+            for grid in ("0", "-3"):
+                assert main(["retract", "--input", inp, "--grid", grid]) == EXIT_USAGE
+            assert capsys.readouterr().out == ""
 
 
 def readme_synopsis():

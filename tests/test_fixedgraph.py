@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aglerkit import fixedgraph
 from aglerkit.errors import DegenerateContinuationError, InconsistencyError
 from aglerkit.fixedgraph import (
     CLASS_AUTOMORPHISM,
@@ -107,19 +108,24 @@ class TestSchurMap:
         assert abs(smap.partial_w(z, w) - 0.5) <= 1e-15
 
     def test_callable_partials_use_central_differences(self):
-        smap = SchurMap(2, fn=lambda z, w: (z[0] * z[1] + w) / 2)
+        smap = SchurMap(2, evaluate=lambda p: (p[:, 0] * p[:, 1] + p[:, 2]) / 2)
         z = np.array([0.3 + 0.1j, -0.2 + 0.4j])
         w = 0.25 - 0.15j
         assert abs(smap.partial_w(z, w) - 0.5) <= 1e-9
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            SchurMap(0, fn=lambda z, w: w)
-        with pytest.raises(ValueError):
-            SchurMap(1)
+            SchurMap(0, evaluate=lambda p: p[:, -1])
         num = MultiPoly(3, {(0, 0, 1): 1.0})
         with pytest.raises(ValueError):
             SchurMap(1, rational=RationalMap(num))
+
+    def test_exactly_one_of_rational_and_evaluate(self):
+        rational = RationalMap(MultiPoly(2, {(0, 1): 0.5}))
+        with pytest.raises(ValueError):
+            SchurMap(1)
+        with pytest.raises(ValueError):
+            SchurMap(1, rational=rational, evaluate=rational.evaluate)
 
     def test_check_schur_passes_for_average_map(self):
         report = product_average_map().check_schur()
@@ -128,7 +134,7 @@ class TestSchurMap:
         assert report["samples"] == 200
 
     def test_check_schur_flags_expanding_map(self):
-        smap = SchurMap(1, fn=lambda z, w: 2.0 * w)
+        smap = SchurMap(1, evaluate=lambda p: 2.0 * p[:, 1])
         report = smap.check_schur()
         assert report["passed"] is False
         assert report["max_modulus"] > 1.5
@@ -146,7 +152,7 @@ class TestSchurMap:
         assert abs(clone(z, 0.2) - smap(z, 0.2)) <= 1e-15
 
     def test_callable_map_refuses_serialization(self):
-        smap = SchurMap(1, fn=lambda z, w: w / 2)
+        smap = SchurMap(1, evaluate=lambda p: p[:, 1] / 2)
         with pytest.raises(ValueError):
             smap.to_json()
 
@@ -198,13 +204,13 @@ class TestFindFixedW:
 
     def test_derivative_above_one_raises(self):
         # 2 w^2 fixes w = 1/2 with slope 2, impossible for a disk self-map
-        smap = SchurMap(1, fn=lambda z, w: 2.0 * w * w)
+        smap = SchurMap(1, evaluate=lambda p: 2.0 * p[:, 1] ** 2)
         with pytest.raises(InconsistencyError):
             find_fixed_w(smap, [0.0])
 
     def test_two_interior_fixed_points_raise(self):
         # w (1.36 - w^2) fixes -0.6, 0, 0.6 with slope 0.28 at the outer pair
-        smap = SchurMap(1, fn=lambda z, w: w * (1.36 - w * w))
+        smap = SchurMap(1, evaluate=lambda p: p[:, 1] * (1.36 - p[:, 1] ** 2))
         with pytest.raises(InconsistencyError):
             find_fixed_w(smap, [0.0], seeds=[-0.6, 0.6])
 
@@ -245,7 +251,7 @@ class TestDetectAutomorphism:
         assert abs(phi(w) - (w - 0.5) / (1 - w / 2)) <= 1e-10
 
     def test_sign_flip_detected(self):
-        smap = SchurMap(1, fn=lambda z, w: -w)
+        smap = SchurMap(1, evaluate=lambda p: -p[:, 1])
         phi = detect_w_automorphism(smap)
         assert phi is not None
         assert abs(phi.factor - 1.0) <= 1e-8
@@ -370,13 +376,27 @@ class TestContinueGraph:
     def test_callable_map_matches_rational_map(self):
         rational = nonlinear_rational_map()
         exact = SchurMap(2, rational=rational)
-        sampled = SchurMap(2, fn=lambda z, w: rational(z[0], z[1], w))
+        sampled = SchurMap(2, evaluate=rational.evaluate)
         graphs = [
             continue_graph(smap, find_fixed_w(smap, [0.0, 0.0])[0], radius=0.85, grid=8)
             for smap in (exact, sampled)
         ]
         assert np.max(np.abs(graphs[0].values - graphs[1].values)) <= 1e-12
         assert graphs[1].max_residual <= 1e-12
+
+    def test_evaluate_solves_at_the_graph_tolerance(self, monkeypatch):
+        smap = product_average_map()
+        graph = continue_graph(smap, find_fixed_w(smap, [0.0, 0.0])[0], grid=6, tol=1e-10)
+        seen = []
+        newton = fixedgraph._newton
+
+        def spy(smap, Z, W, tol=1e-12, max_iter=50):
+            seen.append(tol)
+            return newton(smap, Z, W, tol, max_iter)
+
+        monkeypatch.setattr(fixedgraph, "_newton", spy)
+        assert abs(graph.evaluate([0.3, -0.2j]) - 0.3 * -0.2j) <= 1e-10
+        assert seen == [1e-10]
 
     def test_node_whose_fixed_point_leaves_the_disk_raises_with_location(self):
         smap = escaping_graph_map()

@@ -98,11 +98,9 @@ class TestRetractMap:
         with pytest.raises(ValueError):
             RetractMap(2, (MultiPoly(1, {(1,): 1.0}), MultiPoly(2, {(0, 1): 1.0})))
 
-    def test_callable_components_evaluate(self):
-        rho = RetractMap(2, (lambda z: z[0], lambda z: z[0] * z[0]))
-        out = rho([0.5, 0.1])
-        assert abs(out[0] - 0.5) <= 1e-15
-        assert abs(out[1] - 0.25) <= 1e-15
+    def test_callable_components_raise_type_error(self):
+        with pytest.raises(TypeError):
+            RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), lambda z: z[0] * z[0]))
 
     def test_evaluate_batch_shape(self):
         rho = parabola_map()
@@ -120,10 +118,10 @@ class TestRetractMap:
         z = np.array([0.3, -0.2j])
         assert np.max(np.abs(clone(z) - rho(z))) <= 1e-15
 
-    def test_callable_components_refuse_serialization(self):
-        rho = RetractMap(1, (lambda z: z[0],))
+    def test_reduced_map_refuses_serialization(self):
+        reduced, _ = reduce_dimension(parabola_map())
         with pytest.raises(ValueError):
-            rho.to_json()
+            reduced.to_json()
 
 
 class TestVerifyIdempotent:

@@ -360,12 +360,16 @@ class TestSolveGram:
             ) + (1 - abs(z2) ** 2) * sum(abs(q(z1, z2)) ** 2 for q in cert.b_polys)
             assert abs(lhs - rhs) <= 1e-6 * scale
 
-    def test_residual_trace_is_monotone_within_slack(self):
-        cert = solve_gram(CLASSIC, tol=1e-8, seed=42)
-        trace = cert.residual_trace
-        assert trace is not None and trace.size >= 1
-        drops = np.diff(trace)
-        assert np.all(drops <= 1e-12 + 0.0 * drops) or np.max(drops) <= 1e-12
+    @pytest.mark.parametrize(
+        "max_iter, tol", [(0, 1e-9), (-5, 1e-9), (100, 0.0), (100, -1e-9), (100, float("nan"))]
+    )
+    def test_bad_budget_or_tolerance_raises_before_any_work(self, max_iter, tol, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("solve_gram started work")
+
+        monkeypatch.setattr("aglerkit.sos.sos_target_tensor", no_work)
+        with pytest.raises(ValueError):
+            solve_gram(CLASSIC, tol=tol, max_iter=max_iter)
 
     def test_same_seed_reproduces_certificate_exactly(self):
         a = solve_gram(CLASSIC, tol=1e-8, seed=42)
