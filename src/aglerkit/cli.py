@@ -170,8 +170,8 @@ def _cmd_pick(args):
 
 
 def _cmd_fixedgraph(args):
-    if not 0.0 < args.radius <= 1.0 or int(args.grid) < 1:
-        raise ValueError("--radius must lie in (0, 1] and --grid must be positive")
+    if not 0.0 < args.radius <= 1.0 or int(args.grid) < 1 or not 0.0 < args.tol < np.inf:
+        raise ValueError("--radius must lie in (0, 1], --grid positive and --tol finite, positive")
     payload = _read_input(args.input)
     smap = SchurMap.from_json(payload)
     schur_report = smap.check_schur(samples=int(args.samples), seed=int(args.seed))

@@ -13,7 +13,6 @@ together by one damped Newton sweep from the anchor value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +52,10 @@ class SchurMap:
     The map is given either exactly, as a rational map in n + 1 variables
     (w last) with an exact dF/dw, or by ``evaluate``, a callable taking
     (N, n + 1) rows (w last) to (N,) values, whose dF/dw is a central
-    difference.  Exactly one of the two must be given.
+    difference.  Exactly one of the two must be given.  Either way F and
+    dF/dw at a set of rows come from one evaluation: one table of the
+    rational map, or one call of ``evaluate`` on the rows and their two
+    shifts in w.
     """
 
     def __init__(self, n, rational=None, evaluate=None, name=None):
@@ -71,42 +73,40 @@ class SchurMap:
         self._evaluate = rational.evaluate if rational is not None else evaluate
 
     def _rows(self, Z, W, dw=False):
-        """F, or dF/dw when ``dw`` is set, at each row pair.
+        """F at each row pair, or the pair (F, dF/dw) when ``dw`` is set.
 
         W has shape (N,) and Z shape (N, n), or (n,) for one z shared by
-        every row.  Either kind of map is evaluated by one call on an
-        (N, n + 1) array; dF/dw is exact for a rational map and a central
-        difference for a row evaluator, plus and minus sharing one call.
+        every row.  Either kind of map is evaluated by one call on the
+        rows: a rational map gives F and its exact dF/dw from one table, and
+        a row evaluator gets [rows, rows + h, rows - h] for F and a central
+        difference.
         """
-        pts = np.empty((len(W), self.n + 1), dtype=complex)
+        N = len(W)
+        pts = np.empty((N, self.n + 1), dtype=complex)
         pts[:, : self.n] = Z
         pts[:, self.n] = W
         if not dw:
             return np.asarray(self._evaluate(pts), dtype=complex)
         if self.rational is not None:
-            return np.asarray(self._dw_map.evaluate(pts), dtype=complex)
-        both = np.concatenate([pts, pts])
-        both[: len(W), self.n] += _DIFF_STEP
-        both[len(W):, self.n] -= _DIFF_STEP
-        values = np.asarray(self._evaluate(both), dtype=complex)
-        return (values[: len(W)] - values[len(W):]) / (2.0 * _DIFF_STEP)
+            return self.rational.value_and_partial(pts, self.n)
+        rows = np.concatenate([pts, pts, pts])
+        rows[N : 2 * N, self.n] += _DIFF_STEP
+        rows[2 * N :, self.n] -= _DIFF_STEP
+        values = np.asarray(self._evaluate(rows), dtype=complex)
+        return values[:N], (values[N : 2 * N] - values[2 * N :]) / (2.0 * _DIFF_STEP)
 
     def _at(self, z, w, dw=False):
-        """_rows at one z point and a scalar or array of w values."""
+        """_rows at one z point and a scalar or array of w values (dF/dw if dw)."""
         z = np.asarray(z, dtype=complex).reshape(self.n)
         warr = np.asarray(w, dtype=complex)
         values = self._rows(z, warr.reshape(-1), dw)
+        values = values[1] if dw else values
         if warr.ndim == 0:
             return complex(values[0])
         return values.reshape(warr.shape)
 
     def __call__(self, z, w):
         return self._at(z, w)
-
-    @cached_property
-    def _dw_map(self):
-        """Exact dF/dw of a rational map, built on first use."""
-        return self.rational.partial(self.n)
 
     def partial_w(self, z, w):
         """dF/dw at (z, w)."""
@@ -197,9 +197,11 @@ def _newton(smap, Z, W, tol=1e-12, max_iter=50):
     """Damped Newton on G = F(z, w) - w at every row pair of (Z, W) at once.
 
     Each row runs its own iteration: it stops once |G| <= tol and fails if
-    |dG/dw| < 1e-14.  A step that would leave the disk is halved, at most 14
-    times, and a point still outside is pulled just inside.  Returns the
-    final values with per-row iteration counts and convergence flags.
+    |dG/dw| < 1e-14.  An iteration evaluates the map once, F and dF/dw
+    together at the live rows, and then drops the rows that converged.  A
+    step that would leave the disk is halved, at most 14 times, and a point
+    still outside is pulled just inside.  Returns the final values with
+    per-row iteration counts and convergence flags.
     Row masks are tested with np.count_nonzero rather than .any(), which
     costs a third as much on the one-row solves of point queries.
     """
@@ -209,7 +211,8 @@ def _newton(smap, Z, W, tol=1e-12, max_iter=50):
     converged = np.zeros(W.size, dtype=bool)
     live = np.arange(W.size)
     for iteration in range(1, max_iter + 1):
-        g = smap._rows(z, w) - w
+        f, df = smap._rows(z, w, dw=True)
+        g = f - w
         done = np.abs(g) <= tol
         if np.count_nonzero(done):
             rows = live[done]
@@ -219,8 +222,8 @@ def _newton(smap, Z, W, tol=1e-12, max_iter=50):
             live = live[keep]
             if not live.size:
                 break
-            z, w, g = z[keep], w[keep], g[keep]
-        dg = smap._rows(z, w, dw=True) - 1.0
+            z, w, g, df = z[keep], w[keep], g[keep], df[keep]
+        dg = df - 1.0
         stuck = np.abs(dg) < 1e-14
         if np.count_nonzero(stuck):
             iterations[live[stuck]] = iteration
@@ -265,10 +268,12 @@ def find_fixed_w(smap, z, seeds=None, tol=1e-12):
         if any(abs(w - prev) <= _DEDUP_TOL for prev, _ in found):
             continue
         found.append((w, iterations))
+    if not found:
+        return []
 
+    values, derivs = smap._rows(z, np.array([w for w, _ in found], dtype=complex), dw=True)
     records = []
-    for w, iterations in found:
-        deriv = smap.partial_w(z, w)
+    for (w, iterations), value, deriv in zip(found, values, derivs):
         mod = abs(deriv)
         if mod > 1.0 + 1e-8:
             raise InconsistencyError(
@@ -281,7 +286,7 @@ def find_fixed_w(smap, z, seeds=None, tol=1e-12):
             classification = CLASS_INTERIOR
         else:
             classification = CLASS_AUTOMORPHISM
-        residual = abs(smap(z, w) - w)
+        residual = abs(value - w)
         records.append(
             FixedPointRecord(
                 z=tuple(complex(v) for v in z),
@@ -323,15 +328,18 @@ def detect_w_automorphism(smap, z_center=None):
     rng = np.random.default_rng(_SLICE_CHECK_SEED)
     bases = random_polydisk(rng, _SLICE_CHECKS, smap.n, 0.8)
     probes = disk_points(12, 0.85)
-    expected = phi(probes)
-    for base in bases:
-        values = smap(base, probes)
-        if np.max(np.abs(values - expected)) > 1e-7:
-            raise InconsistencyError(
-                "the w-slice at one base point is a disk automorphism but "
-                "another slice differs from it"
-            )
+    if np.max(np.abs(_slices(smap, bases, probes) - phi(probes))) > 1e-7:
+        raise InconsistencyError(
+            "the w-slice at one base point is a disk automorphism but "
+            "another slice differs from it"
+        )
     return phi
+
+
+def _slices(smap, bases, ws):
+    """F on the w-slice of every base point, one call: (len(bases), len(ws))."""
+    values = smap._rows(np.repeat(bases, len(ws), axis=0), np.tile(ws, len(bases)))
+    return values.reshape(len(bases), len(ws))
 
 
 @dataclass
@@ -382,14 +390,8 @@ def _solve_rows(smap, rows, start, tol, failure):
     return values
 
 
-def local_graph(smap, record, points, tol=1e-12):
-    """Fixed-point values at z points, all by one Newton sweep from record.w.
-
-    A slice that is not an automorphism has at most one interior fixed
-    point (Schwarz lemma), so Newton from the anchor value has no other
-    branch to land on and the points need no path between them.
-    Returns (values, residuals) aligned with the input points.
-    """
+def _anchored_rows(smap, record, points, tol):
+    """local_graph's checks and Newton sweep: (values, F, dF/dw) at the points."""
     if record.classification != CLASS_INTERIOR:
         raise InconsistencyError(
             "graph continuation needs an interior fixed point, got %r"
@@ -406,8 +408,19 @@ def local_graph(smap, record, points, tol=1e-12):
         smap, pts, np.full(len(pts), complex(record.w)), tol,
         "Newton from the anchor value failed to converge at a point",
     )
-    residuals = np.abs(smap._rows(pts, values) - values)
-    return values, residuals
+    return (values,) + smap._rows(pts, values, dw=True)
+
+
+def local_graph(smap, record, points, tol=1e-12):
+    """Fixed-point values at z points, all by one Newton sweep from record.w.
+
+    A slice that is not an automorphism has at most one interior fixed
+    point (Schwarz lemma), so Newton from the anchor value has no other
+    branch to land on and the points need no path between them.
+    Returns (values, residuals) aligned with the input points.
+    """
+    values, f, _ = _anchored_rows(smap, record, points, tol)
+    return values, np.abs(f - values)
 
 
 def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
@@ -433,9 +446,10 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     axes = tuple(disk_points(grid, radius) for _ in range(smap.n))
     shape = tuple(len(ax) for ax in axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, smap.n)
-    values, residuals = local_graph(smap, record, nodes, tol)
+    values, f, df = _anchored_rows(smap, record, nodes, tol)
+    residuals = np.abs(f - values)
     grid_values = values.reshape(shape)
-    max_deriv = float(np.max(np.abs(smap._rows(nodes, values, dw=True))))
+    max_deriv = float(np.max(np.abs(df)))
     max_modulus = float(np.max(np.abs(values)))
 
     anchor_z = np.asarray(record.z, dtype=complex).reshape(smap.n)
@@ -443,8 +457,8 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     flat_indices = rng.choice(len(nodes), size=min(_PICK_SLICES, len(nodes)), replace=False)
     w_nodes = disk_points(_PICK_NODES, 0.7)
     pick_min_eig = np.inf
-    for base in [anchor_z, *nodes[flat_indices]]:
-        eigs, _ = eig_hermitian(pick_matrix(w_nodes, smap(base, w_nodes)))
+    for targets in _slices(smap, np.vstack([anchor_z, nodes[flat_indices]]), w_nodes):
+        eigs, _ = eig_hermitian(pick_matrix(w_nodes, targets))
         pick_min_eig = min(pick_min_eig, float(eigs[0]))
 
     provenance = {

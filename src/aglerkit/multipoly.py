@@ -6,12 +6,21 @@ work with maps of three or more variables where dense grids get wasteful,
 so this module stores a sparse exponent-to-coefficient table instead and
 adds exact partial derivatives for quotients.  These are the exact maps
 of those layers; ``evaluate`` on a ``(..., nvars)`` array is the one way
-to evaluate either kind.
+to evaluate either kind, and ``RationalMap.value_and_partial`` gives a
+quotient together with one partial.
+
+Both evaluate through one stacked kernel: the union of the exponents of
+several polynomials and one coefficient matrix.  A call raises each
+variable of the point set to the powers it needs once, gathers every
+monomial from that table and takes all the polynomials by one matmul.  A
+``MultiPoly`` is a stack of one; a ``RationalMap`` stacks num, den and
+the partials of both, so a point set is evaluated once for F and any
+partial.
 """
 
 from __future__ import annotations
 
-import numbers
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +41,34 @@ def _normalize_key(exponents, nvars):
     return key
 
 
+class _Stack:
+    """Polynomials in the same variables, evaluated together from one table.
+
+    Holds the union of their exponents and one ``(terms, k)`` coefficient
+    matrix.  A call on ``(..., nvars)`` points raises each variable to the
+    powers 0..dmax once, gathers every monomial from that table, and
+    returns the ``(..., k)`` values by one matmul.
+    """
+
+    def __init__(self, polys):
+        self.nvars = polys[0].nvars
+        keys = sorted(set().union(*(poly.terms for poly in polys)))
+        self._expo = np.array(keys, dtype=int).reshape(len(keys), self.nvars)
+        self._coef = np.array([[poly.terms.get(key, 0.0) for poly in polys] for key in keys],
+                              dtype=complex).reshape(len(keys), len(polys))
+        self._powers = np.arange(self._expo.max(initial=0) + 1)
+        self._vars = np.arange(self.nvars)
+
+    def __call__(self, points):
+        pts = np.asarray(points, dtype=complex)
+        if pts.ndim == 0 or pts.shape[-1] != self.nvars:
+            raise ValueError(
+                "points must have a trailing axis of length %d" % self.nvars
+            )
+        table = pts[..., :, None] ** self._powers  # (..., nvars, dmax + 1)
+        return table[..., self._vars, self._expo].prod(axis=-1) @ self._coef
+
+
 class MultiPoly:
     """Polynomial in ``nvars`` complex variables with sparse storage.
 
@@ -50,13 +87,6 @@ class MultiPoly:
             key = _normalize_key(expo, nvars)
             table[key] = table.get(key, 0.0 + 0.0j) + complex(coef)
         self.terms = {key: table[key] for key in sorted(table) if table[key] != 0}
-        if self.terms:
-            keys = sorted(self.terms)
-            self._expo = np.array(keys, dtype=int)
-            self._coef = np.array([self.terms[k] for k in keys], dtype=complex)
-        else:
-            self._expo = np.zeros((0, nvars), dtype=int)
-            self._coef = np.zeros(0, dtype=complex)
 
     @classmethod
     def constant(cls, nvars, value):
@@ -72,21 +102,18 @@ class MultiPoly:
         return cls(nvars, {tuple(expo): 1.0 + 0.0j})
 
     def coeff_norm(self):
-        if self._coef.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self._coef)))
+        return max(map(abs, self.terms.values()), default=0.0)
+
+    @cached_property
+    def _stack(self):
+        return _Stack([self])
 
     def evaluate(self, points):
-        """Evaluate at points given as an array of shape ``(..., nvars)``."""
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim == 0 or pts.shape[-1] != self.nvars:
-            raise ValueError(
-                "points must have a trailing axis of length %d" % self.nvars
-            )
-        if self._coef.size == 0:
-            return np.zeros(pts.shape[:-1], dtype=complex)
-        powers = pts[..., None, :] ** self._expo
-        return powers.prod(axis=-1) @ self._coef
+        """Evaluate at points given as an array of shape ``(..., nvars)``.
+
+        One point, of shape ``(nvars,)``, gives a scalar.
+        """
+        return self._stack(points)[..., 0][()]
 
     def partial(self, index):
         """Partial derivative with respect to variable ``index``."""
@@ -126,43 +153,6 @@ class MultiPoly:
             out[tuple(new_expo)] = coef
         return MultiPoly(nvars_new, out)
 
-    def __add__(self, other):
-        other = _coerce(other, self.nvars)
-        if other is NotImplemented:
-            return NotImplemented
-        merged = dict(self.terms)
-        for expo, coef in other.terms.items():
-            merged[expo] = merged.get(expo, 0.0 + 0.0j) + coef
-        return MultiPoly(self.nvars, merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other, self.nvars)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Number):
-            return MultiPoly(
-                self.nvars, {k: complex(other) * v for k, v in self.terms.items()}
-            )
-        other = _coerce(other, self.nvars)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0.0 + 0.0j) + c1 * c2
-        return MultiPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
     def to_json(self):
         return {
             "nvars": self.nvars,
@@ -185,16 +175,6 @@ class MultiPoly:
         return "MultiPoly(nvars=%d, terms=%d)" % (self.nvars, len(self.terms))
 
 
-def _coerce(value, nvars):
-    if isinstance(value, MultiPoly):
-        if value.nvars != nvars:
-            raise ValueError("variable counts differ")
-        return value
-    if isinstance(value, numbers.Number):
-        return MultiPoly.constant(nvars, value)
-    return NotImplemented
-
-
 class RationalMap:
     """Quotient of two sparse polynomials with exact partial derivatives."""
 
@@ -210,25 +190,37 @@ class RationalMap:
         self.numerator = numerator
         self.denominator = denominator
         self._pole_tol = _POLE_TOL * max(denominator.coeff_norm(), 1.0)
+        polys = [numerator, denominator]
+        for index in range(numerator.nvars):
+            polys += [numerator.partial(index), denominator.partial(index)]
+        self._stack = _Stack(polys)
 
     @property
     def nvars(self):
         return self.numerator.nvars
 
-    def evaluate(self, points):
-        num = self.numerator.evaluate(points)
-        den = self.denominator.evaluate(points)
-        if np.any(np.abs(den) <= self._pole_tol):
+    def _table(self, points):
+        table = self._stack(points)
+        if np.count_nonzero(np.abs(table[..., 1]) <= self._pole_tol):
             raise DomainError("denominator vanishes at an evaluation point")
-        return num / den
+        return table
 
-    def partial(self, index):
-        num = (
-            self.numerator.partial(index) * self.denominator
-            - self.numerator * self.denominator.partial(index)
-        )
-        den = self.denominator * self.denominator
-        return RationalMap(num, den)
+    def evaluate(self, points):
+        table = self._table(points)
+        return table[..., 0] / table[..., 1]
+
+    def value_and_partial(self, points, index):
+        """F and its partial in variable ``index`` at ``(..., nvars)`` points.
+
+        Both come from the table ``evaluate`` uses, which holds num, den
+        and their partials: F = num / den, dF = (d num - F d den) / den.
+        """
+        if not 0 <= index < self.nvars:
+            raise ValueError("variable index out of range")
+        table = self._table(points)
+        den = table[..., 1]
+        value = table[..., 0] / den
+        return value, (table[..., 2 + 2 * index] - value * table[..., 3 + 2 * index]) / den
 
     def to_json(self):
         return {

@@ -563,13 +563,16 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
     components, conjugates twisted copies to plain ones, peels generic
     components off as fixed-point graphs, and materializes every graph
     component over a grid on the free block together with the residual
-    ||rho_norm(v) - v||_inf at each node.  A grid radius outside (0, 1]
-    or a grid of fewer than one node per axis raises ValueError.
+    ||rho_norm(v) - v||_inf at each node.  A grid radius outside (0, 1],
+    a grid of fewer than one node per axis or a tol that is not finite and
+    positive raises ValueError.
     """
     if not 0.0 < radius <= 1.0:
         raise ValueError("grid radius must lie in (0, 1]")
     if int(grid) < 1:
         raise ValueError("grid must be a positive integer")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     report = verify_idempotent(
         rho, samples=samples, seed=seed, radius=min(radius + 0.05, 0.95), tol=tol
     )

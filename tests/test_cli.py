@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -344,6 +345,16 @@ class TestFixedgraph:
         assert main(["fixedgraph", "--input", inp] + flags) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_not_finite_and_positive_exit_64(self, tmp_path, capsys, tol):
+        # a negative tol fails every Newton solve, a false "no fixed point"
+        # (exit 2), and 0 fails the graph solve (exit 3); checked before the map
+        for name, payload in (("graph", product_average_smap_payload()),
+                              ("boundary", boundary_attractor_smap_payload())):
+            inp = write_json(tmp_path / (name + ".json"), payload)
+            assert main(["fixedgraph", "--input", inp, "--tol", tol]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
 
 class TestRetract:
     def test_swap_map_exit_2(self, tmp_path):
@@ -396,6 +407,20 @@ class TestRetract:
             for grid in ("0", "-3"):
                 assert main(["retract", "--input", inp, "--grid", grid]) == EXIT_USAGE
             assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_not_finite_and_positive_exit_64(self, tmp_path, capsys, tol):
+        # (z1, 0.5 z1^2 + (0.3 + 0.1i) z1) is idempotent; a negative tol
+        # would read it as leaving the polydisk (exit 2)
+        idempotent = {"n": 2, "components": [
+            {"nvars": 2, "terms": {"1,0": [1.0, 0.0]}},
+            {"nvars": 2, "terms": {"2,0": [0.5, 0.0], "1,0": [0.3, 0.1]}}]}
+        for name, payload in (("parabola", parabola_retract_payload()), ("idem", idempotent)):
+            inp = write_json(tmp_path / (name + ".json"), payload)
+            assert main(["retract", "--input", inp]) == EXIT_OK
+            capsys.readouterr()
+            assert main(["retract", "--input", inp, "--tol", tol]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 def readme_synopsis():
@@ -469,10 +494,14 @@ class TestUsageAndDeterminism:
 
     def test_console_entry_point_runs(self, tmp_path):
         inp = write_json(tmp_path / "p.json", classic_poly_payload())
+        # the child imports the package under test, also when pytest alone put it on sys.path
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "aglerkit.cli", "stability", "--input", inp],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["command"] == "stability"

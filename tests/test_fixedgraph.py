@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aglerkit import fixedgraph
+from aglerkit import fixedgraph, multipoly
 from aglerkit.errors import DegenerateContinuationError, InconsistencyError
 from aglerkit.fixedgraph import (
     CLASS_AUTOMORPHISM,
@@ -112,6 +112,37 @@ class TestSchurMap:
         z = np.array([0.3 + 0.1j, -0.2 + 0.4j])
         w = 0.25 - 0.15j
         assert abs(smap.partial_w(z, w) - 0.5) <= 1e-9
+
+    def test_row_evaluator_gets_one_call_for_f_and_dw(self):
+        calls = []
+
+        def evaluate(p):
+            calls.append(len(p))
+            return (p[:, 0] * p[:, 1] + p[:, 2]) / 2
+
+        smap = SchurMap(2, evaluate=evaluate)
+        zs = np.array([[0.3 + 0.1j, -0.2 + 0.4j], [0.1, 0.5j]])
+        f, df = smap._rows(zs, np.array([0.25 - 0.15j, 0.1]), dw=True)
+        assert calls == [6]
+        assert np.max(np.abs(f - (zs[:, 0] * zs[:, 1] + [0.25 - 0.15j, 0.1]) / 2)) <= 1e-15
+        assert np.max(np.abs(df - 0.5)) <= 1e-9
+
+    @pytest.mark.parametrize("make", [product_average_map, lambda: SchurMap(2, rational=nonlinear_rational_map())])
+    def test_each_newton_iteration_evaluates_the_map_once(self, monkeypatch, make):
+        # one table per iteration gives F and dF/dw together
+        smap = make()
+        calls = []
+        stack_call = multipoly._Stack.__call__
+
+        def counted(self, points):
+            calls.append(len(points))
+            return stack_call(self, points)
+
+        monkeypatch.setattr(multipoly._Stack, "__call__", counted)
+        zs = random_polydisk(np.random.default_rng(5), 6, 2, 0.8)
+        _, iterations, converged = fixedgraph._newton(smap, zs, np.zeros(6))
+        assert converged.all()
+        assert len(calls) == iterations.max()
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

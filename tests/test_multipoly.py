@@ -1,0 +1,120 @@
+"""Tests for the sparse polynomial and rational-map evaluation kernel."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aglerkit.errors import DomainError
+from aglerkit.multipoly import MultiPoly, RationalMap
+
+UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def sparse_terms(draw, nvars, min_degree=0):
+    """Up to 6 terms of total degree min_degree..4 with coefficients in the unit square."""
+    monomial = st.lists(st.integers(0, nvars - 1), min_size=min_degree, max_size=4)
+    terms = {}
+    for _ in range(draw(st.integers(1 if min_degree else 0, 6))):
+        factors = draw(monomial)
+        expo = tuple(factors.count(i) for i in range(nvars))
+        terms[expo] = complex(draw(UNIT), draw(UNIT))
+    return terms
+
+
+@st.composite
+def points(draw, nvars):
+    """Points of the closed unit polydisk in one of the shapes (nvars,), (N, nvars), (a, b, nvars)."""
+    lead = draw(st.sampled_from([(), (5,), (1,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = lead + (nvars,)
+    return np.sqrt(rng.random(shape)) * np.exp(2j * np.pi * rng.random(shape))
+
+
+def naive(poly, pt):
+    """The value at one point, one monomial at a time, and the sum of the term moduli."""
+    value, scale = 0j, 0.0
+    for expo, coef in poly.terms.items():
+        term = coef * math.prod(x ** e for x, e in zip(pt, expo))
+        value += term
+        scale += abs(term)
+    return value, scale
+
+
+def naive_table(poly, pts):
+    pairs = [naive(poly, pt) for pt in pts.reshape(-1, poly.nvars)]
+    shape = pts.shape[:-1]
+    return (np.array([v for v, _ in pairs], dtype=complex).reshape(shape),
+            np.array([s for _, s in pairs]).reshape(shape))
+
+
+@st.composite
+def rational_maps(draw, nvars):
+    """num / den with den = c + q, q non-constant and c = 1 + sum |q coeffs|, so |den| >= 1."""
+    numerator = MultiPoly(nvars, draw(sparse_terms(nvars)))
+    q = draw(sparse_terms(nvars, min_degree=1))
+    q[(0,) * nvars] = 1.0 + sum(map(abs, q.values()))
+    return RationalMap(numerator, MultiPoly(nvars, q))
+
+
+class TestEvaluate:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), nvars=st.integers(1, 4))
+    def test_matches_a_naive_sum_over_monomials(self, data, nvars):
+        poly = MultiPoly(nvars, data.draw(sparse_terms(nvars)))
+        pts = data.draw(points(nvars))
+        values = poly.evaluate(pts)
+        expected, scale = naive_table(poly, pts)
+        assert values.shape == pts.shape[:-1]
+        assert np.all(np.abs(values - expected) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 5, 3)])
+    def test_empty_polynomial_gives_zeros(self, shape):
+        values = MultiPoly(3).evaluate(np.full(shape, 0.5 + 0.1j))
+        assert values.shape == shape[:-1]
+        assert np.array_equal(values, np.zeros(shape[:-1]))
+
+    def test_trailing_axis_must_match_nvars(self):
+        with pytest.raises(ValueError):
+            MultiPoly(2, {(1, 0): 1.0}).evaluate(np.zeros((4, 3)))
+
+
+class TestRationalMap:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), nvars=st.integers(1, 4))
+    def test_value_and_partial_match_evaluate_and_the_quotient_rule(self, data, nvars):
+        rmap = data.draw(rational_maps(nvars))
+        pts = data.draw(points(nvars))
+        num, den = rmap.numerator, rmap.denominator
+        den_values = den.evaluate(pts)
+        for index in range(nvars):
+            value, slope = rmap.value_and_partial(pts, index)
+            assert np.array_equal(value, rmap.evaluate(pts))
+            dnum, dden = num.partial(index), den.partial(index)
+            expected = (dnum.evaluate(pts) * den_values
+                        - num.evaluate(pts) * dden.evaluate(pts)) / den_values ** 2
+            bound = (naive_table(dnum, pts)[1] * naive_table(den, pts)[1]
+                     + naive_table(num, pts)[1] * naive_table(dden, pts)[1]) / np.abs(den_values) ** 2
+            assert slope.shape == pts.shape[:-1]
+            assert np.all(np.abs(slope - expected) <= 1e-12 * bound)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data(), nvars=st.integers(1, 4))
+    def test_a_pole_raises_in_both_paths(self, data, nvars):
+        # den = z_j - a is exactly 0 at the second point
+        j = data.draw(st.integers(0, nvars - 1))
+        a = complex(data.draw(UNIT), data.draw(UNIT)) / 2
+        expo = [0] * nvars
+        expo[j] = 1
+        den = MultiPoly(nvars, {(0,) * nvars: -a, tuple(expo): 1.0})
+        rmap = RationalMap(MultiPoly(nvars, data.draw(sparse_terms(nvars))), den)
+        pts = np.full((3, nvars), 0.25 + 0.0j)
+        pts[1, j] = a
+        with pytest.raises(DomainError):
+            rmap.evaluate(pts)
+        for index in range(nvars):
+            with pytest.raises(DomainError):
+                rmap.value_and_partial(pts, index)

@@ -403,7 +403,9 @@ class TestNormalForm:
 
     def test_image_point_solves_each_graph_column_once(self, monkeypatch):
         # each of the two nested graph columns is solved once per query,
-        # the second from the first's column: 5 Newton sweeps in all
+        # the second from the first's column, and each outer Newton
+        # iteration solves the inner graph once for F and dF/dw together:
+        # 4 Newton sweeps in all
         nf = normal_form(cubic_curve_map())
         calls = []
         newton = fixedgraph._newton
@@ -414,7 +416,7 @@ class TestNormalForm:
 
         monkeypatch.setattr(fixedgraph, "_newton", counted)
         nf.image_point([0.3 - 0.1j])
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_constant_component_map(self):
         nf = normal_form(constant_second_map())
