@@ -196,24 +196,31 @@ class FixedPointRecord:
 def _newton(smap, Z, W, tol=1e-12, max_iter=50):
     """Damped Newton on G = F(z, w) - w at every row pair of (Z, W) at once.
 
-    Each row runs its own iteration: it stops once |G| <= tol and fails if
-    |dG/dw| < 1e-14.  An iteration evaluates the map once, F and dF/dw
-    together at the live rows, and then drops the rows that converged.  A
-    step that would leave the disk is halved, at most 14 times, and a point
-    still outside is pulled just inside.  Returns the final values with
-    per-row iteration counts and convergence flags.
-    Row masks are tested with np.count_nonzero rather than .any(), which
-    costs a third as much on the one-row solves of point queries.
+    W holds one unknown per row, (N,) or (N, 1), or g > 1, (N, g), which
+    smap._rows gets as (N,) or (N, g), giving F in that shape and dF/dw as
+    (N,) or (N, g, g).  A row stops once max |G| <= tol and fails if
+    |det dG/dw| < 1e-14.  Each iteration evaluates F and dF/dw once at the
+    live rows, drops the converged ones and steps by G / dG/dw (a g x g
+    solve).  A step leaving the polydisk is halved, at most 14 times, and
+    a coordinate still outside is pulled just inside.  Zero rows return at
+    once.  Returns the values in W's shape, per-row iteration counts and
+    convergence flags.  Row masks are tested with np.count_nonzero rather
+    than .any(), which costs a third as much on one-row solves.
     """
     z = Z = np.asarray(Z, dtype=complex).reshape(-1, smap.n)
-    w = W = np.array(W, dtype=complex).reshape(-1)
-    iterations = np.full(W.size, max_iter)
-    converged = np.zeros(W.size, dtype=bool)
-    live = np.arange(W.size)
+    values = np.array(W, dtype=complex)
+    joint = values.ndim == 2 and values.shape[1] > 1
+    w = W = values if joint else values.reshape(-1)
+    eye, size = (np.eye(W.shape[1]), lambda a: np.abs(a).max(axis=1)) if joint else (1.0, np.abs)
+    iterations = np.full(len(W), max_iter)
+    converged = np.zeros(len(W), dtype=bool)
+    live = np.arange(len(W))
+    if not live.size:
+        return values, iterations, converged
     for iteration in range(1, max_iter + 1):
         f, df = smap._rows(z, w, dw=True)
         g = f - w
-        done = np.abs(g) <= tol
+        done = size(g) <= tol
         if np.count_nonzero(done):
             rows = live[done]
             converged[rows] = True
@@ -223,28 +230,29 @@ def _newton(smap, Z, W, tol=1e-12, max_iter=50):
             if not live.size:
                 break
             z, w, g, df = z[keep], w[keep], g[keep], df[keep]
-        dg = df - 1.0
-        stuck = np.abs(dg) < 1e-14
+        dg = df - eye
+        stuck = np.abs(np.linalg.det(dg) if joint else dg) < 1e-14
         if np.count_nonzero(stuck):
             iterations[live[stuck]] = iteration
             keep = ~stuck
             live, z, w, g, dg = live[keep], z[keep], w[keep], g[keep], dg[keep]
-        step = g / dg
+        step = np.linalg.solve(dg, g[..., None])[..., 0] if joint else g / dg
         new = w - step
-        out = np.abs(new) >= 1.0
+        out = size(new) >= 1.0
         if np.count_nonzero(out):
-            scale = np.ones(w.size)
+            scale = np.ones((len(w), 1) if joint else len(w))
             for _ in range(14):
                 scale[out] *= 0.5
                 new[out] = w[out] - scale[out] * step[out]
-                out = np.abs(new) >= 1.0
+                out = size(new) >= 1.0
                 if not np.count_nonzero(out):
                     break
-            new[out] = new[out] / np.abs(new[out]) * 0.999999
+            outside = np.abs(new) >= 1.0
+            new[outside] = new[outside] / np.abs(new[outside]) * 0.999999
         W[live] = w = new
     else:
-        converged[live] = np.abs(smap._rows(z, w) - w) <= tol
-    return W, iterations, converged
+        converged[live] = size(smap._rows(z, w) - w) <= tol
+    return values, iterations, converged
 
 
 def find_fixed_w(smap, z, seeds=None, tol=1e-12):
@@ -371,6 +379,15 @@ class GraphFunction:
         values = np.asarray(self.evaluator(rows), dtype=complex)
         return values if z.ndim == 2 else complex(values[0])
 
+    def _nearest(self, rows):
+        """Stored values at the grid nodes nearest to (N, k) rows, axis by axis."""
+        if rows.shape[1] != len(self.axes):
+            raise ValueError("point dimension does not match the graph axes")
+        return self.values[tuple(
+            np.argmin(np.abs(ax[None, :] - rows[:, i, None]), axis=1)
+            for i, ax in enumerate(self.axes)
+        )]
+
     def to_json(self):
         return {
             "axes": [[complex_to_pair(v) for v in ax] for ax in self.axes],
@@ -380,7 +397,8 @@ class GraphFunction:
         }
 
 
-def _solve_rows(smap, rows, start, tol, failure):
+def _solve_rows(smap, rows, start, tol=1e-12,
+                failure="fixed-point refinement failed at a query point"):
     """Newton from ``start`` at each row; a failed row raises with its location."""
     values, _, ok = _newton(smap, rows, start, tol=tol)
     if not ok.all():
@@ -476,25 +494,14 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
         "seed": int(seed),
     }
 
-    def evaluator(rows):
-        if rows.shape[1] != smap.n:
-            raise ValueError("point dimension does not match the graph axes")
-        nearest = tuple(
-            np.argmin(np.abs(ax[None, :] - rows[:, i, None]), axis=1)
-            for i, ax in enumerate(axes)
-        )
-        return _solve_rows(
-            smap, rows, grid_values[nearest], tol,
-            "fixed-point refinement failed at a query point",
-        )
-
-    return GraphFunction(
+    graph = GraphFunction(
         axes=axes,
         values=grid_values,
         residuals=residuals.reshape(shape),
-        evaluator=evaluator,
+        evaluator=lambda rows: _solve_rows(smap, rows, graph._nearest(rows), tol),
         provenance=provenance,
     )
+    return graph
 
 
 def uniqueness_check(smap):

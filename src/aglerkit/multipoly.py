@@ -214,13 +214,16 @@ class RationalMap:
 
         Both come from the table ``evaluate`` uses, which holds num, den
         and their partials: F = num / den, dF = (d num - F d den) / den.
+        A slice of variables gives their partials along a new last axis.
         """
-        if not 0 <= index < self.nvars:
+        one = not isinstance(index, slice)
+        if one and not 0 <= index < self.nvars:
             raise ValueError("variable index out of range")
         table = self._table(points)
         den = table[..., 1]
         value = table[..., 0] / den
-        return value, (table[..., 2 + 2 * index] - value * table[..., 3 + 2 * index]) / den
+        f, d = (value, den) if one else (value[..., None], den[..., None])
+        return value, (table[..., 2::2][..., index] - f * table[..., 3::2][..., index]) / d
 
     def to_json(self):
         return {

@@ -15,14 +15,14 @@ diagnostics for the resulting normal form.
 
 Evaluation works on whole arrays: the maps take (N, n) rows, and the
 conjugation chain, image_point and the graph evaluators act on the last
-axis, so (k,) gives (n,) and (N, k) gives (N, n).  A reduced map solves
-its graph once per batch for all of its components, nested once per
-recursion depth.
+axis, so (k,) gives (n,) and (N, k) gives (N, n).  A reduced map is the
+exact, permuted map with its trailing coordinates peeled; every
+evaluation solves all the peeled coordinates by one joint Newton call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .fixedgraph import (
     CLASS_INTERIOR,
     GraphFunction,
     SchurMap,
+    _solve_rows,
     continue_graph,
     find_fixed_w,
 )
@@ -75,14 +76,10 @@ class RetractMap:
 
     def _columns(self, pts, cols):
         """Components ``cols`` at the rows of an (N, n) array, as (N, len(cols))."""
-        out = np.empty((len(pts), len(cols)), dtype=complex)
-        for c, j in enumerate(cols):
-            out[:, c] = self.components[j].evaluate(pts)
-        return out
+        return np.stack([self.components[j].evaluate(pts) for j in cols], axis=1)
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex).reshape(1, self.n)
-        return self._columns(z, range(self.n))[0]
+        return self.evaluate_batch(np.reshape(z, (1, self.n)))[0]
 
     def evaluate_batch(self, points):
         pts = np.asarray(points, dtype=complex).reshape(-1, self.n)
@@ -123,18 +120,45 @@ class RetractMap:
         return "RetractMap(n=%d)" % self.n
 
 
-class _DerivedMap(RetractMap):
-    """Reduced or permuted map, evaluated as a whole by columns(pts, cols).
+class _ReducedMap(RetractMap):
+    """z -> full_head(z, w(z)) for an exact map ``full`` with its last g
+    coordinates peeled; it cannot be serialized.
 
-    It has no component objects, so it cannot be serialized.
+    At head rows z of D^n the peeled equations w = full_tail(z, w) have one
+    joint solution w(z) in D^g, as each peeled slice has one interior fixed
+    point (Schwarz-Pick).  ``seeds`` pairs each peeled coordinate, left to
+    right, with its graph and the columns of ``full`` that the graph reads.
     """
 
-    def __init__(self, n, columns):
-        self.n = n
-        self._columns = columns
+    def __init__(self, full, seeds):
+        self.full, self.seeds, self.n = full, seeds, full.n - len(seeds)
+        self._tail = [RationalMap(c) if isinstance(c, MultiPoly) else c
+                      for c in full.components[self.n :]]
+
+    def _rows(self, Z, W, dw=False):
+        """F = full_tail(Z, W) and, if dw, dF/dW: (N, g), (N, g, g), or (N,) for g = 1."""
+        N, g = len(W), len(self._tail)
+        pts = np.concatenate([Z, W.reshape(N, g)], axis=1)
+        f, df = np.empty((N, g), dtype=complex), np.empty((N, g, g), dtype=complex)
+        for i, comp in enumerate(self._tail):
+            f[:, i], df[:, i] = comp.value_and_partial(pts, slice(self.n, None))
+        f, df = f.reshape(W.shape), df.reshape(W.shape + W.shape[1:])
+        return (f, df) if dw else f
+
+    def _peel(self, head):
+        """Peeled coordinates at (N, n) head rows, as (N, g): one joint Newton
+        solve, seeded left to right from each graph's nearest grid value."""
+        pts = np.empty((len(head), self.full.n), dtype=complex)
+        pts[:, : self.n] = head
+        for t, (graph, cols) in enumerate(self.seeds):
+            pts[:, self.n + t] = graph._nearest(pts[:, cols])
+        return _solve_rows(self, head, pts[:, self.n :])
+
+    def _columns(self, pts, cols):
+        return self.full._columns(np.concatenate([pts, self._peel(pts)], axis=1), cols)
 
     def to_json(self):
-        raise ValueError("a reduced or permuted map cannot be serialized")
+        raise ValueError("a reduced map cannot be serialized")
 
 
 def verify_idempotent(rho, samples=400, seed=7, radius=0.9, tol=1e-9):
@@ -366,41 +390,40 @@ class ConjugationChain:
 
 
 def _permute_map(rho, order):
-    """P . rho . P^{-1}; a map of exact components stays exact."""
+    """P . rho . P^{-1}; a reduced map permutes its exact map and keeps its
+    peeled coordinates last."""
     n = rho.n
+    if isinstance(rho, _ReducedMap):
+        order = list(order) + list(range(n, rho.full.n))
+        seeds = [(graph, np.argsort(order)[cols]) for graph, cols in rho.seeds]
+        return _ReducedMap(_permute_map(rho.full, order), seeds)
     inv = np.argsort(order)
-    if isinstance(rho, _DerivedMap):
-        order = np.asarray(order)
-        return _DerivedMap(n, lambda pts, cols: rho._columns(pts[:, inv], order[list(cols)]))
-    comps = [rho.components[j] for j in order]
     return RetractMap(n, tuple(
         comp.embed(n, inv) if isinstance(comp, MultiPoly)
         else RationalMap(comp.numerator.embed(n, inv), comp.denominator.embed(n, inv))
-        for comp in comps
+        for comp in (rho.components[j] for j in order)
     ))
-
-
-def _schur_from_last(rho):
-    head = rho.n - 1
-    if isinstance(rho, _DerivedMap):
-        # every call is one batched graph solve of the reduced map
-        return SchurMap(head, evaluate=lambda pts: rho._columns(pts, [head])[:, 0])
-    comp = rho.components[-1]
-    return SchurMap(head, rational=comp if isinstance(comp, RationalMap) else RationalMap(comp))
 
 
 def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
     """Split the last component off as a fixed-point graph.
 
     Returns (reduced, graph): the graph solves w = rho_last(z', w), and the
-    reduced map is z' -> rho_head(z', f(z')), an idempotent self-map of
-    D^{n-1} whose components share one batched graph solve per call.  The
-    image of the origin under rho seeds the anchor fixed point, so no
-    search is needed.
+    reduced map z' -> rho_head(z', f(z')), an idempotent self-map of D^{n-1},
+    is rho's exact map with one more coordinate peeled, each evaluation one
+    joint Newton solve.  The image of the origin under rho seeds the anchor
+    fixed point, so no search is needed.
     """
     if rho.n < 2:
         raise ValueError("reduction needs at least two variables")
-    smap = _schur_from_last(rho)
+    head = rho.n - 1
+    if isinstance(rho, _ReducedMap):
+        # every call is one joint solve of the reduced map's peeled coordinates
+        full, seeds = rho.full, rho.seeds
+        smap = SchurMap(head, evaluate=lambda pts: rho._columns(pts, [head])[:, 0])
+    else:
+        full, seeds, comp = rho, [], rho.components[-1]
+        smap = SchurMap(head, rational=comp if isinstance(comp, RationalMap) else RationalMap(comp))
     q = rho(np.zeros(rho.n, dtype=complex))
     q_head = q[:-1]
     records = find_fixed_w(smap, q_head, seeds=[complex(q[-1])])
@@ -417,47 +440,39 @@ def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
             location=tuple(complex(v) for v in q_head),
         )
     graph = continue_graph(smap, record, radius=radius, grid=grid, seed=seed)
-
-    def columns(pts, cols):
-        return rho._columns(np.column_stack([pts, graph.evaluate(pts)]), cols)
-
-    return _DerivedMap(rho.n - 1, columns), graph
-
-
-def _image_rows(x, k, e_sources, tail):
-    """Free coordinates (k,) or (N, k) -> points (n,) or (N, n): the free
-    block, its copies, then the tail columns left to right, each from the
-    (N, k + m + t) columns before it."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim not in (1, 2) or x.shape[-1] != k:
-        raise ValueError("free coordinates need a trailing axis of length %d" % k)
-    rows = x if x.ndim == 2 else x.reshape(1, k)
-    m = len(e_sources)
-    out = np.empty((len(rows), k + m + len(tail)), dtype=complex)
-    out[:, :k] = rows
-    out[:, k : k + m] = rows[:, list(e_sources)]
-    for t, col in enumerate(tail):
-        out[:, k + m + t] = col(out[:, : k + m + t])
-    return out if x.ndim == 2 else out[0]
-
-
-def _constant(value):
-    return lambda rows, _c=complex(value): np.full(len(rows), _c)
+    return _ReducedMap(full, [(graph, np.arange(head))] + seeds), graph
 
 
 @dataclass
 class _CoreForm:
-    """Intermediate result of the normalization recursion."""
+    """Normalization result; ``base``, the bottom map, peels the graphs (deepest first)."""
 
     k: int
     e_sources: list
-    tail: list  # (evaluator on the columns before it, GraphFunction or None for a constant)
+    consts: list
+    graphs: list
     chain: ConjugationChain
+    base: RetractMap
+    base_chain: ConjugationChain
 
 
-def _graph_evaluator(core, graph):
-    """The graph's column from the image columns of the reduced core before it."""
-    return lambda prefix: graph.evaluate(core.chain.apply_inverse(prefix))
+def _image_rows(x, core):
+    """Free coordinates (k,) or (N, k) -> points (n,) or (N, n), with every
+    graph column from one joint solve of the bottom map's peeled coordinates."""
+    x = np.asarray(x, dtype=complex)
+    k = core.k
+    if x.ndim not in (1, 2) or x.shape[-1] != k:
+        raise ValueError("free coordinates need a trailing axis of length %d" % k)
+    rows = x if x.ndim == 2 else x.reshape(1, k)
+    m = len(core.e_sources)
+    head = k + m + len(core.consts)
+    out = np.empty((len(rows), head + len(core.graphs)), dtype=complex)
+    out[:, :k] = rows
+    out[:, k : k + m] = rows[:, list(core.e_sources)]
+    out[:, k + m : head] = core.consts
+    if core.graphs:
+        out[:, head:] = core.base._peel(core.base_chain.apply_inverse(out[:, :head]))
+    return out if x.ndim == 2 else out[0]
 
 
 def _normalize(rho, opts, depth=0):
@@ -470,34 +485,23 @@ def _normalize(rho, opts, depth=0):
     )
     generic = [j for j, role in enumerate(roles) if role.kind == ROLE_GENERIC]
 
-    if d == 1:
-        role = roles[0]
-        if role.kind == ROLE_IDENTITY:
-            return _CoreForm(1, [], [], ConjugationChain())
-        if role.kind == ROLE_CONSTANT:
-            return _CoreForm(
-                0, [], [(_constant(role.value), None)], ConjugationChain([PermStep((0,))])
-            )
+    if d == 1 and generic:
         raise InconsistencyError(
             "a one-variable idempotent self-map of the disk must be the "
             "identity or a point; this one is neither"
         )
+    if d == 1 and roles[0].kind == ROLE_IDENTITY:
+        return _CoreForm(1, [], [], [], ConjugationChain(), rho, ConjugationChain())
 
     if generic:
         g = generic[0]
         order = tuple(list(range(g)) + list(range(g + 1, d)) + [g])
         step = PermStep(order)
-        rho_p = _permute_map(rho, order)
-        reduced, graph = reduce_dimension(
-            rho_p,
-            grid=opts["grid"],
-            radius=opts["radius"],
-            seed=opts["seed"] + 29 * depth,
-        )
+        reduced, graph = reduce_dimension(_permute_map(rho, order), grid=opts["grid"],
+                                          radius=opts["radius"], seed=opts["seed"] + 29 * depth)
         core = _normalize(reduced, opts, depth + 1)
         chain = ConjugationChain((step,) + core.chain.lifted(d).steps)
-        tail = list(core.tail) + [(_graph_evaluator(core, graph), graph)]
-        return _CoreForm(core.k, list(core.e_sources), tail, chain)
+        return replace(core, graphs=core.graphs + [graph], chain=chain)
 
     ids = [j for j, role in enumerate(roles) if role.kind == ROLE_IDENTITY]
     copies = [j for j, role in enumerate(roles) if role.kind == ROLE_COPY]
@@ -510,8 +514,8 @@ def _normalize(rho, opts, depth=0):
     steps.append(PermStep(tuple(ids + copies + consts)))
     rank = {src: pos for pos, src in enumerate(ids)}
     e_sources = [rank[roles[j].source] for j in copies]
-    tail = [(_constant(roles[j].value), None) for j in consts]
-    return _CoreForm(len(ids), e_sources, tail, ConjugationChain(steps))
+    chain = ConjugationChain(steps)
+    return _CoreForm(len(ids), e_sources, [roles[j].value for j in consts], [], chain, rho, chain)
 
 
 @dataclass
@@ -520,8 +524,8 @@ class NormalForm:
 
     normalized_map is Phi . rho . Phi^{-1} for the stored conjugation Phi,
     on (..., n) arrays; on image points assembled by image_point it agrees
-    with the identity up to the recorded residuals.  image_point fills the
-    tail columns left to right, each from the columns before it.
+    with the identity up to the recorded residuals.  image_point and every
+    f_components evaluator fill all graph columns by one joint Newton solve.
     """
 
     n: int
@@ -531,7 +535,7 @@ class NormalForm:
     conjugation: ConjugationChain
     normalized_map: object
     diagnostics: dict = field(default_factory=dict)
-    _tail: list = field(default_factory=list, init=False, repr=False)  # set by normal_form
+    _core: _CoreForm = field(default=None, init=False, repr=False)  # set by normal_form
 
     @property
     def copy_count(self):
@@ -543,7 +547,7 @@ class NormalForm:
 
     def image_point(self, x):
         """Normalized image point of free coordinates: (k,) -> (n,), (N, k) -> (N, n)."""
-        return _image_rows(x, self.k, self.e_sources, self._tail)
+        return _image_rows(x, self._core)
 
     def to_json(self):
         return {
@@ -598,41 +602,27 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
 
     k = core.k
     m = len(core.e_sources)
-    tail = [ev for ev, _ in core.tail]
     axes = tuple(disk_points(int(grid), float(radius)) for _ in range(k))
     shape = tuple(len(ax) for ax in axes)
     size = int(np.prod(shape))
     nodes = np.array(np.meshgrid(*axes, indexing="ij"), dtype=complex).reshape(k, size).T
-    images = _image_rows(nodes, k, core.e_sources, tail)
+    images = _image_rows(nodes, core)
     defect_grid = np.max(np.abs(normalized_map(images) - images), axis=1).reshape(shape)
 
     f_components = []
-    for t, (_, graph) in enumerate(core.tail):
-        if graph is None:
-            prov = {"method": "constant", "position": k + m + t}
-        else:
-            prov = {
-                "method": "fixed_point_composition",
-                "position": k + m + t,
-                "source": dict(graph.provenance),
-            }
-        f_components.append(
-            GraphFunction(
-                axes=axes,
-                values=images[:, k + m + t].reshape(shape),
-                residuals=defect_grid.copy(),
-                provenance=prov,
-                # free coordinates in: builds the columns before t
-                evaluator=lambda rows, t=t: _image_rows(rows, k, core.e_sources, tail[: t + 1])[:, -1],
-            )
-        )
+    for c, graph in enumerate([None] * len(core.consts) + core.graphs, start=k + m):
+        prov = {"method": "constant", "position": c} if graph is None else {
+            "method": "fixed_point_composition", "position": c, "source": dict(graph.provenance)}
+        f_components.append(GraphFunction(
+            axes=axes, values=images[:, c].reshape(shape), residuals=defect_grid.copy(),
+            provenance=prov, evaluator=lambda rows, c=c: _image_rows(rows, core)[:, c]))
 
     diagnostics = {
         "idempotence": report,
         "normal_form_residual": float(np.max(defect_grid)) if defect_grid.size else 0.0,
         "free_count": int(k),
         "copy_count": int(m),
-        "graph_count": len(core.tail),
+        "graph_count": len(f_components),
         "grid": int(grid),
         "radius": float(radius),
         "seed": int(seed),
@@ -646,5 +636,5 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
         normalized_map=normalized_map,
         diagnostics=diagnostics,
     )
-    form._tail = tail
+    form._core = core
     return form

@@ -144,6 +144,41 @@ class TestSchurMap:
         assert converged.all()
         assert len(calls) == iterations.max()
 
+    def test_zero_rows_return_at_once_without_evaluating(self):
+        calls = []
+        smap = SchurMap(2, evaluate=lambda p: calls.append(len(p)) or p[:, 2])
+        values, iterations, converged = fixedgraph._newton(smap, np.zeros((0, 2)), np.zeros(0))
+        assert (values.shape, iterations.shape, converged.shape) == ((0,), (0,), (0,))
+        assert calls == []
+
+    def test_joint_unknowns_take_one_newton_step_on_a_linear_system(self):
+        # w = A w + b(z) with A = [[0.2, 0.3], [0.1, 0.4]]: one step from any
+        # start lands on the solution, whose Jacobian has off-diagonal terms
+        A = np.array([[0.2, 0.3], [0.1, 0.4]])
+
+        class Pair:
+            n = 1
+
+            def _rows(self, Z, W, dw=False):
+                F = W @ A.T + Z * np.array([0.5, -0.25])
+                return (F, np.broadcast_to(A, (len(W), 2, 2))) if dw else F
+
+        zs = np.array([[0.3 + 0.1j], [-0.2j], [0.5]])
+        values, iterations, converged = fixedgraph._newton(Pair(), zs, np.zeros((3, 2)))
+        exact = np.linalg.solve(np.eye(2) - A, (zs * np.array([0.5, -0.25])).T).T
+        assert converged.all() and (iterations == 2).all()
+        assert np.max(np.abs(values - exact)) <= 1e-15
+
+    def test_one_unknown_as_a_column_runs_the_flat_rows(self):
+        # (N, 1) unknowns take the one-unknown step and keep their shape
+        smap = SchurMap(2, rational=nonlinear_rational_map())
+        zs = random_polydisk(np.random.default_rng(9), 8, 2, 0.8)
+        flat = fixedgraph._newton(smap, zs, np.zeros(8))
+        column = fixedgraph._newton(smap, zs, np.zeros((8, 1)))
+        assert column[0].shape == (8, 1)
+        assert np.array_equal(column[0][:, 0], flat[0])
+        assert np.array_equal(column[1], flat[1]) and column[2].all()
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             SchurMap(0, evaluate=lambda p: p[:, -1])

@@ -100,6 +100,11 @@ class TestRationalMap:
                      + naive_table(num, pts)[1] * naive_table(dden, pts)[1]) / np.abs(den_values) ** 2
             assert slope.shape == pts.shape[:-1]
             assert np.all(np.abs(slope - expected) <= 1e-12 * bound)
+        # a slice of variables gives the same partials along a new last axis
+        value, slopes = rmap.value_and_partial(pts, slice(0, nvars))
+        assert slopes.shape == pts.shape[:-1] + (nvars,)
+        for index in range(nvars):
+            assert np.array_equal(slopes[..., index], rmap.value_and_partial(pts, index)[1])
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data(), nvars=st.integers(1, 4))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aglerkit import fixedgraph
+from aglerkit import fixedgraph, multipoly
 from aglerkit.errors import DegenerateContinuationError, InconsistencyError
 from aglerkit.moebius import MoebiusAutomorphism
 from aglerkit.multipoly import MultiPoly, RationalMap
@@ -69,6 +69,13 @@ def cubic_curve_map():
             MultiPoly(3, {(3, 0, 0): 1.0}),
         ),
     )
+
+
+def averaging_map(n):
+    # every component is m = (z1 + ... + zn) / n: n - 1 graphs, each peeled
+    # slice with dF/dw = 1/n or more, so the joint Jacobian is full
+    m = MultiPoly(n, {tuple(int(i == j) for i in range(n)): 1.0 / n for j in range(n)})
+    return RetractMap(n, (m,) * n)
 
 
 def constant_second_map():
@@ -292,8 +299,8 @@ class TestReduceDimension:
         assert np.max(np.abs(batch - single)) <= 1e-12
 
     def test_twice_reduced_map_rows_match_single_points(self):
-        # (z1, z1^2, z1^3) -> (z1, z1^2) -> (z1): the second graph solve
-        # runs the first one inside every Newton step
+        # (z1, z1^2, z1^3) -> (z1, z1^2) -> (z1): every Newton step of the
+        # second graph's grid solve is one joint solve of the first graph
         once, _ = reduce_dimension(cubic_curve_map())
         twice, graph = reduce_dimension(once)
         assert np.max(np.abs(graph.values - graph.axes[0] ** 2)) <= 1e-10
@@ -401,12 +408,12 @@ class TestNormalForm:
             for t, comp in enumerate(nf.f_components):
                 assert np.array_equal(image[:, k + m + t], comp.evaluate(xs))
 
-    def test_image_point_solves_each_graph_column_once(self, monkeypatch):
-        # each of the two nested graph columns is solved once per query,
-        # the second from the first's column, and each outer Newton
-        # iteration solves the inner graph once for F and dF/dw together:
-        # 4 Newton sweeps in all
-        nf = normal_form(cubic_curve_map())
+    @pytest.mark.parametrize("rho", [cubic_curve_map(), averaging_map(3), averaging_map(4)],
+                             ids=["cubic_curve", "averaging_3", "averaging_4"])
+    def test_image_point_solves_each_graph_column_once(self, monkeypatch, rho):
+        # every graph column of a query comes from one joint Newton solve
+        # of all the peeled coordinates, whatever the recursion depth
+        nf = normal_form(rho)
         calls = []
         newton = fixedgraph._newton
 
@@ -416,7 +423,36 @@ class TestNormalForm:
 
         monkeypatch.setattr(fixedgraph, "_newton", counted)
         nf.image_point([0.3 - 0.1j])
-        assert len(calls) == 4
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("rho", [cubic_curve_map(), averaging_map(4)],
+                             ids=["cubic_curve", "averaging_4"])
+    def test_empty_batch_evaluates_no_map(self, monkeypatch, rho):
+        nf = normal_form(rho)
+        calls = []
+        stack_call = multipoly._Stack.__call__
+
+        def counted(self, points):
+            calls.append(len(points))
+            return stack_call(self, points)
+
+        monkeypatch.setattr(multipoly._Stack, "__call__", counted)
+        assert nf.image_point(np.zeros((0, nf.k))).shape == (0, nf.n)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_averaging_retract_images_are_the_diagonal(self, n):
+        # the peeled graphs depend on w (dF/dw = 1/2, 1/3, ...), so the joint
+        # Jacobian has off-diagonal terms; the image of x is (x, ..., x)
+        nf = normal_form(averaging_map(n))
+        assert (nf.k, nf.copy_count, nf.graph_count) == (1, 0, n - 1)
+        assert nf.diagnostics["normal_form_residual"] <= 1e-12
+        rng = np.random.default_rng(67)
+        xs = 0.6 * np.sqrt(rng.random((25, 1))) * np.exp(2j * np.pi * rng.random((25, 1)))
+        original = nf.conjugation.apply_inverse(nf.image_point(xs))
+        assert np.max(np.abs(original - xs)) <= 1e-12
+        for x, row in zip(xs, original):
+            assert np.max(np.abs(nf.conjugation.apply_inverse(nf.image_point(x)) - row)) <= 1e-12
 
     def test_constant_component_map(self):
         nf = normal_form(constant_second_map())
