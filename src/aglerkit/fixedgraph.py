@@ -31,7 +31,6 @@ IDENTITY_IN_W = "identity"
 UNIQUE_GRAPH = "unique_graph"
 NO_FIXED_POINTS = "no_fixed_points"
 
-_DIFF_STEP = 1e-6  # central-difference step of dF/dw for a row evaluator
 _SCHUR_RADIUS = 0.95  # polydisk radius of the sampled |F| <= 1 check
 _SCHUR_TOL = 1e-9
 _DEDUP_TOL = 1e-8  # Newton solutions this close count as one fixed point
@@ -49,51 +48,35 @@ _IDENTITY_TOL = 1e-10
 class SchurMap:
     """Map F(z, w) with z in the polydisk D^n and w in the disk.
 
-    The map is given either exactly, as a rational map in n + 1 variables
-    (w last) with an exact dF/dw, or by ``evaluate``, a callable taking
-    (N, n + 1) rows (w last) to (N,) values, whose dF/dw is a central
-    difference.  Exactly one of the two must be given.  Either way F and
-    dF/dw at a set of rows come from one evaluation: one table of the
-    rational map, or one call of ``evaluate`` on the rows and their two
-    shifts in w.
+    The map is exact: ``rational`` is a RationalMap in n + 1 variables
+    (w last), or any map with the same ``nvars``, ``evaluate`` and
+    ``value_and_partial``.  F and its exact dF/dw at a set of rows come
+    from one evaluation.
     """
 
-    def __init__(self, n, rational=None, evaluate=None, name=None):
+    def __init__(self, n, rational, name=None):
         self.n = int(n)
         if self.n < 1:
             raise ValueError("the map needs at least one z variable")
-        if (rational is None) == (evaluate is None):
-            raise ValueError("provide exactly one of a rational map and a row evaluator")
-        if rational is not None and rational.nvars != self.n + 1:
+        if rational.nvars != self.n + 1:
             raise ValueError(
                 "rational map must use %d variables (z..., w)" % (self.n + 1)
             )
         self.rational = rational
         self.name = name
-        self._evaluate = rational.evaluate if rational is not None else evaluate
 
     def _rows(self, Z, W, dw=False):
         """F at each row pair, or the pair (F, dF/dw) when ``dw`` is set.
 
         W has shape (N,) and Z shape (N, n), or (n,) for one z shared by
-        every row.  Either kind of map is evaluated by one call on the
-        rows: a rational map gives F and its exact dF/dw from one table, and
-        a row evaluator gets [rows, rows + h, rows - h] for F and a central
-        difference.
+        every row.  The map is evaluated by one call on the rows.
         """
-        N = len(W)
-        pts = np.empty((N, self.n + 1), dtype=complex)
+        pts = np.empty((len(W), self.n + 1), dtype=complex)
         pts[:, : self.n] = Z
         pts[:, self.n] = W
-        if not dw:
-            return np.asarray(self._evaluate(pts), dtype=complex)
-        if self.rational is not None:
+        if dw:
             return self.rational.value_and_partial(pts, self.n)
-        rows = np.concatenate([pts, pts, pts])
-        rows[N : 2 * N, self.n] += _DIFF_STEP
-        rows[2 * N :, self.n] -= _DIFF_STEP
-        values = np.asarray(self._evaluate(rows), dtype=complex)
-        return values[:N], (values[N : 2 * N] - values[2 * N :]) / (2.0 * _DIFF_STEP)
+        return self.rational.evaluate(pts)
 
     def _at(self, z, w, dw=False):
         """_rows at one z point and a scalar or array of w values (dF/dw if dw)."""
@@ -137,8 +120,6 @@ class SchurMap:
         return report
 
     def to_json(self):
-        if self.rational is None:
-            raise ValueError("a map given by a row evaluator cannot be serialized")
         payload = {"n": self.n}
         payload.update(self.rational.to_json())
         if self.name:
@@ -276,8 +257,6 @@ def find_fixed_w(smap, z, seeds=None, tol=1e-12):
         if any(abs(w - prev) <= _DEDUP_TOL for prev, _ in found):
             continue
         found.append((w, iterations))
-    if not found:
-        return []
 
     values, derivs = smap._rows(z, np.array([w for w, _ in found], dtype=complex), dw=True)
     records = []

@@ -18,6 +18,8 @@ conjugation chain, image_point and the graph evaluators act on the last
 axis, so (k,) gives (n,) and (N, k) gives (N, n).  A reduced map is the
 exact, permuted map with its trailing coordinates peeled; every
 evaluation solves all the peeled coordinates by one joint Newton call.
+Its last column, the map of the next graph, is exact as well: dF/dw
+comes from the joint Jacobian by implicit differentiation.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class RetractMap:
             if comp.nvars != self.n:
                 raise ValueError("component variable count does not match the map")
         self.components = components
+        # with exact partials, built once for every reduced map over this one
+        self._rationals = tuple(RationalMap(c) if isinstance(c, MultiPoly) else c for c in components)
         self.name = name
 
     @classmethod
@@ -132,16 +136,15 @@ class _ReducedMap(RetractMap):
 
     def __init__(self, full, seeds):
         self.full, self.seeds, self.n = full, seeds, full.n - len(seeds)
-        self._tail = [RationalMap(c) if isinstance(c, MultiPoly) else c
-                      for c in full.components[self.n :]]
 
     def _rows(self, Z, W, dw=False):
-        """F = full_tail(Z, W) and, if dw, dF/dW: (N, g), (N, g, g), or (N,) for g = 1."""
-        N, g = len(W), len(self._tail)
+        """F = full[m:](Z, W) at (N, m) rows Z and, if dw, dF/dW, shaped like W:
+        (N, g) and (N, g, g) for the last g = full.n - m variables, or (N,)."""
+        (N, m), g = Z.shape, self.full.n - Z.shape[1]
         pts = np.concatenate([Z, W.reshape(N, g)], axis=1)
         f, df = np.empty((N, g), dtype=complex), np.empty((N, g, g), dtype=complex)
-        for i, comp in enumerate(self._tail):
-            f[:, i], df[:, i] = comp.value_and_partial(pts, slice(self.n, None))
+        for i, comp in enumerate(self.full._rationals[m:]):
+            f[:, i], df[:, i] = comp.value_and_partial(pts, slice(m, None))
         f, df = f.reshape(W.shape), df.reshape(W.shape + W.shape[1:])
         return (f, df) if dw else f
 
@@ -159,6 +162,26 @@ class _ReducedMap(RetractMap):
 
     def to_json(self):
         raise ValueError("a reduced map cannot be serialized")
+
+
+class _LastColumn(_ReducedMap):
+    """A reduced map seen as its last column F(z, w), an exact map of
+    ``nvars`` = n variables.  With the peeled coordinates p solved, the
+    Jacobian [[a, b], [c, D]] of full's last g + 1 components in (w, p)
+    gives dF/dw = a + b (I - D)^-1 c (implicit differentiation)."""
+
+    nvars = property(lambda self: self.n)
+
+    def evaluate(self, pts):
+        return self._columns(pts, [self.n - 1])[:, 0]
+
+    def value_and_partial(self, pts, index):
+        """F and dF/dw at (N, n) rows; SchurMap asks only for w's partial."""
+        head = self.n - 1
+        joint = np.concatenate([pts[:, head:], self._peel(pts)], axis=1)
+        f, jac = self._rows(pts[:, :head], joint, dw=True)
+        dp = np.linalg.solve(np.eye(f.shape[1] - 1) - jac[:, 1:, 1:], jac[:, 1:, :1])
+        return f[:, 0], jac[:, 0, 0] + (jac[:, :1, 1:] @ dp)[:, 0, 0]
 
 
 def verify_idempotent(rho, samples=400, seed=7, radius=0.9, tol=1e-9):
@@ -391,8 +414,10 @@ class ConjugationChain:
 
 def _permute_map(rho, order):
     """P . rho . P^{-1}; a reduced map permutes its exact map and keeps its
-    peeled coordinates last."""
+    peeled coordinates last.  The identity order returns rho itself."""
     n = rho.n
+    if list(order) == list(range(n)):
+        return rho
     if isinstance(rho, _ReducedMap):
         order = list(order) + list(range(n, rho.full.n))
         seeds = [(graph, np.argsort(order)[cols]) for graph, cols in rho.seeds]
@@ -411,19 +436,14 @@ def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
     Returns (reduced, graph): the graph solves w = rho_last(z', w), and the
     reduced map z' -> rho_head(z', f(z')), an idempotent self-map of D^{n-1},
     is rho's exact map with one more coordinate peeled, each evaluation one
-    joint Newton solve.  The image of the origin under rho seeds the anchor
-    fixed point, so no search is needed.
+    joint Newton solve, and a reduced rho's last column is exact too.  The
+    image of the origin under rho seeds the anchor, so no search is needed.
     """
     if rho.n < 2:
         raise ValueError("reduction needs at least two variables")
     head = rho.n - 1
-    if isinstance(rho, _ReducedMap):
-        # every call is one joint solve of the reduced map's peeled coordinates
-        full, seeds = rho.full, rho.seeds
-        smap = SchurMap(head, evaluate=lambda pts: rho._columns(pts, [head])[:, 0])
-    else:
-        full, seeds, comp = rho, [], rho.components[-1]
-        smap = SchurMap(head, rational=comp if isinstance(comp, RationalMap) else RationalMap(comp))
+    full, seeds = (rho.full, rho.seeds) if isinstance(rho, _ReducedMap) else (rho, [])
+    smap = SchurMap(head, rational=_LastColumn(full, seeds) if seeds else rho._rationals[-1])
     q = rho(np.zeros(rho.n, dtype=complex))
     q_head = q[:-1]
     records = find_fixed_w(smap, q_head, seeds=[complex(q[-1])])

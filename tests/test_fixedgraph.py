@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aglerkit import fixedgraph, multipoly
+from aglerkit import fixedgraph, multipoly, retract
 from aglerkit.errors import DegenerateContinuationError, InconsistencyError
 from aglerkit.fixedgraph import (
     CLASS_AUTOMORPHISM,
@@ -21,6 +21,7 @@ from aglerkit.fixedgraph import (
     uniqueness_check,
 )
 from aglerkit.multipoly import MultiPoly, RationalMap
+from aglerkit.retract import RetractMap
 from aglerkit.sampling import random_polydisk
 from aglerkit.serialize import canonical_dumps
 
@@ -60,6 +61,11 @@ def nonlinear_rational_map():
     num = MultiPoly(3, {(1, 0, 0): 0.3, (0, 1, 0): 0.2, (0, 0, 2): 1.0, (1, 0, 1): 0.1})
     den = MultiPoly(3, {(0, 0, 0): 2.0, (1, 1, 1): -0.5})
     return RationalMap(num, den)
+
+
+def w_map(terms):
+    # F(z, w) = sum of c w^p over the terms {(0, p): c}, the same on every slice
+    return SchurMap(1, rational=RationalMap(MultiPoly(2, terms)))
 
 
 def escaping_graph_map():
@@ -107,26 +113,6 @@ class TestSchurMap:
         w = 0.25 - 0.15j
         assert abs(smap.partial_w(z, w) - 0.5) <= 1e-15
 
-    def test_callable_partials_use_central_differences(self):
-        smap = SchurMap(2, evaluate=lambda p: (p[:, 0] * p[:, 1] + p[:, 2]) / 2)
-        z = np.array([0.3 + 0.1j, -0.2 + 0.4j])
-        w = 0.25 - 0.15j
-        assert abs(smap.partial_w(z, w) - 0.5) <= 1e-9
-
-    def test_row_evaluator_gets_one_call_for_f_and_dw(self):
-        calls = []
-
-        def evaluate(p):
-            calls.append(len(p))
-            return (p[:, 0] * p[:, 1] + p[:, 2]) / 2
-
-        smap = SchurMap(2, evaluate=evaluate)
-        zs = np.array([[0.3 + 0.1j, -0.2 + 0.4j], [0.1, 0.5j]])
-        f, df = smap._rows(zs, np.array([0.25 - 0.15j, 0.1]), dw=True)
-        assert calls == [6]
-        assert np.max(np.abs(f - (zs[:, 0] * zs[:, 1] + [0.25 - 0.15j, 0.1]) / 2)) <= 1e-15
-        assert np.max(np.abs(df - 0.5)) <= 1e-9
-
     @pytest.mark.parametrize("make", [product_average_map, lambda: SchurMap(2, rational=nonlinear_rational_map())])
     def test_each_newton_iteration_evaluates_the_map_once(self, monkeypatch, make):
         # one table per iteration gives F and dF/dw together
@@ -144,9 +130,16 @@ class TestSchurMap:
         assert converged.all()
         assert len(calls) == iterations.max()
 
-    def test_zero_rows_return_at_once_without_evaluating(self):
+    def test_zero_rows_return_at_once_without_evaluating(self, monkeypatch):
+        smap = product_average_map()
         calls = []
-        smap = SchurMap(2, evaluate=lambda p: calls.append(len(p)) or p[:, 2])
+        stack_call = multipoly._Stack.__call__
+
+        def counted(self, points):
+            calls.append(len(points))
+            return stack_call(self, points)
+
+        monkeypatch.setattr(multipoly._Stack, "__call__", counted)
         values, iterations, converged = fixedgraph._newton(smap, np.zeros((0, 2)), np.zeros(0))
         assert (values.shape, iterations.shape, converged.shape) == ((0,), (0,), (0,))
         assert calls == []
@@ -181,17 +174,12 @@ class TestSchurMap:
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            SchurMap(0, evaluate=lambda p: p[:, -1])
+            SchurMap(0, rational=RationalMap(MultiPoly(1, {(1,): 1.0})))
         num = MultiPoly(3, {(0, 0, 1): 1.0})
         with pytest.raises(ValueError):
             SchurMap(1, rational=RationalMap(num))
-
-    def test_exactly_one_of_rational_and_evaluate(self):
-        rational = RationalMap(MultiPoly(2, {(0, 1): 0.5}))
-        with pytest.raises(ValueError):
-            SchurMap(1)
-        with pytest.raises(ValueError):
-            SchurMap(1, rational=rational, evaluate=rational.evaluate)
+        with pytest.raises(TypeError):
+            SchurMap(1, evaluate=RationalMap(MultiPoly(2, {(0, 1): 0.5})).evaluate)
 
     def test_check_schur_passes_for_average_map(self):
         report = product_average_map().check_schur()
@@ -200,7 +188,7 @@ class TestSchurMap:
         assert report["samples"] == 200
 
     def test_check_schur_flags_expanding_map(self):
-        smap = SchurMap(1, evaluate=lambda p: 2.0 * p[:, 1])
+        smap = w_map({(0, 1): 2.0})
         report = smap.check_schur()
         assert report["passed"] is False
         assert report["max_modulus"] > 1.5
@@ -217,10 +205,21 @@ class TestSchurMap:
         z = np.array([0.4, -0.3j])
         assert abs(clone(z, 0.2) - smap(z, 0.2)) <= 1e-15
 
-    def test_callable_map_refuses_serialization(self):
-        smap = SchurMap(1, evaluate=lambda p: p[:, 1] / 2)
+    def test_depth_one_reduced_map_refuses_serialization(self, monkeypatch):
+        # (z1, z1^2, z1^3): the second graph's map is the last column of a
+        # reduced map, which is exact but has no closed form to write out
+        seen = []
+        original = retract.continue_graph
+        monkeypatch.setattr(retract, "continue_graph",
+                            lambda smap, *args, **kwargs: seen.append(smap)
+                            or original(smap, *args, **kwargs))
+        cubic = RetractMap(3, tuple(MultiPoly(3, {(p, 0, 0): 1.0}) for p in (1, 2, 3)))
+        once, _ = retract.reduce_dimension(cubic)
+        retract.reduce_dimension(once)
+        assert len(seen) == 2
+        assert seen[0].to_json()["n"] == 2
         with pytest.raises(ValueError):
-            smap.to_json()
+            seen[1].to_json()
 
 
 class TestFindFixedW:
@@ -270,13 +269,13 @@ class TestFindFixedW:
 
     def test_derivative_above_one_raises(self):
         # 2 w^2 fixes w = 1/2 with slope 2, impossible for a disk self-map
-        smap = SchurMap(1, evaluate=lambda p: 2.0 * p[:, 1] ** 2)
+        smap = w_map({(0, 2): 2.0})
         with pytest.raises(InconsistencyError):
             find_fixed_w(smap, [0.0])
 
     def test_two_interior_fixed_points_raise(self):
         # w (1.36 - w^2) fixes -0.6, 0, 0.6 with slope 0.28 at the outer pair
-        smap = SchurMap(1, evaluate=lambda p: p[:, 1] * (1.36 - p[:, 1] ** 2))
+        smap = w_map({(0, 1): 1.36, (0, 3): -1.0})
         with pytest.raises(InconsistencyError):
             find_fixed_w(smap, [0.0], seeds=[-0.6, 0.6])
 
@@ -317,7 +316,7 @@ class TestDetectAutomorphism:
         assert abs(phi(w) - (w - 0.5) / (1 - w / 2)) <= 1e-10
 
     def test_sign_flip_detected(self):
-        smap = SchurMap(1, evaluate=lambda p: -p[:, 1])
+        smap = w_map({(0, 1): -1.0})
         phi = detect_w_automorphism(smap)
         assert phi is not None
         assert abs(phi.factor - 1.0) <= 1e-8
@@ -438,17 +437,6 @@ class TestContinueGraph:
         single = [graph.evaluate(z) for z in rows]
         assert all(isinstance(v, complex) for v in single)
         assert np.max(np.abs(batch - np.array(single))) <= 1e-12
-
-    def test_callable_map_matches_rational_map(self):
-        rational = nonlinear_rational_map()
-        exact = SchurMap(2, rational=rational)
-        sampled = SchurMap(2, evaluate=rational.evaluate)
-        graphs = [
-            continue_graph(smap, find_fixed_w(smap, [0.0, 0.0])[0], radius=0.85, grid=8)
-            for smap in (exact, sampled)
-        ]
-        assert np.max(np.abs(graphs[0].values - graphs[1].values)) <= 1e-12
-        assert graphs[1].max_residual <= 1e-12
 
     def test_evaluate_solves_at_the_graph_tolerance(self, monkeypatch):
         smap = product_average_map()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aglerkit import fixedgraph, multipoly
+from aglerkit import fixedgraph, multipoly, retract
 from aglerkit.errors import DegenerateContinuationError, InconsistencyError
 from aglerkit.moebius import MoebiusAutomorphism
 from aglerkit.multipoly import MultiPoly, RationalMap
@@ -453,6 +453,38 @@ class TestNormalForm:
         assert np.max(np.abs(original - xs)) <= 1e-12
         for x, row in zip(xs, original):
             assert np.max(np.abs(nf.conjugation.apply_inverse(nf.image_point(x)) - row)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_averaging_graph_derivatives_are_exact(self, n):
+        # graph t (deepest first) peels a slice (a + w) / (t + 2) with a free of w
+        nf = normal_form(averaging_map(n))
+        derivatives = [c.provenance["source"]["max_w_derivative"] for c in nf.f_components]
+        assert np.max(np.abs(np.array(derivatives) - 1.0 / np.arange(2, n + 1))) <= 1e-15
+
+    @pytest.mark.parametrize("rho, count", [(cubic_curve_map(), 1), (averaging_map(4), 2)],
+                             ids=["cubic_curve", "averaging_4"])
+    def test_reduced_last_column_differentiates_exactly(self, monkeypatch, rho, count):
+        # the maps of the graphs at depth >= 1 are reduced maps' last columns:
+        # dF/dw by implicit differentiation matches a central difference of F
+        seen = []
+        original = retract.continue_graph
+        monkeypatch.setattr(retract, "continue_graph",
+                            lambda smap, *args, **kwargs: seen.append(smap.rational)
+                            or original(smap, *args, **kwargs))
+        normal_form(rho)
+        assert len(seen) == count + 1
+        h = 1e-6
+        for column in seen[1:]:
+            pts = random_polydisk(np.random.default_rng(71), 20, column.nvars, 0.6)
+            f, df = column.value_and_partial(pts, column.nvars - 1)
+            assert np.max(np.abs(f - column.evaluate(pts))) <= 1e-15
+            up, down = pts.copy(), pts.copy()
+            up[:, -1] += h
+            down[:, -1] -= h
+            central = (column.evaluate(up) - column.evaluate(down)) / (2 * h)
+            assert np.max(np.abs(df - central)) <= 1e-8
+            empty = column.value_and_partial(np.zeros((0, column.nvars)), column.nvars - 1)
+            assert [a.shape for a in empty] == [(0,), (0,)]
 
     def test_constant_component_map(self):
         nf = normal_form(constant_second_map())
