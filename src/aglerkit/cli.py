@@ -82,7 +82,14 @@ def _polynomial_from(payload):
     return BivariatePolynomial.from_json(payload)
 
 
+def _require_tol(tol):
+    """A --tol that is not finite and positive is a usage error, before any work."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError("--tol must be finite and positive")
+
+
 def _cmd_stability(args):
+    _require_tol(args.tol)
     payload = _read_input(args.input)
     p = _polynomial_from(payload)
     disk_grid = max(8, int(args.grid) // 8)
@@ -126,6 +133,7 @@ def _cmd_decompose(args):
 def _cmd_verify(args):
     if int(args.samples) < 1:
         raise ValueError("samples must be a positive integer")
+    _require_tol(args.tol)
     payload = _read_input(args.input)
     if isinstance(payload, dict) and "certificate" in payload:
         payload = payload["certificate"]
@@ -149,6 +157,8 @@ def _cmd_verify(args):
 
 
 def _cmd_pick(args):
+    if args.tol is not None:
+        _require_tol(args.tol)
     payload = _read_input(args.input)
     problem = PickProblem.from_json(payload)
     if args.tol is not None:

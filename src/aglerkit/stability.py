@@ -3,8 +3,12 @@
 A polynomial is stable when it has no zeros in the open bidisk; zeros on the
 boundary are allowed and do not disqualify the StableOpen verdict.  The scan
 fixes one variable on torus and interior-disk sample grids and takes the roots
-of every univariate slice, in both variable orders, from one batched companion
-eigensolve per companion size.  A slice proposes its smallest root inside, and
+of the univariate slices, in both variable orders, from batched companion
+eigensolves: every torus slice, then each interior slice that Cauchy's bound
+does not clear.  It clears a slice whose roots all lie beyond both 1 - tol and
+the smallest root of its order's torus slices, as such a slice can neither
+propose a zero nor hold the smallest root; on strictly stable inputs about 1
+slice in 8 is eigensolved.  A slice proposes its smallest root inside, and
 an interior slice that vanishes identically proposes w = 0.  The first
 proposal in scan order (z1 fixed, then z2; torus samples first) on an interior
 slice where p is small, about which a disk that holds a zero of p lies inside,
@@ -31,6 +35,7 @@ STABLE_OPEN = "StableOpen"
 STABLE_CLOSED_STRICT = "StableClosedStrict"
 ZERO_FOUND = "ZeroFound"
 INCONCLUSIVE = "Inconclusive"
+_SCREEN = 2.0 ** -10  # Cauchy screen margin: rounding in its sum and eigvals' error
 
 
 @dataclass
@@ -86,6 +91,8 @@ def check_stability(
     """Scan for zeros of p in the bidisk; see the module docstring."""
     if torus_grid < 4 or disk_grid < 2:
         raise ValueError("grids are too coarse")
+    if not 0.0 <= tol < 1.0:
+        raise ValueError("tol must lie in [0, 1)")
     coeff_scale = float(np.max(np.abs(p.coeffs)))
     if coeff_scale == 0.0:
         raise ValueError("the zero polynomial is identically zero on the bidisk")
@@ -98,15 +105,25 @@ def check_stability(
     # roots[r] holds row r's roots, NaN-padded; a spare column serves constants
     roots = np.full((fixed.size, max(p.coeffs.shape)), np.nan, dtype=complex)
     powers = samples.reshape(-1, 1) ** np.arange(max(p.coeffs.shape))
+    on_torus = np.arange(samples.size) < torus_grid
     for half, coeff_grid in enumerate((p.coeffs, p.coeffs.T)):
         part = slice(half * samples.size, (half + 1) * samples.size)
+        found = roots[part, : coeff_grid.shape[1] - 1]  # a view into roots
         # slice_coeffs[s, k] is the coefficient of w**k in p(fixed_s, w)
         slice_coeffs = powers[:, : coeff_grid.shape[0]] @ coeff_grid
-        flat = np.max(np.abs(slice_coeffs), axis=1) <= tol * coeff_scale
+        mag = np.abs(slice_coeffs)
+        flat = np.max(mag, axis=1) <= tol * coeff_scale
         degenerate[part] = flat
-        roots[part][~flat, : slice_coeffs.shape[1] - 1] = roots_rows(
-            slice_coeffs[~flat], lead_tol=1e-13
-        )
+        found[~flat & on_torus] = roots_rows(slice_coeffs[~flat & on_torus], lead_tol=1e-13)
+        # Cauchy: no root in |w| <= bar when sum_{k>=1} |c_k| bar^k < |c_0|, so
+        # an interior row cleared here can neither propose a zero nor hold the
+        # smallest root, as this order's torus rows, earlier in scan order, hold low
+        low = np.min(np.nan_to_num(np.abs(found[on_torus]), nan=np.inf), initial=np.inf)
+        bar = (1.0 + _SCREEN) * max(low, 1.0 - tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN sums clear nothing
+            cleared = mag[:, 1:] @ bar ** np.arange(1, mag.shape[1]) <= (1 - _SCREEN) * mag[:, 0]
+        solve = ~flat & ~on_torus & ~cleared
+        found[solve] = roots_rows(slice_coeffs[solve], lead_tol=1e-13)
 
     moduli = np.nan_to_num(np.abs(roots), nan=np.inf)
     row_min = np.min(moduli, axis=1)

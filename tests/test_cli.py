@@ -161,6 +161,17 @@ class TestStability:
         path.write_text("{not json")
         assert main(["stability", "--input", str(path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_not_finite_and_positive_exit_64(self, tmp_path, capsys, tol):
+        # a negative tol reads the stable 2 - z1 - z2 as inconclusive (exit 3),
+        # and nan lets z1 - 1/2 pass as stable; checked before the input
+        for name, payload in (("p", classic_poly_payload()), ("bad", interior_zero_payload())):
+            inp = write_json(tmp_path / (name + ".json"), payload)
+            assert main(["stability", "--input", inp, "--tol", tol]) == EXIT_USAGE
+        assert main(["stability", "--input", str(tmp_path / "absent.json"),
+                     "--tol", tol]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
 
 class TestDecompose:
     def test_classic_certificate_meets_tolerance(self, classic_certificate):
@@ -279,6 +290,14 @@ class TestVerify:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_not_finite_and_positive_exit_64(self, classic_certificate, capsys, tol):
+        # a negative tol fails a good certificate (exit 1); checked before the input
+        assert main(["verify", "--input", str(classic_certificate)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", "--input", str(classic_certificate), "--tol", tol]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
 
 class TestPick:
     def test_identity_data_solvable_unique(self, tmp_path, capsys):
@@ -291,6 +310,22 @@ class TestPick:
         assert payload["verdict"] == SOLVABLE_UNIQUE
         assert payload["max_defect"] <= 1e-9
         assert "interpolant" in payload
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_not_finite_and_positive_exit_64(self, tmp_path, capsys, tol):
+        # data of a degree-2 Blaschke product; a negative tol reads them as
+        # not solvable (exit 2); checked before the input
+        nodes = 0.6 * np.exp(2j * np.pi * np.arange(5) / 5) * (0.5 + 0.1 * np.arange(5))
+        a = 0.3 + 0.2j
+        targets = nodes * (nodes - a) / (1 - np.conj(a) * nodes)
+        inp = write_json(tmp_path / "pick.json", {
+            "nodes": [[z.real, z.imag] for z in nodes],
+            "targets": [[z.real, z.imag] for z in targets],
+        })
+        assert main(["pick", "--input", inp]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["pick", "--input", inp, "--tol", tol]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_schwarz_violation_not_solvable_exit_2(self, tmp_path, capsys):
         inp = write_json(

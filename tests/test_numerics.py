@@ -149,6 +149,12 @@ class TestRootsUnivariate:
         with pytest.raises(ValueError):
             roots_univariate([0.0, 0.0])
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_no_rows_give_no_roots(self, k):
+        # a stability scan can screen out every interior slice of an order
+        roots = roots_rows(np.zeros((0, k), dtype=complex), lead_tol=1e-13)
+        assert roots.shape == (0, k - 1)
+
     def test_trailing_zero_leading_coefficients_are_trimmed(self):
         roots = roots_univariate([2.0, -1.0, 1e-18], lead_tol=1e-12)
         assert roots.size == 1

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aglerkit.stability
+from aglerkit.numerics import roots_rows
 from aglerkit.poly2 import BivariatePolynomial
 from aglerkit.stability import (
     INCONCLUSIVE,
@@ -12,6 +14,8 @@ from aglerkit.stability import (
     STABLE_OPEN,
     ZERO_FOUND,
     StabilityReport,
+    _fixed_samples,
+    _zero_reach,
     check_stability,
 )
 
@@ -76,6 +80,123 @@ def power(p, k):
     return result
 
 
+def assert_matches_full_scan(p, torus_grid=128, disk_grid=16):
+    """Check a report against a scan that eigensolves every non-flat slice.
+
+    Every slice row of both orders goes through roots_rows, in scan order.
+    A row proposes its smallest root when that lies inside 1 - tol, and an
+    interior flat row proposes 0.  The ZeroFound witness is the first
+    interior proposal that _zero_reach confirms, an Inconclusive witness the
+    last proposal, and a stable verdict has none; min_root_modulus is the
+    smallest root modulus, for ZeroFound up to the witness's row, bit for bit.
+    """
+    report = check_stability(p, torus_grid=torus_grid, disk_grid=disk_grid)
+    samples = _fixed_samples(torus_grid, disk_grid)
+    tol, scale = report.tolerance, np.max(np.abs(p.coeffs))
+    powers = samples.reshape(-1, 1) ** np.arange(max(p.coeffs.shape))
+    interior = np.arange(samples.size) >= torus_grid
+    row_min, proposals, along_z1 = [], [], []
+    for half, grid in enumerate((p.coeffs, p.coeffs.T)):
+        coeffs = powers[:, : grid.shape[0]] @ grid
+        flat = np.max(np.abs(coeffs), axis=1) <= tol * scale
+        roots = np.full((samples.size, max(grid.shape[1] - 1, 1)), np.nan, dtype=complex)
+        roots[~flat, : grid.shape[1] - 1] = roots_rows(coeffs[~flat], lead_tol=1e-13)
+        moduli = np.nan_to_num(np.abs(roots), nan=np.inf)
+        row_min.append(np.min(moduli, axis=1))
+        for r in np.flatnonzero((flat & interior) | (row_min[-1] < 1.0 - tol)):
+            root = 0j if flat[r] else roots[r, np.argmin(moduli[r])]
+            point = (root, samples[r]) if half else (samples[r], root)
+            proposals.append((half * samples.size + r, point))
+            along_z1.append(bool(half) != flat[r])
+    row_min = np.concatenate(row_min)
+    rows = np.array([r for r, _ in proposals], dtype=int)
+    points = np.array([point for _, point in proposals], dtype=complex).reshape(-1, 2)
+    modulus, reach = _zero_reach(p, points[:, 0], points[:, 1], np.array(along_z1, dtype=bool))
+    confirmed = (modulus <= tol * max(1.0, scale)) & (reach < 1.0) & np.tile(interior, 2)[rows]
+    if np.any(confirmed):
+        k = np.argmax(confirmed)
+        assert (report.verdict, report.witness) == (ZERO_FOUND, proposals[k][1])
+        assert report.min_root_modulus == np.min(row_min[: rows[k] + 1])
+        return report
+    if proposals:
+        assert (report.verdict, report.witness) == (INCONCLUSIVE, proposals[-1][1])
+    else:
+        assert report.stable and report.witness is None
+    assert report.min_root_modulus == np.min(row_min)
+    return report
+
+
+def random_strictly_stable(rng, n, m):
+    """1 + c with c(0, 0) = 0 and sum |c| = 2/3: no zero on the closed bidisk."""
+    c = rng.standard_normal((n + 1, m + 1)) + 1j * rng.standard_normal((n + 1, m + 1))
+    c[0, 0] = 0.0
+    c *= (2.0 / 3.0) / np.sum(np.abs(c))
+    c[0, 0] = 1.0
+    return BivariatePolynomial(c)
+
+
+CORPUS = [
+    CLASSIC,
+    BivariatePolynomial([[4.0, -1.0], [-1.0, 0.0]]),
+    BivariatePolynomial([[8.0, -6.0, 1.0], [-6.0, 2.0, 0.0], [1.0, 0.0, 0.0]]),
+    BivariatePolynomial([[4.0, -1.0, -1.0], [-1.0, 0.0, 0.0]]),
+    BivariatePolynomial([[8.0, -2.0, 0.0, 0.0], [-1.0, 0.0, -1.0, 0.0],
+                         [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]),
+]
+
+
+class TestScreenedScan:
+    """Interior slices screened out by Cauchy's bound never change a report."""
+
+    @pytest.mark.parametrize("grids", [(128, 16), (512, 64)])
+    def test_corpus(self, grids):
+        for p in CORPUS:
+            assert_matches_full_scan(p, *grids)
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_random_strictly_stable(self, degree):
+        rng = np.random.default_rng(100 + degree)
+        for n, m in ((degree, degree), (degree, 1 + degree % 3)):
+            report = assert_matches_full_scan(random_strictly_stable(rng, n, m))
+            assert report.verdict == STABLE_CLOSED_STRICT
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_boundary_powers(self, k):
+        report = assert_matches_full_scan(power(CLASSIC, k))
+        assert report.verdict in (STABLE_OPEN, INCONCLUSIVE)
+
+    def test_interior_inconclusive_proposal(self):
+        # (1 - z1)**3 splits into roots just inside on interior slices
+        assert assert_matches_full_scan(power(LINE, 3), 512, 64).verdict == INCONCLUSIVE
+
+    def test_zero_found_inputs(self):
+        rng = np.random.default_rng(59)
+        near_edge = BivariatePolynomial([[1.9, -1.0], [-1.0, 0.0]])  # zero at (0.95, 0.95)
+        polys = [BivariatePolynomial([[-0.5], [1.0]]),  # the whole slice z1 = 1/2
+                 BivariatePolynomial.monomial(1, 1),  # degenerate slice at z1 = 0
+                 CLASSIC * BivariatePolynomial([[-0.5], [1.0]]),
+                 near_edge, near_edge * CLASSIC]
+        for n, m in rng.integers(1, 5, size=(16, 2)):
+            polys.append(BivariatePolynomial(rng.standard_normal((n + 1, m + 1))
+                                             + 1j * rng.standard_normal((n + 1, m + 1))))
+        found = [assert_matches_full_scan(p).verdict == ZERO_FOUND for p in polys]
+        assert all(found[:5]) and sum(found) >= 14
+
+    def test_interior_rows_are_mostly_screened_out(self, monkeypatch):
+        seen = []
+
+        def spy(rows, lead_tol=0.0):
+            seen.append(len(rows))
+            return roots_rows(rows, lead_tol=lead_tol)
+
+        monkeypatch.setattr(aglerkit.stability, "roots_rows", spy)
+        p = random_strictly_stable(np.random.default_rng(3), 3, 3)
+        report = check_stability(p)
+        rows = 2 * (512 + 1 + 64 * 64)  # 9,218 slices
+        assert report.verdict == STABLE_CLOSED_STRICT
+        assert sum(seen) <= 0.2 * rows
+
+
 class TestBoundaryZeros:
     """A zero on the boundary never counts as a zero in the open bidisk."""
 
@@ -138,7 +259,7 @@ class TestBoundaryZeros:
             phase_c = phase_b if aligned else np.exp(2j * np.pi * turn_c)
             b, c = total * share * phase_b, total * (1.0 - share) * phase_c
             p = p * BivariatePolynomial(phase_a * np.array([[1.0, -c], [-b, 0.0]]))
-        report = check_stability(p, torus_grid=128, disk_grid=16)
+        report = assert_matches_full_scan(p)
         assert report.verdict != ZERO_FOUND
 
 
@@ -204,6 +325,15 @@ class TestValidation:
     def test_too_coarse_grids_are_rejected(self):
         with pytest.raises(ValueError):
             check_stability(CLASSIC, torus_grid=2, disk_grid=8)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 1.0, np.inf])
+    def test_tol_outside_unit_interval_is_rejected(self, tol):
+        # nan read 1/4 - z1 - z2, zero at (1/8, 1/8), as StableOpen, and -1
+        # read the stable 2 - z1 - z2 as Inconclusive
+        for p in (BivariatePolynomial([[0.25, -1.0], [-1.0, 0.0]]), CLASSIC):
+            with pytest.raises(ValueError):
+                check_stability(p, torus_grid=64, disk_grid=8, tol=tol)
+        assert check_stability(CLASSIC, torus_grid=64, disk_grid=8, tol=0.0).stable
 
     def test_report_serialization(self):
         report = check_stability(CLASSIC, torus_grid=64, disk_grid=8)
