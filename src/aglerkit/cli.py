@@ -105,8 +105,9 @@ def _cmd_stability(args):
 
 
 def _cmd_decompose(args):
-    if int(args.max_iter) < 1 or not args.tol > 0.0:
-        raise ValueError("--max-iter must be positive and --tol must be positive")
+    if int(args.max_iter) < 1:
+        raise ValueError("--max-iter must be positive")
+    _require_tol(args.tol)
     payload = _read_input(args.input)
     p = _polynomial_from(payload)
     pre = check_stability(p, torus_grid=128, disk_grid=16, tol=args.tol)
@@ -180,8 +181,9 @@ def _cmd_pick(args):
 
 
 def _cmd_fixedgraph(args):
-    if not 0.0 < args.radius <= 1.0 or int(args.grid) < 1 or not 0.0 < args.tol < np.inf:
-        raise ValueError("--radius must lie in (0, 1], --grid positive and --tol finite, positive")
+    if not 0.0 < args.radius <= 1.0 or int(args.grid) < 1:
+        raise ValueError("--radius must lie in (0, 1] and --grid must be positive")
+    _require_tol(args.tol)
     payload = _read_input(args.input)
     smap = SchurMap.from_json(payload)
     schur_report = smap.check_schur(samples=int(args.samples), seed=int(args.seed))

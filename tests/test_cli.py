@@ -226,7 +226,8 @@ class TestDecompose:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags", [["--max-iter", "0"], ["--max-iter", "-5"], ["--tol", "0"], ["--tol", "-1e-9"]]
+        "flags", [["--max-iter", "0"], ["--max-iter", "-5"], ["--tol", "0"], ["--tol", "-1e-9"],
+                  ["--tol", "nan"], ["--tol", "inf"]]
     )
     def test_bad_budget_or_tolerance_exit_64(self, tmp_path, capsys, flags):
         # checked before the input is read, so an unstable input exits 64 too
