@@ -7,13 +7,18 @@ bidisk as
 
     (1 - |z1|^2) sum_i |A_i(z)|^2  +  (1 - |z2|^2) sum_j |B_j(z)|^2.
 
-The solver finds positive semidefinite Gram matrices representing the
-two sums by alternating projections between the coefficient-matching
-constraints and the semidefinite cone, with a short Gauss-Newton polish
-on the factors of the Gram matrices.  The matching constraints only
-couple Gram entries with the same displacement (a - c, b - d), and on
-each such class the projection has a closed form (a DCT-II), so no large
-linear system is ever formed.  The polish is tried after 50 projection
+The solver first reads the certificate off p's coefficients: on |z2| = 1
+the one-variable Christoffel-Darboux Gram of p(., z2) is a matrix
+polynomial in z2, one Riccati solve gives its outer factor, whose
+coefficients are the A factors, and the B side is what remains.  Such a
+certificate reports 0 iterations.  When that fails (a repeated zero of p
+on the torus), the solver finds positive semidefinite Gram matrices
+representing the two sums by alternating projections between the
+coefficient-matching constraints and the semidefinite cone, with a short
+Gauss-Newton polish on the factors of the Gram matrices.  The matching
+constraints only couple Gram entries with the same displacement
+(a - c, b - d), and on each such class the projection has a closed form
+(a DCT-II), so no large linear system is ever formed.  The polish is tried after 50 projection
 rounds, then at 150, 500, 1500, ...; each of its steps is a least-squares
 solve on the upper triangle of the Hermitian coefficient residual, half
 its rows.  It counts only when its residual times (n+1)^2 (m+1)^2, the

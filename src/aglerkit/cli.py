@@ -161,9 +161,9 @@ def _cmd_pick(args):
     if args.tol is not None:
         _require_tol(args.tol)
     payload = _read_input(args.input)
-    problem = PickProblem.from_json(payload)
     if args.tol is not None:
-        problem.tol = float(args.tol)
+        payload = {**payload, "tol": args.tol}
+    problem = PickProblem.from_json(payload)
     verdict, min_eig = is_solvable(problem)
     result = {"command": "pick", "verdict": verdict, "min_eig": min_eig}
     if verdict == NOT_SOLVABLE:

@@ -45,6 +45,8 @@ class PickProblem:
         np.fill_diagonal(gaps, np.inf)
         if gaps.min() < 1e-12:
             raise ValueError("nodes must be pairwise distinct")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
 
     def to_json(self) -> dict:
         return {

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
-from scipy.signal import convolve2d
 
 from .serialize import matrix_to_pairs, pairs_to_matrix
 
@@ -149,8 +148,11 @@ class BivariatePolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, np.number)):
             return BivariatePolynomial(self.coeffs * complex(other))
-        other = _coerce(other)
-        return BivariatePolynomial(convolve2d(self.coeffs, other.coeffs))
+        small, big = sorted((self.coeffs, _coerce(other).coeffs), key=np.size)
+        out = np.zeros(np.add(small.shape, big.shape) - 1, dtype=complex)
+        for (a, b), c in np.ndenumerate(small):
+            out[a:a + big.shape[0], b:b + big.shape[1]] += c * big
+        return BivariatePolynomial(out)
 
     __rmul__ = __mul__
 

@@ -19,15 +19,23 @@ are the Fourier coefficients of |p|^2 - |p~|^2 on the torus, where
 |p~| = |p|, so they vanish for every p: the constraints are always
 consistent and the projection onto them is closed-form.
 
-solve_gram finds a PSD pair satisfying the constraints: a global phase of
-alternating projections with outer-normal correction on the PSD cone
-(Dykstra), plus a rank-truncated Gauss-Newton polish on the spectral
-factors, which restores fast local convergence when the feasible set touches
-the cone boundary (as it does whenever p has boundary zeros).  The polish is
-tried at Dykstra iterations 50, 150, 500, 1500, ... and once Dykstra meets
-tol.  L(G_A, G_B) - T is Hermitian, so its steps solve on half the rows, the
-upper triangle.  A polish counts only if its residual times (n+1)^2 (m+1)^2,
-the number of terms a sampled check of the identity sums, is at most tol.
+solve_gram first builds a pair from p's coefficients (bivariate Fejer-Riesz,
+after Geronimo and Woerdeman).  On |z2| = 1 the Christoffel-Darboux Gram of
+p(., z2) is M(z2) = sum_k M_k z2^k, k = -m..m, n x n and positive definite
+when p has no zero on the closed bidisk.  One Riccati solve gives an outer
+factor G(u) = sum_{j<=m} G_j u^j of M, the A-side factors are
+a_k[i, j] = G_j[i, k], and T - L(G_A, 0) summed down each z2 diagonal is G_B,
+of rank m.  The polish below accepts the pair, with no step at rounding
+level, and the certificate reports iterations 0.  If the Riccati solve raises
+or the pair is rejected (a repeated zero on the torus), Dykstra runs: a global
+phase of alternating projections with outer-normal correction on the PSD
+cone, plus a rank-truncated Gauss-Newton polish on the spectral factors,
+which restores fast local convergence when the feasible set touches the cone
+boundary.  The polish is tried at Dykstra iterations 50, 150, 500, 1500, ...
+and once Dykstra meets tol.  L(G_A, G_B) - T is Hermitian, so its steps solve
+on half the rows, the upper triangle.  A polish counts only if its residual
+times (n+1)^2 (m+1)^2, the number of terms a sampled check of the identity
+sums, is at most tol.
 
 Certificates are scale-free: p is normalized to unit coefficient norm
 internally and the reported residual is relative to ||p||^2.
@@ -38,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 from .errors import InfeasibleError
 from .numerics import eig_hermitian, hermitize, project_psd, psd_factor
@@ -392,6 +401,48 @@ def _attempt_polish(proj, gram_a, gram_b, tol):
 # solver
 # ----------------------------------------------------------------------
 
+def _diagonal_cumsum(x):
+    """x[i, j] + x[i-1, j-1] + ... down each diagonal of the two leading axes."""
+    x = x.copy()
+    for i in range(1, x.shape[0]):
+        x[i, 1:] += x[i - 1, :-1]
+    return x
+
+
+def _schur_cohn_moments(coeffs):
+    """M_k, k = -m..m, stacked: with f_a(z2) = sum_b c[a, b] z2^b, M(z2)[a, c] sums
+    f_{a-s} conj(f_{c-s}) - f_{n-c+s} conj(f_{n-a+s}) over s = 0..min(a, c)."""
+    n, m = coeffs.shape[0] - 1, coeffs.shape[1] - 1
+    # corr[x, y, k + m]: the z2^k coefficient of f_x conj(f_y)
+    corr = np.stack([coeffs[:, max(k, 0):m + 1 + min(k, 0)]
+                     @ coeffs[:, max(-k, 0):m + 1 - max(k, 0)].conj().T
+                     for k in range(-m, m + 1)], axis=-1)
+    flipped = corr[:0:-1, :0:-1].transpose(1, 0, 2)  # flipped[a, c] = corr[n - c, n - a]
+    return _diagonal_cumsum(corr[:n, :n] - flipped).transpose(2, 0, 1)
+
+
+def _fejer_riesz_factors(coeffs, target):
+    """Factor pair from an outer factor of M (module docstring); LinAlgError if M is singular."""
+    n, m = coeffs.shape[0] - 1, coeffs.shape[1] - 1
+    x_fac = none = np.zeros((0, 0), dtype=complex)
+    if n > 0:
+        moments = _schur_cohn_moments(coeffs)
+        if m == 0:
+            outer = np.linalg.cholesky(moments[0])[None]
+        else:
+            size, up = n * m, moments[m + 1:].reshape(n * m, n)  # N = [M_1; ..; M_m]
+            shift = np.eye(size, k=n)  # A, the block up-shift; C = [I 0 .. 0]
+            x = solve_discrete_are(shift.T, np.eye(size, n), np.zeros((size, size)), moments[m], s=up)
+            g0 = np.linalg.cholesky(moments[m] + x[:n, :n])
+            gains = np.linalg.solve(g0.conj(), (up + shift @ x[:, :n]).T).T  # K G_0, K Re = N + A X C*
+            outer = np.concatenate([g0[None], gains.reshape(m, n, n)])
+        x_fac = outer.transpose(1, 0, 2).reshape(n * (m + 1), n)  # a_k[i, j] = G_j[i, k]
+    rest = target - gram_pair_tensor(x_fac @ x_fac.conj().T, none, n, m)
+    gram_b = _diagonal_cumsum(rest[:, :m, :, :m].transpose(1, 3, 0, 2)).transpose(2, 0, 3, 1)
+    order_b = (n + 1) * m
+    return x_fac, _truncated_factor(np.linalg.eigh(hermitize(gram_b.reshape(order_b, order_b))), m)
+
+
 _POLISH_CHECKPOINTS = (50, 150, 500, 1500, 4000, 10000, 25000, 60000, 150000)
 
 
@@ -403,6 +454,8 @@ def solve_gram(
 ) -> SosCertificate:
     """Find a PSD Gram pair certifying the decomposition identity for p.
 
+    The pair comes from an outer factor of the Schur-Cohn matrix polynomial
+    (iterations 0), or, when that fails, from Dykstra's loop and the polish.
     Stability of p is the caller's responsibility (gate with check_stability).
     With no pair within tol after max_iter iterations and the polish, it
     raises InfeasibleError with the best residual reached: for unstable p no
@@ -425,47 +478,50 @@ def solve_gram(
             "coefficient constraints are inconsistent", residual=defect, iterations=0,
         )
 
-    rng = np.random.default_rng(seed)
-
-    def random_hermitian(order):
-        if order == 0:
-            return np.zeros((0, 0), dtype=complex)
-        raw = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
-        return hermitize(raw)
-
-    x_a, x_b = proj.project(random_hermitian(proj.order_a), random_hermitian(proj.order_b))
-    corr_a, corr_b = np.zeros_like(x_a), np.zeros_like(x_b)
-
-    best_res = np.inf
-    best_pair = None
-    converged = False
-    polish_out = None
+    try:
+        factors = _fejer_riesz_factors(p_norm.coeffs, target)
+    except np.linalg.LinAlgError:  # M(z2) is singular on the circle: no outer factor
+        factors = None
+    polish_out = _gauss_newton(proj, *factors, tol) if factors is not None else None
     iterations = 0
+    if polish_out is None:
+        rng = np.random.default_rng(seed)
 
-    for k in range(max_iter):
-        iterations = k + 1
-        z_a, z_b = x_a + corr_a, x_b + corr_b
-        psd_a, psd_b = project_psd(z_a), project_psd(z_b)
-        corr_a, corr_b = z_a - psd_a, z_b - psd_b
+        def random_hermitian(order):
+            if order == 0:
+                return np.zeros((0, 0), dtype=complex)
+            raw = rng.standard_normal((order, order)) + 1j * rng.standard_normal((order, order))
+            return hermitize(raw)
 
-        residual = proj.residual(psd_a, psd_b)
-        res = float(np.max(np.abs(residual)))
-        if res < best_res:
-            best_res = res
-            best_pair = (psd_a, psd_b)
-        if res <= tol:
-            converged = True
-            break
-        if iterations in _POLISH_CHECKPOINTS:
-            polish_out = _attempt_polish(proj, psd_a, psd_b, tol)
-            if polish_out is not None:
+        x_a, x_b = proj.project(random_hermitian(proj.order_a), random_hermitian(proj.order_b))
+        corr_a, corr_b = np.zeros_like(x_a), np.zeros_like(x_b)
+
+        best_res, best_pair, converged = np.inf, None, False
+
+        for k in range(max_iter):
+            iterations = k + 1
+            z_a, z_b = x_a + corr_a, x_b + corr_b
+            psd_a, psd_b = project_psd(z_a), project_psd(z_b)
+            corr_a, corr_b = z_a - psd_a, z_b - psd_b
+
+            residual = proj.residual(psd_a, psd_b)
+            res = float(np.max(np.abs(residual)))
+            if res < best_res:
+                best_res = res
+                best_pair = (psd_a, psd_b)
+            if res <= tol:
+                converged = True
                 break
-        x_a, x_b = proj.project(psd_a, psd_b, residual)
+            if iterations in _POLISH_CHECKPOINTS:
+                polish_out = _attempt_polish(proj, psd_a, psd_b, tol)
+                if polish_out is not None:
+                    break
+            x_a, x_b = proj.project(psd_a, psd_b, residual)
 
-    # a pair that only just met tol is polished too, so that sampled checks
-    # at the same tol, which add up many coefficient errors, still pass
-    if polish_out is None and best_pair is not None and best_res > _polish_floor(tol):
-        polish_out = _attempt_polish(proj, best_pair[0], best_pair[1], tol)
+        # a pair that only just met tol is polished too, so that sampled checks
+        # at the same tol, which add up many coefficient errors, still pass
+        if polish_out is None and best_pair is not None and best_res > _polish_floor(tol):
+            polish_out = _attempt_polish(proj, best_pair[0], best_pair[1], tol)
 
     polish_iterations = 0
     if polish_out is not None:

@@ -55,6 +55,17 @@ def boundary_line_payload():
     }
 
 
+def boundary_square_payload():
+    # p = (2 - z1 - z2)**2, a double zero at (1, 1): only Dykstra and the polish certify it
+    coeffs = [[4.0, -4.0, 1.0], [-4.0, 2.0, 0.0], [1.0, 0.0, 0.0]]
+    return {
+        "polynomial": {
+            "bidegree": [2, 2],
+            "coeffs": [[[c, 0.0] for c in row] for row in coeffs],
+        }
+    }
+
+
 def boundary_cube_payload():
     # p = (2 - z1 - z2)**3, a triple zero at the torus point (1, 1)
     coeffs = [[8.0, -12.0, 6.0, -1.0], [-12.0, 12.0, -3.0, 0.0],
@@ -241,11 +252,13 @@ class TestDecompose:
         def failing_lstsq(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
-        inp = write_json(tmp_path / "p.json", classic_poly_payload())
+        square = write_json(tmp_path / "square.json", boundary_square_payload())
         monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
         # a failed polish step ends the attempt; the budget then runs out
-        assert main(["decompose", "--input", inp, "--max-iter", "200"]) == EXIT_INCONCLUSIVE
+        assert main(["decompose", "--input", square, "--max-iter", "200"]) == EXIT_INCONCLUSIVE
         assert "best residual" in capsys.readouterr().err
+
+        inp = write_json(tmp_path / "p.json", classic_poly_payload())
 
         def solve_calling_lstsq(*args, **kwargs):
             return failing_lstsq()
@@ -312,21 +325,37 @@ class TestPick:
         assert payload["max_defect"] <= 1e-9
         assert "interpolant" in payload
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-    def test_tol_not_finite_and_positive_exit_64(self, tmp_path, capsys, tol):
-        # data of a degree-2 Blaschke product; a negative tol reads them as
-        # not solvable (exit 2); checked before the input
+    @staticmethod
+    def blaschke_payload():
+        # data of a degree-2 Blaschke product: the Pick matrix is singular
         nodes = 0.6 * np.exp(2j * np.pi * np.arange(5) / 5) * (0.5 + 0.1 * np.arange(5))
         a = 0.3 + 0.2j
         targets = nodes * (nodes - a) / (1 - np.conj(a) * nodes)
-        inp = write_json(tmp_path / "pick.json", {
+        return {
             "nodes": [[z.real, z.imag] for z in nodes],
             "targets": [[z.real, z.imag] for z in targets],
-        })
+        }
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_tol_not_finite_and_positive_exit_64(self, tmp_path, capsys, tol):
+        # a negative tol reads the Blaschke data as not solvable (exit 2);
+        # checked before the input
+        inp = write_json(tmp_path / "pick.json", self.blaschke_payload())
         assert main(["pick", "--input", inp]) == EXIT_OK
         capsys.readouterr()
         assert main(["pick", "--input", inp, "--tol", tol]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_file_tol_not_finite_and_positive_exit_64(self, tmp_path, capsys, tol):
+        # without the check, tol -1 read the Blaschke data as not solvable (exit 2)
+        # and nan as Solvable instead of SolvableUnique
+        inp = write_json(tmp_path / "pick.json", {**self.blaschke_payload(), "tol": tol})
+        assert main(["pick", "--input", inp]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        # the flag overrides the file's value
+        assert main(["pick", "--input", inp, "--tol", "1e-9"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["verdict"] == SOLVABLE_UNIQUE
 
     def test_schwarz_violation_not_solvable_exit_2(self, tmp_path, capsys):
         inp = write_json(

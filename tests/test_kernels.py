@@ -9,6 +9,7 @@ from aglerkit.poly2 import BivariatePolynomial
 from aglerkit.sos import SosCertificate, gram_from_factors, solve_gram
 
 CLASSIC = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])
+PRODUCT_22 = BivariatePolynomial([[8.0, -6.0, 1.0], [-6.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
 SQRT2 = np.sqrt(2.0)
 HAND_A = BivariatePolynomial([[SQRT2, -SQRT2]])
 HAND_B = BivariatePolynomial([[SQRT2], [-SQRT2]])
@@ -185,15 +186,27 @@ class TestVerification:
         checks = {wit["check"] for wit in report.witnesses}
         assert checks == {"identity_pick", "identity_difference", "cauchy_schwarz"}
 
-    def test_unsymmetrized_vectors_break_cauchy_schwarz(self, classic_cert):
+    def test_unsymmetrized_vectors_break_cauchy_schwarz(self):
         # the pointwise bound needs reflection-closed vectors; the raw
         # one-sided factors satisfy both identities but not the bound
-        raw = KernelBundle.from_certificate(classic_cert, symmetrized=False)
+        raw = KernelBundle.from_certificate(solve_gram(PRODUCT_22, tol=1e-8, seed=42), symmetrized=False)
         report = verify_decomposition(raw, samples=500, seed=1234, tol=1e-8)
         assert report.identity1_max <= 1e-8
         assert report.identity2_max <= 1e-8
         assert report.cs_max_violation > 1e-6
         assert not report.passed
+
+    def test_classic_one_sided_factors_meet_the_bound_with_equality(self, classic_cert):
+        # A1 = alpha (1 - z2) and its reflection conj(alpha) (z2 - 1) have equal
+        # moduli, and so do B1 and its reflection, so |L_j(z, w)|^2 = K_j(z, z) K_j(w, w);
+        # the Gram pair touches the PSD cone tangentially, so the computed
+        # factors are off by about sqrt(eps) and the equality holds to about 1e-7
+        raw = KernelBundle.from_certificate(classic_cert, symmetrized=False)
+        z = (np.array([0.3, -0.5j, 0.1 + 0.6j, -0.7]), np.array([-0.4, 0.2, 0.5j, 0.6 - 0.2j]))
+        w = (np.array([0.5j, 0.2 - 0.3j, -0.6, 0.0]), np.array([0.1, -0.8j, 0.3, 0.4 + 0.4j]))
+        for j in (1, 2):
+            bound = raw.K(j, z, z).real * raw.K(j, w, w).real
+            np.testing.assert_allclose(np.abs(raw.L(j, z, w)) ** 2, bound, rtol=1e-6)
 
     def test_raw_telescoping_bundle_fails_the_bound_badly(self):
         # with the one-sided vectors, L2(z, w) = w1 while K2(z, z) = |z1|^2,

@@ -186,6 +186,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             PickProblem([0.0, 0.5], [0.1])
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tol_not_finite_and_positive_is_rejected(self, tol):
+        with pytest.raises(ValueError):
+            PickProblem([0.0, 0.5], [0.1, 0.2], tol=tol)
+        with pytest.raises(ValueError):
+            PickProblem.from_json({"nodes": [[0.0, 0.0]], "targets": [[0.1, 0.0]], "tol": tol})
+
     def test_json_round_trip(self):
         problem = PickProblem([0.0, 0.5j], [0.2, -0.1 + 0.4j], tol=1e-8)
         back = PickProblem.from_json(problem.to_json())

@@ -1,8 +1,14 @@
 """Tests for bivariate polynomial arithmetic, evaluation, and reflection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import aglerkit
 from aglerkit.poly2 import BivariatePolynomial
 
 
@@ -153,6 +159,20 @@ class TestArithmetic:
             z1, z2 = rng.standard_normal(2) * 0.5 + 1j * rng.standard_normal(2) * 0.5
             assert prod(z1, z2) == pytest.approx(p(z1, z2) * q(z1, z2))
 
+    @pytest.mark.parametrize("left,right", [((2, 1), (1, 3)), ((0, 4), (3, 0)), ((3, 3), (0, 0))])
+    def test_product_matches_coefficient_double_sum(self, left, right):
+        rng = np.random.default_rng(29)
+        p, q = random_poly(rng, *left), random_poly(rng, *right)
+        ref = np.zeros((left[0] + right[0] + 1, left[1] + right[1] + 1), dtype=complex)
+        for (a, b), x in np.ndenumerate(p.coeffs):
+            for (c, d), y in np.ndenumerate(q.coeffs):
+                ref[a + c, b + d] += x * y
+        # each coefficient sums at most 16 products, in another order than the reference
+        bound = 64 * np.finfo(float).eps * np.abs(p.coeffs).max() * np.abs(q.coeffs).max()
+        for prod in (p * q, q * p):
+            assert prod.coeffs.shape == ref.shape
+            assert np.max(np.abs(prod.coeffs - ref)) <= bound
+
     def test_unsupported_operand_type_is_rejected(self):
         with pytest.raises(TypeError):
             CLASSIC + "nope"
@@ -227,3 +247,11 @@ class TestUtility:
     def test_coeff_norm(self):
         p = BivariatePolynomial([[3.0, 4.0]])
         assert p.coeff_norm() == pytest.approx(5.0)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs about a second of start-up and no code path needs it
+    code = "import sys, aglerkit; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(aglerkit.__file__).parents[1])})
+    assert out.stdout.strip() == "False"

@@ -22,6 +22,7 @@ from aglerkit.sos import (
     _gauss_newton,
     _gauss_newton_step,
     _half_rows,
+    _schur_cohn_moments,
     displacement_class_sums,
     factors_from_gram,
     gram_from_factors,
@@ -32,6 +33,7 @@ from aglerkit.sos import (
 )
 
 CLASSIC = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])  # 2 - z1 - z2
+SQUARE = CLASSIC * CLASSIC  # its double zero at (1, 1) leaves no outer factor
 SQRT2 = np.sqrt(2.0)
 
 # hand feasible point for the classic polynomial
@@ -274,7 +276,7 @@ class TestClosedFormProjection:
         assert len(calls) == 1
         # a solve whose every polish fails still ends in the budget error, not a LAPACK one
         with pytest.raises(InfeasibleError):
-            solve_gram(CLASSIC, max_iter=200)
+            solve_gram(SQUARE, max_iter=200)
         assert len(calls) > 1
 
 
@@ -503,15 +505,102 @@ class TestStrictlyStableSweep:
         assert_certifies(BivariatePolynomial.constant(1.0, bidegree=bidegree))
 
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(data=st.data(), n=st.integers(0, 3), m=st.integers(0, 3),
+    @given(data=st.data(), n=st.integers(0, 6), m=st.integers(0, 6),
            margin=st.floats(0.1, 0.8))
-    def test_random_strictly_stable_up_to_33_certifies(self, data, n, m, margin):
+    def test_random_strictly_stable_up_to_66_certifies_directly(self, data, n, m, margin):
         unit = st.floats(-1.0, 1.0, allow_subnormal=False)
         size = (n + 1) * (m + 1)
         re = data.draw(st.lists(unit, min_size=size, max_size=size))
         im = data.draw(st.lists(unit, min_size=size, max_size=size))
         coeffs = (np.array(re) + 1j * np.array(im)).reshape(n + 1, m + 1)
-        assert_certifies(strictly_stable(coeffs, margin))
+        assert assert_certifies(strictly_stable(coeffs, margin)).iterations == 0
+
+
+def sampled_christoffel_darboux_gram(coeffs, z2):
+    """M(z2) = T1 T1* - T2 T2* from the coefficients of q = p(., z2) and of its reflection.
+
+    T1 and T2 are the lower triangular Toeplitz matrices of q_0..q_{n-1} and of
+    q~_0..q~_{n-1}, q~_a = conj(q_{n-a}); then q(z) conj(q(w)) - q~(z) conj(q~(w))
+    = (1 - z conj(w)) sum_{i, k} M[i, k] z^i conj(w)^k.
+    """
+    q = coeffs @ z2 ** np.arange(coeffs.shape[1])
+    n = q.size - 1
+    lower = np.subtract.outer(np.arange(n), np.arange(n))
+
+    def toeplitz(col):
+        return np.where(lower >= 0, col[np.clip(lower, 0, None)], 0.0)
+
+    t1, t2 = toeplitz(q[:n]), toeplitz(q[::-1].conj()[:n])
+    return q, t1 @ t1.conj().T - t2 @ t2.conj().T
+
+
+class TestDirectCertificate:
+    """The first path: an outer factor of the Schur-Cohn matrix polynomial, no iteration."""
+
+    @staticmethod
+    def assert_direct(p):
+        cert = assert_certifies(p)
+        assert cert.iterations == 0
+        assert cert.residual <= 1e-14
+        return cert
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus_certifies_directly(self, name):
+        self.assert_direct(CORPUS[name])
+
+    @pytest.mark.parametrize("seed,n,m", [
+        (21, 2, 2), (22, 3, 3), (23, 4, 4), (24, 5, 5), (25, 6, 6), (26, 8, 8),
+        (27, 1, 4), (28, 4, 1), (29, 2, 5), (30, 6, 3),
+    ])
+    def test_seeded_random_certifies_directly(self, seed, n, m):
+        cert = self.assert_direct(seeded_strictly_stable(seed, n, m))
+        assert (len(cert.a_polys), len(cert.b_polys)) == (n, m)
+
+    @pytest.mark.parametrize("n,m", [(0, 3), (3, 0), (0, 0)])
+    def test_one_variable_and_constant_inputs_certify_directly(self, n, m):
+        self.assert_direct(seeded_strictly_stable(31, n, m))
+
+    @pytest.mark.parametrize("p", [CLASSIC, CORPUS["product_22"], seeded_strictly_stable(32, 3, 3)],
+                             ids=["classic", "product_22", "random_33"])
+    def test_seed_does_not_move_the_certificate(self, p):
+        texts = []
+        for seed in (0, 42):
+            obj = solve_gram(p, seed=seed).to_json()
+            del obj["seed"]
+            texts.append(canonical_dumps(obj))
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("seed,n,m", [(33, 1, 0), (34, 1, 3), (35, 3, 2), (36, 2, 4)])
+    def test_moments_match_sampled_christoffel_darboux_gram(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((n + 1, m + 1)) + 1j * rng.standard_normal((n + 1, m + 1))
+        coeffs /= np.linalg.norm(coeffs)
+        moments = _schur_cohn_moments(coeffs)
+        assert moments.shape == (2 * m + 1, n, n)
+        z1, w1 = 0.4 - 0.3j, -0.2 + 0.7j
+        for z2 in np.exp(2j * np.pi * (np.arange(8) + 0.3) / 8):
+            q, gram = sampled_christoffel_darboux_gram(coeffs, z2)
+            # the reference is the Christoffel-Darboux Gram: check its identity once per point
+            q_t = q[::-1].conj()
+            lhs = np.polyval(q[::-1], z1) * np.conj(np.polyval(q[::-1], w1)) \
+                - np.polyval(q_t[::-1], z1) * np.conj(np.polyval(q_t[::-1], w1))
+            rhs = (1 - z1 * np.conj(w1)) * (z1 ** np.arange(n)) @ gram @ np.conj(w1 ** np.arange(n))
+            assert abs(lhs - rhs) <= 1e-13
+            laurent = np.einsum("k,kij->ij", z2 ** np.arange(-m, m + 1), moments)
+            assert np.max(np.abs(laurent - gram)) <= 1e-13
+
+    def test_riccati_failure_falls_back_to_dykstra(self, monkeypatch):
+        def failing_riccati(*args, **kwargs):
+            raise np.linalg.LinAlgError("pencil has eigenvalues too close to the unit circle")
+
+        monkeypatch.setattr("aglerkit.sos.solve_discrete_are", failing_riccati)
+        assert assert_certifies(CLASSIC).iterations >= 1
+
+    def test_square_certifies_through_the_fallback(self):
+        # the Riccati solve rejects the double zero at (1, 1); Dykstra and the
+        # polish give the certificate they gave before the direct path existed
+        cert = assert_certifies(SQUARE)
+        assert (cert.iterations, cert.polish_iterations) == (150, 30)
 
 
 class TestCertificateSerialization:
