@@ -22,20 +22,20 @@ consistent and the projection onto them is closed-form.
 solve_gram first builds a pair from p's coefficients (bivariate Fejer-Riesz,
 after Geronimo and Woerdeman).  On |z2| = 1 the Christoffel-Darboux Gram of
 p(., z2) is M(z2) = sum_k M_k z2^k, k = -m..m, n x n and positive definite
-when p has no zero on the closed bidisk.  One Riccati solve gives an outer
-factor G(u) = sum_{j<=m} G_j u^j of M, the A-side factors are
-a_k[i, j] = G_j[i, k], and T - L(G_A, 0) summed down each z2 diagonal is G_B,
-of rank m.  The polish below accepts the pair, with no step at rounding
-level, and the certificate reports iterations 0.  If the Riccati solve raises
-or the pair is rejected (a repeated zero on the torus), Dykstra runs: a global
-phase of alternating projections with outer-normal correction on the PSD
-cone, plus a rank-truncated Gauss-Newton polish on the spectral factors,
-which restores fast local convergence when the feasible set touches the cone
-boundary.  The polish is tried at Dykstra iterations 50, 150, 500, 1500, ...
-and once Dykstra meets tol.  L(G_A, G_B) - T is Hermitian, so its steps solve
-on half the rows, the upper triangle.  A polish counts only if its residual
-times (n+1)^2 (m+1)^2, the number of terms a sampled check of the identity
-sums, is at most tol.
+when p has no zero on the closed bidisk.  A discrete Riccati equation, solved
+by structured doubling, gives an outer factor G(u) = sum_{j<=m} G_j u^j of M,
+the A-side factors are a_k[i, j] = G_j[i, k], and T - L(G_A, 0) summed down
+each z2 diagonal is G_B, of rank m.  The polish below accepts the pair, with
+no step at rounding level, and the certificate reports iterations 0.  If the
+Riccati solve raises or the pair is rejected (a repeated zero on the torus),
+Dykstra runs: a global phase of alternating projections with outer-normal
+correction on the PSD cone, plus a rank-truncated Gauss-Newton polish on the
+spectral factors, which restores fast local convergence when the feasible set
+touches the cone boundary.  The polish is tried at Dykstra iterations 50, 150,
+500, 1500, ... and once Dykstra meets tol.  L(G_A, G_B) - T is Hermitian, so
+its steps solve on half the rows, the upper triangle.  A polish counts only if
+its residual times (n+1)^2 (m+1)^2, the number of terms a sampled check of the
+identity sums, is at most tol.
 
 Certificates are scale-free: p is normalized to unit coefficient norm
 internally and the reported residual is relative to ||p||^2.
@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
 from .errors import InfeasibleError
 from .numerics import eig_hermitian, hermitize, project_psd, psd_factor
@@ -421,6 +420,27 @@ def _schur_cohn_moments(coeffs):
     return _diagonal_cumsum(corr[:n, :n] - flipped).transpose(2, 0, 1)
 
 
+_DOUBLING_STEPS = 100  # 5-7 suffice when p is strictly stable, about 30 for a simple torus zero
+
+
+def _riccati_doubling(a, b, r, s):
+    """Stabilizing X of a*Xa - X - (a*Xb + s)(r + b*Xb)^-1 (b*Xa + s*) = 0 by structured doubling
+    (Chu, Fan, Lin and Wang); LinAlgError unless it converges to X that meets it to sqrt(eps)."""
+    rs, eye = np.linalg.solve(r, s.conj().T), np.eye(len(a))
+    a_k, g, h = a_0, g_0, h_0 = a - b @ rs, b @ np.linalg.solve(r, b.conj().T), -s @ rs
+    for _ in range(_DOUBLING_STEPS):
+        both = np.linalg.solve(eye + g @ h, np.concatenate([a_k, g], axis=1))  # W^-1 [A G]
+        wa, wg = both[:, :len(a)], both[:, len(a):]
+        step = a_k.conj().T @ h @ wa
+        a_k, g, h = a_k @ wa, g + a_k @ wg @ a_k.conj().T, h + step
+        if not np.abs(step).max() > 1e-15 * np.abs(h).max():  # converged, or not finite
+            miss = a_0.conj().T @ h @ np.linalg.solve(eye + g_0 @ h, a_0) + h_0 - h
+            if np.abs(miss).max() <= 1.5e-8 * np.abs(h).max() < np.inf:  # near-singular W stalls
+                return h
+            break
+    raise np.linalg.LinAlgError("structured doubling found no stabilizing solution")
+
+
 def _fejer_riesz_factors(coeffs, target):
     """Factor pair from an outer factor of M (module docstring); LinAlgError if M is singular."""
     n, m = coeffs.shape[0] - 1, coeffs.shape[1] - 1
@@ -432,7 +452,7 @@ def _fejer_riesz_factors(coeffs, target):
         else:
             size, up = n * m, moments[m + 1:].reshape(n * m, n)  # N = [M_1; ..; M_m]
             shift = np.eye(size, k=n)  # A, the block up-shift; C = [I 0 .. 0]
-            x = solve_discrete_are(shift.T, np.eye(size, n), np.zeros((size, size)), moments[m], s=up)
+            x = _riccati_doubling(shift.T, np.eye(size, n), moments[m], up)
             g0 = np.linalg.cholesky(moments[m] + x[:n, :n])
             gains = np.linalg.solve(g0.conj(), (up + shift @ x[:, :n]).T).T  # K G_0, K Re = N + A X C*
             outer = np.concatenate([g0[None], gains.reshape(m, n, n)])
@@ -460,10 +480,10 @@ def solve_gram(
     With no pair within tol after max_iter iterations and the polish, it
     raises InfeasibleError with the best residual reached: for unstable p no
     pair exists, but stopping at max_iter alone proves nothing.  A max_iter
-    below 1 or a tol that is not positive raises ValueError.
+    below 1 or a tol that is not finite and positive raises ValueError.
     """
-    if max_iter < 1 or not tol > 0.0:
-        raise ValueError("max_iter must be at least 1 and tol must be positive")
+    if max_iter < 1 or not 0.0 < tol < np.inf:
+        raise ValueError("max_iter must be at least 1 and tol must be finite and positive")
     scale = p.coeff_norm()
     if scale == 0.0:
         raise ValueError("cannot decompose the zero polynomial")

@@ -255,3 +255,11 @@ def test_import_leaves_scipy_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(Path(aglerkit.__file__).parents[1])})
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_every_scipy_module_unloaded():
+    # the Gram solver's outer factor is numpy only, so no code path needs scipy
+    code = "import sys, aglerkit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(aglerkit.__file__).parents[1])})
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,8 @@ test trusts the solver only because this identity was verified by direct
 coefficient expansion.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,9 @@ from aglerkit.sos import (
     _factor_jacobian,
     _gauss_newton,
     _gauss_newton_step,
+    _fejer_riesz_factors,
     _half_rows,
+    _riccati_doubling,
     _schur_cohn_moments,
     displacement_class_sums,
     factors_from_gram,
@@ -34,11 +38,29 @@ from aglerkit.sos import (
 
 CLASSIC = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])  # 2 - z1 - z2
 SQUARE = CLASSIC * CLASSIC  # its double zero at (1, 1) leaves no outer factor
+STEEP = BivariatePolynomial([[3.0, -2.0], [-1.0, 0.0]])  # 3 - z1 - 2 z2, also zero at (1, 1)
 SQRT2 = np.sqrt(2.0)
 
 # hand feasible point for the classic polynomial
 HAND_A = BivariatePolynomial([[SQRT2, -SQRT2]])  # sqrt(2) (1 - z2), basis degrees (0, 1)
 HAND_B = BivariatePolynomial([[SQRT2], [-SQRT2]])  # sqrt(2) (1 - z1), basis degrees (1, 0)
+
+
+def exact_identity_residual(p, gram_a, gram_b):
+    """Max |L(G_A, G_B) - T| over coefficients in rational arithmetic, for integer p."""
+    n, m = p.bidegree
+    exact = np.vectorize(Fraction, otypes=[object])
+    parts = []
+    for part, target in ((np.real, sos_target_tensor(p).real), (np.imag, 0.0)):
+        a4 = exact(part(gram_a)).reshape(n, m + 1, n, m + 1)
+        b4 = exact(part(gram_b)).reshape(n + 1, m, n + 1, m)
+        diff = exact(-np.broadcast_to(target, (n + 1, m + 1, n + 1, m + 1)))
+        diff[:n, :, :n, :] += a4
+        diff[1:, :, 1:, :] -= a4
+        diff[:, :m, :, :m] += b4
+        diff[:, 1:, :, 1:] -= b4
+        parts.append(diff.ravel())
+    return float(max(re * re + im * im for re, im in zip(*parts))) ** 0.5
 
 
 class TestHandOracle:
@@ -319,7 +341,8 @@ class TestSolveGram:
             np.max(np.abs(cert.gram_a - np.array([[2, -2], [-2, 2]]))),
             np.max(np.abs(cert.gram_b - np.array([[2, -2], [-2, 2]]))),
         )
-        abs_residual = cert.residual * CLASSIC.coeff_norm() ** 2
+        # the float residual of so close a pair can round to 0.0: take it exactly
+        abs_residual = exact_identity_residual(CLASSIC, cert.gram_a, cert.gram_b)
         assert gram_err <= 1e-4
         assert gram_err <= 10.0 * np.sqrt(abs_residual)
 
@@ -363,7 +386,8 @@ class TestSolveGram:
             assert abs(lhs - rhs) <= 1e-6 * scale
 
     @pytest.mark.parametrize(
-        "max_iter, tol", [(0, 1e-9), (-5, 1e-9), (100, 0.0), (100, -1e-9), (100, float("nan"))]
+        "max_iter, tol",
+        [(0, 1e-9), (-5, 1e-9), (100, 0.0), (100, -1e-9), (100, float("nan")), (100, float("inf"))],
     )
     def test_bad_budget_or_tolerance_raises_before_any_work(self, max_iter, tol, monkeypatch):
         def no_work(*args):
@@ -549,7 +573,7 @@ class TestDirectCertificate:
         self.assert_direct(CORPUS[name])
 
     @pytest.mark.parametrize("seed,n,m", [
-        (21, 2, 2), (22, 3, 3), (23, 4, 4), (24, 5, 5), (25, 6, 6), (26, 8, 8),
+        (21, 2, 2), (22, 3, 3), (23, 4, 4), (24, 5, 5), (25, 6, 6), (37, 7, 7), (26, 8, 8),
         (27, 1, 4), (28, 4, 1), (29, 2, 5), (30, 6, 3),
     ])
     def test_seeded_random_certifies_directly(self, seed, n, m):
@@ -591,9 +615,9 @@ class TestDirectCertificate:
 
     def test_riccati_failure_falls_back_to_dykstra(self, monkeypatch):
         def failing_riccati(*args, **kwargs):
-            raise np.linalg.LinAlgError("pencil has eigenvalues too close to the unit circle")
+            raise np.linalg.LinAlgError("structured doubling found no stabilizing solution")
 
-        monkeypatch.setattr("aglerkit.sos.solve_discrete_are", failing_riccati)
+        monkeypatch.setattr("aglerkit.sos._riccati_doubling", failing_riccati)
         assert assert_certifies(CLASSIC).iterations >= 1
 
     def test_square_certifies_through_the_fallback(self):
@@ -601,6 +625,73 @@ class TestDirectCertificate:
         # polish give the certificate they gave before the direct path existed
         cert = assert_certifies(SQUARE)
         assert (cert.iterations, cert.polish_iterations) == (150, 30)
+
+
+def riccati_inputs(p):
+    """(a, b, r, s) of the Riccati equation whose solution gives p's outer factor."""
+    n, m = p.bidegree
+    moments = _schur_cohn_moments(p.scale(1.0 / p.coeff_norm()).coeffs)
+    return np.eye(n * m, k=n).T, np.eye(n * m, n), moments[m], moments[m + 1:].reshape(n * m, n)
+
+
+def outer_factor(p):
+    """Moments M_k and coefficients G_j of the outer factor _fejer_riesz_factors builds."""
+    p_norm = p.scale(1.0 / p.coeff_norm())
+    n, m = p.bidegree
+    x_fac, _ = _fejer_riesz_factors(p_norm.coeffs, sos_target_tensor(p_norm))
+    return _schur_cohn_moments(p_norm.coeffs), x_fac.reshape(n, m + 1, n).transpose(1, 0, 2)
+
+
+RICCATI_CASES = {
+    **CORPUS,
+    **{"random_%d%d" % nm: seeded_strictly_stable(40 + nm[0], *nm)
+       for nm in [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (2, 5), (5, 2)]},
+}
+
+
+class TestRiccatiDoubling:
+    """The outer factor G(u) = sum_j G_j u^j of M, from structured doubling."""
+
+    @pytest.mark.parametrize("name", sorted(RICCATI_CASES))
+    def test_outer_factor_reproduces_m_on_the_circle(self, name):
+        moments, outer = outer_factor(RICCATI_CASES[name])
+        m = outer.shape[0] - 1
+        for u in np.exp(2j * np.pi * (np.arange(16) + 0.1) / 16):
+            g = np.einsum("j,jik->ik", u ** np.arange(m + 1), outer)
+            laurent = np.einsum("k,kij->ij", u ** np.arange(-m, m + 1), moments)
+            assert np.max(np.abs(g @ g.conj().T - laurent)) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(RICCATI_CASES))
+    def test_outer_factor_has_no_zero_in_the_open_disk(self, name):
+        # G_0^-1 G(u) = I + P_1 u + .. + P_m u^m vanishes at u exactly when 1/u is
+        # an eigenvalue of the block companion matrix of v^m + P_1 v^(m-1) + .. + P_m
+        _, outer = outer_factor(RICCATI_CASES[name])
+        m, n = outer.shape[0] - 1, outer.shape[1]
+        blocks = np.linalg.solve(outer[0], outer[1:].transpose(1, 0, 2).reshape(n, m * n))
+        companion = np.eye(n * m, k=-n, dtype=complex)
+        companion[:n] = -blocks
+        radius = np.max(np.abs(np.linalg.eigvals(companion)))
+        strict = name.startswith("random") or name in ("wide_margin", "degree_12", "degree_33")
+        assert radius < 1.0 if strict else radius <= 1.0 + 1e-6
+
+    @pytest.mark.parametrize("seed,n,m", [(50 + k, n, m) for k, (n, m) in enumerate(
+        [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (1, 6), (6, 1), (3, 7)])])
+    def test_strictly_stable_input_converges_within_eight_steps(self, seed, n, m, monkeypatch):
+        monkeypatch.setattr("aglerkit.sos._DOUBLING_STEPS", 8)
+        x = _riccati_doubling(*riccati_inputs(seeded_strictly_stable(seed, n, m)))
+        assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("p", [SQUARE, SQUARE * CLASSIC, CLASSIC * STEEP * STEEP],
+                             ids=["square", "cube", "classic_times_steep_square"])
+    def test_repeated_boundary_zero_raises(self, p):
+        # the cube and (2 - z1 - z2)(3 - z1 - 2 z2)^2 stall on an X that misses the equation
+        with pytest.raises(np.linalg.LinAlgError):
+            _riccati_doubling(*riccati_inputs(p))
+
+    def test_non_finite_iterate_raises(self):
+        a, b, r, s = riccati_inputs(CORPUS["product_22"])
+        with pytest.raises(np.linalg.LinAlgError):
+            _riccati_doubling(a, b, r, s * np.nan)
 
 
 class TestCertificateSerialization:
