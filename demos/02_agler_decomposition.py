@@ -10,19 +10,19 @@ bidisk as
 The solver first reads the certificate off p's coefficients: on |z2| = 1
 the one-variable Christoffel-Darboux Gram of p(., z2) is a matrix
 polynomial in z2, one Riccati solve gives its outer factor, whose
-coefficients are the A factors, and the B side is what remains.  Such a
-certificate reports 0 iterations.  When that fails (a repeated zero of p
-on the torus), the solver finds positive semidefinite Gram matrices
-representing the two sums by alternating projections between the
-coefficient-matching constraints and the semidefinite cone, with a short
-Gauss-Newton polish on the factors of the Gram matrices.  The matching
-constraints only couple Gram entries with the same displacement
-(a - c, b - d), and on each such class the projection has a closed form
-(a DCT-II), so no large linear system is ever formed.  The polish is tried after 50 projection
-rounds, then at 150, 500, 1500, ...; each of its steps is a least-squares
-solve on the upper triangle of the Hermitian coefficient residual, half
-its rows.  It counts only when its residual times (n+1)^2 (m+1)^2, the
-number of terms a sampled check adds up, is at most the tolerance.
+coefficients are the A factors, and the B side is what remains.  A short
+Gauss-Newton polish on the factors refines the pair; each of its steps is
+a least-squares solve on the upper triangle of the Hermitian coefficient
+residual, half its rows.  A pair counts only when its residual times
+(n+1)^2 (m+1)^2, the number of terms a sampled check adds up, is at most
+the tolerance.  For a strictly stable p, p's own pair passes and the
+certificate reports 0 iterations.  When it fails (a repeated zero of p on
+the torus), the solver starts instead from the pair of p(r z1, r z2) for
+r = 0.9, 0.99, 0.999, 0.9999, which has no zero on the closed bidisk, and
+polishes it against p; iterations is then the index of that radius.  If
+no pair passes, the best one gets more columns and a damped polish, which
+counts only once its residual falls 10^4 below the tolerance.  The seed
+draws nothing and is only recorded.
 The result is a certificate object that serializes to JSON.
 """
 

@@ -16,7 +16,6 @@ from .errors import (
     DomainError,
     InconsistencyError,
     InfeasibleError,
-    NotPSDError,
     NotSolvableError,
 )
 from .fixedgraph import (
@@ -105,7 +104,6 @@ __all__ = [
     "MultiPoly",
     "NOT_SOLVABLE",
     "NormalForm",
-    "NotPSDError",
     "NotSolvableError",
     "PickProblem",
     "RationalMap",

@@ -4,7 +4,8 @@ Every subcommand reads a JSON input file, runs one pipeline from the
 library, and emits a canonical JSON report either to --output (written
 atomically) or to stdout.  Outputs carry no timestamps and all random
 draws are seeded, so rerunning a command with the same inputs produces a
-byte-identical file.
+byte-identical file.  decompose draws nothing: its --seed is only recorded
+in the certificate.
 
 Exit codes:
     0   success (verdict favorable)
@@ -12,9 +13,11 @@ Exit codes:
     2   definitive negative: zero found, not solvable, not idempotent,
         or structurally inconsistent input
     3   inconclusive or degenerate (no verdict either way), including a
-        Gram solve stopped at --max-iter and a LAPACK failure
+        Gram solve whose every warm start, and the widened pair, stays
+        above --tol, and a LAPACK failure
     64  command line usage error
-    66  input file missing or unreadable
+    66  input file missing or unreadable, or output file not writable
+        (the message names the path)
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .errors import (
     DomainError,
     InconsistencyError,
     InfeasibleError,
-    NotPSDError,
     NotSolvableError,
 )
 from .fixedgraph import CLASS_INTERIOR, SchurMap, continue_graph, find_fixed_w
@@ -58,15 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_input(path):
-    try:
-        return load_json(path)
-    except FileNotFoundError:
-        raise
-    except IsADirectoryError:
-        raise FileNotFoundError(path)
-
-
 def _emit(payload, output):
     text_ready = dict(payload)
     text_ready["format"] = FORMAT_TAG
@@ -90,7 +83,7 @@ def _require_tol(tol):
 
 def _cmd_stability(args):
     _require_tol(args.tol)
-    payload = _read_input(args.input)
+    payload = load_json(args.input)
     p = _polynomial_from(payload)
     disk_grid = max(8, int(args.grid) // 8)
     report = check_stability(
@@ -108,7 +101,7 @@ def _cmd_decompose(args):
     if int(args.max_iter) < 1:
         raise ValueError("--max-iter must be positive")
     _require_tol(args.tol)
-    payload = _read_input(args.input)
+    payload = load_json(args.input)
     p = _polynomial_from(payload)
     pre = check_stability(p, torus_grid=128, disk_grid=16, tol=args.tol)
     if pre.verdict == ZERO_FOUND:
@@ -135,7 +128,7 @@ def _cmd_verify(args):
     if int(args.samples) < 1:
         raise ValueError("samples must be a positive integer")
     _require_tol(args.tol)
-    payload = _read_input(args.input)
+    payload = load_json(args.input)
     if isinstance(payload, dict) and "certificate" in payload:
         payload = payload["certificate"]
     cert = SosCertificate.from_json(payload)
@@ -160,7 +153,7 @@ def _cmd_verify(args):
 def _cmd_pick(args):
     if args.tol is not None:
         _require_tol(args.tol)
-    payload = _read_input(args.input)
+    payload = load_json(args.input)
     if args.tol is not None:
         payload = {**payload, "tol": args.tol}
     problem = PickProblem.from_json(payload)
@@ -184,7 +177,7 @@ def _cmd_fixedgraph(args):
     if not 0.0 < args.radius <= 1.0 or int(args.grid) < 1:
         raise ValueError("--radius must lie in (0, 1] and --grid must be positive")
     _require_tol(args.tol)
-    payload = _read_input(args.input)
+    payload = load_json(args.input)
     smap = SchurMap.from_json(payload)
     schur_report = smap.check_schur(samples=int(args.samples), seed=int(args.seed))
     records = find_fixed_w(smap, [0.0] * smap.n, tol=args.tol)
@@ -213,7 +206,7 @@ def _cmd_fixedgraph(args):
 
 
 def _cmd_retract(args):
-    payload = _read_input(args.input)
+    payload = load_json(args.input)
     rho = RetractMap.from_json(payload)
     form = normal_form(
         rho,
@@ -254,9 +247,12 @@ def build_parser():
 
     p_dec = sub.add_parser("decompose", help="sum-of-squares Gram certificate")
     common(p_dec, tol=1e-9)
-    p_dec.add_argument("--seed", type=int, default=42, help="random seed")
     p_dec.add_argument(
-        "--max-iter", type=int, default=200000, help="projection iteration cap"
+        "--seed", type=int, default=42, help="recorded in the certificate; draws nothing"
+    )
+    p_dec.add_argument(
+        "--max-iter", type=int, default=200000,
+        help="Gauss-Newton step cap per polish, except of p's own pair (at most 100)",
     )
     p_dec.set_defaults(handler=_cmd_decompose)
 
@@ -297,10 +293,10 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_OK
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
-        sys.stderr.write("input file not found: %s\n" % exc)
+    except OSError as exc:  # reading --input or writing --output; names the path
+        sys.stderr.write("cannot open file: %s\n" % exc)
         return EXIT_NOFILE
-    except (NotSolvableError, InconsistencyError, NotPSDError, DomainError) as exc:
+    except (NotSolvableError, InconsistencyError, DomainError) as exc:
         sys.stderr.write("%s\n" % exc)
         return EXIT_NEGATIVE
     except (DegenerateContinuationError, InfeasibleError, np.linalg.LinAlgError) as exc:

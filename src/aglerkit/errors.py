@@ -9,10 +9,6 @@ class DomainError(AglerkitError):
     """Evaluation requested outside the admissible domain (or too close to a pole)."""
 
 
-class NotPSDError(AglerkitError):
-    """A matrix required to be positive semidefinite has a significantly negative eigenvalue."""
-
-
 class InfeasibleError(AglerkitError):
     """The Gram feasibility problem did not reach the requested residual."""
 

@@ -1,8 +1,5 @@
-"""Shared numerical kernels: Hermitian eigensolves, PSD projection and
-factorization, the roots of many univariate polynomials at once.  The
-projection onto the Gram coefficient constraints is not a generic
-least-squares solve: it is closed-form per displacement class and lives in
-sos.DisplacementProjector.
+"""Shared numerical kernels: Hermitian validation and eigensolves, the
+roots of many univariate polynomials at once.
 
 Backed by LAPACK through numpy; the contracts (ordering, tolerances, error
 behavior) are what the rest of the package relies on.
@@ -14,10 +11,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AglerkitError, NotPSDError
+from .errors import AglerkitError
 
 _HERMITIAN_TOL = 1e-10  # largest |M - M*| relative to 1 + max|M|
-_RANK_TOL = 1e-9  # eigenvalue cutoff of psd_factor relative to the largest
 
 
 class EigenDecomposition(NamedTuple):
@@ -59,38 +55,6 @@ def eig_hermitian(mat) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise AglerkitError(f"hermitian eigensolve failed: {exc}") from exc
     return EigenDecomposition(w, v)
-
-
-def project_psd(mat) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix (eigenvalue clipping).
-
-    The input must be exactly Hermitian, as every Dykstra iterate is by
-    construction; it is not re-validated, and a PSD input comes back as is.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.size == 0:
-        return mat
-    w, v = np.linalg.eigh(mat)
-    if w[0] >= 0.0:
-        return mat
-    return hermitize((v * np.clip(w, 0.0, None)) @ v.conj().T)
-
-
-def psd_factor(mat) -> np.ndarray:
-    """Rank-revealing factor W with M ~= W @ W.conj().T.
-
-    Eigenvalues below _RANK_TOL (relative to the largest) are dropped; an
-    eigenvalue below -_RANK_TOL relative to scale raises NotPSDError.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
-    w, v = eig_hermitian(mat)
-    top = max(float(w[-1]), 0.0)
-    if w[0] < -_RANK_TOL * (1.0 + top):
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e}, below the PSD tolerance")
-    keep = w > _RANK_TOL * top
-    return v[:, keep] * np.sqrt(w[keep])
 
 
 def roots_rows(rows, lead_tol: float = 0.0) -> np.ndarray:

@@ -56,7 +56,7 @@ def boundary_line_payload():
 
 
 def boundary_square_payload():
-    # p = (2 - z1 - z2)**2, a double zero at (1, 1): only Dykstra and the polish certify it
+    # p = (2 - z1 - z2)**2, a double zero at (1, 1): only a contracted warm start certifies it
     coeffs = [[4.0, -4.0, 1.0], [-4.0, 2.0, 0.0], [1.0, 0.0, 0.0]]
     return {
         "polynomial": {
@@ -163,6 +163,14 @@ class TestStability:
             == EXIT_NOFILE
         )
 
+    def test_unwritable_output_exit_66_names_the_path(self, tmp_path, capsys):
+        # a missing directory and a path through a file both exit 66, with no traceback
+        inp = write_json(tmp_path / "p.json", classic_poly_payload())
+        for out in (tmp_path / "nodir" / "r.json", tmp_path / "p.json" / "r.json"):
+            assert main(["stability", "--input", inp, "--output", str(out)]) == EXIT_NOFILE
+            captured = capsys.readouterr()
+            assert str(out.parent) in captured.err and "Traceback" not in captured.err
+
     def test_junk_payload_exit_64(self, tmp_path):
         inp = write_json(tmp_path / "junk.json", {"nonsense": 1})
         assert main(["stability", "--input", inp]) == EXIT_USAGE
@@ -254,7 +262,7 @@ class TestDecompose:
 
         square = write_json(tmp_path / "square.json", boundary_square_payload())
         monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
-        # a failed polish step ends the attempt; the budget then runs out
+        # a failed polish step ends each warm start, so none is accepted
         assert main(["decompose", "--input", square, "--max-iter", "200"]) == EXIT_INCONCLUSIVE
         assert "best residual" in capsys.readouterr().err
 
@@ -278,6 +286,15 @@ class TestVerify:
         assert payload["verification"]["identity1_max"] <= 1e-6
         assert payload["verification"]["cs_max_violation"] <= 1e-8
         assert payload["bounds"]["passed"] is True
+
+    def test_unreadable_input_exit_66_names_the_path(self, classic_certificate, capsys):
+        # a path through a file (NotADirectoryError) and a directory both exit 66,
+        # not 1, which would read as a failed verification
+        for path in (str(classic_certificate / "x"), str(classic_certificate.parent)):
+            assert main(["verify", "--input", path]) == EXIT_NOFILE
+            captured = capsys.readouterr()
+            assert path in captured.err and "Traceback" not in captured.err
+            assert captured.out == ""
 
     def test_corrupted_certificate_fails_with_witness(
         self, classic_certificate, tmp_path, capsys

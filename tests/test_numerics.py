@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from aglerkit.errors import NotPSDError
 from aglerkit.numerics import (
     eig_hermitian,
     hermitian_defect,
     hermitize,
-    project_psd,
-    psd_factor,
     require_hermitian,
     roots_rows,
 )
-from aglerkit.sos import DisplacementProjector, gram_pair_tensor
 
 
 def random_hermitian(rng, order):
@@ -63,64 +59,6 @@ class TestEigHermitian:
             assert np.linalg.norm(mat - (v * w) @ v.conj().T) <= 1e-10 * scale
             assert np.linalg.norm(v.conj().T @ v - np.eye(order)) <= 1e-10
             assert np.all(np.diff(w) >= -1e-14)
-
-
-class TestProjectPsd:
-    def test_psd_input_is_unchanged(self):
-        rng = np.random.default_rng(7)
-        factor = rng.standard_normal((4, 4))
-        mat = factor @ factor.T
-        assert np.max(np.abs(project_psd(mat) - mat)) <= 1e-12 * (1 + np.abs(mat).max())
-
-    def test_negative_eigenvalue_is_clipped(self):
-        out = project_psd(np.diag([-1.0, 2.0]))
-        assert np.allclose(out, np.diag([0.0, 2.0]))
-
-    def test_shifted_rank_one_spectrum_is_clipped_at_zero(self):
-        v = np.array([1.0, 2.0, 2.0]) / 3.0
-        eps = 0.1
-        mat = np.outer(v, v) - eps * np.eye(3)
-        w, _ = eig_hermitian(project_psd(mat))
-        # spectrum of vv* - eps I is {1 - eps, -eps, -eps}; clipping kills the negatives
-        assert np.allclose(w, [0.0, 0.0, 1.0 - eps], atol=1e-12)
-
-    def test_result_is_always_psd(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            mat = random_hermitian(rng, int(rng.integers(1, 12)))
-            w, _ = eig_hermitian(project_psd(mat))
-            assert w[0] >= -1e-12
-
-
-class TestPsdFactor:
-    def test_identity_round_trip(self):
-        w = psd_factor(np.eye(2))
-        assert w.shape == (2, 2)
-        assert np.allclose(w @ w.conj().T, np.eye(2))
-
-    def test_all_ones_matrix_has_single_column(self):
-        w = psd_factor(np.ones((2, 2)))
-        assert w.shape == (2, 1)
-        assert np.allclose(w @ w.conj().T, np.ones((2, 2)))
-
-    def test_zero_matrix_has_no_columns(self):
-        assert psd_factor(np.zeros((2, 2))).shape == (2, 0)
-
-    def test_round_trip_on_random_psd_matrices(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            order = int(rng.integers(1, 41))
-            half = rng.standard_normal((order, order)) + 1j * rng.standard_normal(
-                (order, order)
-            )
-            mat = half @ half.conj().T
-            w = psd_factor(mat)
-            bound = np.sqrt(1e-9) * (1 + np.linalg.norm(mat))
-            assert np.linalg.norm(mat - w @ w.conj().T) <= bound
-
-    def test_indefinite_matrix_is_rejected(self):
-        with pytest.raises(NotPSDError):
-            psd_factor(np.diag([-1.0, 1.0]))
 
 
 def roots_univariate(coeffs, lead_tol=0.0):
@@ -192,16 +130,3 @@ class TestRootsUnivariate:
             assert np.all(np.isnan(got[want.size:]))
         assert set(np.sum(~np.isnan(batch), axis=1)) == set(range(7))
 
-
-class TestAffineProjection:
-    """The Gram projection onto {L(G_A, G_B) = T} leaves the affine set fixed."""
-
-    def test_feasible_point_is_fixed(self):
-        rng = np.random.default_rng(23)
-        for n, m in [(1, 1), (2, 3), (3, 2)]:
-            gram_a = random_hermitian(rng, n * (m + 1))
-            gram_b = random_hermitian(rng, (n + 1) * m)
-            proj = DisplacementProjector(gram_pair_tensor(gram_a, gram_b, n, m))
-            out_a, out_b = proj.project(gram_a, gram_b)
-            assert np.max(np.abs(out_a - gram_a)) <= 1e-12
-            assert np.max(np.abs(out_b - gram_b)) <= 1e-12
