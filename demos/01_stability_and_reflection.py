@@ -20,7 +20,7 @@ classic = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])
 report = check_stability(classic)
 print("p = 2 - z1 - z2")
 print("  verdict:          ", report.verdict)
-print("  min root modulus: ", report.min_root_modulus)
+print("  min |p| on torus: ", report.min_modulus)
 
 # The reflection p~(z) = z1^n1 z2^n2 conj(p(1/conj(z1), 1/conj(z2)))
 # reverses the coefficient array and conjugates it.
@@ -36,13 +36,13 @@ print("  verdict:", report.verdict)
 print("  witness:", report.witness)
 print("  |p(witness)| =", abs(bad(report.witness[0], report.witness[1])))
 
-# Scaling the constant term up moves every slice root further outside
-# the disk, which shows up as a larger minimal root modulus.
+# Scaling the constant term up moves p away from zero on the torus, which
+# shows up as a larger minimal modulus: c - 2 for c - z1 - z2.
 for c in (2.0, 3.0, 5.0):
     p = BivariatePolynomial([[c, -1.0], [-1.0, 0.0]])
     r = check_stability(p)
-    print("\np = %g - z1 - z2: verdict %s, min root modulus %.4f"
-          % (c, r.verdict, r.min_root_modulus))
+    print("\np = %g - z1 - z2: verdict %s, min |p| on torus %.4f"
+          % (c, r.verdict, r.min_modulus))
 
 # The inner function f = p~ / p has modulus exactly 1 on the torus and
 # modulus below 1 inside.  A quick numerical confirmation:

@@ -1,27 +1,28 @@
-"""Stability scan for bivariate polynomials on the bidisk.
+"""Stability test for bivariate polynomials on the bidisk.
 
-A polynomial is stable when it has no zeros in the open bidisk; zeros on the
-boundary are allowed and do not disqualify the StableOpen verdict.  The scan
-fixes one variable on torus and interior-disk sample grids and takes the roots
-of the univariate slices, in both variable orders, from batched companion
-eigensolves: every torus slice, then each interior slice that Cauchy's bound
-does not clear.  It clears a slice whose roots all lie beyond both 1 - tol and
-the smallest root of its order's torus slices, as such a slice can neither
-propose a zero nor hold the smallest root; on strictly stable inputs about 1
-slice in 8 is eigensolved.  A slice proposes its smallest root inside, and
-an interior slice that vanishes identically proposes w = 0.  The first
-proposal in scan order (z1 fixed, then z2; torus samples first) on an interior
+p is stable when it has no zeros in the open bidisk; boundary zeros do not
+disqualify StableOpen.  Slices fix one variable on torus and interior-disk
+samples, in scan order: z1 fixed, then z2; in each, the torus, then 0, then
+the disk.  p(0, .), the first interior slice, goes first: a confirmed proposal
+there (below) is the scan's own ZeroFound witness.  Then the Schur-Cohn test
+(Huang; Geronimo and Woerdeman): p has no zero on the closed bidisk exactly
+when p(0, .) and det G have none on the closed disk, G the outer factor of the
+moments M(z2) of sos; run on p(r z1, r z2), r = 1 + 2 max(tol, eps^(1/degree)),
+it gives StableClosedStrict.  Any other input is scanned: companion eigensolves
+give the roots of every torus slice and of each interior one that Cauchy's
+bound does not place beyond 1 - tol and its order's smallest torus root.  A
+slice proposes its smallest root inside, and an interior slice that vanishes
+identically proposes w = 0.  The first proposal in scan order on an interior
 slice where p is small, about which a disk that holds a zero of p lies inside,
-is the ZeroFound witness; any other makes the verdict Inconclusive.  So no
-boundary zero becomes a witness, even one that rounding moved or split inside.
-The smallest |p| on the torus grid (min_modulus) comes from the same slice
-rows: the torus rows times the torus powers give p on the whole grid.
-This is a sampling certificate: verdicts are exact about the witnesses they
-report and honest (Inconclusive) when a candidate zero cannot be confirmed.
+is the ZeroFound witness; any other, even a boundary zero that rounding moved
+inside, makes the verdict Inconclusive.  min_modulus, the least |p| on the
+torus grid, is the torus slice rows times the torus powers.  Scan verdicts are
+a sampling certificate, exact about the witnesses they report.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from numpy.polynomial.polynomial import polyval2d
 from .numerics import roots_rows
 from .poly2 import BivariatePolynomial
 from .serialize import FORMAT_TAG, complex_to_pair
+from .sos import _outer_factor
 
 STABLE_OPEN = "StableOpen"
 STABLE_CLOSED_STRICT = "StableClosedStrict"
@@ -43,7 +45,6 @@ class StabilityReport:
     verdict: str
     witness: tuple[complex, complex] | None
     min_modulus: float
-    min_root_modulus: float
     torus_grid: int
     disk_grid: int
     tolerance: float
@@ -61,12 +62,6 @@ class StabilityReport:
                 complex_to_pair(self.witness[1]),
             ],
             "min_modulus": self.min_modulus,
-            # infinity means no slice had any root at all; JSON gets null
-            "min_root_modulus": (
-                float(self.min_root_modulus)
-                if np.isfinite(self.min_root_modulus)
-                else None
-            ),
             "torus_grid": self.torus_grid,
             "disk_grid": self.disk_grid,
             "tolerance": self.tolerance,
@@ -82,13 +77,27 @@ def _fixed_samples(torus_grid: int, disk_grid: int) -> np.ndarray:
     return np.concatenate([torus, interior])
 
 
+@functools.lru_cache(maxsize=8)
+def _sample_powers(torus_grid, disk_grid, count):
+    """The samples and their powers 0..count-1, a row each; read-only, as calls share them."""
+    samples = _fixed_samples(torus_grid, disk_grid)
+    powers = samples.reshape(-1, 1) ** np.arange(count)
+    samples.flags.writeable = powers.flags.writeable = False
+    return samples, powers
+
+
 def check_stability(
     p: BivariatePolynomial,
     torus_grid: int = 512,
     disk_grid: int = 64,
     tol: float = 1e-9,
 ) -> StabilityReport:
-    """Scan for zeros of p in the bidisk; see the module docstring."""
+    """Decide whether p has zeros in the bidisk; see the module docstring."""
+    return _scan(p, torus_grid, disk_grid, tol, shortcuts=True)
+
+
+def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
+    """check_stability, by the slice scan alone unless shortcuts is set."""
     if torus_grid < 4 or disk_grid < 2:
         raise ValueError("grids are too coarse")
     if not 0.0 <= tol < 1.0:
@@ -97,20 +106,26 @@ def check_stability(
     if coeff_scale == 0.0:
         raise ValueError("the zero polynomial is identically zero on the bidisk")
 
-    samples = _fixed_samples(torus_grid, disk_grid)
+    samples, powers = _sample_powers(torus_grid, disk_grid, max(p.coeffs.shape))
+    # slices[h][s, k] is the coefficient of w**k in p(samples[s], w) (h = 0) or p(w, samples[s])
+    slices = [powers[:, : grid.shape[0]] @ grid for grid in (p.coeffs, p.coeffs.T)]
+    # the last order's torus rows times the torus powers: p on the torus grid
+    torus = powers[:torus_grid, : slices[1].shape[1]]
+    min_modulus = float(np.min(np.abs(slices[1][:torus_grid] @ torus.T)))
+    decided = shortcuts and _shortcut(p, samples[torus_grid], slices, torus_grid, min_modulus, tol)
+    if decided:
+        return StabilityReport(*decided, min_modulus, torus_grid, disk_grid, tol)
+
     # scan order: z1 fixed, then z2 fixed; in each, the samples in order
     fixed = np.tile(samples, 2)
     swapped = np.repeat([False, True], samples.size)
     degenerate = np.zeros(fixed.size, dtype=bool)
     # roots[r] holds row r's roots, NaN-padded; a spare column serves constants
     roots = np.full((fixed.size, max(p.coeffs.shape)), np.nan, dtype=complex)
-    powers = samples.reshape(-1, 1) ** np.arange(max(p.coeffs.shape))
     on_torus = np.arange(samples.size) < torus_grid
-    for half, coeff_grid in enumerate((p.coeffs, p.coeffs.T)):
+    for half, slice_coeffs in enumerate(slices):
         part = slice(half * samples.size, (half + 1) * samples.size)
-        found = roots[part, : coeff_grid.shape[1] - 1]  # a view into roots
-        # slice_coeffs[s, k] is the coefficient of w**k in p(fixed_s, w)
-        slice_coeffs = powers[:, : coeff_grid.shape[0]] @ coeff_grid
+        found = roots[part, : slice_coeffs.shape[1] - 1]  # a view into roots
         mag = np.abs(slice_coeffs)
         flat = np.max(mag, axis=1) <= tol * coeff_scale
         degenerate[part] = flat
@@ -141,30 +156,60 @@ def check_stability(
     modulus, reach = _zero_reach(p, w1, w2, flip != degenerate[rows])
     confirmed = (modulus <= tol * max(1.0, coeff_scale)) & (reach < 1.0) & interior[rows]
 
-    # the last order's torus rows times the torus powers: p on the torus grid
-    torus = powers[:torus_grid, : slice_coeffs.shape[1]]
-    min_modulus = float(np.min(np.abs(slice_coeffs[:torus_grid] @ torus.T)))
-    min_root_modulus = np.min(row_min)
     if np.any(confirmed):
-        # the first in scan order ends the scan
-        k = np.argmax(confirmed)
-        verdict, min_root_modulus = ZERO_FOUND, np.min(row_min[: rows[k] + 1])
+        verdict, k = ZERO_FOUND, np.argmax(confirmed)  # the first in scan order ends the scan
     elif rows.size:
         verdict, k = INCONCLUSIVE, -1  # the last proposal is pending
-    elif min_root_modulus > 1.0 + tol and min_modulus > tol:
+    elif np.min(row_min) > 1.0 + tol and min_modulus > tol:
         verdict = STABLE_CLOSED_STRICT
     else:
         verdict = STABLE_OPEN
     witness = (complex(w1[k]), complex(w2[k])) if rows.size else None
-    return StabilityReport(
-        verdict=verdict,
-        witness=witness,
-        min_modulus=min_modulus,
-        min_root_modulus=float(min_root_modulus),
-        torus_grid=torus_grid,
-        disk_grid=disk_grid,
-        tolerance=tol,
-    )
+    return StabilityReport(verdict, witness, min_modulus, torus_grid, disk_grid, tol)
+
+
+def _shortcut(p, zero, slices, torus_grid, min_modulus, tol):
+    """ZeroFound on p(0, .), or StableClosedStrict by the Schur-Cohn test; None if neither."""
+    (n, m), coeff_scale = p.bidegree, float(np.max(np.abs(p.coeffs)))
+    margin = max(tol, np.finfo(float).eps ** (1.0 / max(n, m, 1)))  # covers the scan's rounding
+    radius = 1.0 + 2.0 * margin
+    row = slices[0][torus_grid:torus_grid + 1]
+    mag = np.abs(row[0])
+    flat = np.max(mag) <= tol * coeff_scale
+    with np.errstate(over="ignore", invalid="ignore"):  # Cauchy, as in the scan: no root within
+        far = mag[1:] @ ((1 + _SCREEN) * radius) ** np.arange(1, mag.size) <= (1 - _SCREEN) * mag[0]
+    roots = np.zeros(0, dtype=complex) if flat or far else roots_rows(row, lead_tol=1e-13)[0]
+    moduli = np.nan_to_num(np.abs(roots), nan=np.inf)
+    low = np.min(moduli, initial=np.inf)
+    if flat or low < 1.0 - tol:
+        root = 0j if flat else roots[np.argmin(moduli)]
+        modulus, reach = _zero_reach(p, np.array([zero]), np.array([root]), flat)
+        confirmed = modulus[0] <= tol * max(1.0, coeff_scale) and reach[0] < 1.0
+        return (ZERO_FOUND, (complex(zero), complex(root))) if confirmed else None
+    exponents = np.add.outer(np.arange(n + 1), np.arange(m + 1))
+    # with no zero on the closed bidisk |p| is least on the torus, at least min_modulus less
+    # pi/N sum (a + b + 1) |c_ab| (the 1 for rounding): above tol * scale, no slice is flat
+    gap = np.pi / torus_grid * np.sum((exponents + 1) * np.abs(p.coeffs))
+    if low > radius and min_modulus - gap > tol * max(1.0, coeff_scale) and (
+            not n or _outer_factor_clears(p.coeffs / coeff_scale * radius ** exponents, margin)):
+        return STABLE_CLOSED_STRICT, None
+
+
+def _outer_factor_clears(coeffs, margin):
+    """Whether det G has no zero on the closed disk (n >= 1): the block companion of
+    G_0^-1 G_j has spectral radius below 1, and G meets M_k = sum_j G_(j+k) G_j* to margin."""
+    n, m = coeffs.shape[0] - 1, coeffs.shape[1] - 1
+    try:
+        moments, outer = _outer_factor(coeffs)
+        miss = max(np.max(np.abs(moments[m + k] - np.einsum(
+            "jab,jcb->ac", outer[k:], outer[: m + 1 - k].conj()))) for k in range(m + 1))
+        companion = np.eye(n * m, k=-n, dtype=complex)
+        if m:
+            companion[:n] = -np.linalg.solve(outer[0], np.concatenate(outer[1:], axis=1))
+        rho = np.max(np.abs(np.linalg.eigvals(companion)), initial=0.0)
+    except np.linalg.LinAlgError:  # M is singular on the circle, or nearly so
+        return False
+    return miss <= margin * np.max(np.abs(moments)) and rho < 1.0
 
 
 def _zero_reach(p, w1, w2, in_z1):

@@ -218,7 +218,8 @@ class TestDecompose:
         payload = json.loads(capsys.readouterr().out)
         assert payload["certificate"]["residual"] <= 1e-12
         assert payload["certificate"]["G_A"] == []
-        assert payload["stability"]["min_root_modulus"] is None
+        assert payload["stability"]["verdict"] == "StableClosedStrict"
+        assert "min_root_modulus" not in payload["stability"]
 
     def test_unstable_input_gated_before_solving(self, tmp_path, capsys):
         inp = write_json(tmp_path / "bad.json", interior_zero_payload())

@@ -15,9 +15,11 @@ from aglerkit.stability import (
     ZERO_FOUND,
     StabilityReport,
     _fixed_samples,
+    _scan,
     _zero_reach,
     check_stability,
 )
+from aglerkit.serialize import canonical_dumps
 
 
 CLASSIC = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])  # 2 - z1 - z2
@@ -81,16 +83,17 @@ def power(p, k):
 
 
 def assert_matches_full_scan(p, torus_grid=128, disk_grid=16):
-    """Check a report against a scan that eigensolves every non-flat slice.
+    """Check the scan's report against one that eigensolves every non-flat slice.
 
     Every slice row of both orders goes through roots_rows, in scan order.
     A row proposes its smallest root when that lies inside 1 - tol, and an
     interior flat row proposes 0.  The ZeroFound witness is the first
     interior proposal that _zero_reach confirms, an Inconclusive witness the
-    last proposal, and a stable verdict has none; min_root_modulus is the
-    smallest root modulus, for ZeroFound up to the witness's row, bit for bit.
+    last proposal, and a stable verdict has none; StableClosedStrict needs
+    every root beyond 1 + tol.  check_stability must give the same report.
     """
-    report = check_stability(p, torus_grid=torus_grid, disk_grid=disk_grid)
+    report = _scan(p, torus_grid, disk_grid)
+    assert_same_report(check_stability(p, torus_grid, disk_grid), report)
     samples = _fixed_samples(torus_grid, disk_grid)
     tol, scale = report.tolerance, np.max(np.abs(p.coeffs))
     powers = samples.reshape(-1, 1) ** np.arange(max(p.coeffs.shape))
@@ -116,14 +119,19 @@ def assert_matches_full_scan(p, torus_grid=128, disk_grid=16):
     if np.any(confirmed):
         k = np.argmax(confirmed)
         assert (report.verdict, report.witness) == (ZERO_FOUND, proposals[k][1])
-        assert report.min_root_modulus == np.min(row_min[: rows[k] + 1])
-        return report
-    if proposals:
+    elif proposals:
         assert (report.verdict, report.witness) == (INCONCLUSIVE, proposals[-1][1])
     else:
         assert report.stable and report.witness is None
-    assert report.min_root_modulus == np.min(row_min)
+        strict = np.min(row_min) > 1.0 + report.tolerance and report.min_modulus > report.tolerance
+        assert (report.verdict == STABLE_CLOSED_STRICT) == strict
     return report
+
+
+def assert_same_report(report, scanned):
+    """Byte-identical reports, the witness to the sign of zero."""
+    assert canonical_dumps(report.to_json()) == canonical_dumps(scanned.to_json())
+    assert np.array(report.witness or ()).tobytes() == np.array(scanned.witness or ()).tobytes()
 
 
 def random_strictly_stable(rng, n, m):
@@ -191,10 +199,91 @@ class TestScreenedScan:
 
         monkeypatch.setattr(aglerkit.stability, "roots_rows", spy)
         p = random_strictly_stable(np.random.default_rng(3), 3, 3)
-        report = check_stability(p)
+        report = _scan(p)
         rows = 2 * (512 + 1 + 64 * 64)  # 9,218 slices
         assert report.verdict == STABLE_CLOSED_STRICT
         assert sum(seen) <= 0.2 * rows
+
+
+def scanned_rows(monkeypatch):
+    """Collects the row batches check_stability hands to roots_rows: the scan makes
+    at least two calls per variable order, the shortcuts at most one in all."""
+    seen = []
+
+    def spy(rows, lead_tol=0.0):
+        seen.append(np.array(rows))
+        return roots_rows(rows, lead_tol=lead_tol)
+
+    monkeypatch.setattr(aglerkit.stability, "roots_rows", spy)
+    return seen
+
+
+class TestShortcuts:
+    """The z1 = 0 slice and the Schur-Cohn test decide inputs exactly as the scan does."""
+
+    @pytest.mark.parametrize("p, tol, scanned", [
+        (BivariatePolynomial([[4.0], [-1.0], [0.5]]), 1e-9, False),  # (2, 0), roots 2.83
+        (BivariatePolynomial([[4.0, -1.0, 0.5]]), 1e-9, False),  # (0, 2)
+        (BivariatePolynomial([[2.0 - 1.0j]]), 1e-9, False),  # (0, 0)
+        (BivariatePolynomial.constant(1.0, bidegree=(1, 1)), 1e-9, False),
+        (BivariatePolynomial([[3.0, 0.0], [1.0, -1.0]]), 1e-9, False),  # 3 + z1 (1 - z2)
+        (BivariatePolynomial([[4.0, -1.0], [-1.0, 0.0]]), 0.0, False),
+        (BivariatePolynomial([[-0.5, 1.0]]), 1e-9, False),  # z2 - 1/2: a zero on p(0, .)
+        (BivariatePolynomial([[-0.5], [1.0]]), 1e-9, True),  # z1 - 1/2: p(0, .) is constant
+        (BivariatePolynomial([[1.0], [-1.0]]), 1e-9, True),  # 1 - z1: a boundary zero
+        (BivariatePolynomial([[1.0, -1.0]]), 0.0, True),  # 1 - z2
+        (BivariatePolynomial([[0.0, 0.0], [0.0, 1.0]]), 0.0, False),  # z1 z2: p(0, .) vanishes
+    ], ids=["n0", "0m", "00", "padded_one", "lead_vanishes", "tol_zero", "zero_on_axis",
+            "zero_off_axis", "boundary_n0", "boundary_0m", "flat_axis"])
+    def test_edge_cases_get_the_scan_verdict(self, monkeypatch, p, tol, scanned):
+        seen = scanned_rows(monkeypatch)
+        report = check_stability(p, torus_grid=64, disk_grid=8, tol=tol)
+        assert (len(seen) > 1) == scanned
+        assert_same_report(report, _scan(p, 64, 8, tol))
+
+    def test_strict_input_solves_at_most_the_zero_slice(self, monkeypatch):
+        # a regression guard that counts instead of timing: the scan eigensolves
+        # 1,537 of its 9,218 slices here, the shortcuts at most p(0, .)
+        seen = scanned_rows(monkeypatch)
+        p = random_strictly_stable(np.random.default_rng(3), 3, 3)
+        assert check_stability(p).verdict == STABLE_CLOSED_STRICT
+        assert len(seen) <= 1
+        for rows in seen:
+            assert rows.shape == (1, 4) and np.array_equal(rows[0], p.coeffs[0])
+
+    def test_zero_slice_witnesses_are_the_scans(self, monkeypatch):
+        seen = scanned_rows(monkeypatch)
+        rng = np.random.default_rng(61)
+        shortcut = 0
+        for n, m in rng.integers(1, 5, size=(20, 2)):
+            p = BivariatePolynomial(rng.standard_normal((n + 1, m + 1))
+                                    + 1j * rng.standard_normal((n + 1, m + 1)))
+            seen.clear()
+            report = check_stability(p, torus_grid=128, disk_grid=16)
+            if len(seen) <= 1:
+                shortcut += 1
+                assert report.verdict == ZERO_FOUND and report.witness[0] == 0.0
+            assert_same_report(report, _scan(p, 128, 16))
+        assert shortcut >= 10
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["stable", "gaussian"]),
+        st.integers(0, 6), st.integers(0, 6), st.integers(0, 2 ** 32 - 1),
+        st.sampled_from([(64, 8), (128, 16), (512, 64)]),
+    )
+    def test_random_inputs_get_the_scan_report(self, kind, n, m, seed, grids):
+        rng = np.random.default_rng(seed)
+        if kind == "stable":
+            p = random_strictly_stable(rng, max(n, 1), m)  # c(0, 0) = 0 needs a second term
+        else:
+            n, m = min(n, 4), min(m, 4)
+            p = BivariatePolynomial(rng.standard_normal((n + 1, m + 1))
+                                    + 1j * rng.standard_normal((n + 1, m + 1)))
+        report = check_stability(p, *grids)
+        assert_same_report(report, _scan(p, *grids))
+        if kind == "stable":
+            assert report.verdict == STABLE_CLOSED_STRICT
 
 
 class TestBoundaryZeros:
@@ -350,7 +439,6 @@ class TestValidation:
             verdict=INCONCLUSIVE,
             witness=(0.5 + 0j, 0.5 + 0j),
             min_modulus=0.1,
-            min_root_modulus=0.9,
             torus_grid=8,
             disk_grid=4,
             tolerance=1e-9,
