@@ -132,7 +132,7 @@ def _cmd_verify(args):
     if isinstance(payload, dict) and "certificate" in payload:
         payload = payload["certificate"]
     cert = SosCertificate.from_json(payload)
-    bundle = KernelBundle.from_certificate(cert, symmetrized=True)
+    bundle = KernelBundle.from_certificate(cert)
     report = verify_decomposition(
         bundle, samples=int(args.samples), seed=int(args.seed), tol=args.tol
     )
@@ -232,12 +232,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
     sub.required = True
 
-    def common(p, tol, need_output=True):
+    def common(p, tol):
         p.add_argument("--input", required=True, help="path to the JSON input")
-        if need_output:
-            p.add_argument(
-                "--output", default=None, help="write the report here (default stdout)"
-            )
+        p.add_argument("--output", default=None, help="write the report here (default stdout)")
         p.add_argument("--tol", type=float, default=tol, help="tolerance")
 
     p_stab = sub.add_parser("stability", help="zero-free verdict on the closed bidisk")

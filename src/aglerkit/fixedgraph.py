@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DegenerateContinuationError, InconsistencyError
 from .moebius import detect_automorphism
-from .numerics import eig_hermitian
 from .pick import pick_matrix
 from .sampling import disk_points, random_disk, random_polydisk
 from .serialize import complex_to_pair, matrix_to_pairs, pair_to_complex
@@ -130,14 +129,11 @@ class SchurMap:
     def from_json(cls, payload):
         from .multipoly import MultiPoly, RationalMap
 
-        if "rational" in payload:
-            rational = RationalMap.from_json(payload["rational"])
-        else:
-            numerator = MultiPoly.from_json(payload["numerator"])
-            denominator = None
-            if "denominator" in payload:
-                denominator = MultiPoly.from_json(payload["denominator"])
-            rational = RationalMap(numerator, denominator)
+        numerator = MultiPoly.from_json(payload["numerator"])
+        denominator = None
+        if "denominator" in payload:
+            denominator = MultiPoly.from_json(payload["denominator"])
+        rational = RationalMap(numerator, denominator)
         return cls(int(payload["n"]), rational=rational, name=payload.get("name"))
 
 
@@ -455,8 +451,7 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     w_nodes = disk_points(_PICK_NODES, 0.7)
     pick_min_eig = np.inf
     for targets in _slices(smap, np.vstack([anchor_z, nodes[flat_indices]]), w_nodes):
-        eigs, _ = eig_hermitian(pick_matrix(w_nodes, targets))
-        pick_min_eig = min(pick_min_eig, float(eigs[0]))
+        pick_min_eig = min(pick_min_eig, float(np.linalg.eigh(pick_matrix(w_nodes, targets))[0][0]))
 
     provenance = {
         "method": "continuation",

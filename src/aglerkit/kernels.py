@@ -14,11 +14,10 @@ where
 and likewise K2, L2 from b.  The kernels are evaluated from factor
 polynomials, so K_j(z, z) >= 0 holds structurally; when a bundle is built
 from a certificate the factors are re-derived from the stored Gram matrices
-so that those matrices are what verification actually tests.  When the
-vectors are reflection-closed (KernelBundle.from_certificate with
-symmetrized=True) the pointwise bound |L_j(z, w)|^2 <= K_j(z, z) K_j(w, w)
-holds as well, and on the diagonal L_j(z, z) equals the partial derivative
-of f.
+so that those matrices are what verification actually tests.
+KernelBundle.from_certificate closes the vectors under reflection, so the
+pointwise bound |L_j(z, w)|^2 <= K_j(z, z) K_j(w, w) holds as well, and on
+the diagonal L_j(z, z) equals the partial derivative of f.
 
 A bundle holds p, the factors and their reflections on one zero-padded grid,
 so one polyval2d call gives a point set's table: (p, p~), (a, a~), (b, b~).
@@ -63,25 +62,20 @@ class KernelBundle:
         self._bounds = (2, 2 + 2 * len(self.a_vec))
 
     @classmethod
-    def from_certificate(cls, cert: SosCertificate, symmetrized: bool = True) -> "KernelBundle":
+    def from_certificate(cls, cert: SosCertificate) -> "KernelBundle":
         """Build from a certificate.
 
         The kernel vectors are re-derived from the stored Gram matrices, so
         verification genuinely exercises G_A and G_B: tampering with either
         matrix changes the kernels and the identity checks fail with a
-        proportional residual.  symmetrized=True additionally closes the
-        vectors under reflection, which the pointwise Cauchy-Schwarz bound
-        requires.
+        proportional residual.  The vectors are then closed under
+        reflection, which the pointwise Cauchy-Schwarz bound requires.
         """
         n, m = cert.p.bidegree
         a_deg, b_deg = (n - 1, m), (n, m - 1)
-        a_polys = factors_from_gram(cert.gram_a, a_deg)
-        b_polys = factors_from_gram(cert.gram_b, b_deg)
-        if not symmetrized:
-            return cls(cert.p, a_polys, b_polys)
         inv = 1.0 / np.sqrt(2.0)
-        a_half = [q.padded(a_deg).scale(inv) for q in a_polys]
-        b_half = [q.padded(b_deg).scale(inv) for q in b_polys]
+        a_half = [q.padded(a_deg).scale(inv) for q in factors_from_gram(cert.gram_a, a_deg)]
+        b_half = [q.padded(b_deg).scale(inv) for q in factors_from_gram(cert.gram_b, b_deg)]
         return cls(
             cert.p,
             a_half + [q.reflect(a_deg) for q in a_half],

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotSolvableError
-from .numerics import eig_hermitian
 from .serialize import FORMAT_TAG, complex_to_pair, pair_to_complex
 
 SOLVABLE = "Solvable"
@@ -66,17 +65,18 @@ class PickProblem:
 
 
 def pick_matrix(nodes, targets) -> np.ndarray:
+    """The Pick matrix of the data, returned as its Hermitian part 0.5 (P + P*)."""
     nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
     targets = np.atleast_1d(np.asarray(targets, dtype=complex))
     num = 1.0 - targets[:, None] * targets[None, :].conj()
     den = 1.0 - nodes[:, None] * nodes[None, :].conj()
-    return num / den
+    mat = num / den
+    return 0.5 * (mat + mat.conj().T)
 
 
 def is_solvable(problem: PickProblem) -> tuple[str, float]:
     """Three-way verdict from the smallest Pick eigenvalue."""
-    w, _ = eig_hermitian(pick_matrix(problem.nodes, problem.targets))
-    min_eig = float(w[0])
+    min_eig = float(np.linalg.eigh(pick_matrix(problem.nodes, problem.targets))[0][0])
     if min_eig < -problem.tol:
         return NOT_SOLVABLE, min_eig
     if min_eig <= problem.tol:

@@ -29,9 +29,7 @@ def pair_to_complex(pair) -> complex:
 def matrix_to_pairs(mat) -> list:
     """Nested [re, im] lists for a complex ndarray of any shape."""
     arr = np.asarray(mat, dtype=complex)
-    if arr.ndim == 0:
-        return complex_to_pair(arr[()])
-    return [matrix_to_pairs(sub) for sub in arr]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def pairs_to_matrix(obj) -> np.ndarray:

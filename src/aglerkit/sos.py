@@ -55,7 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .numerics import hermitize
 from .poly2 import BivariatePolynomial
 from .serialize import FORMAT_TAG, matrix_to_pairs, pairs_to_matrix
 
@@ -63,6 +62,12 @@ from .serialize import FORMAT_TAG, matrix_to_pairs, pairs_to_matrix
 # ----------------------------------------------------------------------
 # coefficient tensors
 # ----------------------------------------------------------------------
+
+def hermitize(mat) -> np.ndarray:
+    """Nearest Hermitian matrix, (M + M*) / 2."""
+    mat = np.asarray(mat, dtype=complex)
+    return 0.5 * (mat + mat.conj().T)
+
 
 def sos_target_tensor(p: BivariatePolynomial) -> np.ndarray:
     """Coefficient tensor T[a, b, c, d] of p(z) conj(p(w)) - p~(z) conj(p~(w))."""
@@ -118,8 +123,7 @@ def factors_from_gram(gram: np.ndarray, degrees: tuple) -> list[BivariatePolynom
             "Gram matrix of shape %s does not match basis bidegree (%d, %d)"
             % (g.shape, n_b, m_b)
         )
-    g = 0.5 * (g + g.conj().T)
-    vals, vecs = np.linalg.eigh(g)
+    vals, vecs = np.linalg.eigh(hermitize(g))
     cutoff = 1e-14 * max(float(vals[-1]) if vals.size else 0.0, 1.0)
     polys = []
     for lam, column in zip(vals, vecs.T):
@@ -141,19 +145,6 @@ def sos_residual(
     gram_b = gram_from_factors(b_polys, n, m - 1) if m > 0 else np.zeros((0, 0), complex)
     diff = gram_pair_tensor(gram_a, gram_b, n, m) - sos_target_tensor(p)
     return float(np.max(np.abs(diff)))
-
-
-def displacement_class_sums(tensor: np.ndarray) -> np.ndarray:
-    """Sums of T[a, b, c, d] over each class (a - c, b - d), indexed by offset.
-
-    For the target tensor these are the Fourier coefficients of
-    |p|^2 - |p~|^2 on the torus, where |p~| = |p|, so they vanish.
-    """
-    n1, m1 = tensor.shape[:2]
-    a, b, c, d = np.indices(tensor.shape)
-    sums = np.zeros((2 * n1 - 1, 2 * m1 - 1), dtype=complex)
-    np.add.at(sums, (a - c + n1 - 1, b - d + m1 - 1), tensor)
-    return sums
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +183,14 @@ class SosCertificate:
 
     @classmethod
     def from_json(cls, obj) -> "SosCertificate":
+        """Load a certificate; ValueError unless p_tilde is exactly p's reflection."""
+        p = BivariatePolynomial.from_json(obj["p"])
+        p_tilde = BivariatePolynomial.from_json(obj["p_tilde"])
+        if not np.array_equal(p_tilde.coeffs, p.reflect().coeffs):
+            raise ValueError("p_tilde is not the reflection of p")
         return cls(
-            p=BivariatePolynomial.from_json(obj["p"]),
-            p_tilde=BivariatePolynomial.from_json(obj["p_tilde"]),
+            p=p,
+            p_tilde=p_tilde,
             gram_a=pairs_to_matrix(obj["G_A"]) if obj["G_A"] else np.zeros((0, 0), complex),
             gram_b=pairs_to_matrix(obj["G_B"]) if obj["G_B"] else np.zeros((0, 0), complex),
             a_polys=[BivariatePolynomial.from_json(q) for q in obj["A_polys"]],
@@ -456,12 +452,6 @@ def solve_gram(
     n, m = p.bidegree
 
     target = sos_target_tensor(p_norm)
-    defect = float(np.max(np.abs(displacement_class_sums(target))))
-    if defect > 1e-10 * (1.0 + float(np.max(np.abs(target)))):
-        raise InfeasibleError(
-            "coefficient constraints are inconsistent", residual=defect, iterations=0,
-        )
-
     powers = np.add.outer(np.arange(n + 1), np.arange(m + 1))
     fallback_steps = min(max_iter, _POLISH_STEPS)
     accepted = best = None

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
-from .numerics import roots_rows
 from .poly2 import BivariatePolynomial
 from .serialize import FORMAT_TAG, complex_to_pair
 from .sos import _outer_factor
@@ -66,6 +65,37 @@ class StabilityReport:
             "disk_grid": self.disk_grid,
             "tolerance": self.tolerance,
         }
+
+
+def roots_rows(rows, lead_tol: float = 0.0) -> np.ndarray:
+    """Roots of each row's sum(rows[r, k] * w**k), NaN-padded to k_max columns.
+
+    Leading coefficients with modulus <= lead_tol * max|row| are trimmed first,
+    then each row's roots are np.roots' of the rest, bit for bit: the same
+    companion matrices, one eigvals call per companion size, and the exact
+    zero low-order coefficients appended as roots at 0.  A zero row is
+    rejected.
+    """
+    c = np.asarray(rows, dtype=complex)
+    if c.ndim != 2 or c.shape[1] == 0:
+        raise ValueError("coefficients must form nonempty rows")
+    mag = np.abs(c)
+    top = np.max(mag, axis=1)
+    if np.any(top == 0.0):
+        raise ValueError("zero polynomial has no well-defined root set")
+    degree = c.shape[1] - 1 - np.argmax((mag > lead_tol * top[:, None])[:, ::-1], axis=1)
+    low = np.argmax(c != 0, axis=1)
+    size = degree - low
+    cols = np.arange(c.shape[1] - 1)
+    roots = np.where((cols >= size[:, None]) & (cols < degree[:, None]), 0j, np.nan)
+    for n in np.unique(size[size > 0]):
+        sel = np.flatnonzero(size == n)
+        desc = np.take_along_axis(c[sel], degree[sel, None] - np.arange(n + 1), axis=1)
+        companion = np.zeros((sel.size, n, n), dtype=complex)
+        companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        roots[sel, :n] = np.linalg.eigvals(companion)
+    return roots
 
 
 def _fixed_samples(torus_grid: int, disk_grid: int) -> np.ndarray:

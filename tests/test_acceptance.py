@@ -166,7 +166,7 @@ def test_criterion_1_classic_end_to_end():
     )
 
 
-def test_criterion_2_telescoping_oracle():
+def test_criterion_2_telescoping_oracle(raw_bundle):
     one = BivariatePolynomial(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
     a = BivariatePolynomial(np.array([[1.0, 0.0]], dtype=complex))
     b = BivariatePolynomial(np.array([[0.0], [1.0]], dtype=complex))
@@ -186,7 +186,7 @@ def test_criterion_2_telescoping_oracle():
         seed=0,
         tol=1e-12,
     )
-    raw = KernelBundle.from_certificate(cert, symmetrized=False)
+    raw = raw_bundle(cert)
 
     rng = np.random.default_rng(211)
     zs = random_polydisk(rng, 200, 2, 0.9)

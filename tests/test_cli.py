@@ -309,6 +309,18 @@ class TestVerify:
         assert report["verification"]["identity1_max"] > 1e-6
         assert report["verification"]["witnesses"]
 
+    def test_p_tilde_that_is_not_the_reflection_of_p_exit_64(self, classic_certificate, tmp_path, capsys):
+        # verify recomputes p~ from p, so a stored p_tilde unlike it is refused, not ignored
+        genuine = json.loads(classic_certificate.read_text())
+        tampered = json.loads(classic_certificate.read_text())
+        tampered["certificate"]["p_tilde"]["coeffs"][0][0][0] += 5.0
+        assert main(["verify", "--input", write_json(tmp_path / "genuine.json", genuine)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", "--input", write_json(tmp_path / "tampered.json", tampered)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "p_tilde" in captured.err
+        assert captured.out == ""
+
     def test_tol_reaches_the_bounds_check(self, classic_certificate, capsys):
         code = main(["verify", "--input", str(classic_certificate), "--tol", "1e-7"])
         assert code == EXIT_OK
@@ -412,6 +424,14 @@ class TestFixedgraph:
         assert main(["fixedgraph", "--input", inp]) == EXIT_NEGATIVE
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "no_interior_fixed_point"
+
+    def test_map_under_a_rational_key_exit_64(self, tmp_path, capsys):
+        # the map's numerator and denominator sit at the top level of the payload
+        payload = product_average_smap_payload()
+        nested = {"n": payload["n"], "rational": {k: payload[k] for k in ("numerator", "denominator")}}
+        inp = write_json(tmp_path / "smap.json", nested)
+        assert main(["fixedgraph", "--input", inp]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "flags", [["--samples", "0"], ["--radius", "1.5"], ["--radius", "-0.5"]]

@@ -40,34 +40,34 @@ def random_pairs(rng, count, radius=0.9):
 
 
 class TestMonomialProductBundle:
-    def test_f_is_the_product_of_coordinates(self):
-        bundle = KernelBundle.from_certificate(telescoping_certificate(), symmetrized=False)
+    def test_f_is_the_product_of_coordinates(self, raw_bundle):
+        bundle = raw_bundle(telescoping_certificate())
         assert bundle.eval_f(0.5, 0.5) == pytest.approx(0.25)
         rng = np.random.default_rng(201)
         z, _ = random_pairs(rng, 50)
         assert np.max(np.abs(bundle.eval_f(*z) - z[0] * z[1])) <= 1e-14
 
-    def test_first_kernel_is_constant_one(self):
-        bundle = KernelBundle.from_certificate(telescoping_certificate(), symmetrized=False)
+    def test_first_kernel_is_constant_one(self, raw_bundle):
+        bundle = raw_bundle(telescoping_certificate())
         rng = np.random.default_rng(203)
         z, w = random_pairs(rng, 50)
         assert np.max(np.abs(bundle.K(1, z, w) - 1.0)) <= 1e-14
 
-    def test_second_kernel_is_first_coordinate_pairing(self):
-        bundle = KernelBundle.from_certificate(telescoping_certificate(), symmetrized=False)
+    def test_second_kernel_is_first_coordinate_pairing(self, raw_bundle):
+        bundle = raw_bundle(telescoping_certificate())
         rng = np.random.default_rng(205)
         z, w = random_pairs(rng, 50)
         assert np.max(np.abs(bundle.K(2, z, w) - z[0] * np.conj(w[0]))) <= 1e-14
 
-    def test_difference_kernels_telescope(self):
-        bundle = KernelBundle.from_certificate(telescoping_certificate(), symmetrized=False)
+    def test_difference_kernels_telescope(self, raw_bundle):
+        bundle = raw_bundle(telescoping_certificate())
         rng = np.random.default_rng(207)
         z, w = random_pairs(rng, 50)
         assert np.max(np.abs(bundle.L(1, z, w) - z[1])) <= 1e-14
         assert np.max(np.abs(bundle.L(2, z, w) - w[0])) <= 1e-14
 
     def test_full_verification_passes_exactly(self):
-        bundle = KernelBundle.from_certificate(telescoping_certificate(), symmetrized=True)
+        bundle = KernelBundle.from_certificate(telescoping_certificate())
         report = verify_decomposition(bundle, samples=300, seed=7, tol=1e-10)
         assert report.passed
         assert report.identity1_max <= 1e-12
@@ -163,8 +163,9 @@ class TestOnePointSetOneTable:
                 assert np.array_equal(kernel(j, z, w), single)
 
     @pytest.mark.parametrize("symmetrized", [False, True])
-    def test_certificate_bundle(self, classic_cert, symmetrized):
-        self.check(KernelBundle.from_certificate(classic_cert, symmetrized=symmetrized), 215)
+    def test_certificate_bundle(self, classic_cert, raw_bundle, symmetrized):
+        bundle = KernelBundle.from_certificate(classic_cert) if symmetrized else raw_bundle(classic_cert)
+        self.check(bundle, 215)
 
     def test_hand_bundle(self):
         self.check(KernelBundle(CLASSIC, [HAND_A], [HAND_B]), 217)
@@ -172,7 +173,7 @@ class TestOnePointSetOneTable:
 
 class TestVerification:
     def test_solver_certificate_verifies(self, classic_cert):
-        bundle = KernelBundle.from_certificate(classic_cert, symmetrized=True)
+        bundle = KernelBundle.from_certificate(classic_cert)
         report = verify_decomposition(bundle, samples=500, seed=1234, tol=1e-8)
         assert report.passed
         assert report.identity1_max <= 1e-8
@@ -181,37 +182,37 @@ class TestVerification:
         assert report.psd_min_eig >= -1e-8
 
     def test_report_carries_witnesses_of_worst_points(self, classic_cert):
-        bundle = KernelBundle.from_certificate(classic_cert, symmetrized=True)
+        bundle = KernelBundle.from_certificate(classic_cert)
         report = verify_decomposition(bundle, samples=100, seed=5, tol=1e-8)
         checks = {wit["check"] for wit in report.witnesses}
         assert checks == {"identity_pick", "identity_difference", "cauchy_schwarz"}
 
-    def test_unsymmetrized_vectors_break_cauchy_schwarz(self):
+    def test_unsymmetrized_vectors_break_cauchy_schwarz(self, raw_bundle):
         # the pointwise bound needs reflection-closed vectors; the raw
         # one-sided factors satisfy both identities but not the bound
-        raw = KernelBundle.from_certificate(solve_gram(PRODUCT_22, tol=1e-8, seed=42), symmetrized=False)
+        raw = raw_bundle(solve_gram(PRODUCT_22, tol=1e-8, seed=42))
         report = verify_decomposition(raw, samples=500, seed=1234, tol=1e-8)
         assert report.identity1_max <= 1e-8
         assert report.identity2_max <= 1e-8
         assert report.cs_max_violation > 1e-6
         assert not report.passed
 
-    def test_classic_one_sided_factors_meet_the_bound_with_equality(self, classic_cert):
+    def test_classic_one_sided_factors_meet_the_bound_with_equality(self, classic_cert, raw_bundle):
         # A1 = alpha (1 - z2) and its reflection conj(alpha) (z2 - 1) have equal
         # moduli, and so do B1 and its reflection, so |L_j(z, w)|^2 = K_j(z, z) K_j(w, w);
         # the Gram pair touches the PSD cone tangentially, so the computed
         # factors are off by about sqrt(eps) and the equality holds to about 1e-7
-        raw = KernelBundle.from_certificate(classic_cert, symmetrized=False)
+        raw = raw_bundle(classic_cert)
         z = (np.array([0.3, -0.5j, 0.1 + 0.6j, -0.7]), np.array([-0.4, 0.2, 0.5j, 0.6 - 0.2j]))
         w = (np.array([0.5j, 0.2 - 0.3j, -0.6, 0.0]), np.array([0.1, -0.8j, 0.3, 0.4 + 0.4j]))
         for j in (1, 2):
             bound = raw.K(j, z, z).real * raw.K(j, w, w).real
             np.testing.assert_allclose(np.abs(raw.L(j, z, w)) ** 2, bound, rtol=1e-6)
 
-    def test_raw_telescoping_bundle_fails_the_bound_badly(self):
+    def test_raw_telescoping_bundle_fails_the_bound_badly(self, raw_bundle):
         # with the one-sided vectors, L2(z, w) = w1 while K2(z, z) = |z1|^2,
         # so the bound collapses whenever z1 is small and w1 is not
-        raw = KernelBundle.from_certificate(telescoping_certificate(), symmetrized=False)
+        raw = raw_bundle(telescoping_certificate())
         z, w = (0.1, 0.0), (0.95, 0.0)
         violation = abs(raw.L(2, z, w)) ** 2 - raw.K(2, z, z).real * raw.K(2, w, w).real
         assert violation > 0.8
@@ -222,7 +223,7 @@ class TestVerification:
     def test_scaled_gram_corruption_is_detected_proportionally(self, classic_cert):
         corrupt = SosCertificate.from_json(classic_cert.to_json())
         corrupt.gram_a = corrupt.gram_a * 1.01
-        bundle = KernelBundle.from_certificate(corrupt, symmetrized=True)
+        bundle = KernelBundle.from_certificate(corrupt)
         report = verify_decomposition(bundle, samples=500, seed=1234, tol=1e-8)
         assert not report.passed
         assert 1e-3 <= report.identity1_max <= 1.0
@@ -233,12 +234,12 @@ class TestVerification:
         tampered[0, 1] += 0.02
         tampered[1, 0] += 0.02
         corrupt.gram_b = tampered
-        bundle = KernelBundle.from_certificate(corrupt, symmetrized=True)
+        bundle = KernelBundle.from_certificate(corrupt)
         report = verify_decomposition(bundle, samples=500, seed=1234, tol=1e-8)
         assert not report.passed
 
     def test_verification_is_deterministic(self, classic_cert):
-        bundle = KernelBundle.from_certificate(classic_cert, symmetrized=True)
+        bundle = KernelBundle.from_certificate(classic_cert)
         r1 = verify_decomposition(bundle, samples=200, seed=55, tol=1e-8)
         r2 = verify_decomposition(bundle, samples=200, seed=55, tol=1e-8)
         assert r1.to_json() == r2.to_json()

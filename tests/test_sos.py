@@ -27,10 +27,10 @@ from aglerkit.sos import (
     _half_rows,
     _riccati_doubling,
     _schur_cohn_moments,
-    displacement_class_sums,
     factors_from_gram,
     gram_from_factors,
     gram_pair_tensor,
+    hermitize,
     solve_gram,
     sos_residual,
     sos_target_tensor,
@@ -44,6 +44,19 @@ SQRT2 = np.sqrt(2.0)
 # hand feasible point for the classic polynomial
 HAND_A = BivariatePolynomial([[SQRT2, -SQRT2]])  # sqrt(2) (1 - z2), basis degrees (0, 1)
 HAND_B = BivariatePolynomial([[SQRT2], [-SQRT2]])  # sqrt(2) (1 - z1), basis degrees (1, 0)
+
+
+def displacement_class_sums(tensor: np.ndarray) -> np.ndarray:
+    """Sums of T[a, b, c, d] over each class (a - c, b - d), indexed by offset.
+
+    For the target tensor these are the Fourier coefficients of
+    |p|^2 - |p~|^2 on the torus, where |p~| = |p|, so they vanish.
+    """
+    n1, m1 = tensor.shape[:2]
+    a, b, c, d = np.indices(tensor.shape)
+    sums = np.zeros((2 * n1 - 1, 2 * m1 - 1), dtype=complex)
+    np.add.at(sums, (a - c + n1 - 1, b - d + m1 - 1), tensor)
+    return sums
 
 
 def exact_identity_residual(p, gram_a, gram_b):
@@ -114,6 +127,12 @@ class TestTargetTensor:
         expected[0, 0, 0, 0] = 1.0
         expected[1, 1, 1, 1] = -1.0
         assert np.allclose(t, expected)
+
+    def test_hermitize_produces_zero_defect(self):
+        rng = np.random.default_rng(3)
+        raw = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        mat = hermitize(raw)
+        assert np.max(np.abs(mat - mat.conj().T)) <= 1e-15
 
     def test_tensor_is_hermitian(self):
         rng = np.random.default_rng(5)
@@ -348,15 +367,12 @@ class TestSolveGram:
 
 
 class TestSymmetrize:
-    """Reflection closing in KernelBundle.from_certificate(symmetrized=True)."""
+    """Reflection closing in KernelBundle.from_certificate."""
 
     @pytest.fixture(scope="class")
-    def bundles(self):
+    def bundles(self, raw_bundle):
         cert = solve_gram(CLASSIC, tol=1e-8, seed=42)
-        return (
-            KernelBundle.from_certificate(cert, symmetrized=False),
-            KernelBundle.from_certificate(cert, symmetrized=True),
-        )
+        return raw_bundle(cert), KernelBundle.from_certificate(cert)
 
     def test_symmetrized_lists_double_the_rank(self, bundles):
         raw, sym = bundles
