@@ -15,7 +15,9 @@ Exit codes:
     3   inconclusive or degenerate (no verdict either way), including a
         Gram solve whose every warm start, and the widened pair, stays
         above --tol, and a LAPACK failure
-    64  command line usage error
+    64  command line usage error or malformed input, including a certificate
+        whose p_tilde is not p's reflection or, when its checks pass, whose
+        A_polys or B_polys do not factor G_A or G_B
     66  input file missing or unreadable, or output file not writable
         (the message names the path)
 """
@@ -40,7 +42,7 @@ from .pick import NOT_SOLVABLE, PickProblem, is_solvable, solve
 from .poly2 import BivariatePolynomial
 from .retract import RetractMap, normal_form
 from .serialize import FORMAT_TAG, canonical_dumps, load_json, write_json_atomic
-from .sos import SosCertificate, solve_gram
+from .sos import SosCertificate, gram_from_factors, solve_gram
 from .stability import INCONCLUSIVE, ZERO_FOUND, check_stability
 
 EXIT_OK = 0
@@ -124,6 +126,22 @@ def _cmd_decompose(args):
     return EXIT_OK
 
 
+def _require_factors_of_grams(cert):
+    """ValueError unless A_polys and B_polys factor G_A and G_B up to rounding.
+
+    An entry of sum_k a_k a_k* may differ from the stored Gram by at most
+    8 (r + 2) eps max_i (sum_k |a_k|^2)_ii for r factors, which covers the
+    rounding of the solver's two products of the same factors.
+    """
+    n, m = cert.p.bidegree
+    for name, polys, gram, degrees in (("A_polys", cert.a_polys, cert.gram_a, (n - 1, m)),
+                                       ("B_polys", cert.b_polys, cert.gram_b, (n, m - 1))):
+        rebuilt = gram_from_factors(polys, *degrees)
+        bound = 8 * (len(polys) + 2) * np.finfo(float).eps * np.max(rebuilt.diagonal().real, initial=0.0)
+        if not np.all(np.abs(rebuilt - gram) <= bound):
+            raise ValueError("%s do not factor G_%s within the rounding bound %.1e" % (name, name[0], bound))
+
+
 def _cmd_verify(args):
     if int(args.samples) < 1:
         raise ValueError("samples must be a positive integer")
@@ -139,6 +157,8 @@ def _cmd_verify(args):
     bounds = check_bounds(
         bundle, samples=int(args.samples), seed=int(args.seed) + 1, tol=args.tol
     )
+    if report.passed and bounds.passed:  # the Grams certify p, so their stored factors must be theirs
+        _require_factors_of_grams(cert)
     _emit(
         {
             "command": "verify",

@@ -19,9 +19,11 @@ KernelBundle.from_certificate closes the vectors under reflection, so the
 pointwise bound |L_j(z, w)|^2 <= K_j(z, z) K_j(w, w) holds as well, and on
 the diagonal L_j(z, z) equals the partial derivative of f.
 
-A bundle holds p, the factors and their reflections on one zero-padded grid,
-so one polyval2d call gives a point set's table: (p, p~), (a, a~), (b, b~).
-f, K_j and L_j are products of tables; the checks build one per point set.
+A bundle holds p, the factors and their reflections as the columns of one
+coefficient matrix over the monomials z1^i z2^j, so a point set's table,
+(p, p~), (a, a~), (b, b~), is its monomial table times that matrix.  f, K_j
+and L_j are products of tables; the checks build one per point set, and the
+positivity subsets of the sample points are read out of its table.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval2d
 
 from .errors import DomainError
 from .poly2 import BivariatePolynomial
@@ -55,10 +56,11 @@ class KernelBundle:
         self.p = p
         self.a_vec = list(a_vec)
         self.b_vec = list(b_vec)
-        # each group, then its reflections at its degree box, on one grid
+        # each group, then its reflections at its degree box: one column per polynomial
         groups = ((n, m), [p]), ((n - 1, m), self.a_vec), ((n, m - 1), self.b_vec)
         polys = [q for degrees, group in groups for q in group + [g.reflect(degrees) for g in group]]
-        self._coeffs = np.stack([q.padded((n, m)).coeffs for q in polys], axis=-1)
+        self._matrix = np.stack([q.padded((n, m)).coeffs.ravel() for q in polys], axis=-1)
+        self._powers = np.arange(n + 1), np.arange(m + 1)
         self._bounds = (2, 2 + 2 * len(self.a_vec))
 
     @classmethod
@@ -85,8 +87,17 @@ class KernelBundle:
     # -- evaluation ---------------------------------------------------
 
     def _table(self, z1, z2):
-        """Values at the points, three stacks on axis 0: (p, p~), (a, a~), (b, b~)."""
-        values = polyval2d(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex), self._coeffs)
+        """Values at the points, three stacks on axis 0: (p, p~), (a, a~), (b, b~).
+
+        The points are the rows of one product of their monomial table with the
+        coefficient matrix.  A lone point takes two rows, as numpy sums a one-row
+        product in another order, so batched calls give one-point values exactly.
+        """
+        z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
+        rows = max(z1.size, 2)
+        x1, x2 = (np.resize(x, (rows, 1)) ** k for x, k in zip((z1, z2), self._powers))
+        mono = (x1[:, :, None] * x2[:, None, :]).reshape(rows, -1)
+        values = (mono @ self._matrix)[:z1.size].T.reshape((-1,) + z1.shape)
         return np.split(values, self._bounds)
 
     def eval_f(self, z1, z2):
@@ -216,15 +227,11 @@ def verify_decomposition(
     cs1 = np.abs(l1) ** 2 - _K(1, tz, tz).real * _K(1, tw, tw).real
     cs2 = np.abs(l2) ** 2 - _K(2, tz, tz).real * _K(2, tw, tw).real
 
-    psd_min = np.inf
-    for _ in range(PSD_SUBSETS):
-        idx = rng.choice(samples, size=min(PSD_SUBSET_SIZE, samples), replace=False)
-        rows = bundle._table(z[0][idx, None], z[1][idx, None])
-        cols = bundle._table(z[0][None, idx], z[1][None, idx])
-        for j in (1, 2):
-            grid = _K(j, rows, cols)
-            grid = 0.5 * (grid + grid.conj().T)
-            psd_min = min(psd_min, float(np.linalg.eigvalsh(grid)[0]))
+    idx = [rng.choice(samples, size=min(PSD_SUBSET_SIZE, samples), replace=False) for _ in range(PSD_SUBSETS)]
+    subsets = [t[:, idx] for t in tz]  # the positivity subsets' rows of the sample table
+    rows, cols = [t[..., :, None] for t in subsets], [t[..., None, :] for t in subsets]
+    grid = np.stack([_K(j, rows, cols) for j in (1, 2)])  # (kernel, subset, point, point)
+    psd_min = float(np.linalg.eigvalsh(0.5 * (grid + grid.conj().swapaxes(-1, -2)))[..., 0].min())
 
     witnesses = []
     i1 = int(np.argmax(id1))
@@ -257,6 +264,8 @@ def check_bounds(
     tol: float = 1e-9,
 ) -> BoundReport:
     """Diagonal kernel growth bounds: K_j(z,z) <= 1/(1-|z_j|^2)."""
+    if samples < 1:
+        raise ValueError("need at least one sample pair")
     rng = np.random.default_rng(seed)
     zs = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
     z = (zs[:, 0], zs[:, 1])

@@ -321,6 +321,16 @@ class TestVerify:
         assert "p_tilde" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key", ["A_polys", "B_polys"])
+    def test_factors_that_do_not_factor_the_grams_exit_64(self, classic_certificate, tmp_path, capsys, key):
+        # the kernels are built from G_A and G_B, so stored factors unlike them are refused, not ignored
+        tampered = json.loads(classic_certificate.read_text())
+        tampered["certificate"][key][0]["coeffs"][0][0][0] += 5.0
+        assert main(["verify", "--input", write_json(tmp_path / "tampered.json", tampered)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+
     def test_tol_reaches_the_bounds_check(self, classic_certificate, capsys):
         code = main(["verify", "--input", str(classic_certificate), "--tol", "1e-7"])
         assert code == EXIT_OK

@@ -2,10 +2,19 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 
 from aglerkit.errors import DomainError
-from aglerkit.kernels import KernelBundle, check_bounds, verify_decomposition
+from aglerkit.kernels import (
+    PSD_SUBSET_SIZE,
+    PSD_SUBSETS,
+    SAMPLE_RADIUS,
+    KernelBundle,
+    check_bounds,
+    verify_decomposition,
+)
 from aglerkit.poly2 import BivariatePolynomial
+from aglerkit.sampling import random_polydisk
 from aglerkit.sos import SosCertificate, gram_from_factors, solve_gram
 
 CLASSIC = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])
@@ -134,6 +143,12 @@ class TestDomainGuards:
         with pytest.raises(ValueError):
             verify_decomposition(bundle, samples=0)
 
+    @pytest.mark.parametrize("check", [verify_decomposition, check_bounds])
+    def test_zero_samples_are_refused_by_name(self, check):
+        bundle = KernelBundle.from_certificate(telescoping_certificate())
+        with pytest.raises(ValueError, match="need at least one sample pair"):
+            check(bundle, samples=0)
+
 
 @pytest.fixture(scope="module")
 def classic_cert():
@@ -169,6 +184,74 @@ class TestOnePointSetOneTable:
 
     def test_hand_bundle(self):
         self.check(KernelBundle(CLASSIC, [HAND_A], [HAND_B]), 217)
+
+
+def random_bundle(rng, n, m, factors=3):
+    """A bundle of random complex polynomials at bidegree (n, m); no certificate behind it."""
+
+    def poly(rows, cols):
+        return BivariatePolynomial(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+
+    a_vec = [poly(n, m + 1) for _ in range(factors)] if n > 0 else []
+    b_vec = [poly(n + 1, m) for _ in range(factors)] if m > 0 else []
+    return KernelBundle(poly(n + 1, m + 1), a_vec, b_vec)
+
+
+def closed_bidisk_points(rng, count):
+    """Uniform points of the closed bidisk, the first eight with |z1| = 1 or |z2| = 1."""
+    radius = np.sqrt(rng.uniform(size=(count, 2)))
+    radius[:4, 0] = radius[2:6, 1] = 1.0
+    pts = radius * np.exp(2j * np.pi * rng.uniform(size=(count, 2)))
+    return pts[:, 0], pts[:, 1]
+
+
+BIDEGREES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 3), (4, 2), (5, 5), (6, 6)]
+
+
+class TestMonomialTable:
+    """The table, on its own, is one monomial table times one coefficient matrix."""
+
+    @pytest.mark.parametrize("bidegree", BIDEGREES)
+    def test_table_is_batch_invariant(self, bidegree):
+        rng = np.random.default_rng(sum(bidegree) + 31)
+        bundle = random_bundle(rng, *bidegree)
+        z1, z2 = closed_bidisk_points(rng, 500)
+        full = bundle._table(z1, z2)
+        for step in (1, 7):
+            parts = [bundle._table(z1[i:i + step], z2[i:i + step]) for i in range(0, 500, step)]
+            for k, stack in enumerate(full):
+                assert np.array_equal(stack, np.concatenate([part[k] for part in parts], axis=-1))
+        for i in range(0, 500, 50):  # scalar points
+            for stack, lone in zip(full, bundle._table(z1[i], z2[i])):
+                assert np.array_equal(stack[:, i], lone)
+
+    @pytest.mark.parametrize("bidegree", BIDEGREES)
+    def test_table_matches_horner_within_rounding(self, bidegree):
+        n, m = bidegree
+        rng = np.random.default_rng(sum(bidegree) + 37)
+        bundle = random_bundle(rng, n, m)
+        z1, z2 = closed_bidisk_points(rng, 500)
+        coeffs = bundle._matrix.reshape(n + 1, m + 1, -1)
+        horner = polyval2d(z1, z2, coeffs)
+        majorant = polyval2d(np.abs(z1), np.abs(z2), np.abs(coeffs))
+        error = np.abs(np.concatenate(bundle._table(z1, z2)) - horner)
+        assert np.all(error <= 8 * (n + m + 2) * np.finfo(float).eps * majorant)
+
+    @pytest.mark.parametrize("poly", [CLASSIC, PRODUCT_22])
+    def test_psd_min_eig_matches_independent_subset_tables(self, poly):
+        bundle = KernelBundle.from_certificate(solve_gram(poly, tol=1e-9, seed=42))
+        report = verify_decomposition(bundle, samples=60, seed=8)
+        rng = np.random.default_rng(8)
+        zs = random_polydisk(rng, 60, 2, SAMPLE_RADIUS)
+        random_polydisk(rng, 60, 2, SAMPLE_RADIUS)  # the w samples
+        least = np.inf
+        for _ in range(PSD_SUBSETS):
+            idx = rng.choice(60, size=PSD_SUBSET_SIZE, replace=False)
+            z1, z2 = zs[idx, 0], zs[idx, 1]
+            for j in (1, 2):
+                grid = bundle.K(j, (z1[:, None], z2[:, None]), (z1[None, :], z2[None, :]))
+                least = min(least, np.linalg.eigvalsh(0.5 * (grid + grid.conj().T))[0])
+        assert report.psd_min_eig == least
 
 
 class TestVerification:
