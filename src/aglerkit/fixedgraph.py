@@ -5,9 +5,9 @@ has, for each frozen z, a distinguished fixed point in w whenever the slice
 w -> F(z, w) is not a disk automorphism.  This module finds those fixed
 points with Newton iteration, classifies them by the slice derivative,
 and solves for the graph w = f(z) over a grid, recording slice
-positivity diagnostics along the way.  Such a slice has at most one
-interior fixed point (Schwarz lemma), so all grid nodes are solved
-together by one damped Newton sweep from the anchor value.
+positivity diagnostics along the way.  An anchor slice with |dF/dw| < 1
+has at most one interior fixed point (Schwarz lemma), so all grid nodes are
+solved together by one damped Newton sweep from the anchor value.
 """
 
 from __future__ import annotations
@@ -384,17 +384,16 @@ def _solve_rows(smap, rows, start, tol=1e-12,
 
 
 def _anchored_rows(smap, record, points, tol):
-    """local_graph's checks and Newton sweep: (values, F, dF/dw) at the points."""
-    if record.classification != CLASS_INTERIOR:
+    """Anchor test and Newton sweep of local_graph and continue_graph: (values, F, dF/dw).
+
+    The anchor must be interior by find_fixed_w's rule, |w| < 1 - 1e-8 and
+    |dF/dw| <= 1 - _DERIV_TOL on the map, or InconsistencyError is raised.
+    """
+    deriv = abs(smap.partial_w(record.z, record.w))
+    if not (abs(record.w) < 1.0 - 1e-8 and deriv <= 1.0 - _DERIV_TOL):
         raise InconsistencyError(
-            "graph continuation needs an interior fixed point, got %r"
-            % record.classification
-        )
-    if abs(1.0 - smap.partial_w(record.z, record.w)) < 1e-8:
-        raise DegenerateContinuationError(
-            "slice derivative pins the fixed-point equation at the anchor "
-            "(|1 - dF/dw| < 1e-8)",
-            location=tuple(complex(v) for v in record.z),
+            "graph continuation needs an interior anchor with |dF/dw| <= 1 - %g; "
+            "got |w| = %.6e, |dF/dw| = %.6e" % (_DERIV_TOL, abs(record.w), deriv)
         )
     pts = np.asarray(points, dtype=complex).reshape(-1, smap.n)
     values = _solve_rows(
@@ -407,10 +406,10 @@ def _anchored_rows(smap, record, points, tol):
 def local_graph(smap, record, points, tol=1e-12):
     """Fixed-point values at z points, all by one Newton sweep from record.w.
 
-    A slice that is not an automorphism has at most one interior fixed
-    point (Schwarz lemma), so Newton from the anchor value has no other
-    branch to land on and the points need no path between them.
-    Returns (values, residuals) aligned with the input points.
+    An anchor that passes _anchored_rows' test (else InconsistencyError)
+    has a slice with at most one interior fixed point (Schwarz lemma), so
+    Newton from it has no other branch to land on and the points need no
+    path between them.  Returns (values, residuals) aligned with the points.
     """
     values, f, _ = _anchored_rows(smap, record, points, tol)
     return values, np.abs(f - values)
@@ -419,9 +418,10 @@ def local_graph(smap, record, points, tol=1e-12):
 def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     """Continue an interior fixed point into a graph over a product grid.
 
-    Solves every grid node at once by damped Newton from the anchor value,
-    then validates the result: residuals at every node, the slice
-    derivative bound max |dF/dw|, and a Pick matrix test on a few w-slices
+    Solves every grid node at once by damped Newton from an anchor that
+    passes _anchored_rows' test (else InconsistencyError), then validates
+    the result: residuals at every node, the slice derivative bound
+    max |dF/dw|, and a Pick matrix test on a few w-slices
     for Schur-class positivity.  All diagnostics land in the returned
     GraphFunction's provenance.  The axes are disk_points(grid, radius) for
     every z variable; a radius outside (0, 1] raises ValueError, as F is
@@ -430,12 +430,6 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     """
     if not 0.0 < radius <= 1.0:
         raise ValueError("grid radius must lie in (0, 1]")
-    phi = detect_w_automorphism(smap, z_center=record.z)
-    if phi is not None:
-        raise InconsistencyError(
-            "the anchor w-slice is a disk automorphism; its fixed point does "
-            "not continue to a unique graph"
-        )
     axes = tuple(disk_points(grid, radius) for _ in range(smap.n))
     shape = tuple(len(ax) for ax in axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, smap.n)

@@ -7,6 +7,7 @@ runs with the same seed produce byte-identical output.
 
 from __future__ import annotations
 
+import cmath
 import json
 import os
 import tempfile
@@ -22,8 +23,12 @@ def complex_to_pair(z) -> list[float]:
 
 
 def pair_to_complex(pair) -> complex:
+    """[re, im] as a complex; ValueError unless both parts are finite."""
     re, im = pair
-    return complex(float(re), float(im))
+    z = complex(float(re), float(im))
+    if not cmath.isfinite(z):
+        raise ValueError("non-finite number in a [re, im] pair")
+    return z
 
 
 def matrix_to_pairs(mat) -> list:

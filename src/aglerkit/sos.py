@@ -183,11 +183,13 @@ class SosCertificate:
 
     @classmethod
     def from_json(cls, obj) -> "SosCertificate":
-        """Load a certificate; ValueError unless p_tilde is exactly p's reflection."""
+        """Load a certificate; ValueError unless p~ is p's reflection and residual, tol are finite."""
         p = BivariatePolynomial.from_json(obj["p"])
         p_tilde = BivariatePolynomial.from_json(obj["p_tilde"])
         if not np.array_equal(p_tilde.coeffs, p.reflect().coeffs):
             raise ValueError("p_tilde is not the reflection of p")
+        if not np.isfinite([float(obj["residual"]), float(obj["tol"])]).all():
+            raise ValueError("certificate residual and tol must be finite")
         return cls(
             p=p,
             p_tilde=p_tilde,

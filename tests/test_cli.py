@@ -536,6 +536,55 @@ class TestRetract:
         assert capsys.readouterr().out == ""
 
 
+def with_literal(path, payload, literal):
+    """Write payload as JSON with each "@" string replaced by a bare number literal."""
+    path.write_text(json.dumps(payload).replace('"@"', literal))
+    return str(path)
+
+
+class TestNonFiniteInput:
+    """Python's json reads NaN, Infinity and 1e999 (as inf); input pairs refuse them."""
+
+    LITERALS = ["NaN", "Infinity", "1e999"]
+
+    @staticmethod
+    def refused(argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("literal", LITERALS)
+    def test_retract_coefficient_exit_64(self, tmp_path, capsys, literal):
+        payload = parabola_retract_payload()
+        payload["components"][1]["data"]["terms"]["2,0"] = ["@", 0.0]
+        self.refused(["retract", "--input", with_literal(tmp_path / "rho.json", payload, literal)], capsys)
+
+    @pytest.mark.parametrize("literal", LITERALS)
+    def test_fixedgraph_coefficient_exit_64(self, tmp_path, capsys, literal):
+        payload = product_average_smap_payload()
+        payload["numerator"]["terms"]["1,1,0"] = [0.5, "@"]
+        self.refused(["fixedgraph", "--input", with_literal(tmp_path / "smap.json", payload, literal)], capsys)
+
+    @pytest.mark.parametrize("literal", LITERALS)
+    def test_pick_node_exit_64(self, tmp_path, capsys, literal):
+        payload = {"nodes": [[0.0, 0.0], ["@", 0.0]], "targets": [[0.0, 0.0], [0.5, 0.0]]}
+        self.refused(["pick", "--input", with_literal(tmp_path / "pick.json", payload, literal)], capsys)
+
+    @pytest.mark.parametrize("key, literal", [("residual", "NaN"), ("residual", "Infinity"),
+                                              ("residual", "1e999"), ("tol", "NaN")])
+    def test_certificate_residual_or_tol_exit_64(self, classic_certificate, tmp_path, capsys, key, literal):
+        payload = json.loads(classic_certificate.read_text())
+        payload["certificate"][key] = "@"
+        inp = with_literal(tmp_path / "cert.json", payload, literal)
+        code = main(["verify", "--input", inp])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "finite" in captured.err
+
+
 def readme_synopsis():
     """Subcommand -> set of flags, from the README "Command line" code block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

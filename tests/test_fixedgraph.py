@@ -63,6 +63,11 @@ def nonlinear_rational_map():
     return RationalMap(num, den)
 
 
+def elliptic_slice_map():
+    # F(z, w) = -w: every slice fixes 0 with |dF/dw| = 1, a disk automorphism
+    return SchurMap(1, rational=RationalMap(MultiPoly(2, {(0, 1): -1.0})))
+
+
 def w_map(terms):
     # F(z, w) = sum of c w^p over the terms {(0, p): c}, the same on every slice
     return SchurMap(1, rational=RationalMap(MultiPoly(2, terms)))
@@ -386,9 +391,8 @@ class TestLocalGraph:
             residual=0.0,
             iterations=1,
         )
-        with pytest.raises(DegenerateContinuationError) as excinfo:
+        with pytest.raises(InconsistencyError):
             local_graph(smap, record, [[0.4]])
-        assert excinfo.value.location is not None
 
 
 class TestContinueGraph:
@@ -468,7 +472,7 @@ class TestContinueGraph:
         # the record itself is not interior
         with pytest.raises(InconsistencyError):
             continue_graph(smap, record)
-        # and even an interior-labeled record trips the automorphism guard
+        # and even an interior-labeled record fails the anchor test, |dF/dw| = 1
         forged = FixedPointRecord(
             z=(0.2,),
             w=0.1,
@@ -524,6 +528,50 @@ class TestContinueGraph:
         assert len(payload["axes"]) == 1
         assert len(payload["values"]) == 5
         assert len(payload["residuals"]) == 5
+
+
+class TestGraphAnchor:
+    """local_graph and continue_graph test the anchor once, on the map, by find_fixed_w's interior rule."""
+
+    @pytest.mark.parametrize(
+        "smap",
+        [product_average_map(), SchurMap(2, rational=nonlinear_rational_map())],
+        ids=["product_average", "nonlinear"],
+    )
+    def test_graphs_fit_no_moebius_map(self, monkeypatch, smap):
+        record = find_fixed_w(smap, [0.0, 0.0])[0]
+        calls = []
+        for name in ("detect_w_automorphism", "detect_automorphism"):
+            monkeypatch.setattr(fixedgraph, name, lambda *args, **kw: calls.append(args))
+        graph = continue_graph(smap, record, radius=0.8, grid=5)
+        values, _ = local_graph(smap, record, [[0.1, 0.2j]])
+        assert graph.max_residual <= 1e-12
+        assert abs(values[0] - graph.evaluate([0.1, 0.2j])) <= 1e-12
+        assert calls == []
+
+    @staticmethod
+    def refused_records():
+        forged = FixedPointRecord(
+            z=(0.3,), w=0.0, derivative=-1.0, classification=CLASS_INTERIOR,
+            residual=0.0, iterations=1,
+        )
+        (automorphism,) = find_fixed_w(elliptic_slice_map(), [0.3])
+        (boundary,) = find_fixed_w(boundary_attractor_map(), [0.2])
+        assert automorphism.classification == CLASS_AUTOMORPHISM
+        assert boundary.classification == CLASS_BOUNDARY
+        return [
+            (elliptic_slice_map(), forged),
+            (elliptic_slice_map(), automorphism),
+            (boundary_attractor_map(), boundary),
+        ]
+
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["forged_interior", "automorphism", "boundary"])
+    def test_refused_anchor_raises_inconsistency(self, case):
+        smap, record = self.refused_records()[case]
+        with pytest.raises(InconsistencyError):
+            continue_graph(smap, record, grid=4)
+        with pytest.raises(InconsistencyError):
+            local_graph(smap, record, [[0.1]])
 
 
 class TestUniquenessCheck:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval2d
 
+from aglerkit import kernels
 from aglerkit.errors import DomainError
 from aglerkit.kernels import (
     PSD_SUBSET_SIZE,
@@ -350,6 +351,39 @@ class TestBounds:
         bundle = KernelBundle.from_certificate(telescoping_certificate())
         report = check_bounds(bundle, samples=500, seed=3)
         assert report.passed
+
+    def test_one_point_set_and_no_cauchy_schwarz_field(self, classic_bundle, monkeypatch):
+        # Cauchy-Schwarz needs point pairs and is verify_decomposition's check
+        draws, tables = [], []
+        draw, table = kernels.random_polydisk, KernelBundle._table
+
+        def spy_draw(*args):
+            draws.append(args[1])
+            return draw(*args)
+
+        def spy_table(self, z1, z2):
+            tables.append(np.size(z1))
+            return table(self, z1, z2)
+
+        monkeypatch.setattr(kernels, "random_polydisk", spy_draw)
+        monkeypatch.setattr(KernelBundle, "_table", spy_table)
+        report = check_bounds(classic_bundle, samples=200, seed=17)
+        monkeypatch.undo()
+        assert draws == [200] and tables == [200]
+        assert "cs_max_violation" not in report.to_json()
+        assert not hasattr(report, "cs_max_violation")
+
+        zs = random_polydisk(np.random.default_rng(17), 200, 2, SAMPLE_RADIUS)
+        z = (zs[:, 0], zs[:, 1])
+        residual = 1.0 - np.abs(classic_bundle.eval_f(*z)) ** 2
+        margins, defects = [], []
+        for j in (1, 2):
+            k = classic_bundle.K(j, z, z).real
+            room = 1.0 - np.abs(z[j - 1]) ** 2
+            margins.append((1.0 / room - k).min())
+            defects.append((room * k - residual).max())
+        assert report.bound_margin == min(margins)
+        assert report.sum_defect_max == max(defects)
 
     def test_report_serialization(self, classic_bundle):
         report = check_bounds(classic_bundle, samples=100, seed=99)

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from aglerkit.serialize import canonical_dumps, complex_to_pair, matrix_to_pairs, pairs_to_matrix
+from aglerkit.serialize import (
+    canonical_dumps,
+    complex_to_pair,
+    matrix_to_pairs,
+    pair_to_complex,
+    pairs_to_matrix,
+)
 
 
 def recursive_pairs(mat):
@@ -38,3 +44,14 @@ def test_negative_zero_survives_a_round_trip():
     back = matrix_to_pairs(arr)
     assert back == pairs
     assert [math.copysign(1.0, v) for pair in back for v in pair] == [-1.0, 1.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("pair", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 1.0], ["nan", 0.0]])
+def test_pair_with_a_non_finite_part_is_refused(pair):
+    with pytest.raises(ValueError, match="non-finite"):
+        pair_to_complex(pair)
+
+
+def test_finite_pair_keeps_its_signed_zeros():
+    z = pair_to_complex([-0.0, -0.0])
+    assert z == 0 and math.copysign(1.0, z.real) == math.copysign(1.0, z.imag) == -1.0
