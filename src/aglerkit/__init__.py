@@ -26,10 +26,7 @@ from .fixedgraph import (
     GraphFunction,
     SchurMap,
     continue_graph,
-    detect_w_automorphism,
     find_fixed_w,
-    local_graph,
-    uniqueness_check,
 )
 from .kernels import (
     BoundReport,
@@ -124,14 +121,12 @@ __all__ = [
     "classify_components",
     "continue_graph",
     "detect_automorphism",
-    "detect_w_automorphism",
     "disk_points",
     "find_fixed_w",
     "fit_moebius",
     "gram_pair_tensor",
     "is_solvable",
     "load_json",
-    "local_graph",
     "normal_form",
     "pick_matrix",
     "random_disk",
@@ -142,7 +137,6 @@ __all__ = [
     "sos_residual",
     "sos_target_tensor",
     "factors_from_gram",
-    "uniqueness_check",
     "verify_decomposition",
     "verify_idempotent",
     "write_json_atomic",

@@ -5,9 +5,12 @@ has, for each frozen z, a distinguished fixed point in w whenever the slice
 w -> F(z, w) is not a disk automorphism.  This module finds those fixed
 points with Newton iteration, classifies them by the slice derivative,
 and solves for the graph w = f(z) over a grid, recording slice
-positivity diagnostics along the way.  An anchor slice with |dF/dw| < 1
-has at most one interior fixed point (Schwarz lemma), so all grid nodes are
-solved together by one damped Newton sweep from the anchor value.
+positivity diagnostics along the way.  One rule, _classify, calls a fixed
+point interior (|w| < 1 - 1e-8 and |dF/dw| <= 1 - _DERIV_TOL); it labels
+find_fixed_w's records and is the graph anchor's test.  An anchor slice
+with |dF/dw| < 1 has at most one interior fixed point (Schwarz lemma), so
+all grid nodes are solved together by one damped Newton sweep from the
+anchor value.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateContinuationError, InconsistencyError
-from .moebius import detect_automorphism
 from .pick import pick_matrix
 from .sampling import disk_points, random_disk, random_polydisk
 from .serialize import complex_to_pair, matrix_to_pairs, pair_to_complex
@@ -26,22 +28,12 @@ CLASS_INTERIOR = "interior"
 CLASS_AUTOMORPHISM = "automorphism"
 CLASS_BOUNDARY = "boundary"
 
-IDENTITY_IN_W = "identity"
-UNIQUE_GRAPH = "unique_graph"
-NO_FIXED_POINTS = "no_fixed_points"
-
 _SCHUR_RADIUS = 0.95  # polydisk radius of the sampled |F| <= 1 check
 _SCHUR_TOL = 1e-9
 _DEDUP_TOL = 1e-8  # Newton solutions this close count as one fixed point
 _DERIV_TOL = 1e-6  # |dF/dw| within this of 1 classifies as an automorphism
-_SLICE_CHECKS = 20  # random w-slices compared with an automorphic anchor slice
-_SLICE_CHECK_SEED = 307
 _PICK_SLICES = 4  # random grid nodes whose w-slice gets a Pick test
 _PICK_NODES = 8
-_UNIQUE_SAMPLES = 10  # z points of the uniqueness trichotomy
-_UNIQUE_SEED = 2024
-_UNIQUE_RADIUS = 0.8
-_IDENTITY_TOL = 1e-10
 
 
 class SchurMap:
@@ -232,14 +224,25 @@ def _newton(smap, Z, W, tol=1e-12, max_iter=50):
     return values, iterations, converged
 
 
+def _classify(w, mod):
+    """The interior rule, for a fixed point w with slice derivative modulus mod.
+
+    Boundary when |w| >= 1 - 1e-8; else interior (attracting) when
+    mod <= 1 - _DERIV_TOL, and the automorphism case when mod is within
+    _DERIV_TOL of 1.
+    """
+    if abs(w) >= 1.0 - 1e-8:
+        return CLASS_BOUNDARY
+    return CLASS_INTERIOR if mod <= 1.0 - _DERIV_TOL else CLASS_AUTOMORPHISM
+
+
 def find_fixed_w(smap, z, seeds=None, tol=1e-12):
     """All fixed points of w -> F(z, w) found from a spread of seeds.
 
-    Each converged solution is classified by the modulus of the slice
-    derivative: well below 1 is an interior (attracting) point, within
-    _DERIV_TOL of 1 is the automorphism case.  A modulus above 1 + 1e-8 is
-    impossible for a disk self-map and raises InconsistencyError, as do
-    two distinct interior fixed points on one slice.
+    Each converged solution is classified by _classify.  A slice
+    derivative modulus above 1 + 1e-8 is impossible for a disk self-map
+    and raises InconsistencyError, as do two distinct interior fixed
+    points on one slice.
     """
     z = np.asarray(z, dtype=complex).reshape(smap.n)
     if seeds is None:
@@ -263,20 +266,13 @@ def find_fixed_w(smap, z, seeds=None, tol=1e-12):
                 "slice derivative modulus %.6e at a fixed point exceeds 1; "
                 "the map does not send the disk into itself" % mod
             )
-        if abs(w) >= 1.0 - 1e-8:
-            classification = CLASS_BOUNDARY
-        elif mod <= 1.0 - _DERIV_TOL:
-            classification = CLASS_INTERIOR
-        else:
-            classification = CLASS_AUTOMORPHISM
-        residual = abs(value - w)
         records.append(
             FixedPointRecord(
                 z=tuple(complex(v) for v in z),
                 w=complex(w),
                 derivative=complex(deriv),
-                classification=classification,
-                residual=float(residual),
+                classification=_classify(w, mod),
+                residual=float(abs(value - w)),
                 iterations=int(iterations),
             )
         )
@@ -291,32 +287,6 @@ def find_fixed_w(smap, z, seeds=None, tol=1e-12):
                 )
     records.sort(key=lambda r: (round(r.w.real, 9), round(r.w.imag, 9)))
     return records
-
-
-def detect_w_automorphism(smap, z_center=None):
-    """Moebius form of the w-slices, or None.
-
-    If the slice at the base point is a disk automorphism, every other
-    slice must be the same automorphism; a holomorphic family cannot leave
-    the automorphism group at one parameter and match it at another.  A
-    mismatch therefore raises InconsistencyError rather than returning a
-    partial answer.
-    """
-    if z_center is None:
-        z_center = np.zeros(smap.n, dtype=complex)
-    z_center = np.asarray(z_center, dtype=complex).reshape(smap.n)
-    phi = detect_automorphism(lambda w: smap(z_center, w))
-    if phi is None:
-        return None
-    rng = np.random.default_rng(_SLICE_CHECK_SEED)
-    bases = random_polydisk(rng, _SLICE_CHECKS, smap.n, 0.8)
-    probes = disk_points(12, 0.85)
-    if np.max(np.abs(_slices(smap, bases, probes) - phi(probes))) > 1e-7:
-        raise InconsistencyError(
-            "the w-slice at one base point is a disk automorphism but "
-            "another slice differs from it"
-        )
-    return phi
 
 
 def _slices(smap, bases, ws):
@@ -383,46 +353,17 @@ def _solve_rows(smap, rows, start, tol=1e-12,
     return values
 
 
-def _anchored_rows(smap, record, points, tol):
-    """Anchor test and Newton sweep of local_graph and continue_graph: (values, F, dF/dw).
-
-    The anchor must be interior by find_fixed_w's rule, |w| < 1 - 1e-8 and
-    |dF/dw| <= 1 - _DERIV_TOL on the map, or InconsistencyError is raised.
-    """
-    deriv = abs(smap.partial_w(record.z, record.w))
-    if not (abs(record.w) < 1.0 - 1e-8 and deriv <= 1.0 - _DERIV_TOL):
-        raise InconsistencyError(
-            "graph continuation needs an interior anchor with |dF/dw| <= 1 - %g; "
-            "got |w| = %.6e, |dF/dw| = %.6e" % (_DERIV_TOL, abs(record.w), deriv)
-        )
-    pts = np.asarray(points, dtype=complex).reshape(-1, smap.n)
-    values = _solve_rows(
-        smap, pts, np.full(len(pts), complex(record.w)), tol,
-        "Newton from the anchor value failed to converge at a point",
-    )
-    return (values,) + smap._rows(pts, values, dw=True)
-
-
-def local_graph(smap, record, points, tol=1e-12):
-    """Fixed-point values at z points, all by one Newton sweep from record.w.
-
-    An anchor that passes _anchored_rows' test (else InconsistencyError)
-    has a slice with at most one interior fixed point (Schwarz lemma), so
-    Newton from it has no other branch to land on and the points need no
-    path between them.  Returns (values, residuals) aligned with the points.
-    """
-    values, f, _ = _anchored_rows(smap, record, points, tol)
-    return values, np.abs(f - values)
-
-
 def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     """Continue an interior fixed point into a graph over a product grid.
 
-    Solves every grid node at once by damped Newton from an anchor that
-    passes _anchored_rows' test (else InconsistencyError), then validates
-    the result: residuals at every node, the slice derivative bound
-    max |dF/dw|, and a Pick matrix test on a few w-slices
-    for Schur-class positivity.  All diagnostics land in the returned
+    The anchor is tested once, on the map: _classify must call (record.z,
+    record.w) interior by its dF/dw there, else InconsistencyError.  A
+    slice that passes is no automorphism (Schwarz lemma) and has at most
+    one interior fixed point, so every grid node is solved at once by
+    damped Newton from the anchor value, with no path between nodes.  The
+    result is validated: residuals at every node, the slice derivative
+    bound max |dF/dw|, and a Pick matrix test on a few w-slices for
+    Schur-class positivity.  All diagnostics land in the returned
     GraphFunction's provenance.  The axes are disk_points(grid, radius) for
     every z variable; a radius outside (0, 1] raises ValueError, as F is
     Schur-class only on the closed polydisk.  The graph evaluates new
@@ -430,10 +371,20 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     """
     if not 0.0 < radius <= 1.0:
         raise ValueError("grid radius must lie in (0, 1]")
+    deriv = abs(smap.partial_w(record.z, record.w))
+    if _classify(record.w, deriv) != CLASS_INTERIOR:
+        raise InconsistencyError(
+            "graph continuation needs an interior anchor with |dF/dw| <= 1 - %g; "
+            "got |w| = %.6e, |dF/dw| = %.6e" % (_DERIV_TOL, abs(record.w), deriv)
+        )
     axes = tuple(disk_points(grid, radius) for _ in range(smap.n))
     shape = tuple(len(ax) for ax in axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, smap.n)
-    values, f, df = _anchored_rows(smap, record, nodes, tol)
+    values = _solve_rows(
+        smap, nodes, np.full(len(nodes), complex(record.w)), tol,
+        "Newton from the anchor value failed to converge at a point",
+    )
+    f, df = smap._rows(nodes, values, dw=True)
     residuals = np.abs(f - values)
     grid_values = values.reshape(shape)
     max_deriv = float(np.max(np.abs(df)))
@@ -471,27 +422,3 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     )
     return graph
 
-
-def uniqueness_check(smap):
-    """Trichotomy for the fixed-point structure of the w-slices.
-
-    Returns "identity" when F(z, w) = w identically, "unique_graph" when
-    every sampled slice carries an attracting interior fixed point, and
-    "no_fixed_points" when some slice has none (the attractor sits on the
-    boundary or the slice is an automorphism).
-    """
-    rng = np.random.default_rng(_UNIQUE_SEED)
-    zs = random_polydisk(rng, _UNIQUE_SAMPLES, smap.n, _UNIQUE_RADIUS)
-    identity = True
-    for z in zs:
-        probes = random_disk(rng, 4, _UNIQUE_RADIUS)
-        if any(abs(smap(z, complex(w)) - complex(w)) > _IDENTITY_TOL for w in probes):
-            identity = False
-            break
-    if identity:
-        return IDENTITY_IN_W
-    for z in zs:
-        records = find_fixed_w(smap, z)
-        if not any(r.classification == CLASS_INTERIOR for r in records):
-            return NO_FIXED_POINTS
-    return UNIQUE_GRAPH

@@ -269,7 +269,7 @@ def check_bounds(
     One point set, one table; Cauchy-Schwarz needs pairs and is verify_decomposition's.
     """
     if samples < 1:
-        raise ValueError("need at least one sample pair")
+        raise ValueError("need at least one sample point")
     rng = np.random.default_rng(seed)
     zs = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
     z = (zs[:, 0], zs[:, 1])

@@ -36,10 +36,6 @@ class MoebiusAutomorphism:
         if abs(self.point) >= 1.0:
             raise ValueError("point must lie inside the open disk")
 
-    @classmethod
-    def identity(cls) -> "MoebiusAutomorphism":
-        return cls(factor=-1.0 + 0.0j, point=0.0 + 0.0j)
-
     def __call__(self, w):
         w = np.asarray(w, dtype=complex)
         value = self.factor * (self.point - w) / (1.0 - np.conj(self.point) * w)

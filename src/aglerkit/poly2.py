@@ -159,15 +159,7 @@ class BivariatePolynomial:
     def scale(self, factor) -> "BivariatePolynomial":
         return BivariatePolynomial(self.coeffs * complex(factor))
 
-    # -- comparison / io ----------------------------------------------
-
-    def allclose(self, other, tol=1e-12) -> bool:
-        other = _coerce(other)
-        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        m = max(self.coeffs.shape[1], other.coeffs.shape[1])
-        a = self.padded((n - 1, m - 1)).coeffs
-        b = other.padded((n - 1, m - 1)).coeffs
-        return bool(np.max(np.abs(a - b)) <= tol)
+    # -- io -----------------------------------------------------------
 
     def to_json(self) -> dict:
         n, m = self.bidegree

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import DegenerateContinuationError, DomainError, InconsistencyError
 from .fixedgraph import (
-    CLASS_INTERIOR,
     GraphFunction,
     SchurMap,
     _solve_rows,
@@ -437,7 +436,8 @@ def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
     reduced map z' -> rho_head(z', f(z')), an idempotent self-map of D^{n-1},
     is rho's exact map with one more coordinate peeled, each evaluation one
     joint Newton solve, and a reduced rho's last column is exact too.  The
-    image of the origin under rho seeds the anchor, so no search is needed.
+    image of the origin under rho seeds the anchor, so no search is needed;
+    continue_graph's anchor test refuses a seed that is not interior.
     """
     if rho.n < 2:
         raise ValueError("reduction needs at least two variables")
@@ -452,14 +452,7 @@ def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
             "could not refine the seed fixed point at the image of the origin",
             location=tuple(complex(v) for v in q_head),
         )
-    record = records[0]
-    if record.classification != CLASS_INTERIOR:
-        raise DegenerateContinuationError(
-            "the seed fixed point is not an attracting interior point "
-            "(classification %r)" % record.classification,
-            location=tuple(complex(v) for v in q_head),
-        )
-    graph = continue_graph(smap, record, radius=radius, grid=grid, seed=seed)
+    graph = continue_graph(smap, records[0], radius=radius, grid=grid, seed=seed)
     return _ReducedMap(full, [(graph, np.arange(head))] + seeds), graph
 
 

@@ -3,22 +3,16 @@
 import numpy as np
 import pytest
 
-from aglerkit import fixedgraph, multipoly, retract
+from aglerkit import fixedgraph, moebius, multipoly, retract
 from aglerkit.errors import DegenerateContinuationError, InconsistencyError
 from aglerkit.fixedgraph import (
     CLASS_AUTOMORPHISM,
     CLASS_BOUNDARY,
     CLASS_INTERIOR,
-    IDENTITY_IN_W,
-    NO_FIXED_POINTS,
-    UNIQUE_GRAPH,
     FixedPointRecord,
     SchurMap,
     continue_graph,
-    detect_w_automorphism,
     find_fixed_w,
-    local_graph,
-    uniqueness_check,
 )
 from aglerkit.multipoly import MultiPoly, RationalMap
 from aglerkit.retract import RetractMap
@@ -95,6 +89,13 @@ def random_average_map(rng, nvars=2, max_power=2, bound=0.8):
     terms[(0,) * nvars + (1,)] = 0.5
     smap = SchurMap(nvars, rational=RationalMap(MultiPoly(nvars + 1, terms)))
     return smap, f0
+
+
+def graph_at(smap, record, points):
+    """continue_graph(smap, record) evaluated at the points, and |F - w| there."""
+    points = np.asarray(points, dtype=complex)
+    values = continue_graph(smap, record).evaluate(points)
+    return values, np.abs(smap._rows(points, values) - values)
 
 
 class TestSchurMap:
@@ -302,50 +303,15 @@ class TestFindFixedW:
         assert canonical_dumps(clone.to_json()) == canonical_dumps(rec.to_json())
 
 
-class TestDetectAutomorphism:
-    def test_identity_map_detected(self):
-        phi = detect_w_automorphism(identity_in_w_map())
-        assert phi is not None
-        assert phi.is_identity()
-
-    def test_constant_moebius_slice_detected(self):
-        # F(z, w) = (w - 1/2) / (1 - w/2) for every z
-        num = MultiPoly(2, {(0, 1): 1.0, (0, 0): -0.5})
-        den = MultiPoly(2, {(0, 0): 1.0, (0, 1): -0.5})
-        smap = SchurMap(1, rational=RationalMap(num, den))
-        phi = detect_w_automorphism(smap)
-        assert phi is not None
-        assert abs(phi.factor + 1.0) <= 1e-8
-        assert abs(phi.point - 0.5) <= 1e-8
-        w = 0.3 - 0.2j
-        assert abs(phi(w) - (w - 0.5) / (1 - w / 2)) <= 1e-10
-
-    def test_sign_flip_detected(self):
-        smap = w_map({(0, 1): -1.0})
-        phi = detect_w_automorphism(smap)
-        assert phi is not None
-        assert abs(phi.factor - 1.0) <= 1e-8
-        assert abs(phi.point) <= 1e-8
-
-    def test_average_map_rejected(self):
-        assert detect_w_automorphism(product_average_map()) is None
-        assert detect_w_automorphism(scaling_map(), z_center=[0.5]) is None
-
-    def test_slice_dependent_automorphism_raises(self):
-        # identity slice at z = 0 but not at other base points
-        num = MultiPoly(2, {(0, 1): 1.0, (1, 2): 0.1})
-        smap = SchurMap(1, rational=RationalMap(num))
-        with pytest.raises(InconsistencyError):
-            detect_w_automorphism(smap)
-
-
 class TestLocalGraph:
+    """Graph values at points off the grid, from continue_graph and GraphFunction.evaluate."""
+
     def test_product_average_recovers_product(self):
         smap = product_average_map()
         record = find_fixed_w(smap, [0.0, 0.0])[0]
         rng = np.random.default_rng(71)
         points = random_polydisk(rng, 30, 2, 0.8)
-        values, residuals = local_graph(smap, record, points)
+        values, residuals = graph_at(smap, record, points)
         assert np.max(np.abs(values - points[:, 0] * points[:, 1])) <= 1e-10
         assert np.max(residuals) <= 1e-12
 
@@ -353,7 +319,7 @@ class TestLocalGraph:
         smap = scaling_map()
         record = find_fixed_w(smap, [0.5])[0]
         points = np.linspace(-0.8, 0.8, 9).reshape(-1, 1).astype(complex)
-        values, residuals = local_graph(smap, record, points)
+        values, residuals = graph_at(smap, record, points)
         assert np.max(np.abs(values)) <= 1e-12
         assert np.max(residuals) <= 1e-12
 
@@ -362,23 +328,23 @@ class TestLocalGraph:
         smap, f0 = random_average_map(rng)
         record = find_fixed_w(smap, [0.0, 0.0])[0]
         points = random_polydisk(rng, 25, 2, 0.85)
-        values, _ = local_graph(smap, record, points)
+        values, _ = graph_at(smap, record, points)
         assert np.max(np.abs(values - f0.evaluate(points))) <= 1e-10
 
     def test_requires_interior_record(self):
         smap = identity_in_w_map()
         record = find_fixed_w(smap, [0.2])[0]
         with pytest.raises(InconsistencyError):
-            local_graph(smap, record, [[0.1]])
+            graph_at(smap, record, [[0.1]])
 
     def test_matches_continue_graph_at_grid_points(self):
         smap = SchurMap(2, rational=nonlinear_rational_map())
         record = find_fixed_w(smap, [0.0, 0.0])[0]
         graph = continue_graph(smap, record, radius=0.85, grid=7)
-        nodes = np.stack(np.meshgrid(*graph.axes, indexing="ij"), axis=-1)
-        values, residuals = local_graph(smap, record, nodes.reshape(-1, 2))
+        nodes = np.stack(np.meshgrid(*graph.axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = graph.evaluate(nodes)
         assert np.max(np.abs(values - graph.values.ravel())) <= 1e-14
-        assert np.max(residuals) <= 1e-12
+        assert np.max(np.abs(smap._rows(nodes, values) - values)) <= 1e-12
 
     def test_degenerate_anchor_raises_with_location(self):
         # d/dw of (z + w + z w)/2 is (1 + z)/2, equal to 1 at z = 1
@@ -392,7 +358,7 @@ class TestLocalGraph:
             iterations=1,
         )
         with pytest.raises(InconsistencyError):
-            local_graph(smap, record, [[0.4]])
+            graph_at(smap, record, [[0.4]])
 
 
 class TestContinueGraph:
@@ -531,7 +497,7 @@ class TestContinueGraph:
 
 
 class TestGraphAnchor:
-    """local_graph and continue_graph test the anchor once, on the map, by find_fixed_w's interior rule."""
+    """continue_graph tests the anchor once, on the map, by find_fixed_w's interior rule."""
 
     @pytest.mark.parametrize(
         "smap",
@@ -541,12 +507,13 @@ class TestGraphAnchor:
     def test_graphs_fit_no_moebius_map(self, monkeypatch, smap):
         record = find_fixed_w(smap, [0.0, 0.0])[0]
         calls = []
-        for name in ("detect_w_automorphism", "detect_automorphism"):
-            monkeypatch.setattr(fixedgraph, name, lambda *args, **kw: calls.append(args))
+        for name in ("detect_automorphism", "fit_moebius"):
+            monkeypatch.setattr(moebius, name, lambda *args, **kw: calls.append(args))
         graph = continue_graph(smap, record, radius=0.8, grid=5)
-        values, _ = local_graph(smap, record, [[0.1, 0.2j]])
+        z = np.array([0.1, 0.2j])
+        value = graph.evaluate(z)
         assert graph.max_residual <= 1e-12
-        assert abs(values[0] - graph.evaluate([0.1, 0.2j])) <= 1e-12
+        assert abs(smap(z, value) - value) <= 1e-12
         assert calls == []
 
     @staticmethod
@@ -570,19 +537,4 @@ class TestGraphAnchor:
         smap, record = self.refused_records()[case]
         with pytest.raises(InconsistencyError):
             continue_graph(smap, record, grid=4)
-        with pytest.raises(InconsistencyError):
-            local_graph(smap, record, [[0.1]])
 
-
-class TestUniquenessCheck:
-    def test_identity_case(self):
-        assert uniqueness_check(identity_in_w_map()) == IDENTITY_IN_W
-
-    def test_unique_graph_case(self):
-        assert uniqueness_check(product_average_map()) == UNIQUE_GRAPH
-
-    def test_constant_quadratic_is_unique_graph(self):
-        assert uniqueness_check(quadratic_constant_map()) == UNIQUE_GRAPH
-
-    def test_boundary_attractor_has_no_interior_fixed_points(self):
-        assert uniqueness_check(boundary_attractor_map()) == NO_FIXED_POINTS

@@ -144,10 +144,17 @@ class TestDomainGuards:
         with pytest.raises(ValueError):
             verify_decomposition(bundle, samples=0)
 
-    @pytest.mark.parametrize("check", [verify_decomposition, check_bounds])
-    def test_zero_samples_are_refused_by_name(self, check):
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            (verify_decomposition, "need at least one sample pair"),
+            (check_bounds, "need at least one sample point"),
+        ],
+        ids=["verify_decomposition", "check_bounds"],
+    )
+    def test_zero_samples_are_refused_by_name(self, check, message):
         bundle = KernelBundle.from_certificate(telescoping_certificate())
-        with pytest.raises(ValueError, match="need at least one sample pair"):
+        with pytest.raises(ValueError, match=message):
             check(bundle, samples=0)
 
 

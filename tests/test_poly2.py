@@ -238,12 +238,6 @@ class TestUtility:
         with pytest.raises(ValueError):
             CLASSIC.padded((0, 0))
 
-    def test_allclose_ignores_declared_padding(self):
-        p = BivariatePolynomial([[1.0, -1.0]])
-        q = p.padded((2, 3))
-        assert p.allclose(q)
-        assert not p.allclose(q + 1e-6)
-
     def test_coeff_norm(self):
         p = BivariatePolynomial([[3.0, 4.0]])
         assert p.coeff_norm() == pytest.approx(5.0)

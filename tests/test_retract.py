@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aglerkit import fixedgraph, multipoly, retract
-from aglerkit.errors import DegenerateContinuationError, InconsistencyError
+from aglerkit.errors import InconsistencyError
 from aglerkit.moebius import MoebiusAutomorphism
 from aglerkit.multipoly import MultiPoly, RationalMap
 from aglerkit.retract import (
@@ -317,7 +317,7 @@ class TestReduceDimension:
 
     def test_identity_last_component_is_flagged(self):
         # the w-slice of the last component is the identity automorphism
-        with pytest.raises((DegenerateContinuationError, InconsistencyError)):
+        with pytest.raises(InconsistencyError):
             reduce_dimension(RetractMap.identity(2))
 
 
