@@ -35,7 +35,7 @@ from .kernels import (
     check_bounds,
     verify_decomposition,
 )
-from .moebius import MoebiusAutomorphism, detect_automorphism, fit_moebius
+from .moebius import MoebiusAutomorphism, detect_automorphism
 from .multipoly import MultiPoly, RationalMap
 from .pick import (
     NOT_SOLVABLE,
@@ -50,7 +50,7 @@ from .pick import solve as solve_pick
 from .poly2 import BivariatePolynomial
 from .retract import (
     ComponentRole,
-    ConjugationChain,
+    Conjugation,
     NormalForm,
     RetractMap,
     classify_components,
@@ -87,7 +87,7 @@ __all__ = [
     "CLASS_BOUNDARY",
     "CLASS_INTERIOR",
     "ComponentRole",
-    "ConjugationChain",
+    "Conjugation",
     "DegenerateContinuationError",
     "DomainError",
     "FORMAT_TAG",
@@ -123,7 +123,6 @@ __all__ = [
     "detect_automorphism",
     "disk_points",
     "find_fixed_w",
-    "fit_moebius",
     "gram_pair_tensor",
     "is_solvable",
     "load_json",

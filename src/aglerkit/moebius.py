@@ -2,12 +2,16 @@
 
 An automorphism of the unit disk has the form
 
-    phi(w) = u * (a - w) / (1 - conj(a) * w),   |u| = 1, |a| < 1.
+    phi(w) = u * (a - w) / (1 - conj(a) * w),   |u| = 1, |a| < 1,
 
-Detection fits a general Moebius map (a w + b) / (c w + 1) through three
-sample values of a one-variable slice, verifies the fit on a batch of fresh
-nodes, and then checks that the map really is a disk automorphism (unimodular
-on the circle, center maps inside) before extracting (u, a).
+so two values fix it: with c = phi(0) and d = phi(w0),
+
+    u = (c - d) / (w0 * (1 - conj(c) * d)),   a = c * conj(u).
+
+Detection reads (u, a) off a one-variable slice at 0 and one probe w0, then
+keeps the map only if u is unimodular, c lies inside the disk (by the
+tolerance, so that no division can vanish) and the map matches the slice
+on a batch of check nodes.
 """
 
 from __future__ import annotations
@@ -16,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateContinuationError, DomainError
 from .sampling import disk_points
-from .serialize import complex_to_pair, pair_to_complex
+from .serialize import complex_to_pair
 
-_FIT_NODES = np.array([0.30 + 0.00j, -0.35 + 0.20j, 0.10 + 0.45j])
-_CIRCLE_NODES = np.exp(2j * np.pi * np.arange(8) / 8)
+_PROBE = 0.37 + 0.11j  # w0
 _CHECK_NODES = disk_points(50, 0.9)
-_FIT_TOL = 1e-8  # largest fit error on the check nodes, and of |phi| - 1 on the circle
+_NODES = np.concatenate([[0.0, _PROBE], _CHECK_NODES])
+_FIT_TOL = 1e-8  # largest error of |u| - 1 and of the map on the check nodes
 
 
 @dataclass(frozen=True)
@@ -52,73 +57,27 @@ class MoebiusAutomorphism:
     def to_json(self) -> dict:
         return {"factor": complex_to_pair(self.factor), "point": complex_to_pair(self.point)}
 
-    @classmethod
-    def from_json(cls, obj) -> "MoebiusAutomorphism":
-        return cls(pair_to_complex(obj["factor"]), pair_to_complex(obj["point"]))
-
-
-def fit_moebius(nodes, values):
-    """Exact-fit coefficients (a, b, c) of (a w + b)/(c w + 1); None if degenerate."""
-    nodes = np.asarray(nodes, dtype=complex)
-    values = np.asarray(values, dtype=complex)
-    lhs = np.stack([nodes, np.ones_like(nodes), -values * nodes], axis=1)
-    try:
-        coeffs = np.linalg.solve(lhs, values)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(coeffs)):
-        return None
-    return tuple(coeffs)
-
 
 def detect_automorphism(slice_fn):
     """Return the disk automorphism matching slice_fn on the disk, or None.
 
     slice_fn maps a 1-d array of disk points to the array of its values; it
-    is called twice, on the three fit nodes and on the verification nodes.
-    The decision is sample-based: a three-point Moebius fit, a verification
-    batch, a circle/unimodularity test, and a final re-verification of the
-    extracted (u, a) form.
+    is called once, on 0, the probe w0 and the check nodes.  A slice that
+    meets a pole or a failed solve is not an automorphism; any other error
+    propagates.
     """
     try:
-        fit_values = np.asarray(slice_fn(_FIT_NODES), dtype=complex)
-    except Exception:
+        values = np.asarray(slice_fn(_NODES), dtype=complex)
+    except (DomainError, DegenerateContinuationError, np.linalg.LinAlgError):
         return None
-    coeffs = fit_moebius(_FIT_NODES, fit_values)
-    if coeffs is None:
+    c, d = values[0], values[1]
+    if not (abs(c) < 1.0 - _FIT_TOL and abs(d) < 1.0):
+        return None  # beyond, 1 - conj(c) d can vanish in rounding
+    u = (c - d) / (_PROBE * (1.0 - np.conj(c) * d))
+    if not abs(abs(u) - 1.0) <= _FIT_TOL:
         return None
-    a_c, b_c, c_c = coeffs
-
-    def mu(w):
-        return (a_c * w + b_c) / (c_c * w + 1.0)
-
-    target = np.asarray(slice_fn(_CHECK_NODES), dtype=complex)
-    if np.max(np.abs(mu(_CHECK_NODES) - target)) > _FIT_TOL:
-        return None
-
-    # automorphism test: unimodular on the circle, center strictly inside
-    denom = c_c * _CIRCLE_NODES + 1.0
-    if np.min(np.abs(denom)) < 1e-12:
-        return None
-    circle_vals = (a_c * _CIRCLE_NODES + b_c) / denom
-    if np.max(np.abs(np.abs(circle_vals) - 1.0)) > _FIT_TOL:
-        return None
-    center = mu(0.0)
-    if abs(center) >= 1.0 - 1e-9:
-        return None
-
-    if abs(a_c) <= 1e-12:
-        return None  # constant numerator, not invertible
-    a_point = -b_c / a_c
-    if abs(a_point) >= 1.0 - 1e-12:
-        return None
-    probe = 0.37 + 0.11j
-    if abs(probe - a_point) < 1e-6:
-        probe = -0.29 + 0.41j
-    u = mu(probe) * (1.0 - np.conj(a_point) * probe) / (a_point - probe)
-    if abs(abs(u) - 1.0) > _FIT_TOL:
-        return None
-    phi = MoebiusAutomorphism(u / abs(u), a_point)
-    if np.max(np.abs(phi(_CHECK_NODES) - target)) > 10 * _FIT_TOL:
-        return None
-    return phi
+    u = u / abs(u)
+    phi = MoebiusAutomorphism(u, c * np.conj(u))
+    if np.max(np.abs(phi(_CHECK_NODES) - values[2:])) <= _FIT_TOL:
+        return phi
+    return None

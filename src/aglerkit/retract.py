@@ -10,11 +10,15 @@ with k free coordinates, m plain copies of free coordinates, and r graph
 components (functions of the free block v' = (v_1, ..., v_k), constants
 included).  This module verifies idempotence, classifies components,
 peels off graph components one at a time through fixed-point reduction
-in the last variable, and assembles the conjugation chain plus residual
-diagnostics for the resulting normal form.
+in the last variable, and assembles the conjugation plus residual
+diagnostics for the resulting normal form.  The conjugation is one
+automorphism of D^n, a coordinate permutation followed by one disk
+automorphism per coordinate: each level of the recursion composes its
+permutation with the conjugation of the level below, and the bottom level
+adds the inverse Moebius map of each twisted copy.
 
 Evaluation works on whole arrays: the maps take (N, n) rows, and the
-conjugation chain, image_point and the graph evaluators act on the last
+conjugation, image_point and the graph evaluators act on the last
 axis, so (k,) gives (n,) and (N, k) gives (N, n).  A reduced map is the
 exact, permuted map with its trailing coordinates peeled; every
 evaluation solves all the peeled coordinates by one joint Newton call.
@@ -39,7 +43,6 @@ from .fixedgraph import (
 from .moebius import MoebiusAutomorphism, detect_automorphism
 from .multipoly import MultiPoly, RationalMap
 from .sampling import disk_points, random_polydisk
-from .serialize import complex_to_pair
 
 ROLE_IDENTITY = "identity"
 ROLE_COPY = "copy"
@@ -220,16 +223,6 @@ class ComponentRole:
     moebius: MoebiusAutomorphism | None = None
     value: complex | None = None
 
-    def to_json(self):
-        payload = {"kind": self.kind}
-        if self.source is not None:
-            payload["source"] = int(self.source)
-        if self.moebius is not None:
-            payload["moebius"] = self.moebius.to_json()
-        if self.value is not None:
-            payload["value"] = complex_to_pair(self.value)
-        return payload
-
 
 def _active_variables(rho, bases, tol=1e-9):
     """Boolean (n, n) array: entry (i, j) says variable i changes component j.
@@ -253,7 +246,9 @@ def classify_components(rho, seed=97, radius=0.85, tol=1e-9):
     and a single input variable i.  Idempotence forces structure on these
     roles: a component that is an automorphism of its own variable must be
     the identity, and the source variable of any copy must itself be an
-    identity coordinate.  Violations raise InconsistencyError.
+    identity coordinate.  Violations raise InconsistencyError.  A component
+    that one variable alone moves is tested on its slice through the first
+    base point, one batch for both the Moebius form and the single source.
     """
     rng = np.random.default_rng(seed)
     pts = random_polydisk(rng, _SCAN_SAMPLES, rho.n, radius)
@@ -283,27 +278,22 @@ def classify_components(rho, seed=97, radius=0.85, tol=1e-9):
             i = int(sources[0])
 
             def slice_fn(w, _j=j, _i=i):
-                points = np.zeros((len(w), rho.n), dtype=complex)
+                points = np.repeat(bases[:1], len(w), axis=0)
                 points[:, _i] = w
                 return rho._columns(points, [_j])[:, 0]
 
             phi = detect_automorphism(slice_fn)
             if phi is not None:
-                check = disk_points(10, 0.8)
-                points = np.repeat(bases[:1], len(check), axis=0)
-                points[:, i] = check
-                observed = rho._columns(points, [j])[:, 0]
-                if np.max(np.abs(observed - phi(check))) <= 1e-7:
-                    if i == j:
-                        if not phi.is_identity(1e-8):
-                            raise InconsistencyError(
-                                "component %d is a non-identity automorphism of "
-                                "its own variable; no idempotent map does that"
-                                % j
-                            )
-                        role = ComponentRole(ROLE_IDENTITY, source=j)
-                    else:
-                        role = ComponentRole(ROLE_COPY, source=i, moebius=phi)
+                if i == j:
+                    if not phi.is_identity(1e-8):
+                        raise InconsistencyError(
+                            "component %d is a non-identity automorphism of "
+                            "its own variable; no idempotent map does that"
+                            % j
+                        )
+                    role = ComponentRole(ROLE_IDENTITY, source=j)
+                else:
+                    role = ComponentRole(ROLE_COPY, source=i, moebius=phi)
         roles.append(role)
 
     for j, role in enumerate(roles):
@@ -317,98 +307,44 @@ def classify_components(rho, seed=97, radius=0.85, tol=1e-9):
 
 
 @dataclass(frozen=True)
-class MoebiusStep:
-    """Chain step applying a disk automorphism to one coordinate."""
-
-    index: int
-    phi: MoebiusAutomorphism
-
-    def apply(self, z):
-        out = np.array(z, dtype=complex)
-        out[..., self.index] = self.phi(out[..., self.index])
-        return out
-
-    def invert(self, z):
-        out = np.array(z, dtype=complex)
-        out[..., self.index] = self.phi.inverse()(out[..., self.index])
-        return out
-
-    def lifted(self, dim):
-        return self
-
-    def to_json(self):
-        return {"kind": "moebius", "index": int(self.index), "map": self.phi.to_json()}
-
-
-@dataclass(frozen=True)
-class PermStep:
-    """Chain step reordering coordinates; position i reads old position order[i]."""
-
-    order: tuple
-
-    def apply(self, z):
-        return np.asarray(z, dtype=complex)[..., list(self.order)]
-
-    def invert(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.empty_like(z)
-        out[..., list(self.order)] = z
-        return out
-
-    def lifted(self, dim):
-        tail = tuple(range(len(self.order), dim))
-        return PermStep(tuple(self.order) + tail)
-
-    def to_json(self):
-        return {"kind": "permute", "order": [int(i) for i in self.order]}
-
-
-class ConjugationChain:
-    """Composition of coordinate permutations and per-coordinate Moebius maps.
+class Conjugation:
+    """Automorphism of D^n: image position i is maps[i] applied to coordinate
+    order[i], a None map standing for the identity.  Every automorphism of
+    the polydisk is a coordinate permutation followed by one disk
+    automorphism per coordinate (Rudin).
 
     apply and apply_inverse act on the last axis of (..., n) arrays.
     """
 
-    def __init__(self, steps=()):
-        self.steps = tuple(steps)
+    order: tuple
+    maps: tuple
+
+    @classmethod
+    def permuted(cls, order, below):
+        """Permute by ``order``, then act by ``below`` on the leading positions."""
+        m = len(below.order)
+        return cls(tuple(order[i] for i in below.order) + tuple(order[m:]),
+                   below.maps + (None,) * (len(order) - m))
 
     def apply(self, z):
-        out = np.asarray(z, dtype=complex)
-        for step in self.steps:
-            out = step.apply(out)
+        out = np.asarray(z, dtype=complex)[..., list(self.order)]
+        for i, phi in enumerate(self.maps):
+            if phi is not None:
+                out[..., i] = phi(out[..., i])
         return out
 
     def apply_inverse(self, z):
-        out = np.asarray(z, dtype=complex)
-        for step in reversed(self.steps):
-            out = step.invert(out)
+        z = np.asarray(z, dtype=complex)
+        out = np.empty_like(z)
+        out[..., list(self.order)] = z
+        for i, phi in enumerate(self.maps):
+            if phi is not None:
+                out[..., self.order[i]] = phi.inverse()(z[..., i])
         return out
 
-    def lifted(self, dim):
-        return ConjugationChain(tuple(step.lifted(dim) for step in self.steps))
-
     def to_json(self):
-        return {"steps": [step.to_json() for step in self.steps]}
-
-    @classmethod
-    def from_json(cls, payload):
-        steps = []
-        for entry in payload["steps"]:
-            if entry["kind"] == "moebius":
-                steps.append(
-                    MoebiusStep(
-                        int(entry["index"]),
-                        MoebiusAutomorphism.from_json(entry["map"]),
-                    )
-                )
-            elif entry["kind"] == "permute":
-                steps.append(PermStep(tuple(int(i) for i in entry["order"])))
-            else:
-                raise ValueError("unknown chain step %r" % entry["kind"])
-        return cls(tuple(steps))
-
-    def __len__(self):
-        return len(self.steps)
+        return {"order": [int(i) for i in self.order],
+                "moebius": [None if phi is None else phi.to_json() for phi in self.maps]}
 
 
 def _permute_map(rho, order):
@@ -464,9 +400,9 @@ class _CoreForm:
     e_sources: list
     consts: list
     graphs: list
-    chain: ConjugationChain
+    chain: Conjugation
     base: RetractMap
-    base_chain: ConjugationChain
+    base_chain: Conjugation
 
 
 def _image_rows(x, core):
@@ -503,31 +439,26 @@ def _normalize(rho, opts, depth=0):
             "a one-variable idempotent self-map of the disk must be the "
             "identity or a point; this one is neither"
         )
-    if d == 1 and roles[0].kind == ROLE_IDENTITY:
-        return _CoreForm(1, [], [], [], ConjugationChain(), rho, ConjugationChain())
 
     if generic:
         g = generic[0]
         order = tuple(list(range(g)) + list(range(g + 1, d)) + [g])
-        step = PermStep(order)
         reduced, graph = reduce_dimension(_permute_map(rho, order), grid=opts["grid"],
                                           radius=opts["radius"], seed=opts["seed"] + 29 * depth)
         core = _normalize(reduced, opts, depth + 1)
-        chain = ConjugationChain((step,) + core.chain.lifted(d).steps)
+        chain = Conjugation.permuted(order, core.chain)
         return replace(core, graphs=core.graphs + [graph], chain=chain)
 
     ids = [j for j, role in enumerate(roles) if role.kind == ROLE_IDENTITY]
     copies = [j for j, role in enumerate(roles) if role.kind == ROLE_COPY]
     consts = [j for j, role in enumerate(roles) if role.kind == ROLE_CONSTANT]
-    steps = []
-    for j in copies:
-        phi = roles[j].moebius
-        if phi is not None and not phi.is_identity(1e-9):
-            steps.append(MoebiusStep(j, phi.inverse()))
-    steps.append(PermStep(tuple(ids + copies + consts)))
+    maps = [None] * d
+    for pos, j in enumerate(copies, start=len(ids)):
+        if not roles[j].moebius.is_identity(1e-9):
+            maps[pos] = roles[j].moebius.inverse()
     rank = {src: pos for pos, src in enumerate(ids)}
     e_sources = [rank[roles[j].source] for j in copies]
-    chain = ConjugationChain(steps)
+    chain = Conjugation(tuple(ids + copies + consts), tuple(maps))
     return _CoreForm(len(ids), e_sources, [roles[j].value for j in consts], [], chain, rho, chain)
 
 
@@ -545,7 +476,7 @@ class NormalForm:
     k: int
     e_sources: tuple
     f_components: list
-    conjugation: ConjugationChain
+    conjugation: Conjugation
     normalized_map: object
     diagnostics: dict = field(default_factory=dict)
     _core: _CoreForm = field(default=None, init=False, repr=False)  # set by normal_form

@@ -486,6 +486,23 @@ class TestRetract:
         assert len(form["f_components"]) == 1
         assert form["diagnostics"]["normal_form_residual"] <= 1e-8
 
+    def test_conjugation_lists_one_entry_per_coordinate(self, tmp_path):
+        # (z1, z2) -> (-z2, z2): the copy in slot 1 carries the map w -> -w
+        payload = {
+            "n": 2,
+            "components": [
+                {"nvars": 2, "terms": {"0,1": [-1.0, 0.0]}},
+                {"nvars": 2, "terms": {"0,1": [1.0, 0.0]}},
+            ],
+        }
+        out = tmp_path / "nf.json"
+        assert main(["retract", "--input", write_json(tmp_path / "rho.json", payload),
+                     "--output", str(out)]) == EXIT_OK
+        conjugation = json.loads(out.read_text())["normal_form"]["conjugation"]
+        assert conjugation["order"] == [1, 0]
+        assert conjugation["moebius"][0] is None
+        assert sorted(conjugation["moebius"][1]) == ["factor", "point"]
+
     def test_zero_samples_exit_64(self, tmp_path, capsys):
         # (z1, (z1 + z2) / 2) is not idempotent: the default run exits 2
         inp = write_json(

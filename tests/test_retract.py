@@ -12,9 +12,7 @@ from aglerkit.retract import (
     ROLE_COPY,
     ROLE_GENERIC,
     ROLE_IDENTITY,
-    ConjugationChain,
-    MoebiusStep,
-    PermStep,
+    Conjugation,
     RetractMap,
     classify_components,
     normal_form,
@@ -212,58 +210,59 @@ class TestClassifyComponents:
         with pytest.raises(InconsistencyError):
             classify_components(rho)
 
-    def test_role_serialization(self):
-        roles = classify_components(constant_second_map())
-        payload = roles[1].to_json()
-        assert payload["kind"] == ROLE_CONSTANT
-        assert abs(payload["value"][0] - CONST.real) <= 1e-12
-        assert abs(payload["value"][1] - CONST.imag) <= 1e-12
 
+class TestConjugation:
+    def test_permutation_apply_and_invert(self):
+        conj = Conjugation((1, 0), (None, None))
+        assert np.array_equal(conj.apply([1.0, 2.0]), [2.0, 1.0])
+        assert np.array_equal(conj.apply_inverse(conj.apply([1.0, 2.0])), [1.0, 2.0])
 
-class TestConjugationChain:
-    def test_perm_step_apply_and_invert(self):
-        step = PermStep((1, 0))
-        assert np.array_equal(step.apply([1.0, 2.0]), [2.0, 1.0])
-        assert np.array_equal(step.invert(step.apply([1.0, 2.0])), [1.0, 2.0])
-
-    def test_moebius_step_touches_one_coordinate(self):
+    def test_moebius_map_touches_one_coordinate(self):
         phi = MoebiusAutomorphism(1.0, 0.0)  # w -> -w
-        step = MoebiusStep(1, phi)
-        out = step.apply([0.5, 0.25])
+        conj = Conjugation((0, 1), (None, phi))
+        out = conj.apply([0.5, 0.25])
         assert abs(out[0] - 0.5) <= 1e-15
         assert abs(out[1] + 0.25) <= 1e-15
-        back = step.invert(out)
+        back = conj.apply_inverse(out)
         assert np.max(np.abs(back - np.array([0.5, 0.25]))) <= 1e-15
 
-    def test_chain_round_trip_and_serialization(self):
-        chain = ConjugationChain(
-            (MoebiusStep(0, MoebiusAutomorphism(1.0, 0.0)), PermStep((1, 0)))
-        )
+    def test_inverse_undoes_apply(self):
+        conj = Conjugation((1, 0), (MoebiusAutomorphism(1.0, 0.0), None))
         z = np.array([0.3 - 0.1j, 0.2 + 0.4j])
-        assert np.max(np.abs(chain.apply_inverse(chain.apply(z)) - z)) <= 1e-15
-        clone = ConjugationChain.from_json(chain.to_json())
-        assert len(clone) == 2
-        assert np.max(np.abs(clone.apply(z) - chain.apply(z))) <= 1e-15
+        assert np.max(np.abs(conj.apply_inverse(conj.apply(z)) - z)) <= 1e-15
+        assert np.max(np.abs(conj.apply(conj.apply_inverse(z)) - z)) <= 1e-15
 
-    def test_chain_acts_on_rows_like_single_points(self):
-        chain = ConjugationChain(
-            (
-                MoebiusStep(2, MoebiusAutomorphism(np.exp(0.4j), 0.2 - 0.3j)),
-                PermStep((2, 0, 1)),
-                MoebiusStep(0, MoebiusAutomorphism(-1.0, 0.1j)),
-            )
+    def test_rows_act_like_single_points(self):
+        conj = Conjugation(
+            (2, 0, 1),
+            (MoebiusAutomorphism(np.exp(0.4j), 0.2 - 0.3j), None,
+             MoebiusAutomorphism(-1.0, 0.1j)),
         )
         rows = random_polydisk(np.random.default_rng(41), 9, 3, 0.8)
-        for method in (chain.apply, chain.apply_inverse):
+        for method in (conj.apply, conj.apply_inverse):
             batch = method(rows)
             assert batch.shape == rows.shape
             single = np.array([method(z) for z in rows])
             assert np.max(np.abs(batch - single)) <= 1e-12
-        assert np.max(np.abs(chain.apply_inverse(chain.apply(rows)) - rows)) <= 1e-12
+        assert np.max(np.abs(conj.apply_inverse(conj.apply(rows)) - rows)) <= 1e-12
 
-    def test_perm_step_lifted_keeps_tail_fixed(self):
-        step = PermStep((1, 0)).lifted(3)
-        assert np.array_equal(step.apply([1.0, 2.0, 3.0]), [2.0, 1.0, 3.0])
+    def test_permuted_keeps_the_tail_fixed(self):
+        conj = Conjugation.permuted((1, 0, 2), Conjugation((0, 1), (None, None)))
+        assert np.array_equal(conj.apply([1.0, 2.0, 3.0]), [2.0, 1.0, 3.0])
+
+    def test_permuted_is_the_permutation_then_the_level_below(self):
+        below = Conjugation(
+            (2, 0, 1),
+            (None, MoebiusAutomorphism(np.exp(1.1j), -0.4 + 0.25j),
+             MoebiusAutomorphism(np.exp(-0.3j), 0.5j)),
+        )
+        order = (3, 1, 4, 0, 2)
+        conj = Conjugation.permuted(order, below)
+        rows = random_polydisk(np.random.default_rng(43), 11, 5, 0.8)
+        step = rows[:, list(order)]
+        expected = np.concatenate([below.apply(step[:, :3]), step[:, 3:]], axis=1)
+        assert np.max(np.abs(conj.apply(rows) - expected)) <= 1e-15
+        assert np.max(np.abs(conj.apply_inverse(expected) - rows)) <= 1e-15
 
 
 class TestReduceDimension:
@@ -342,7 +341,7 @@ class TestNormalForm:
         nf = normal_form(twisted_copy_map())
         assert (nf.k, nf.copy_count, nf.graph_count) == (1, 1, 0)
         assert nf.e_sources == (0,)
-        assert any(isinstance(step, MoebiusStep) for step in nf.conjugation.steps)
+        assert nf.conjugation.maps[1] is not None
         v = nf.image_point([0.4 - 0.1j])
         assert np.max(np.abs(nf.normalized_map(v) - v)) <= 1e-9
 
@@ -532,5 +531,5 @@ class TestNormalForm:
         assert payload["k"] == 1
         assert payload["e_sources"] == []
         assert len(payload["f_components"]) == 1
-        assert "steps" in payload["conjugation"]
+        assert payload["conjugation"] == {"order": [0, 1], "moebius": [None, None]}
         assert payload["diagnostics"]["idempotence"]["passed"] is True
