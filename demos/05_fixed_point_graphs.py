@@ -38,8 +38,8 @@ print("slice Pick matrix min eig:   %.2e"
 print("max |dF/dw| along the graph: %.6f"
       % graph.provenance["max_w_derivative"])
 
-# Off-grid queries rerun Newton seeded from the nearest node, which
-# stays on the same solution branch.
+# Off-grid queries rerun Newton from the anchor value, like the grid nodes:
+# the slice has one interior fixed point, so there is no other branch.
 z = np.array([0.55 - 0.2j, -0.3 + 0.61j])
 print("off-grid query gap:          %.2e"
       % abs(graph.evaluate(z) - z[0] * z[1]))

@@ -9,8 +9,8 @@ positivity diagnostics along the way.  One rule, _classify, calls a fixed
 point interior (|w| < 1 - 1e-8 and |dF/dw| <= 1 - _DERIV_TOL); it labels
 find_fixed_w's records and is the graph anchor's test.  An anchor slice
 with |dF/dw| < 1 has at most one interior fixed point (Schwarz lemma), so
-all grid nodes are solved together by one damped Newton sweep from the
-anchor value.
+all grid nodes, and every point the graph evaluates later, are solved by
+damped Newton from the anchor value; the stored grid is output only.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateContinuationError, InconsistencyError
 from .pick import pick_matrix
 from .sampling import disk_points, random_disk, random_polydisk
-from .serialize import complex_to_pair, matrix_to_pairs, pair_to_complex
+from .serialize import complex_to_pair, matrix_to_pairs
 
 CLASS_INTERIOR = "interior"
 CLASS_AUTOMORPHISM = "automorphism"
@@ -149,17 +149,6 @@ class FixedPointRecord:
             "residual": float(self.residual),
             "iterations": int(self.iterations),
         }
-
-    @classmethod
-    def from_json(cls, payload):
-        return cls(
-            z=tuple(pair_to_complex(v) for v in payload["z"]),
-            w=pair_to_complex(payload["w"]),
-            derivative=pair_to_complex(payload["derivative"]),
-            classification=str(payload["classification"]),
-            residual=float(payload["residual"]),
-            iterations=int(payload["iterations"]),
-        )
 
 
 def _newton(smap, Z, W, tol=1e-12, max_iter=50):
@@ -321,17 +310,10 @@ class GraphFunction:
         """f at one point (k,), as a complex, or at the rows of (N, k), as (N,)."""
         z = np.asarray(z, dtype=complex)
         rows = z if z.ndim == 2 else z.reshape(1, -1)
-        values = np.asarray(self.evaluator(rows), dtype=complex)
-        return values if z.ndim == 2 else complex(values[0])
-
-    def _nearest(self, rows):
-        """Stored values at the grid nodes nearest to (N, k) rows, axis by axis."""
         if rows.shape[1] != len(self.axes):
             raise ValueError("point dimension does not match the graph axes")
-        return self.values[tuple(
-            np.argmin(np.abs(ax[None, :] - rows[:, i, None]), axis=1)
-            for i, ax in enumerate(self.axes)
-        )]
+        values = np.asarray(self.evaluator(rows), dtype=complex)
+        return values if z.ndim == 2 else complex(values[0])
 
     def to_json(self):
         return {
@@ -342,9 +324,11 @@ class GraphFunction:
         }
 
 
-def _solve_rows(smap, rows, start, tol=1e-12,
+def _solve_rows(smap, rows, anchor, tol=1e-12,
                 failure="fixed-point refinement failed at a query point"):
-    """Newton from ``start`` at each row; a failed row raises with its location."""
+    """Newton at each row from ``anchor``, a value or a (g,) array shared by
+    every row; a failed row raises with its location."""
+    start = np.broadcast_to(anchor, (len(rows),) + np.shape(anchor))
     values, _, ok = _newton(smap, rows, start, tol=tol)
     if not ok.all():
         raise DegenerateContinuationError(
@@ -367,7 +351,8 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     GraphFunction's provenance.  The axes are disk_points(grid, radius) for
     every z variable; a radius outside (0, 1] raises ValueError, as F is
     Schur-class only on the closed polydisk.  The graph evaluates new
-    points by Newton at ``tol``, each seeded from its nearest grid node.
+    points by the same Newton from the anchor value, at ``tol``; its grid
+    is output only, read by no solve.
     """
     if not 0.0 < radius <= 1.0:
         raise ValueError("grid radius must lie in (0, 1]")
@@ -381,7 +366,7 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     shape = tuple(len(ax) for ax in axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, smap.n)
     values = _solve_rows(
-        smap, nodes, np.full(len(nodes), complex(record.w)), tol,
+        smap, nodes, complex(record.w), tol,
         "Newton from the anchor value failed to converge at a point",
     )
     f, df = smap._rows(nodes, values, dw=True)
@@ -413,12 +398,11 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
         "seed": int(seed),
     }
 
-    graph = GraphFunction(
+    return GraphFunction(
         axes=axes,
         values=grid_values,
         residuals=residuals.reshape(shape),
-        evaluator=lambda rows: _solve_rows(smap, rows, graph._nearest(rows), tol),
+        evaluator=lambda rows: _solve_rows(smap, rows, complex(record.w), tol),
         provenance=provenance,
     )
-    return graph
 

@@ -50,9 +50,10 @@ class MoebiusAutomorphism:
         # phi^{-1}(v) = conj(u) * (u a - v) / (1 - conj(u a) v)
         return MoebiusAutomorphism(np.conj(self.factor), self.factor * self.point)
 
-    def is_identity(self, tol: float = 1e-9) -> bool:
+    def is_identity(self) -> bool:
+        """Whether the map moves no probe point by more than detection's _FIT_TOL."""
         probes = np.array([0.0, 0.5, -0.3j, 0.2j])
-        return bool(np.max(np.abs(self(probes) - probes)) <= tol)
+        return bool(np.max(np.abs(self(probes) - probes)) <= _FIT_TOL)
 
     def to_json(self) -> dict:
         return {"factor": complex_to_pair(self.factor), "point": complex_to_pair(self.point)}

@@ -21,9 +21,10 @@ Evaluation works on whole arrays: the maps take (N, n) rows, and the
 conjugation, image_point and the graph evaluators act on the last
 axis, so (k,) gives (n,) and (N, k) gives (N, n).  A reduced map is the
 exact, permuted map with its trailing coordinates peeled; every
-evaluation solves all the peeled coordinates by one joint Newton call.
-Its last column, the map of the next graph, is exact as well: dF/dw
-comes from the joint Jacobian by implicit differentiation.
+evaluation solves all the peeled coordinates by one joint Newton call
+started from their graphs' anchor values, so no solve reads a graph's
+grid.  Its last column, the map of the next graph, is exact as well:
+dF/dw comes from the joint Jacobian by implicit differentiation.
 """
 
 from __future__ import annotations
@@ -132,12 +133,12 @@ class _ReducedMap(RetractMap):
 
     At head rows z of D^n the peeled equations w = full_tail(z, w) have one
     joint solution w(z) in D^g, as each peeled slice has one interior fixed
-    point (Schwarz-Pick).  ``seeds`` pairs each peeled coordinate, left to
-    right, with its graph and the columns of ``full`` that the graph reads.
+    point (Schwarz-Pick).  ``anchors`` holds the anchor value of each
+    peeled coordinate's graph, left to right.
     """
 
-    def __init__(self, full, seeds):
-        self.full, self.seeds, self.n = full, seeds, full.n - len(seeds)
+    def __init__(self, full, anchors):
+        self.full, self.anchors, self.n = full, anchors, full.n - len(anchors)
 
     def _rows(self, Z, W, dw=False):
         """F = full[m:](Z, W) at (N, m) rows Z and, if dw, dF/dW, shaped like W:
@@ -152,12 +153,8 @@ class _ReducedMap(RetractMap):
 
     def _peel(self, head):
         """Peeled coordinates at (N, n) head rows, as (N, g): one joint Newton
-        solve, seeded left to right from each graph's nearest grid value."""
-        pts = np.empty((len(head), self.full.n), dtype=complex)
-        pts[:, : self.n] = head
-        for t, (graph, cols) in enumerate(self.seeds):
-            pts[:, self.n + t] = graph._nearest(pts[:, cols])
-        return _solve_rows(self, head, pts[:, self.n :])
+        solve, started at every row from the anchors."""
+        return _solve_rows(self, head, self.anchors)
 
     def _columns(self, pts, cols):
         return self.full._columns(np.concatenate([pts, self._peel(pts)], axis=1), cols)
@@ -285,7 +282,7 @@ def classify_components(rho, seed=97, radius=0.85, tol=1e-9):
             phi = detect_automorphism(slice_fn)
             if phi is not None:
                 if i == j:
-                    if not phi.is_identity(1e-8):
+                    if not phi.is_identity():
                         raise InconsistencyError(
                             "component %d is a non-identity automorphism of "
                             "its own variable; no idempotent map does that"
@@ -355,8 +352,7 @@ def _permute_map(rho, order):
         return rho
     if isinstance(rho, _ReducedMap):
         order = list(order) + list(range(n, rho.full.n))
-        seeds = [(graph, np.argsort(order)[cols]) for graph, cols in rho.seeds]
-        return _ReducedMap(_permute_map(rho.full, order), seeds)
+        return _ReducedMap(_permute_map(rho.full, order), rho.anchors)
     inv = np.argsort(order)
     return RetractMap(n, tuple(
         comp.embed(n, inv) if isinstance(comp, MultiPoly)
@@ -373,13 +369,14 @@ def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
     is rho's exact map with one more coordinate peeled, each evaluation one
     joint Newton solve, and a reduced rho's last column is exact too.  The
     image of the origin under rho seeds the anchor, so no search is needed;
-    continue_graph's anchor test refuses a seed that is not interior.
+    continue_graph's anchor test refuses a seed that is not interior.  The
+    anchor value starts every later solve of the peeled coordinate.
     """
     if rho.n < 2:
         raise ValueError("reduction needs at least two variables")
     head = rho.n - 1
-    full, seeds = (rho.full, rho.seeds) if isinstance(rho, _ReducedMap) else (rho, [])
-    smap = SchurMap(head, rational=_LastColumn(full, seeds) if seeds else rho._rationals[-1])
+    full, anchors = (rho.full, rho.anchors) if isinstance(rho, _ReducedMap) else (rho, ())
+    smap = SchurMap(head, rational=_LastColumn(full, anchors) if anchors else rho._rationals[-1])
     q = rho(np.zeros(rho.n, dtype=complex))
     q_head = q[:-1]
     records = find_fixed_w(smap, q_head, seeds=[complex(q[-1])])
@@ -389,7 +386,7 @@ def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
             location=tuple(complex(v) for v in q_head),
         )
     graph = continue_graph(smap, records[0], radius=radius, grid=grid, seed=seed)
-    return _ReducedMap(full, [(graph, np.arange(head))] + seeds), graph
+    return _ReducedMap(full, (records[0].w,) + anchors), graph
 
 
 @dataclass
@@ -454,7 +451,7 @@ def _normalize(rho, opts, depth=0):
     consts = [j for j, role in enumerate(roles) if role.kind == ROLE_CONSTANT]
     maps = [None] * d
     for pos, j in enumerate(copies, start=len(ids)):
-        if not roles[j].moebius.is_identity(1e-9):
+        if not roles[j].moebius.is_identity():
             maps[pos] = roles[j].moebius.inverse()
     rank = {src: pos for pos, src in enumerate(ids)}
     e_sources = [rank[roles[j].source] for j in copies]

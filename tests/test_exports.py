@@ -4,6 +4,7 @@ import pytest
 
 import aglerkit
 from aglerkit import fixedgraph, moebius, retract
+from aglerkit.fixedgraph import FixedPointRecord, GraphFunction
 from aglerkit.moebius import MoebiusAutomorphism
 from aglerkit.poly2 import BivariatePolynomial
 from aglerkit.retract import ComponentRole
@@ -41,3 +42,5 @@ def test_removed_methods_are_gone():
     assert not hasattr(MoebiusAutomorphism, "identity")
     assert not hasattr(MoebiusAutomorphism, "from_json")
     assert not hasattr(ComponentRole, "to_json")
+    assert not hasattr(FixedPointRecord, "from_json")
+    assert not hasattr(GraphFunction, "_nearest")

@@ -293,15 +293,6 @@ class TestFindFixedW:
                 assert abs(rec.derivative) <= 1.0 + 1e-8
                 assert rec.residual <= 1e-11
 
-    def test_record_serialization_round_trip(self):
-        rec = find_fixed_w(product_average_map(), [0.5, 0.5])[0]
-        clone = FixedPointRecord.from_json(rec.to_json())
-        assert clone.z == rec.z
-        assert clone.w == rec.w
-        assert clone.derivative == rec.derivative
-        assert clone.classification == rec.classification
-        assert canonical_dumps(clone.to_json()) == canonical_dumps(rec.to_json())
-
 
 class TestLocalGraph:
     """Graph values at points off the grid, from continue_graph and GraphFunction.evaluate."""
@@ -336,6 +327,23 @@ class TestLocalGraph:
         record = find_fixed_w(smap, [0.2])[0]
         with pytest.raises(InconsistencyError):
             graph_at(smap, record, [[0.1]])
+
+    def test_grid_is_output_only(self):
+        # every point is solved from the anchor value, so a graph whose
+        # stored grid is overwritten evaluates to the same values
+        smap = SchurMap(2, rational=nonlinear_rational_map())
+        graph = continue_graph(smap, find_fixed_w(smap, [0.0, 0.0])[0], radius=0.85, grid=7)
+        points = random_polydisk(np.random.default_rng(73), 20, 2, 0.85)
+        before = graph.evaluate(points)
+        graph.values[...] = np.nan
+        assert np.array_equal(graph.evaluate(points), before)
+
+    @pytest.mark.parametrize("point", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2, 0.3]]])
+    def test_points_of_the_wrong_width_are_rejected(self, point):
+        smap = product_average_map()
+        graph = continue_graph(smap, find_fixed_w(smap, [0.0, 0.0])[0], grid=5)
+        with pytest.raises(ValueError, match="point dimension does not match the graph axes"):
+            graph.evaluate(point)
 
     def test_matches_continue_graph_at_grid_points(self):
         smap = SchurMap(2, rational=nonlinear_rational_map())

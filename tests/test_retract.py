@@ -367,8 +367,9 @@ class TestNormalForm:
         for x in ([[0.3]], [0.3], [0.3, 0.2, 0.1], 0.3):
             with pytest.raises(ValueError):
                 nf.image_point(x)
-        with pytest.raises(ValueError):
-            nf.f_components[0].evaluate([0.3])
+        for x in ([0.3], [0.3, 0.2, 0.1], [[0.3, 0.2, 0.1]]):
+            with pytest.raises(ValueError, match="point dimension does not match the graph axes"):
+                nf.f_components[0].evaluate(x)
 
     @pytest.mark.parametrize("radius", [0.0, -0.5, 1.5])
     def test_radius_outside_unit_interval_is_rejected(self, radius):
@@ -383,6 +384,17 @@ class TestNormalForm:
         for x in 0.6 * np.exp(2j * np.pi * rng.random((20, 1))) * np.sqrt(rng.random((20, 1))):
             original = nf.conjugation.apply_inverse(nf.image_point(x))
             assert np.max(np.abs(original - np.array([x[0], x[0] ** 2, x[0] ** 3]))) <= 1e-8
+
+    def test_level_graph_grids_are_output_only(self):
+        # the peeled coordinates are solved from their graphs' anchor values,
+        # so overwriting the level graphs' grids leaves image points alone
+        nf = normal_form(cubic_curve_map())
+        rng = np.random.default_rng(57)
+        xs = 0.6 * np.sqrt(rng.random((20, 1))) * np.exp(2j * np.pi * rng.random((20, 1)))
+        before = nf.image_point(xs)
+        for graph in nf._core.graphs:
+            graph.values[...] = np.nan
+        assert np.array_equal(nf.image_point(xs), before)
 
     def test_image_point_rows_match_single_points(self):
         rng = np.random.default_rng(59)
