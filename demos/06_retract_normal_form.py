@@ -44,7 +44,11 @@ print("    graph component at x=%s: f(x) = %s  (x^2 = %s)"
 print("    image point:", np.round(nf.image_point(x), 6))
 
 # image_point also takes a whole (N, k) array of free coordinates and
-# returns the (N, n) image points, solving every graph once per batch.
+# returns the (N, n) image points.  The free coordinate z1 is an identity
+# component of the map, so the graph column of a batch is read off one
+# evaluation of rho(x, 0), a point of the retract; a map without that
+# property, such as ((z1+z2)/2, (z1+z2)/2), solves every graph once per
+# batch by one joint Newton solve.
 xs = np.array([[0.4 - 0.25j], [-0.1 + 0.5j], [0.3j]])
 print("    batched image points:")
 for row in np.round(nf.image_point(xs), 6):

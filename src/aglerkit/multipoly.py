@@ -15,7 +15,7 @@ variable of the point set to the powers it needs once, gathers every
 monomial from that table and takes all the polynomials by one matmul.  A
 ``MultiPoly`` is a stack of one; a ``RationalMap`` stacks num, den and
 the partials of both, so a point set is evaluated once for F and any
-partial.
+partial; ``retract.RetractMap`` stacks the num and den of every component.
 """
 
 from __future__ import annotations

@@ -25,6 +25,14 @@ evaluation solves all the peeled coordinates by one joint Newton call
 started from their graphs' anchor values, so no solve reads a graph's
 grid.  Its last column, the map of the next graph, is exact as well:
 dF/dw comes from the joint Jacobian by implicit differentiation.
+
+An image point takes its graph columns by one of two routes.  When every
+free coordinate is an identity component of rho itself, rho(v', 0) lies
+in Fix(rho) (Heath-Suffridge) with free block v', so the columns are read
+off one evaluation of rho, which takes every component from one table.
+Any other map, such as the diagonal retract ((z1+z2)/2, (z1+z2)/2),
+where rho(v, 0) = (v/2, v/2), takes them from one joint Newton solve of
+the bottom map's peeled coordinates.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from .fixedgraph import (
     find_fixed_w,
 )
 from .moebius import MoebiusAutomorphism, detect_automorphism
-from .multipoly import MultiPoly, RationalMap
+from .multipoly import MultiPoly, RationalMap, _Stack
 from .sampling import disk_points, random_polydisk
 
 ROLE_IDENTITY = "identity"
@@ -75,6 +83,9 @@ class RetractMap:
         self.components = components
         # with exact partials, built once for every reduced map over this one
         self._rationals = tuple(RationalMap(c) if isinstance(c, MultiPoly) else c for c in components)
+        # every numerator and denominator, so one table gives every component
+        self._stack = _Stack([p for r in self._rationals for p in (r.numerator, r.denominator)])
+        self._pole_tols = np.array([r._pole_tol for r in self._rationals])
         self.name = name
 
     @classmethod
@@ -82,15 +93,24 @@ class RetractMap:
         return cls(n, tuple(MultiPoly.variable(n, i) for i in range(n)))
 
     def _columns(self, pts, cols):
-        """Components ``cols`` at the rows of an (N, n) array, as (N, len(cols))."""
-        return np.stack([self.components[j].evaluate(pts) for j in cols], axis=1)
+        """Components ``cols`` at the rows of an (N, n) array, as (N, len(cols)),
+        all from one table; a pole of one of them raises DomainError."""
+        cols = list(cols)
+        pairs = self._stack(pts).reshape(len(pts), self.n, 2)[:, cols]
+        den = pairs[..., 1]
+        if np.count_nonzero(np.abs(den) <= self._pole_tols[cols]):
+            raise DomainError("denominator vanishes at an evaluation point")
+        return pairs[..., 0] / den
 
     def __call__(self, z):
         return self.evaluate_batch(np.reshape(z, (1, self.n)))[0]
 
     def evaluate_batch(self, points):
-        pts = np.asarray(points, dtype=complex).reshape(-1, self.n)
-        return self._columns(pts, range(self.n))
+        """Every component at (..., n) points, as (N, n) rows."""
+        pts = np.asarray(points, dtype=complex)
+        if pts.ndim == 0 or pts.shape[-1] != self.n:
+            raise ValueError("points must have a trailing axis of length %d" % self.n)
+        return self._columns(pts.reshape(-1, self.n), range(self.n))
 
     def to_json(self):
         comps = [
@@ -391,7 +411,9 @@ def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
 
 @dataclass
 class _CoreForm:
-    """Normalization result; ``base``, the bottom map, peels the graphs (deepest first)."""
+    """Normalization result; ``base``, the bottom map, peels the graphs (deepest
+    first).  ``rho`` is the top map when every free coordinate is an identity
+    component of it, else None."""
 
     k: int
     e_sources: list
@@ -400,15 +422,24 @@ class _CoreForm:
     chain: Conjugation
     base: RetractMap
     base_chain: Conjugation
+    rho: RetractMap | None = None
 
 
 def _image_rows(x, core):
-    """Free coordinates (k,) or (N, k) -> points (n,) or (N, n), with every
-    graph column from one joint solve of the bottom map's peeled coordinates."""
+    """Free coordinates (k,) or (N, k) -> points (n,) or (N, n).
+
+    Free coordinates must be finite and lie in the closed unit polydisk.
+    With core.rho set, the graph columns are read off rho(x, 0), a point of
+    Fix(rho) with free block x (the graph positions of the conjugation
+    carry no Moebius map); otherwise they come from one joint solve of the
+    bottom map's peeled coordinates.
+    """
     x = np.asarray(x, dtype=complex)
     k = core.k
     if x.ndim not in (1, 2) or x.shape[-1] != k:
         raise ValueError("free coordinates need a trailing axis of length %d" % k)
+    if not (np.abs(x) <= 1.0).all():
+        raise ValueError("free coordinates must be finite and lie in the closed unit polydisk")
     rows = x if x.ndim == 2 else x.reshape(1, k)
     m = len(core.e_sources)
     head = k + m + len(core.consts)
@@ -416,7 +447,11 @@ def _image_rows(x, core):
     out[:, :k] = rows
     out[:, k : k + m] = rows[:, list(core.e_sources)]
     out[:, k + m : head] = core.consts
-    if core.graphs:
+    if core.rho is not None and len(rows):
+        full = np.zeros((len(rows), core.rho.n), dtype=complex)
+        full[:, list(core.chain.order[:k])] = rows
+        out[:, head:] = core.rho._columns(full, core.chain.order[head:])
+    elif core.graphs:
         out[:, head:] = core.base._peel(core.base_chain.apply_inverse(out[:, :head]))
     return out if x.ndim == 2 else out[0]
 
@@ -444,7 +479,8 @@ def _normalize(rho, opts, depth=0):
                                           radius=opts["radius"], seed=opts["seed"] + 29 * depth)
         core = _normalize(reduced, opts, depth + 1)
         chain = Conjugation.permuted(order, core.chain)
-        return replace(core, graphs=core.graphs + [graph], chain=chain)
+        direct = depth == 0 and all(roles[j].kind == ROLE_IDENTITY for j in chain.order[: core.k])
+        return replace(core, graphs=core.graphs + [graph], chain=chain, rho=rho if direct else None)
 
     ids = [j for j, role in enumerate(roles) if role.kind == ROLE_IDENTITY]
     copies = [j for j, role in enumerate(roles) if role.kind == ROLE_COPY]
@@ -466,7 +502,9 @@ class NormalForm:
     normalized_map is Phi . rho . Phi^{-1} for the stored conjugation Phi,
     on (..., n) arrays; on image points assembled by image_point it agrees
     with the identity up to the recorded residuals.  image_point and every
-    f_components evaluator fill all graph columns by one joint Newton solve.
+    f_components evaluator fill all graph columns from one evaluation of
+    rho when every free coordinate is an identity component of rho, and by
+    one joint Newton solve otherwise.
     """
 
     n: int

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aglerkit import fixedgraph, multipoly, retract
-from aglerkit.errors import InconsistencyError
+from aglerkit.errors import DomainError, InconsistencyError
 from aglerkit.moebius import MoebiusAutomorphism
 from aglerkit.multipoly import MultiPoly, RationalMap
 from aglerkit.retract import (
@@ -76,6 +76,37 @@ def averaging_map(n):
     return RetractMap(n, (m,) * n)
 
 
+def twisted_graph_map():
+    # (z1, z2, z3, z4) -> (z2 z4, z2, -z2, z4): the graph sits in front of
+    # the free block and a twisted copy, so the conjugation permutes all four
+    return RetractMap(
+        4,
+        (
+            MultiPoly(4, {(0, 1, 0, 1): 1.0}),
+            MultiPoly(4, {(0, 1, 0, 0): 1.0}),
+            MultiPoly(4, {(0, 1, 0, 0): -1.0}),
+            MultiPoly(4, {(0, 0, 0, 1): 1.0}),
+        ),
+    )
+
+
+def first_graph_map():
+    # (z1, z2) -> (phi(z2), z2) with phi(w) = w^2 / 2 + i w / 4
+    return RetractMap(
+        2, (MultiPoly(2, {(0, 2): 0.5, (0, 1): 0.25j}), MultiPoly(2, {(0, 1): 1.0}))
+    )
+
+
+# free coordinates identity components of rho -> (map, image of x in the original coordinates)
+IDENTITY_FREE = {
+    "parabola": (parabola_map, lambda x: [x[0], x[0] ** 2]),
+    "triple_product": (triple_product_map, lambda x: [x[0], x[1], x[0] * x[1]]),
+    "cubic_curve": (cubic_curve_map, lambda x: [x[0], x[0] ** 2, x[0] ** 3]),
+    "first_graph": (first_graph_map, lambda x: [0.5 * x[0] ** 2 + 0.25j * x[0], x[0]]),
+    "twisted_graph": (twisted_graph_map, lambda x: [x[0] * x[1], x[0], -x[0], x[1]]),
+}
+
+
 def constant_second_map():
     # (z1, z2) -> (z1, c)
     return RetractMap(
@@ -106,6 +137,37 @@ class TestRetractMap:
     def test_callable_components_raise_type_error(self):
         with pytest.raises(TypeError):
             RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), lambda z: z[0] * z[0]))
+
+    def test_evaluate_batch_refuses_a_trailing_axis_of_another_length(self):
+        rho = parabola_map()
+        for points in (np.zeros((2, 3)), np.zeros(3), np.zeros((3, 2, 1)), 0.5):
+            with pytest.raises(ValueError, match="trailing axis of length 2"):
+                rho.evaluate_batch(points)
+        assert rho.evaluate_batch(np.zeros((3, 2, 2))).shape == (6, 2)
+
+    def test_columns_raise_at_a_pole_of_a_rational_component(self):
+        # component 0 is z1 / (1 - z2 / 2), with a pole at z2 = 2
+        den = MultiPoly(2, {(0, 0): 1.0, (0, 1): -0.5})
+        rho = RetractMap(2, (RationalMap(MultiPoly(2, {(1, 0): 1.0}), den),
+                             MultiPoly(2, {(0, 1): 1.0})))
+        pts = np.array([[0.3, 0.1], [0.2, 2.0]], dtype=complex)
+        with pytest.raises(DomainError, match="denominator vanishes"):
+            rho._columns(pts, [0, 1])
+        with pytest.raises(DomainError, match="denominator vanishes"):
+            rho.evaluate_batch(pts)
+        assert np.array_equal(rho._columns(pts, [1])[:, 0], pts[:, 1])
+        assert abs(rho._columns(pts[:1], [0])[0, 0] - 0.3 / 0.95) <= 1e-15
+
+    def test_columns_match_each_component_alone(self):
+        den = MultiPoly(3, {(0, 0, 0): 2.0, (1, 1, 0): -0.5j})
+        comps = (RationalMap(MultiPoly(3, {(0, 0, 2): 1.0, (1, 0, 0): 0.5}), den),
+                 MultiPoly(3, {(1, 2, 0): 0.25, (0, 0, 0): 0.1j}),
+                 MultiPoly(3, {(0, 0, 1): 1.0}))
+        rho = RetractMap(3, comps)
+        pts = random_polydisk(np.random.default_rng(73), 9, 3, 0.9)
+        alone = np.stack([comp.evaluate(pts) for comp in comps], axis=1)
+        assert np.max(np.abs(rho.evaluate_batch(pts) - alone)) <= 1e-15
+        assert np.max(np.abs(rho._columns(pts, [2, 0]) - alone[:, [2, 0]])) <= 1e-15
 
     def test_evaluate_batch_shape(self):
         rho = parabola_map()
@@ -419,12 +481,8 @@ class TestNormalForm:
             for t, comp in enumerate(nf.f_components):
                 assert np.array_equal(image[:, k + m + t], comp.evaluate(xs))
 
-    @pytest.mark.parametrize("rho", [cubic_curve_map(), averaging_map(3), averaging_map(4)],
-                             ids=["cubic_curve", "averaging_3", "averaging_4"])
-    def test_image_point_solves_each_graph_column_once(self, monkeypatch, rho):
-        # every graph column of a query comes from one joint Newton solve
-        # of all the peeled coordinates, whatever the recursion depth
-        nf = normal_form(rho)
+    @staticmethod
+    def _count_newton(monkeypatch):
         calls = []
         newton = fixedgraph._newton
 
@@ -433,8 +491,69 @@ class TestNormalForm:
             return newton(*args, **kwargs)
 
         monkeypatch.setattr(fixedgraph, "_newton", counted)
+        return calls
+
+    @pytest.mark.parametrize("rho", [averaging_map(2), averaging_map(3), averaging_map(4)],
+                             ids=["diagonal", "averaging_3", "averaging_4"])
+    def test_image_point_solves_each_graph_column_once(self, monkeypatch, rho):
+        # no free coordinate is an identity component of these maps, so every
+        # graph column of a query comes from one joint Newton solve of all
+        # the peeled coordinates, whatever the recursion depth
+        nf = normal_form(rho)
+        calls = self._count_newton(monkeypatch)
         nf.image_point([0.3 - 0.1j])
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_FREE))
+    def test_image_point_reads_graph_columns_off_rho(self, monkeypatch, name):
+        # every free coordinate is an identity component of rho, so the
+        # graph columns are read off rho(x, 0) with no Newton solve
+        nf = normal_form(IDENTITY_FREE[name][0]())
+        calls = self._count_newton(monkeypatch)
+        nf.image_point([0.3 - 0.1j] * nf.k)
+        nf.image_point(np.full((5, nf.k), 0.2j))
+        nf.f_components[-1].evaluate([0.1] * nf.k)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_FREE))
+    def test_images_read_off_rho_are_fixed_points(self, name):
+        make, closed_form = IDENTITY_FREE[name]
+        rho = make()
+        nf = normal_form(rho)
+        rng = np.random.default_rng(79)
+        xs = 0.95 * np.sqrt(rng.random((30, nf.k))) * np.exp(2j * np.pi * rng.random((30, nf.k)))
+        xs[0] = np.exp(0.7j)  # the closed polydisk includes its torus
+        image = nf.image_point(xs)
+        assert np.array_equal(image[:, : nf.k], xs)
+        original = nf.conjugation.apply_inverse(image)
+        expected = np.array([closed_form(x) for x in xs])
+        assert np.max(np.abs(original - expected)) <= 1e-12
+        assert np.max(np.abs(rho.evaluate_batch(original) - original)) <= 1e-12
+
+    def test_diagonal_retract_images_come_from_newton(self):
+        # rho(v, 0) = (v/2, v/2) has free block v/2, not v, so it is not the
+        # image point of v; the joint Newton solve gives (v, v)
+        rho = averaging_map(2)
+        nf = normal_form(rho)
+        assert nf._core.rho is None
+        v = np.array([0.3 - 0.1j, -0.5j, 0.6])
+        assert np.max(np.abs(rho(np.array([v[0], 0])) - v[0] / 2)) <= 1e-15
+        original = nf.conjugation.apply_inverse(nf.image_point(v[:, None]))
+        assert np.max(np.abs(original - v[:, None])) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [cubic_curve_map(), averaging_map(3)],
+                             ids=["cubic_curve", "averaging_3"])
+    def test_free_coordinates_outside_the_closed_polydisk_are_refused(self, monkeypatch, rho):
+        # one domain rule on both routes, before any map is evaluated
+        nf = normal_form(rho)
+        calls = []
+        monkeypatch.setattr(multipoly._Stack, "__call__", lambda *args: calls.append(1))
+        for x in ([np.nan], [np.inf], [1.0 + 1e-12], [[0.2], [0.9 + 0.9j]], [complex(np.nan, 0.1)]):
+            with pytest.raises(ValueError, match="closed unit polydisk"):
+                nf.image_point(x)
+            with pytest.raises(ValueError, match="closed unit polydisk"):
+                nf.f_components[0].evaluate(x)
+        assert calls == []
 
     @pytest.mark.parametrize("rho", [cubic_curve_map(), averaging_map(4)],
                              ids=["cubic_curve", "averaging_4"])
