@@ -161,9 +161,10 @@ def _newton(smap, Z, W, tol=1e-12, max_iter=50):
     live rows, drops the converged ones and steps by G / dG/dw (a g x g
     solve).  A step leaving the polydisk is halved, at most 14 times, and
     a coordinate still outside is pulled just inside.  Zero rows return at
-    once.  Returns the values in W's shape, per-row iteration counts and
-    convergence flags.  Row masks are tested with np.count_nonzero rather
-    than .any(), which costs a third as much on one-row solves.
+    once.  Returns the values in W's shape, per-row iteration counts,
+    convergence flags, and F and dF/dw from smap._rows at each converged
+    row's value (zero elsewhere).  Row masks are tested with
+    np.count_nonzero rather than .any(), a third of the cost on one row.
     """
     z = Z = np.asarray(Z, dtype=complex).reshape(-1, smap.n)
     values = np.array(W, dtype=complex)
@@ -172,22 +173,26 @@ def _newton(smap, Z, W, tol=1e-12, max_iter=50):
     eye, size = (np.eye(W.shape[1]), lambda a: np.abs(a).max(axis=1)) if joint else (1.0, np.abs)
     iterations = np.full(len(W), max_iter)
     converged = np.zeros(len(W), dtype=bool)
+    f_at, df_at = np.zeros_like(W), np.zeros(W.shape + W.shape[1:], dtype=complex)
     live = np.arange(len(W))
     if not live.size:
-        return values, iterations, converged
-    for iteration in range(1, max_iter + 1):
+        return values, iterations, converged, f_at, df_at
+    for iteration in range(1, max_iter + 2):  # the last pass checks the last step only
         f, df = smap._rows(z, w, dw=True)
         g = f - w
         done = size(g) <= tol
         if np.count_nonzero(done):
             rows = live[done]
             converged[rows] = True
-            iterations[rows] = iteration
+            iterations[rows] = min(iteration, max_iter)
+            f_at[rows], df_at[rows] = f[done], df[done]
             keep = ~done
             live = live[keep]
             if not live.size:
                 break
             z, w, g, df = z[keep], w[keep], g[keep], df[keep]
+        if iteration > max_iter:
+            break
         dg = df - eye
         stuck = np.abs(np.linalg.det(dg) if joint else dg) < 1e-14
         if np.count_nonzero(stuck):
@@ -208,9 +213,7 @@ def _newton(smap, Z, W, tol=1e-12, max_iter=50):
             outside = np.abs(new) >= 1.0
             new[outside] = new[outside] / np.abs(new[outside]) * 0.999999
         W[live] = w = new
-    else:
-        converged[live] = size(smap._rows(z, w) - w) <= tol
-    return values, iterations, converged
+    return values, iterations, converged, f_at, df_at
 
 
 def _classify(w, mod):
@@ -237,7 +240,7 @@ def find_fixed_w(smap, z, seeds=None, tol=1e-12):
     if seeds is None:
         seeds = np.concatenate([np.zeros(1, dtype=complex), disk_points(12, 0.9)])
     seeds = np.asarray(seeds, dtype=complex).reshape(-1)
-    ws, counts, oks = _newton(smap, np.broadcast_to(z, (seeds.size, smap.n)), seeds, tol)
+    ws, counts, oks, _, _ = _newton(smap, np.broadcast_to(z, (seeds.size, smap.n)), seeds, tol)
     found = []
     for w, iterations, ok in zip(ws, counts, oks):
         if not ok or abs(w) > 1.0 + 1e-9:
@@ -326,15 +329,15 @@ class GraphFunction:
 
 def _solve_rows(smap, rows, anchor, tol=1e-12,
                 failure="fixed-point refinement failed at a query point"):
-    """Newton at each row from ``anchor``, a value or a (g,) array shared by
-    every row; a failed row raises with its location."""
+    """Newton at each row from ``anchor``, a value or a (g,) array shared by every
+    row: the values, and F and dF/dw there; a failed row raises with its location."""
     start = np.broadcast_to(anchor, (len(rows),) + np.shape(anchor))
-    values, _, ok = _newton(smap, rows, start, tol=tol)
+    values, _, ok, f, df = _newton(smap, rows, start, tol=tol)
     if not ok.all():
         raise DegenerateContinuationError(
             failure, location=tuple(complex(v) for v in rows[np.argmin(ok)])
         )
-    return values
+    return values, f, df
 
 
 def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
@@ -365,11 +368,10 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     axes = tuple(disk_points(grid, radius) for _ in range(smap.n))
     shape = tuple(len(ax) for ax in axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, smap.n)
-    values = _solve_rows(
+    values, f, df = _solve_rows(
         smap, nodes, complex(record.w), tol,
         "Newton from the anchor value failed to converge at a point",
     )
-    f, df = smap._rows(nodes, values, dw=True)
     residuals = np.abs(f - values)
     grid_values = values.reshape(shape)
     max_deriv = float(np.max(np.abs(df)))
@@ -379,9 +381,8 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     rng = np.random.default_rng(seed)
     flat_indices = rng.choice(len(nodes), size=min(_PICK_SLICES, len(nodes)), replace=False)
     w_nodes = disk_points(_PICK_NODES, 0.7)
-    pick_min_eig = np.inf
-    for targets in _slices(smap, np.vstack([anchor_z, nodes[flat_indices]]), w_nodes):
-        pick_min_eig = min(pick_min_eig, float(np.linalg.eigh(pick_matrix(w_nodes, targets))[0][0]))
+    targets = _slices(smap, np.vstack([anchor_z, nodes[flat_indices]]), w_nodes)
+    pick_min_eig = np.min(np.linalg.eigh(pick_matrix(w_nodes, targets))[0][:, 0])
 
     provenance = {
         "method": "continuation",
@@ -402,7 +403,7 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
         axes=axes,
         values=grid_values,
         residuals=residuals.reshape(shape),
-        evaluator=lambda rows: _solve_rows(smap, rows, complex(record.w), tol),
+        evaluator=lambda rows: _solve_rows(smap, rows, complex(record.w), tol)[0],
         provenance=provenance,
     )
 

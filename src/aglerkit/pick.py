@@ -65,13 +65,13 @@ class PickProblem:
 
 
 def pick_matrix(nodes, targets) -> np.ndarray:
-    """The Pick matrix of the data, returned as its Hermitian part 0.5 (P + P*)."""
+    """The Pick matrix of the data as its Hermitian part 0.5 (P + P*), one per row of targets."""
     nodes = np.atleast_1d(np.asarray(nodes, dtype=complex))
     targets = np.atleast_1d(np.asarray(targets, dtype=complex))
-    num = 1.0 - targets[:, None] * targets[None, :].conj()
+    num = 1.0 - targets[..., :, None] * targets[..., None, :].conj()
     den = 1.0 - nodes[:, None] * nodes[None, :].conj()
     mat = num / den
-    return 0.5 * (mat + mat.conj().T)
+    return 0.5 * (mat + np.swapaxes(mat.conj(), -1, -2))
 
 
 def is_solvable(problem: PickProblem) -> tuple[str, float]:

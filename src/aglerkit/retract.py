@@ -174,7 +174,7 @@ class _ReducedMap(RetractMap):
     def _peel(self, head):
         """Peeled coordinates at (N, n) head rows, as (N, g): one joint Newton
         solve, started at every row from the anchors."""
-        return _solve_rows(self, head, self.anchors)
+        return _solve_rows(self, head, self.anchors)[0]
 
     def _columns(self, pts, cols):
         return self.full._columns(np.concatenate([pts, self._peel(pts)], axis=1), cols)

@@ -16,8 +16,11 @@ identically proposes w = 0.  The first proposal in scan order on an interior
 slice where p is small, about which a disk that holds a zero of p lies inside,
 is the ZeroFound witness; any other, even a boundary zero that rounding moved
 inside, makes the verdict Inconclusive.  min_modulus, the least |p| on the
-torus grid, is the torus slice rows times the torus powers.  Scan verdicts are
-a sampling certificate, exact about the witnesses they report.
+torus grid, is the torus slice rows times the torus powers, in the rows that a
+Lipschitz bound does not clear.  p is first scaled by the exact power of two
+that puts its largest real or imaginary part in [1, 2): tol is relative to p's
+size, and min_modulus is scaled back.  Scan verdicts are a sampling
+certificate, exact about the witnesses they report.
 """
 
 from __future__ import annotations
@@ -132,20 +135,27 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
         raise ValueError("grids are too coarse")
     if not 0.0 <= tol < 1.0:
         raise ValueError("tol must lie in [0, 1)")
-    coeff_scale = float(np.max(np.abs(p.coeffs)))
-    if coeff_scale == 0.0:
+    top = float(np.max(np.abs(p.coeffs.view(float))))
+    if top == 0.0:
         raise ValueError("the zero polynomial is identically zero on the bidisk")
+    shift = int(np.frexp(top)[1]) - 1
+    if shift:
+        p = BivariatePolynomial(np.ldexp(p.coeffs.view(float), -shift).view(complex))
+    coeff_scale = float(np.max(np.abs(p.coeffs)))
 
     samples, powers = _sample_powers(torus_grid, disk_grid, max(p.coeffs.shape))
+    # ring[s, k] is the coefficient of z1**k in p(z1, samples[s]), s on the torus
+    ring = powers[:torus_grid, : p.coeffs.shape[1]] @ p.coeffs.T
+    min_modulus = _torus_minimum(p, ring, powers[:torus_grid, : ring.shape[1]])
+    reported = float(np.ldexp(min_modulus, shift))
+    # p(0, .) from a product of two rows, which sums as the full slice table does
+    zero_row = (powers[torus_grid:torus_grid + 2, : p.coeffs.shape[0]] @ p.coeffs)[:1]
+    decided = shortcuts and _shortcut(p, samples[torus_grid], zero_row, torus_grid, min_modulus, tol)
+    if decided:
+        return StabilityReport(*decided, reported, torus_grid, disk_grid, tol)
+
     # slices[h][s, k] is the coefficient of w**k in p(samples[s], w) (h = 0) or p(w, samples[s])
     slices = [powers[:, : grid.shape[0]] @ grid for grid in (p.coeffs, p.coeffs.T)]
-    # the last order's torus rows times the torus powers: p on the torus grid
-    torus = powers[:torus_grid, : slices[1].shape[1]]
-    min_modulus = float(np.min(np.abs(slices[1][:torus_grid] @ torus.T)))
-    decided = shortcuts and _shortcut(p, samples[torus_grid], slices, torus_grid, min_modulus, tol)
-    if decided:
-        return StabilityReport(*decided, min_modulus, torus_grid, disk_grid, tol)
-
     # scan order: z1 fixed, then z2 fixed; in each, the samples in order
     fixed = np.tile(samples, 2)
     swapped = np.repeat([False, True], samples.size)
@@ -184,7 +194,7 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
     # along the coordinate it was found in (the fixed one on a degenerate
     # slice) a disk that holds a zero of p lies inside
     modulus, reach = _zero_reach(p, w1, w2, flip != degenerate[rows])
-    confirmed = (modulus <= tol * max(1.0, coeff_scale)) & (reach < 1.0) & interior[rows]
+    confirmed = (modulus <= tol * coeff_scale) & (reach < 1.0) & interior[rows]
 
     if np.any(confirmed):
         verdict, k = ZERO_FOUND, np.argmax(confirmed)  # the first in scan order ends the scan
@@ -195,15 +205,15 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
     else:
         verdict = STABLE_OPEN
     witness = (complex(w1[k]), complex(w2[k])) if rows.size else None
-    return StabilityReport(verdict, witness, min_modulus, torus_grid, disk_grid, tol)
+    return StabilityReport(verdict, witness, reported, torus_grid, disk_grid, tol)
 
 
-def _shortcut(p, zero, slices, torus_grid, min_modulus, tol):
-    """ZeroFound on p(0, .), or StableClosedStrict by the Schur-Cohn test; None if neither."""
+def _shortcut(p, zero, row, torus_grid, min_modulus, tol):
+    """ZeroFound on p(0, .), the (1, m + 1) row, or StableClosedStrict by the Schur-Cohn
+    test; None if neither.  p's largest coefficient is at least 1."""
     (n, m), coeff_scale = p.bidegree, float(np.max(np.abs(p.coeffs)))
     margin = max(tol, np.finfo(float).eps ** (1.0 / max(n, m, 1)))  # covers the scan's rounding
     radius = 1.0 + 2.0 * margin
-    row = slices[0][torus_grid:torus_grid + 1]
     mag = np.abs(row[0])
     flat = np.max(mag) <= tol * coeff_scale
     with np.errstate(over="ignore", invalid="ignore"):  # Cauchy, as in the scan: no root within
@@ -214,15 +224,48 @@ def _shortcut(p, zero, slices, torus_grid, min_modulus, tol):
     if flat or low < 1.0 - tol:
         root = 0j if flat else roots[np.argmin(moduli)]
         modulus, reach = _zero_reach(p, np.array([zero]), np.array([root]), flat)
-        confirmed = modulus[0] <= tol * max(1.0, coeff_scale) and reach[0] < 1.0
+        confirmed = modulus[0] <= tol * coeff_scale and reach[0] < 1.0
         return (ZERO_FOUND, (complex(zero), complex(root))) if confirmed else None
     exponents = np.add.outer(np.arange(n + 1), np.arange(m + 1))
     # with no zero on the closed bidisk |p| is least on the torus, at least min_modulus less
     # pi/N sum (a + b + 1) |c_ab| (the 1 for rounding): above tol * scale, no slice is flat
     gap = np.pi / torus_grid * np.sum((exponents + 1) * np.abs(p.coeffs))
-    if low > radius and min_modulus - gap > tol * max(1.0, coeff_scale) and (
+    if low > radius and min_modulus - gap > tol * coeff_scale and (
             not n or _outer_factor_clears(p.coeffs / coeff_scale * radius ** exponents, margin)):
         return STABLE_CLOSED_STRICT, None
+
+
+def _torus_minimum(p, ring, torus):
+    """The least |p| on the torus grid, min |ring @ torus.T| bit for bit, in O(N) memory.
+
+    Row s is p(., w_s), w_s = exp(2 pi i s / N).  From N = 256 on, every 8th row is
+    evaluated first, then each row whose evaluated neighbours' least value, less L =
+    sum_b b sum_a |c_ab| (p's change per radian of w) times their angle and twice
+    16 (n + m + 2) eps sum |c_ab| (a computed value's distance from p), is below the
+    least value found; lip and slack also cover the bound's own rounding."""
+    (n, m), size = p.bidegree, len(ring)
+    if size < 256:  # pruning saves less than it costs, and the product holds < 2**16 values
+        return float(np.min(np.abs(ring @ torus.T)))
+    head, rest = np.arange(0, size, 8), np.flatnonzero(np.arange(size) % 8)
+    minima = _row_minima(ring[head], torus)
+    before, after = rest // 8, (rest // 8 + 1) % head.size  # evaluated neighbours, in head
+    lip = (1.0 + 2.0 ** -20) * 2.0 * np.pi / size * np.sum(np.arange(m + 1) * np.abs(p.coeffs))
+    slack = 40 * (n + m + 2) * np.finfo(float).eps * np.sum(np.abs(p.coeffs))
+    low = np.maximum(minima[before] - (rest - head[before]) * lip,
+                     minima[after] - (head[after] - rest) % size * lip) - slack
+    left = rest[low < np.min(minima)]
+    return float(np.min(np.concatenate([minima, _row_minima(ring[left], torus)])))
+
+
+def _row_minima(rows, torus):
+    """min_t |rows[r] @ torus[t]| per row r, from products of 2 to 64 rows: numpy sums a
+    one-row product in another order, so a lone row goes twice, and values are the full product's."""
+    minima = np.empty(len(rows))
+    for start in range(0, len(rows), 64):
+        chunk = rows[start:start + 64]
+        values = np.resize(chunk, (max(len(chunk), 2), chunk.shape[1])) @ torus.T
+        minima[start:start + len(chunk)] = np.min(np.abs(values[: len(chunk)]), axis=1)
+    return minima
 
 
 def _outer_factor_clears(coeffs, margin):

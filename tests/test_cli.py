@@ -157,6 +157,30 @@ class TestStability:
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["verdict"] == "Inconclusive"
 
+    def test_huge_coefficients_find_the_zero_exit_2(self, tmp_path, capsys):
+        # 1e308 (1 + z1 + z2), zero at (-1/2, -1/2): the slice sums overflowed,
+        # six RuntimeWarnings and exit 3 on "Array must not contain infs or NaNs"
+        payload = {"polynomial": {"bidegree": [1, 1], "coeffs": [
+            [[1e308, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.0, 0.0]]]}}
+        inp = write_json(tmp_path / "p.json", payload)
+        assert main(["stability", "--input", inp]) == EXIT_NEGATIVE
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)["report"]
+        assert captured.err == ""
+        assert report["verdict"] == "ZeroFound"
+        w1, w2 = (complex(*pair) for pair in report["witness"])
+        assert max(abs(w1), abs(w2)) < 1.0 and abs(1.0 + w1 + w2) <= 1e-9
+
+    def test_tiny_strictly_stable_input_exit_0(self, tmp_path, capsys):
+        # 1e-12 (3 + z1 + z2) gets the verdict of 3 + z1 + z2: the absolute
+        # min_modulus > tol test read it as StableOpen
+        for scale in (1e-12, 1.0, 1e12):
+            payload = {"polynomial": {"bidegree": [1, 1], "coeffs": [
+                [[3 * scale, 0.0], [scale, 0.0]], [[scale, 0.0], [0.0, 0.0]]]}}
+            inp = write_json(tmp_path / "p.json", payload)
+            assert main(["stability", "--input", inp]) == EXIT_OK
+            assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "StableClosedStrict"
+
     def test_missing_file_exit_66(self, tmp_path):
         assert (
             main(["stability", "--input", str(tmp_path / "absent.json")])

@@ -15,8 +15,9 @@ from aglerkit.fixedgraph import (
     find_fixed_w,
 )
 from aglerkit.multipoly import MultiPoly, RationalMap
+from aglerkit.pick import pick_matrix
 from aglerkit.retract import RetractMap
-from aglerkit.sampling import random_polydisk
+from aglerkit.sampling import disk_points, random_polydisk
 from aglerkit.serialize import canonical_dumps
 
 
@@ -132,7 +133,7 @@ class TestSchurMap:
 
         monkeypatch.setattr(multipoly._Stack, "__call__", counted)
         zs = random_polydisk(np.random.default_rng(5), 6, 2, 0.8)
-        _, iterations, converged = fixedgraph._newton(smap, zs, np.zeros(6))
+        _, iterations, converged, _, _ = fixedgraph._newton(smap, zs, np.zeros(6))
         assert converged.all()
         assert len(calls) == iterations.max()
 
@@ -146,8 +147,9 @@ class TestSchurMap:
             return stack_call(self, points)
 
         monkeypatch.setattr(multipoly._Stack, "__call__", counted)
-        values, iterations, converged = fixedgraph._newton(smap, np.zeros((0, 2)), np.zeros(0))
+        values, iterations, converged, f, df = fixedgraph._newton(smap, np.zeros((0, 2)), np.zeros(0))
         assert (values.shape, iterations.shape, converged.shape) == ((0,), (0,), (0,))
+        assert (f.shape, df.shape) == ((0,), (0,))
         assert calls == []
 
     def test_joint_unknowns_take_one_newton_step_on_a_linear_system(self):
@@ -163,10 +165,12 @@ class TestSchurMap:
                 return (F, np.broadcast_to(A, (len(W), 2, 2))) if dw else F
 
         zs = np.array([[0.3 + 0.1j], [-0.2j], [0.5]])
-        values, iterations, converged = fixedgraph._newton(Pair(), zs, np.zeros((3, 2)))
+        values, iterations, converged, f, df = fixedgraph._newton(Pair(), zs, np.zeros((3, 2)))
         exact = np.linalg.solve(np.eye(2) - A, (zs * np.array([0.5, -0.25])).T).T
         assert converged.all() and (iterations == 2).all()
         assert np.max(np.abs(values - exact)) <= 1e-15
+        # F and dF/dw come back as evaluated at the returned values
+        assert np.array_equal(f, Pair()._rows(zs, values)) and np.array_equal(df, np.broadcast_to(A, (3, 2, 2)))
 
     def test_one_unknown_as_a_column_runs_the_flat_rows(self):
         # (N, 1) unknowns take the one-unknown step and keep their shape
@@ -477,6 +481,48 @@ class TestContinueGraph:
         g2 = continue_graph(smap, record, radius=0.8, grid=6)
         assert np.array_equal(g1.values, g2.values)
         assert canonical_dumps(g1.to_json()) == canonical_dumps(g2.to_json())
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_average_map(np.random.default_rng(808))[0],
+        lambda: SchurMap(2, rational=nonlinear_rational_map()),
+    ], ids=["average", "nonlinear"])
+    def test_map_is_evaluated_once_per_newton_iteration_and_twice_more(self, monkeypatch, make):
+        # the anchor test, each Newton iteration (whose last F and dF/dw give the
+        # residuals and derivative bound) and one Pick batch
+        smap = make()
+        record = find_fixed_w(smap, [0.0, 0.0])[0]
+        axis = disk_points(9, 0.9)
+        nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        _, iterations, ok, f, df = fixedgraph._newton(smap, nodes, np.full(len(nodes), record.w))
+        calls = []
+        rows = SchurMap._rows
+
+        def counted(self, Z, W, dw=False):
+            calls.append(len(W))
+            return rows(self, Z, W, dw)
+
+        monkeypatch.setattr(SchurMap, "_rows", counted)
+        graph = continue_graph(smap, record, radius=0.9, grid=9)
+        assert ok.all() and len(calls) == iterations.max() + 2
+        assert calls[0] == 1 and calls[-1] == 5 * 8
+        assert graph.provenance["max_w_derivative"] == float(np.max(np.abs(df)))
+        assert np.array_equal(graph.residuals.ravel(), np.abs(f - graph.values.ravel()))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_pick_minimum_is_the_per_slice_loop(self, seed):
+        # graph_grid's maps: (f0(z) + w) / 2, grids 20 and 40
+        smap, _ = random_average_map(np.random.default_rng(seed), bound=0.9)
+        record = find_fixed_w(smap, [0.0, 0.0])[0]
+        for grid in (20, 40):
+            graph = continue_graph(smap, record, radius=0.9, grid=grid)
+            axis = disk_points(grid, 0.9)
+            nodes = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+            picked = np.random.default_rng(1914).choice(len(nodes), size=4, replace=False)
+            w_nodes = disk_points(8, 0.7)
+            bases = np.vstack([np.zeros(2), nodes[picked]])
+            loop = min(float(np.linalg.eigh(pick_matrix(w_nodes, targets))[0][0])
+                       for targets in fixedgraph._slices(smap, bases, w_nodes))
+            assert graph.provenance["slice_pick_min_eig"] == loop
 
     def test_provenance_and_serialization(self):
         smap = scaling_map()

@@ -1,5 +1,7 @@
 """Tests for the bidisk zero-freeness scan."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from aglerkit.stability import (
     ZERO_FOUND,
     StabilityReport,
     _fixed_samples,
+    _sample_powers,
     _scan,
+    _torus_minimum,
     _zero_reach,
     check_stability,
     roots_rows,
@@ -398,12 +402,69 @@ class TestSelfConsistency:
                                       + 1j * rng.standard_normal((n + 1, m + 1)))
                   for n, m in ((1, 3), (3, 1), (4, 4), (6, 2))]
         for p in polys:
-            for torus_grid in (32, 128):
+            for torus_grid in (32, 100, 128, 512):
                 torus = np.exp(2j * np.pi * np.arange(torus_grid) / torus_grid)
                 direct = np.min(np.abs(p(*np.meshgrid(torus, torus, indexing="ij"))))
                 report = check_stability(p, torus_grid=torus_grid, disk_grid=8)
                 bound = 4 * np.finfo(float).eps * np.sum(np.abs(p.coeffs))
                 assert abs(report.min_modulus - direct) <= bound
+
+
+def gaussian(rng, n, m):
+    return BivariatePolynomial(rng.standard_normal((n + 1, m + 1))
+                               + 1j * rng.standard_normal((n + 1, m + 1)))
+
+
+class TestTorusMinimum:
+    """The pruned torus search reports the full N x N product's minimum, bit for bit."""
+
+    @pytest.mark.parametrize("grid", [4, 31, 33, 100, 128, 512, 1024])
+    def test_pruned_minimum_is_the_full_products(self, grid):
+        rng = np.random.default_rng(grid)
+        polys = CORPUS + [power(CLASSIC, k) for k in range(1, 5)]
+        polys += [random_strictly_stable(rng, d, d) for d in range(1, 9)]
+        polys += [gaussian(rng, *rng.integers(0, 7, size=2)) for _ in range(8)]
+        for p in polys:
+            _, powers = _sample_powers(grid, 8, max(p.coeffs.shape))
+            rows = powers[:grid, : p.coeffs.shape[1]] @ p.coeffs.T
+            torus = powers[:grid, : p.coeffs.shape[0]]
+            assert _torus_minimum(p, rows, torus) == float(np.min(np.abs(rows @ torus.T)))
+
+    def test_strict_call_holds_no_torus_grid(self):
+        # a guard that measures memory instead of time: the 2048 x 2048 torus
+        # grid and both orders' slice tables come to over 100 MB
+        p = random_strictly_stable(np.random.default_rng(3), 3, 3)
+        check_stability(p, 2048, 256)  # fills the sample powers' cache
+        tracemalloc.start()
+        try:
+            report = check_stability(p, 2048, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == STABLE_CLOSED_STRICT
+        assert peak < 8e6
+
+
+class TestScaleInvariance:
+    """p and 2**k p get one verdict and witness; min_modulus scales exactly."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["stable", "gaussian", "corpus"]), st.integers(0, 2 ** 32 - 1),
+        st.integers(-600, 600),
+    )
+    def test_power_of_two_multiples_get_the_same_report(self, kind, seed, k):
+        rng = np.random.default_rng(seed)
+        if kind == "stable":
+            p = random_strictly_stable(rng, *rng.integers(1, 5, size=2))
+        elif kind == "gaussian":
+            p = gaussian(rng, *rng.integers(0, 4, size=2))
+        else:
+            p = CORPUS[seed % len(CORPUS)]
+        report = check_stability(p, 64, 8)
+        scaled = check_stability(BivariatePolynomial(p.coeffs * 2.0 ** k), 64, 8)
+        assert (scaled.verdict, scaled.witness) == (report.verdict, report.witness)
+        assert scaled.min_modulus == report.min_modulus * 2.0 ** k
 
 
 class TestValidation:
