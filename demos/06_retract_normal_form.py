@@ -44,11 +44,14 @@ print("    graph component at x=%s: f(x) = %s  (x^2 = %s)"
 print("    image point:", np.round(nf.image_point(x), 6))
 
 # image_point also takes a whole (N, k) array of free coordinates and
-# returns the (N, n) image points.  The free coordinate z1 is an identity
-# component of the map, so the graph column of a batch is read off one
-# evaluation of rho(x, 0), a point of the retract; a map without that
-# property, such as ((z1+z2)/2, (z1+z2)/2), solves every graph once per
-# batch by one joint Newton solve.
+# returns the (N, n) image points.  z2 appears in no term of the map, so
+# its level is explicit: the graph is z1^2 itself and normal_form solves
+# no fixed-point equation; its provenance source is the anchor record at
+# rho(0).  The free coordinate z1 is an identity component of the map, so
+# the graph column of a batch is read off one evaluation of rho(x, 0), a
+# point of the retract.  A map such as ((z1+z2)/2, (z1+z2)/2) has an
+# implicit level, whose anchor Newton refines, and solves every graph once
+# per batch by one joint Newton solve.
 xs = np.array([[0.4 - 0.25j], [-0.1 + 0.5j], [0.3j]])
 print("    batched image points:")
 for row in np.round(nf.image_point(xs), 6):

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .serialize import complex_to_pair, pair_to_complex
 
-_POLE_TOL = 1e-12  # |den| at or below this times max(coeff norm, 1) counts as a pole
+_POLE_TOL = 1e-12  # |den| at or below this times den's largest coefficient modulus is a pole
 
 
 def _normalize_key(exponents, nvars):
@@ -189,7 +189,7 @@ class RationalMap:
             raise ValueError("denominator is identically zero")
         self.numerator = numerator
         self.denominator = denominator
-        self._pole_tol = _POLE_TOL * max(denominator.coeff_norm(), 1.0)
+        self._pole_tol = _POLE_TOL * denominator.coeff_norm()
         polys = [numerator, denominator]
         for index in range(numerator.nvars):
             polys += [numerator.partial(index), denominator.partial(index)]

@@ -9,44 +9,50 @@ a map is equivalent to one of the shape
 with k free coordinates, m plain copies of free coordinates, and r graph
 components (functions of the free block v' = (v_1, ..., v_k), constants
 included).  This module verifies idempotence, classifies components,
-peels off graph components one at a time through fixed-point reduction
-in the last variable, and assembles the conjugation plus residual
-diagnostics for the resulting normal form.  The conjugation is one
-automorphism of D^n, a coordinate permutation followed by one disk
-automorphism per coordinate: each level of the recursion composes its
-permutation with the conjugation of the level below, and the bottom level
-adds the inverse Moebius map of each twisted copy.
+peels off graph components one at a time in the last variable, and
+assembles the conjugation plus residual diagnostics for the resulting
+normal form.  The conjugation is one automorphism of D^n, a coordinate
+permutation followed by one disk automorphism per coordinate: each level
+of the recursion composes its permutation with the conjugation of the
+level below, and the bottom level adds the inverse Moebius map of each
+twisted copy.
+
+A level is explicit when the peeled variable appears in no term of the
+exact map: the graph is then the last component itself (every retract is
+a graph over its free coordinates, Heath-Suffridge), and the level solves
+nothing.  Any other level is implicit: its reduced map is the exact,
+permuted map with its trailing coordinates peeled, every evaluation one
+joint Newton solve of them from their anchor values, and its last column,
+the map of the next graph, is exact as well (dF/dw by implicit
+differentiation).  A level keeps only its graph's anchor record.
 
 Evaluation works on whole arrays: the maps take (N, n) rows, and the
-conjugation, image_point and the graph evaluators act on the last
-axis, so (k,) gives (n,) and (N, k) gives (N, n).  A reduced map is the
-exact, permuted map with its trailing coordinates peeled; every
-evaluation solves all the peeled coordinates by one joint Newton call
-started from their graphs' anchor values, so no solve reads a graph's
-grid.  Its last column, the map of the next graph, is exact as well:
-dF/dw comes from the joint Jacobian by implicit differentiation.
-
-An image point takes its graph columns by one of two routes.  When every
-free coordinate is an identity component of rho itself, rho(v', 0) lies
-in Fix(rho) (Heath-Suffridge) with free block v', so the columns are read
-off one evaluation of rho, which takes every component from one table.
-Any other map, such as the diagonal retract ((z1+z2)/2, (z1+z2)/2),
-where rho(v, 0) = (v/2, v/2), takes them from one joint Newton solve of
-the bottom map's peeled coordinates.
+conjugation, image_point and the graph evaluators act on the last axis,
+so (k,) gives (n,) and (N, k) gives (N, n).  An image point takes its
+graph columns by one of two routes.  When every free coordinate is an
+identity component of rho itself, rho(v', 0) lies in Fix(rho) with free
+block v', so the columns are read off one evaluation of rho.  Any other
+map, such as the diagonal retract ((z1+z2)/2, (z1+z2)/2), where
+rho(v, 0) = (v/2, v/2), takes them from one joint Newton solve of every
+peeled coordinate of the top map, started from the anchors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateContinuationError, DomainError, InconsistencyError
 from .fixedgraph import (
+    CLASS_INTERIOR,
+    FixedPointRecord,
     GraphFunction,
     SchurMap,
+    _DERIV_TOL,
+    _classify,
     _solve_rows,
-    continue_graph,
     find_fixed_w,
 )
 from .moebius import MoebiusAutomorphism, detect_automorphism
@@ -81,12 +87,19 @@ class RetractMap:
             if comp.nvars != self.n:
                 raise ValueError("component variable count does not match the map")
         self.components = components
-        # with exact partials, built once for every reduced map over this one
-        self._rationals = tuple(RationalMap(c) if isinstance(c, MultiPoly) else c for c in components)
-        # every numerator and denominator, so one table gives every component
-        self._stack = _Stack([p for r in self._rationals for p in (r.numerator, r.denominator)])
-        self._pole_tols = np.array([r._pole_tol for r in self._rationals])
+        # every numerator and denominator (1 for a polynomial, which has no
+        # pole), so one table gives every component
+        one = MultiPoly.constant(self.n, 1.0)
+        self._stack = _Stack([p for c in components for p in (
+            (c.numerator, c.denominator) if isinstance(c, RationalMap) else (c, one))])
+        self._pole_tols = np.array([c._pole_tol if isinstance(c, RationalMap) else 0.0 for c in components])
         self.name = name
+
+    @cached_property
+    def _rationals(self):
+        """The components with exact partials, built for an implicit level
+        only, once for every reduced map over this one."""
+        return tuple(RationalMap(c) if isinstance(c, MultiPoly) else c for c in self.components)
 
     @classmethod
     def identity(cls, n):
@@ -211,21 +224,14 @@ def verify_idempotent(rho, samples=400, seed=7, radius=0.9, tol=1e-9):
     pts = random_polydisk(rng, samples, rho.n, radius)
     first = rho.evaluate_batch(pts)
     max_modulus = float(np.max(np.abs(first))) if first.size else 0.0
-    report = {
-        "samples": int(samples),
-        "radius": float(radius),
-        "tol": float(tol),
-        "max_modulus": max_modulus,
-    }
+    report = {"samples": int(samples), "radius": float(radius), "tol": float(tol),
+              "max_modulus": max_modulus}
     if max_modulus > 1.0 + tol:
-        report["max_defect"] = float("inf")
-        report["passed"] = False
-        report["reason"] = "the map leaves the closed polydisk"
-        return report
+        return dict(report, max_defect=float("inf"), passed=False,
+                    reason="the map leaves the closed polydisk")
     second = rho.evaluate_batch(first)
     defect = float(np.max(np.abs(second - first))) if first.size else 0.0
-    report["max_defect"] = defect
-    report["passed"] = bool(defect <= tol)
+    report.update(max_defect=defect, passed=bool(defect <= tol))
     if not report["passed"]:
         report["reason"] = "rho(rho) differs from rho"
     return report
@@ -279,9 +285,7 @@ def classify_components(rho, seed=97, radius=0.85, tol=1e-9):
         mean = complex(col.mean())
         if np.max(np.abs(col - mean)) <= max(tol, 1e-9):
             if abs(mean) >= 1.0:
-                raise DomainError(
-                    "constant component %d lies outside the open disk" % j
-                )
+                raise DomainError("constant component %d lies outside the open disk" % j)
             roles.append(ComponentRole(ROLE_CONSTANT, value=mean))
             continue
         if np.max(np.abs(col - pts[:, j])) <= tol:
@@ -303,11 +307,8 @@ def classify_components(rho, seed=97, radius=0.85, tol=1e-9):
             if phi is not None:
                 if i == j:
                     if not phi.is_identity():
-                        raise InconsistencyError(
-                            "component %d is a non-identity automorphism of "
-                            "its own variable; no idempotent map does that"
-                            % j
-                        )
+                        raise InconsistencyError("component %d is a non-identity automorphism of its "
+                                                 "own variable; no idempotent map does that" % j)
                     role = ComponentRole(ROLE_IDENTITY, source=j)
                 else:
                     role = ComponentRole(ROLE_COPY, source=i, moebius=phi)
@@ -315,11 +316,9 @@ def classify_components(rho, seed=97, radius=0.85, tol=1e-9):
 
     for j, role in enumerate(roles):
         if role.kind == ROLE_COPY and roles[role.source].kind != ROLE_IDENTITY:
-            raise InconsistencyError(
-                "component %d copies variable %d through a Moebius map, but "
-                "component %d is not the identity; idempotence is violated"
-                % (j, role.source, role.source)
-            )
+            raise InconsistencyError("component %d copies variable %d through a Moebius map, but "
+                                     "component %d is not the identity; idempotence is violated"
+                                     % (j, role.source, role.source))
     return roles
 
 
@@ -381,48 +380,65 @@ def _permute_map(rho, order):
     ))
 
 
-def reduce_dimension(rho, grid=12, radius=0.85, seed=5005):
-    """Split the last component off as a fixed-point graph.
+def _drop_last(comp):
+    """An exact component without its last variable, which none of its terms holds."""
+    if isinstance(comp, RationalMap):
+        return RationalMap(_drop_last(comp.numerator), _drop_last(comp.denominator))
+    return MultiPoly(comp.nvars - 1, {expo[:-1]: coef for expo, coef in comp.terms.items()})
 
-    Returns (reduced, graph): the graph solves w = rho_last(z', w), and the
-    reduced map z' -> rho_head(z', f(z')), an idempotent self-map of D^{n-1},
-    is rho's exact map with one more coordinate peeled, each evaluation one
-    joint Newton solve, and a reduced rho's last column is exact too.  The
-    image of the origin under rho seeds the anchor, so no search is needed;
-    continue_graph's anchor test refuses a seed that is not interior.  The
-    anchor value starts every later solve of the peeled coordinate.
-    """
+
+def reduce_dimension(rho):
+    """Split the last component off as a fixed-point graph w = f(z').
+
+    Returns the reduced map z' -> rho_head(z', f(z')), an idempotent
+    self-map of D^{n-1}, and the graph's anchor, a FixedPointRecord at the
+    head z' of rho(0).  When rho is exact and no numerator or denominator
+    term holds its last variable (explicit), the anchor is rho_last(z')
+    with dF/dw = 0 and 0 iterations, and the reduced map is rho's head with
+    that variable dropped.  Otherwise find_fixed_w refines the anchor from
+    rho(0) and the reduced map peels one more coordinate.  The anchor must
+    be interior by _classify, else InconsistencyError."""
     if rho.n < 2:
         raise ValueError("reduction needs at least two variables")
     head = rho.n - 1
-    full, anchors = (rho.full, rho.anchors) if isinstance(rho, _ReducedMap) else (rho, ())
-    smap = SchurMap(head, rational=_LastColumn(full, anchors) if anchors else rho._rationals[-1])
     q = rho(np.zeros(rho.n, dtype=complex))
-    q_head = q[:-1]
-    records = find_fixed_w(smap, q_head, seeds=[complex(q[-1])])
-    if not records:
-        raise DegenerateContinuationError(
-            "could not refine the seed fixed point at the image of the origin",
-            location=tuple(complex(v) for v in q_head),
-        )
-    graph = continue_graph(smap, records[0], radius=radius, grid=grid, seed=seed)
-    return _ReducedMap(full, (records[0].w,) + anchors), graph
+    if not isinstance(rho, _ReducedMap) and not rho._stack._expo[:, head].any():
+        w = complex(rho(q)[head])
+        anchor = FixedPointRecord(tuple(complex(v) for v in q[:head]), w, 0j, _classify(w, 0.0), 0.0, 0)
+        reduced = RetractMap(head, tuple(_drop_last(comp) for comp in rho.components[:head]))
+    else:
+        full, anchors = (rho.full, rho.anchors) if isinstance(rho, _ReducedMap) else (rho, ())
+        smap = SchurMap(head, rational=_LastColumn(full, anchors) if anchors else rho._rationals[-1])
+        records = find_fixed_w(smap, q[:head], seeds=[complex(q[-1])])
+        if not records:
+            raise DegenerateContinuationError("could not refine the seed fixed point at the image of the "
+                                              "origin", location=tuple(complex(v) for v in q[:head]))
+        anchor = records[0]
+        reduced = _ReducedMap(full, (anchor.w,) + anchors)
+    if anchor.classification != CLASS_INTERIOR:
+        raise InconsistencyError("a graph needs an interior anchor with |dF/dw| <= 1 - %g; got "
+                                 "|w| = %.6e, |dF/dw| = %.6e"
+                                 % (_DERIV_TOL, abs(anchor.w), abs(anchor.derivative)))
+    return reduced, anchor
 
 
 @dataclass
 class _CoreForm:
-    """Normalization result; ``base``, the bottom map, peels the graphs (deepest
-    first).  ``rho`` is the top map when every free coordinate is an identity
-    component of it, else None."""
+    """Normalization result; ``anchors`` and the graphs are deepest first.
+    ``rho`` is the top map when every free coordinate is an identity
+    component of it; else ``base``, the top map permuted by the levels'
+    ``peel`` with every graph peeled, solves the graphs in the bottom map's
+    coordinates (``base_chain``)."""
 
     k: int
     e_sources: list
     consts: list
-    graphs: list
+    anchors: list
     chain: Conjugation
-    base: RetractMap
     base_chain: Conjugation
+    peel: Conjugation
     rho: RetractMap | None = None
+    base: _ReducedMap | None = None
 
 
 def _image_rows(x, core):
@@ -432,7 +448,7 @@ def _image_rows(x, core):
     With core.rho set, the graph columns are read off rho(x, 0), a point of
     Fix(rho) with free block x (the graph positions of the conjugation
     carry no Moebius map); otherwise they come from one joint solve of the
-    bottom map's peeled coordinates.
+    top map's peeled coordinates.
     """
     x = np.asarray(x, dtype=complex)
     k = core.k
@@ -443,7 +459,7 @@ def _image_rows(x, core):
     rows = x if x.ndim == 2 else x.reshape(1, k)
     m = len(core.e_sources)
     head = k + m + len(core.consts)
-    out = np.empty((len(rows), head + len(core.graphs)), dtype=complex)
+    out = np.empty((len(rows), head + len(core.anchors)), dtype=complex)
     out[:, :k] = rows
     out[:, k : k + m] = rows[:, list(core.e_sources)]
     out[:, k + m : head] = core.consts
@@ -451,36 +467,39 @@ def _image_rows(x, core):
         full = np.zeros((len(rows), core.rho.n), dtype=complex)
         full[:, list(core.chain.order[:k])] = rows
         out[:, head:] = core.rho._columns(full, core.chain.order[head:])
-    elif core.graphs:
+    elif core.base is not None:
         out[:, head:] = core.base._peel(core.base_chain.apply_inverse(out[:, :head]))
     return out if x.ndim == 2 else out[0]
 
 
-def _normalize(rho, opts, depth=0):
+def _normalize(rho, opts, depth=0, roles=None):
+    """The core form of rho at a recursion depth, from rho's roles if given."""
     d = rho.n
-    roles = classify_components(
-        rho,
-        seed=opts["seed"] + 17 * depth,
-        radius=opts["scan_radius"],
-        tol=opts["role_tol"],
-    )
+    if roles is None:
+        roles = classify_components(rho, seed=opts["seed"] + 17 * depth,
+                                    radius=opts["scan_radius"], tol=opts["role_tol"])
     generic = [j for j, role in enumerate(roles) if role.kind == ROLE_GENERIC]
 
     if d == 1 and generic:
-        raise InconsistencyError(
-            "a one-variable idempotent self-map of the disk must be the "
-            "identity or a point; this one is neither"
-        )
+        raise InconsistencyError("a one-variable idempotent self-map of the disk must be the "
+                                 "identity or a point; this one is neither")
 
     if generic:
         g = generic[0]
         order = tuple(list(range(g)) + list(range(g + 1, d)) + [g])
-        reduced, graph = reduce_dimension(_permute_map(rho, order), grid=opts["grid"],
-                                          radius=opts["radius"], seed=opts["seed"] + 29 * depth)
-        core = _normalize(reduced, opts, depth + 1)
-        chain = Conjugation.permuted(order, core.chain)
-        direct = depth == 0 and all(roles[j].kind == ROLE_IDENTITY for j in chain.order[: core.k])
-        return replace(core, graphs=core.graphs + [graph], chain=chain, rho=rho if direct else None)
+        reduced, anchor = reduce_dimension(_permute_map(rho, order))
+        # an explicit peel leaves every head component the same function, so
+        # the reduced map's roles are rho's, with the sources past g renumbered
+        below = None if isinstance(reduced, _ReducedMap) else [
+            replace(r, source=None if r.source is None else r.source - (r.source > g))
+            for r in roles[:g] + roles[g + 1:]]
+        core = _normalize(reduced, opts, depth + 1, below)
+        core = replace(core, anchors=core.anchors + [anchor], peel=Conjugation.permuted(order, core.peel),
+                       chain=Conjugation.permuted(order, core.chain))
+        if depth == 0 and all(roles[j].kind == ROLE_IDENTITY for j in core.chain.order[: core.k]):
+            return replace(core, rho=rho)
+        return core if depth else replace(core, base=_ReducedMap(
+            _permute_map(rho, core.peel.order), tuple(a.w for a in core.anchors)))
 
     ids = [j for j, role in enumerate(roles) if role.kind == ROLE_IDENTITY]
     copies = [j for j, role in enumerate(roles) if role.kind == ROLE_COPY]
@@ -492,7 +511,8 @@ def _normalize(rho, opts, depth=0):
     rank = {src: pos for pos, src in enumerate(ids)}
     e_sources = [rank[roles[j].source] for j in copies]
     chain = Conjugation(tuple(ids + copies + consts), tuple(maps))
-    return _CoreForm(len(ids), e_sources, [roles[j].value for j in consts], [], chain, rho, chain)
+    return _CoreForm(len(ids), e_sources, [roles[j].value for j in consts], [], chain, chain,
+                     Conjugation(tuple(range(d)), (None,) * d))
 
 
 @dataclass
@@ -544,11 +564,12 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
 
     Verifies idempotence first (InconsistencyError on failure), classifies
     components, conjugates twisted copies to plain ones, peels generic
-    components off as fixed-point graphs, and materializes every graph
-    component over a grid on the free block together with the residual
-    ||rho_norm(v) - v||_inf at each node.  A grid radius outside (0, 1],
-    a grid of fewer than one node per axis or a tol that is not finite and
-    positive raises ValueError.
+    components off as graphs (an explicit level solves nothing, an implicit
+    one refines its anchor by Newton; a graph's provenance ``source`` is its
+    level's anchor record), and materializes every graph over a grid on the
+    free block with the residual ||rho_norm(v) - v||_inf at each node.  A
+    grid radius outside (0, 1], a grid of fewer than one node per axis or a
+    tol that is not finite and positive raises ValueError.
     """
     if not 0.0 < radius <= 1.0:
         raise ValueError("grid radius must lie in (0, 1]")
@@ -556,22 +577,13 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
         raise ValueError("grid must be a positive integer")
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive")
-    report = verify_idempotent(
-        rho, samples=samples, seed=seed, radius=min(radius + 0.05, 0.95), tol=tol
-    )
+    report = verify_idempotent(rho, samples=samples, seed=seed, radius=min(radius + 0.05, 0.95), tol=tol)
     if not report["passed"]:
-        raise InconsistencyError(
-            "map is not idempotent to tolerance %.1e (defect %.3e, max modulus %.6f)"
-            % (report["tol"], report["max_defect"], report["max_modulus"])
-        )
+        raise InconsistencyError("map is not idempotent to tolerance %.1e (defect %.3e, max modulus "
+                                 "%.6f)" % (report["tol"], report["max_defect"], report["max_modulus"]))
 
-    opts = {
-        "grid": int(grid),
-        "radius": float(radius),
-        "seed": int(seed),
-        "scan_radius": min(float(radius), 0.85),
-        "role_tol": max(float(tol), 1e-9),
-    }
+    opts = {"seed": int(seed), "scan_radius": min(float(radius), 0.85),
+            "role_tol": max(float(tol), 1e-9)}
     core = _normalize(rho, opts)
     chain = core.chain
 
@@ -589,31 +601,18 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
     defect_grid = np.max(np.abs(normalized_map(images) - images), axis=1).reshape(shape)
 
     f_components = []
-    for c, graph in enumerate([None] * len(core.consts) + core.graphs, start=k + m):
-        prov = {"method": "constant", "position": c} if graph is None else {
-            "method": "fixed_point_composition", "position": c, "source": dict(graph.provenance)}
+    for c, anchor in enumerate([None] * len(core.consts) + core.anchors, start=k + m):
+        prov = {"method": "constant", "position": c} if anchor is None else {
+            "method": "fixed_point_composition", "position": c, "source": anchor.to_json()}
         f_components.append(GraphFunction(
             axes=axes, values=images[:, c].reshape(shape), residuals=defect_grid.copy(),
             provenance=prov, evaluator=lambda rows, c=c: _image_rows(rows, core)[:, c]))
 
-    diagnostics = {
-        "idempotence": report,
-        "normal_form_residual": float(np.max(defect_grid)) if defect_grid.size else 0.0,
-        "free_count": int(k),
-        "copy_count": int(m),
-        "graph_count": len(f_components),
-        "grid": int(grid),
-        "radius": float(radius),
-        "seed": int(seed),
-    }
-    form = NormalForm(
-        n=rho.n,
-        k=k,
-        e_sources=tuple(core.e_sources),
-        f_components=f_components,
-        conjugation=chain,
-        normalized_map=normalized_map,
-        diagnostics=diagnostics,
-    )
+    diagnostics = {"idempotence": report,
+                   "normal_form_residual": float(np.max(defect_grid)) if defect_grid.size else 0.0,
+                   "free_count": int(k), "copy_count": int(m), "graph_count": len(f_components),
+                   "grid": int(grid), "radius": float(radius), "seed": int(seed)}
+    form = NormalForm(n=rho.n, k=k, e_sources=tuple(core.e_sources), f_components=f_components,
+                      conjugation=chain, normalized_map=normalized_map, diagnostics=diagnostics)
     form._core = core
     return form

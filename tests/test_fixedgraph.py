@@ -216,15 +216,15 @@ class TestSchurMap:
         assert abs(clone(z, 0.2) - smap(z, 0.2)) <= 1e-15
 
     def test_depth_one_reduced_map_refuses_serialization(self, monkeypatch):
-        # (z1, z1^2, z1^3): the second graph's map is the last column of a
-        # reduced map, which is exact but has no closed form to write out
+        # every component (z1 + z2 + z3) / 3: both levels are implicit, and
+        # the second graph's map is the last column of a reduced map, which
+        # is exact but has no closed form to write out
         seen = []
-        original = retract.continue_graph
-        monkeypatch.setattr(retract, "continue_graph",
-                            lambda smap, *args, **kwargs: seen.append(smap)
-                            or original(smap, *args, **kwargs))
-        cubic = RetractMap(3, tuple(MultiPoly(3, {(p, 0, 0): 1.0}) for p in (1, 2, 3)))
-        once, _ = retract.reduce_dimension(cubic)
+        schur = retract.SchurMap
+        monkeypatch.setattr(retract, "SchurMap",
+                            lambda n, rational: seen.append(schur(n, rational)) or seen[-1])
+        m = MultiPoly(3, {(1, 0, 0): 1 / 3, (0, 1, 0): 1 / 3, (0, 0, 1): 1 / 3})
+        once, _ = retract.reduce_dimension(RetractMap(3, (m, m, m)))
         retract.reduce_dimension(once)
         assert len(seen) == 2
         assert seen[0].to_json()["n"] == 2

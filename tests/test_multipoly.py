@@ -123,3 +123,22 @@ class TestRationalMap:
         for index in range(nvars):
             with pytest.raises(DomainError):
                 rmap.value_and_partial(pts, index)
+
+    def test_the_pole_test_is_relative_to_the_denominator(self):
+        # z / (2 - z) with num and den both scaled by 2^k evaluates to the
+        # same bits at every k; at scale 1e-13 it is no pole at z = 0.5, and
+        # its true pole z = 2 raises at every scale
+        def scaled(c):
+            return RationalMap(MultiPoly(1, {(1,): c}), MultiPoly(1, {(0,): 2 * c, (1,): -c}))
+
+        pts = np.array([[0.5], [-0.3 + 0.4j], [0.9j], [0.0], [1.0]])
+        value, slope = scaled(1.0).value_and_partial(pts, 0)
+        for k in range(-600, 601):
+            rmap = scaled(2.0 ** k)
+            assert np.array_equal(rmap.evaluate(pts), value)
+            assert np.array_equal(rmap.value_and_partial(pts, 0)[1], slope)
+        tiny = scaled(1e-13)
+        assert abs(tiny.evaluate(np.array([0.5])) - 1 / 3) <= 1e-15
+        for c in (2.0 ** -600, 1e-13, 1.0, 2.0 ** 600):
+            with pytest.raises(DomainError):
+                scaled(c).evaluate(np.array([[0.5], [2.0]]))

@@ -20,7 +20,7 @@ from aglerkit.retract import (
     verify_idempotent,
 )
 from aglerkit.sampling import random_polydisk
-from aglerkit.serialize import canonical_dumps
+from aglerkit.serialize import canonical_dumps, pair_to_complex
 
 CONST = 0.3 - 0.2j
 
@@ -186,9 +186,13 @@ class TestRetractMap:
         assert np.max(np.abs(clone(z) - rho(z))) <= 1e-15
 
     def test_reduced_map_refuses_serialization(self):
-        reduced, _ = reduce_dimension(parabola_map())
+        # the diagonal retract's level is implicit, so its reduced map peels
+        # a coordinate by Newton; an explicit level's reduced map is exact
+        reduced, _ = reduce_dimension(averaging_map(2))
         with pytest.raises(ValueError):
             reduced.to_json()
+        exact, _ = reduce_dimension(parabola_map())
+        assert exact.to_json() == RetractMap.identity(1).to_json()
 
 
 class TestVerifyIdempotent:
@@ -328,28 +332,38 @@ class TestConjugation:
 
 
 class TestReduceDimension:
-    def test_parabola_splits_into_square_graph(self):
-        reduced, graph = reduce_dimension(parabola_map())
-        axis = graph.axes[0]
-        assert np.max(np.abs(graph.values - axis**2)) <= 1e-10
-        assert graph.max_residual <= 1e-10
-        assert reduced.n == 1
-        assert abs(reduced([0.4])[0] - 0.4) <= 1e-10
+    @staticmethod
+    def _explicit_anchor(anchor, z, w):
+        # an explicit level's anchor is rho_last at the head of rho(0): no
+        # iteration, dF/dw = 0 and no residual
+        assert anchor.z == z and anchor.w == w
+        assert (anchor.derivative, anchor.residual, anchor.iterations) == (0j, 0.0, 0)
+        assert anchor.classification == fixedgraph.CLASS_INTERIOR
+
+    def test_parabola_splits_into_square_graph(self, monkeypatch):
+        # z2 appears in no term, so the graph is z1^2 itself and the reduced
+        # map is the head with z2 dropped, exactly, by no Newton solve
+        monkeypatch.setattr(fixedgraph, "_newton", None)
+        reduced, anchor = reduce_dimension(parabola_map())
+        self._explicit_anchor(anchor, (0j,), 0j)
+        assert type(reduced) is RetractMap
+        assert reduced.components[0].terms == {(1,): 1.0}
+        assert reduced([0.4])[0] == 0.4
         assert verify_idempotent(reduced)["passed"] is True
 
-    def test_triple_product_splits_into_product_graph(self):
-        reduced, graph = reduce_dimension(triple_product_map())
-        target = graph.axes[0][:, None] * graph.axes[1][None, :]
-        assert np.max(np.abs(graph.values - target)) <= 1e-10
-        assert reduced.n == 2
+    def test_triple_product_splits_into_product_graph(self, monkeypatch):
+        monkeypatch.setattr(fixedgraph, "_newton", None)
+        reduced, anchor = reduce_dimension(triple_product_map())
+        self._explicit_anchor(anchor, (0j, 0j), 0j)
+        assert reduced.to_json() == RetractMap.identity(2).to_json()
         z = np.array([0.3, -0.2j])
-        assert np.max(np.abs(reduced(z) - z)) <= 1e-10
+        assert np.array_equal(reduced(z), z)
         assert verify_idempotent(reduced, samples=100)["passed"] is True
 
     def test_constant_component_gives_constant_graph(self):
-        reduced, graph = reduce_dimension(constant_second_map())
-        assert np.max(np.abs(graph.values - CONST)) <= 1e-12
-        assert abs(reduced([0.7])[0] - 0.7) <= 1e-12
+        reduced, anchor = reduce_dimension(constant_second_map())
+        self._explicit_anchor(anchor, (0j,), CONST)
+        assert reduced([0.7])[0] == 0.7
 
     def test_reduced_map_rows_match_single_points(self):
         reduced, _ = reduce_dimension(triple_product_map())
@@ -360,16 +374,25 @@ class TestReduceDimension:
         assert np.max(np.abs(batch - single)) <= 1e-12
 
     def test_twice_reduced_map_rows_match_single_points(self):
-        # (z1, z1^2, z1^3) -> (z1, z1^2) -> (z1): every Newton step of the
-        # second graph's grid solve is one joint solve of the first graph
-        once, _ = reduce_dimension(cubic_curve_map())
-        twice, graph = reduce_dimension(once)
-        assert np.max(np.abs(graph.values - graph.axes[0] ** 2)) <= 1e-10
+        # averaging_3 -> diagonal-like -> (z1): both levels are implicit, so
+        # the twice-reduced map solves both peeled coordinates jointly, and
+        # the second anchor's dF/dw is the reduced last column's, 1/2
+        once, first = reduce_dimension(averaging_map(3))
+        twice, second = reduce_dimension(once)
+        assert first.iterations >= 1 and second.iterations >= 1
+        assert abs(first.derivative - 1 / 3) <= 1e-15
+        assert abs(second.derivative - 1 / 2) <= 1e-15
         pts = random_polydisk(np.random.default_rng(47), 10, 1, 0.8)
         batch = twice.evaluate_batch(pts)
         single = np.array([twice(z) for z in pts])
         assert np.max(np.abs(batch - single)) <= 1e-12
         assert np.max(np.abs(batch - pts)) <= 1e-10
+        # (z1, z1^2, z1^3) -> (z1, z1^2) -> (z1): two explicit levels
+        once, _ = reduce_dimension(cubic_curve_map())
+        twice, anchor = reduce_dimension(once)
+        self._explicit_anchor(anchor, (0j,), 0j)
+        assert once.components[1].terms == {(2, 0): 1.0}
+        assert twice.to_json() == RetractMap.identity(1).to_json()
 
     def test_single_variable_map_is_rejected(self):
         rho = RetractMap(1, (MultiPoly(1, {(1,): 1.0}),))
@@ -380,6 +403,12 @@ class TestReduceDimension:
         # the w-slice of the last component is the identity automorphism
         with pytest.raises(InconsistencyError):
             reduce_dimension(RetractMap.identity(2))
+
+    def test_explicit_anchor_on_the_circle_is_flagged(self):
+        # (z1, 1): the explicit anchor w = 1 is no interior fixed point
+        rho = RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(0, 0): 1.0})))
+        with pytest.raises(InconsistencyError, match="interior anchor"):
+            reduce_dimension(rho)
 
 
 class TestNormalForm:
@@ -447,16 +476,21 @@ class TestNormalForm:
             original = nf.conjugation.apply_inverse(nf.image_point(x))
             assert np.max(np.abs(original - np.array([x[0], x[0] ** 2, x[0] ** 3]))) <= 1e-8
 
-    def test_level_graph_grids_are_output_only(self):
-        # the peeled coordinates are solved from their graphs' anchor values,
-        # so overwriting the level graphs' grids leaves image points alone
-        nf = normal_form(cubic_curve_map())
+    def test_level_graph_grids_are_output_only(self, monkeypatch):
+        # a level keeps only its anchor record, which is its graph's
+        # provenance source; no level solves a grid, so image points come
+        # from the anchor values alone
+        assert not hasattr(retract, "continue_graph")
+        monkeypatch.setattr(fixedgraph, "continue_graph", None)
         rng = np.random.default_rng(57)
         xs = 0.6 * np.sqrt(rng.random((20, 1))) * np.exp(2j * np.pi * rng.random((20, 1)))
-        before = nf.image_point(xs)
-        for graph in nf._core.graphs:
-            graph.values[...] = np.nan
-        assert np.array_equal(nf.image_point(xs), before)
+        for rho, closed_form in ((cubic_curve_map(), lambda x: [x, x ** 2, x ** 3]),
+                                 (averaging_map(3), lambda x: [x, x, x])):
+            nf = normal_form(rho)
+            anchors = nf._core.anchors
+            assert [c.provenance["source"] for c in nf.f_components] == [a.to_json() for a in anchors]
+            original = nf.conjugation.apply_inverse(nf.image_point(xs))
+            assert np.max(np.abs(original - np.hstack(closed_form(xs)))) <= 1e-12
 
     def test_image_point_rows_match_single_points(self):
         rng = np.random.default_rng(59)
@@ -586,23 +620,24 @@ class TestNormalForm:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_averaging_graph_derivatives_are_exact(self, n):
-        # graph t (deepest first) peels a slice (a + w) / (t + 2) with a free of w
+        # graph t (deepest first) peels a slice (a + w) / (t + 2) with a free
+        # of w; its anchor record holds dF/dw there
         nf = normal_form(averaging_map(n))
-        derivatives = [c.provenance["source"]["max_w_derivative"] for c in nf.f_components]
+        derivatives = [pair_to_complex(c.provenance["source"]["derivative"]) for c in nf.f_components]
         assert np.max(np.abs(np.array(derivatives) - 1.0 / np.arange(2, n + 1))) <= 1e-15
 
-    @pytest.mark.parametrize("rho, count", [(cubic_curve_map(), 1), (averaging_map(4), 2)],
+    @pytest.mark.parametrize("rho, implicit", [(cubic_curve_map(), 0), (averaging_map(4), 3)],
                              ids=["cubic_curve", "averaging_4"])
-    def test_reduced_last_column_differentiates_exactly(self, monkeypatch, rho, count):
-        # the maps of the graphs at depth >= 1 are reduced maps' last columns:
-        # dF/dw by implicit differentiation matches a central difference of F
+    def test_reduced_last_column_differentiates_exactly(self, monkeypatch, rho, implicit):
+        # only an implicit level builds a SchurMap, for its anchor test; at
+        # depth >= 1 its map is a reduced map's last column, whose dF/dw by
+        # implicit differentiation matches a central difference of F
         seen = []
-        original = retract.continue_graph
-        monkeypatch.setattr(retract, "continue_graph",
-                            lambda smap, *args, **kwargs: seen.append(smap.rational)
-                            or original(smap, *args, **kwargs))
+        schur = retract.SchurMap
+        monkeypatch.setattr(retract, "SchurMap",
+                            lambda n, rational: seen.append(rational) or schur(n, rational))
         normal_form(rho)
-        assert len(seen) == count + 1
+        assert len(seen) == implicit
         h = 1e-6
         for column in seen[1:]:
             pts = random_polydisk(np.random.default_rng(71), 20, column.nvars, 0.6)
@@ -615,6 +650,47 @@ class TestNormalForm:
             assert np.max(np.abs(df - central)) <= 1e-8
             empty = column.value_and_partial(np.zeros((0, column.nvars)), column.nvars - 1)
             assert [a.shape for a in empty] == [(0,), (0,)]
+
+    @pytest.mark.parametrize("name", ["parabola", "triple_product", "cubic_curve"])
+    def test_explicit_levels_make_no_newton_call(self, monkeypatch, name):
+        # every level of these maps is explicit and every free coordinate an
+        # identity component, so neither the levels nor the image grid solve
+        monkeypatch.setattr(fixedgraph, "_newton", None)
+        nf = normal_form(IDENTITY_FREE[name][0]())
+        assert [a.iterations for a in nf._core.anchors] == [0] * nf.graph_count
+        assert nf.diagnostics["normal_form_residual"] <= 1e-15
+
+    def test_explicit_level_above_an_implicit_level(self, monkeypatch):
+        # (m^2, m, m) with m = (z2 + z3) / 2: z1 appears in no term, so the
+        # top level is explicit and leaves the diagonal retract (m, m), whose
+        # level is implicit; images take the Newton route over the top map
+        m = MultiPoly(3, {(0, 1, 0): 0.5, (0, 0, 1): 0.5})
+        rho = RetractMap(3, (MultiPoly(3, {(0, 2, 0): 0.25, (0, 1, 1): 0.5, (0, 0, 2): 0.25}), m, m))
+        nf = normal_form(rho)
+        assert (nf.k, nf.copy_count, nf.graph_count) == (1, 0, 2)
+        implicit, explicit = nf._core.anchors
+        assert explicit.iterations == 0 and implicit.iterations >= 1
+        assert nf._core.rho is None
+        rng = np.random.default_rng(83)
+        xs = 0.9 * np.sqrt(rng.random((30, 1))) * np.exp(2j * np.pi * rng.random((30, 1)))
+        calls = self._count_newton(monkeypatch)
+        original = nf.conjugation.apply_inverse(nf.image_point(xs))
+        assert len(calls) == 1
+        assert np.max(np.abs(original - np.hstack([xs ** 2, xs, xs]))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_implicit_images_match_the_bottom_reduced_map(self, n):
+        # the top map permuted once by every level's order, with every
+        # anchor, is the bottom level's reduced map: the same bits
+        rho = averaging_map(n)
+        nf = normal_form(rho)
+        bottom = rho
+        for _ in range(n - 1):  # each level peels its first component last
+            bottom, _ = reduce_dimension(retract._permute_map(bottom, tuple(range(1, bottom.n)) + (0,)))
+        rng = np.random.default_rng(89)
+        xs = 0.9 * np.sqrt(rng.random((50, 1))) * np.exp(2j * np.pi * rng.random((50, 1)))
+        assert np.array_equal(nf.image_point(xs)[:, 1:], bottom._peel(xs))
+        assert np.array_equal(nf.image_point(xs[7])[1:], bottom._peel(xs[7:8])[0])
 
     def test_constant_component_map(self):
         nf = normal_form(constant_second_map())
