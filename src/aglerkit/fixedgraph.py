@@ -331,7 +331,7 @@ def _solve_rows(smap, rows, anchor, tol=1e-12,
                 failure="fixed-point refinement failed at a query point"):
     """Newton at each row from ``anchor``, a value or a (g,) array shared by every
     row: the values, and F and dF/dw there; a failed row raises with its location."""
-    start = np.broadcast_to(anchor, (len(rows),) + np.shape(anchor))
+    start = np.full((len(rows),) + np.shape(anchor), anchor)
     values, _, ok, f, df = _newton(smap, rows, start, tol=tol)
     if not ok.all():
         raise DegenerateContinuationError(

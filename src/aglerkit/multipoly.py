@@ -56,7 +56,8 @@ class _Stack:
         self._expo = np.array(keys, dtype=int).reshape(len(keys), self.nvars)
         self._coef = np.array([[poly.terms.get(key, 0.0) for poly in polys] for key in keys],
                               dtype=complex).reshape(len(keys), len(polys))
-        self._powers = np.arange(self._expo.max(initial=0) + 1)
+        # complex, as the power loop casts the exponents to the points' type on every call
+        self._powers = np.arange(self._expo.max(initial=0) + 1, dtype=complex)
         self._vars = np.arange(self.nvars)
 
     def __call__(self, points):
@@ -79,8 +80,8 @@ class MultiPoly:
 
     def __init__(self, nvars, terms=None):
         nvars = int(nvars)
-        if nvars < 1:
-            raise ValueError("nvars must be at least 1")
+        if nvars < 0:
+            raise ValueError("nvars must be non-negative")
         self.nvars = nvars
         table = {}
         for expo, coef in (terms or {}).items():

@@ -28,12 +28,15 @@ differentiation).  A level keeps only its graph's anchor record.
 
 Evaluation works on whole arrays: the maps take (N, n) rows, and the
 conjugation, image_point and the graph evaluators act on the last axis,
-so (k,) gives (n,) and (N, k) gives (N, n).  An image point takes its
-graph columns by one of two routes.  When every free coordinate is an
-identity component of rho itself, rho(v', 0) lies in Fix(rho) with free
-block v', so the columns are read off one evaluation of rho.  Any other
-map, such as the diagonal retract ((z1+z2)/2, (z1+z2)/2), where
-rho(v, 0) = (v/2, v/2), takes them from one joint Newton solve of every
+so (k,) gives (n,) and (N, k) gives (N, n).  A normal form holds one
+exact kernel in the k free variables, a num/den pair for each image
+column that needs no solve, and an image point is one table of it and
+one division.  The kernel holds the free block, the copies and the
+constants and, when every free coordinate is an identity component of
+rho itself, the graphs too: rho(v', 0) lies in Fix(rho) with free block
+v', and rho's terms in the other variables vanish there.  Any other map,
+such as the diagonal retract ((z1+z2)/2, (z1+z2)/2), where rho(v, 0) =
+(v/2, v/2), fills its graph columns by one joint Newton solve of every
 peeled coordinate of the top map, started from the anchors.
 """
 
@@ -90,8 +93,9 @@ class RetractMap:
         # every numerator and denominator (1 for a polynomial, which has no
         # pole), so one table gives every component
         one = MultiPoly.constant(self.n, 1.0)
-        self._stack = _Stack([p for c in components for p in (
-            (c.numerator, c.denominator) if isinstance(c, RationalMap) else (c, one))])
+        self._pairs = [(c.numerator, c.denominator) if isinstance(c, RationalMap) else (c, one)
+                       for c in components]
+        self._stack = _Stack([p for pair in self._pairs for p in pair])
         self._pole_tols = np.array([c._pole_tol if isinstance(c, RationalMap) else 0.0 for c in components])
         self.name = name
 
@@ -425,10 +429,11 @@ def reduce_dimension(rho):
 @dataclass
 class _CoreForm:
     """Normalization result; ``anchors`` and the graphs are deepest first.
-    ``rho`` is the top map when every free coordinate is an identity
-    component of it; else ``base``, the top map permuted by the levels'
-    ``peel`` with every graph peeled, solves the graphs in the bottom map's
-    coordinates (``base_chain``)."""
+    ``kernel`` (see _with_kernel) holds a num/den pair in the free variables
+    for each image column that needs no solve, a pole where |den| is at or
+    below its entry of ``pole_tols``.  ``base``, if set, is the top map
+    permuted by the levels' ``peel`` with every graph peeled; it solves the
+    graph columns in the bottom map's coordinates (``base_chain``)."""
 
     k: int
     e_sources: list
@@ -437,18 +442,32 @@ class _CoreForm:
     chain: Conjugation
     base_chain: Conjugation
     peel: Conjugation
-    rho: RetractMap | None = None
     base: _ReducedMap | None = None
+    kernel: _Stack | None = None
+    pole_tols: np.ndarray | None = None
+
+
+def _with_kernel(core, rho):
+    """core with its kernel: the free coordinates, copies and constants and,
+    unless core.base solves them, the graphs as rho's components at (x, 0),
+    each with its pole tolerance.  A term of rho that holds a variable
+    outside the free block is 0 there and is dropped, so each column is exact."""
+    k, free, one = core.k, list(core.chain.order[: core.k]), MultiPoly.constant(core.k, 1.0)
+    pairs = [(MultiPoly.variable(k, i), one) for i in list(range(k)) + list(core.e_sources)]
+    pairs += [(MultiPoly.constant(k, c), one) for c in core.consts]
+    graphs = [] if core.base is not None else list(core.chain.order[len(pairs):])
+    pairs += [[MultiPoly(k, {tuple(e[i] for i in free): c for e, c in p.terms.items()
+                             if sum(e) == sum(e[i] for i in free)}) for p in rho._pairs[j]] for j in graphs]
+    tols = np.concatenate([np.zeros(len(pairs) - len(graphs)), rho._pole_tols[graphs]])
+    return replace(core, kernel=_Stack([p for pair in pairs for p in pair]), pole_tols=tols)
 
 
 def _image_rows(x, core):
     """Free coordinates (k,) or (N, k) -> points (n,) or (N, n).
 
     Free coordinates must be finite and lie in the closed unit polydisk.
-    With core.rho set, the graph columns are read off rho(x, 0), a point of
-    Fix(rho) with free block x (the graph positions of the conjugation
-    carry no Moebius map); otherwise they come from one joint solve of the
-    top map's peeled coordinates.
+    The kernel's columns come from one table, one pole test and one
+    division; with core.base set, the graph columns from one joint solve.
     """
     x = np.asarray(x, dtype=complex)
     k = core.k
@@ -456,19 +475,15 @@ def _image_rows(x, core):
         raise ValueError("free coordinates need a trailing axis of length %d" % k)
     if not (np.abs(x) <= 1.0).all():
         raise ValueError("free coordinates must be finite and lie in the closed unit polydisk")
-    rows = x if x.ndim == 2 else x.reshape(1, k)
-    m = len(core.e_sources)
-    head = k + m + len(core.consts)
-    out = np.empty((len(rows), head + len(core.anchors)), dtype=complex)
-    out[:, :k] = rows
-    out[:, k : k + m] = rows[:, list(core.e_sources)]
-    out[:, k + m : head] = core.consts
-    if core.rho is not None and len(rows):
-        full = np.zeros((len(rows), core.rho.n), dtype=complex)
-        full[:, list(core.chain.order[:k])] = rows
-        out[:, head:] = core.rho._columns(full, core.chain.order[head:])
-    elif core.base is not None:
-        out[:, head:] = core.base._peel(core.base_chain.apply_inverse(out[:, :head]))
+    if x.ndim == 2 and not len(x):
+        return np.empty((0, len(core.chain.order)), dtype=complex)
+    table = core.kernel(x if x.ndim == 2 else x.reshape(1, k))
+    den = table[:, 1::2]
+    if np.count_nonzero(np.abs(den) <= core.pole_tols):
+        raise DomainError("denominator vanishes at an evaluation point")
+    out = table[:, ::2] / den
+    if core.base is not None:
+        out = np.concatenate([out, core.base._peel(core.base_chain.apply_inverse(out))], axis=1)
     return out if x.ndim == 2 else out[0]
 
 
@@ -496,9 +511,9 @@ def _normalize(rho, opts, depth=0, roles=None):
         core = _normalize(reduced, opts, depth + 1, below)
         core = replace(core, anchors=core.anchors + [anchor], peel=Conjugation.permuted(order, core.peel),
                        chain=Conjugation.permuted(order, core.chain))
-        if depth == 0 and all(roles[j].kind == ROLE_IDENTITY for j in core.chain.order[: core.k]):
-            return replace(core, rho=rho)
-        return core if depth else replace(core, base=_ReducedMap(
+        if depth or all(roles[j].kind == ROLE_IDENTITY for j in core.chain.order[: core.k]):
+            return core
+        return replace(core, base=_ReducedMap(
             _permute_map(rho, core.peel.order), tuple(a.w for a in core.anchors)))
 
     ids = [j for j, role in enumerate(roles) if role.kind == ROLE_IDENTITY]
@@ -522,9 +537,10 @@ class NormalForm:
     normalized_map is Phi . rho . Phi^{-1} for the stored conjugation Phi,
     on (..., n) arrays; on image points assembled by image_point it agrees
     with the identity up to the recorded residuals.  image_point and every
-    f_components evaluator fill all graph columns from one evaluation of
-    rho when every free coordinate is an identity component of rho, and by
-    one joint Newton solve otherwise.
+    f_components evaluator read the free, copy and constant columns off one
+    table of the form's kernel, and the graph columns too when every free
+    coordinate is an identity component of rho; else one joint Newton solve
+    fills the graph columns.
     """
 
     n: int
@@ -584,7 +600,7 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
 
     opts = {"seed": int(seed), "scan_radius": min(float(radius), 0.85),
             "role_tol": max(float(tol), 1e-9)}
-    core = _normalize(rho, opts)
+    core = _with_kernel(_normalize(rho, opts), rho)
     chain = core.chain
 
     def normalized_map(v, _rho=rho, _chain=chain):

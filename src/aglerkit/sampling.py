@@ -29,5 +29,7 @@ def random_disk(rng: np.random.Generator, count: int, radius: float) -> np.ndarr
 
 
 def random_polydisk(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
-    """Seeded uniform samples from a polydisk, shape (count, dim)."""
-    return np.stack([random_disk(rng, count, radius) for _ in range(dim)], axis=1)
+    """Seeded uniform samples from a polydisk, shape (count, dim): one draw taken
+    in the order of a random_disk call per coordinate, so the same samples."""
+    u = rng.random((dim, 2, count))
+    return np.ascontiguousarray((radius * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))).T)

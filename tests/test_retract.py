@@ -97,13 +97,22 @@ def first_graph_map():
     )
 
 
-# free coordinates identity components of rho -> (map, image of x in the original coordinates)
+def rational_graph_map(scale=1.0):
+    # (z1, z2) -> (z1, z1 / (2 - z1)), numerator and denominator both times scale
+    z1 = MultiPoly(2, {(1, 0): 1.0})
+    return RetractMap(2, (z1, RationalMap(MultiPoly(2, {(1, 0): scale}),
+                                          MultiPoly(2, {(0, 0): 2 * scale, (1, 0): -scale}))))
+
+
+# free coordinates identity components of rho -> (map, image of x in the original coordinates);
+# perfbench's retract_forms maps are parabola, triple_product and cubic_curve
 IDENTITY_FREE = {
     "parabola": (parabola_map, lambda x: [x[0], x[0] ** 2]),
     "triple_product": (triple_product_map, lambda x: [x[0], x[1], x[0] * x[1]]),
     "cubic_curve": (cubic_curve_map, lambda x: [x[0], x[0] ** 2, x[0] ** 3]),
     "first_graph": (first_graph_map, lambda x: [0.5 * x[0] ** 2 + 0.25j * x[0], x[0]]),
     "twisted_graph": (twisted_graph_map, lambda x: [x[0] * x[1], x[0], -x[0], x[1]]),
+    "rational_graph": (rational_graph_map, lambda x: [x[0], x[0] / (2 - x[0])]),
 }
 
 
@@ -564,12 +573,65 @@ class TestNormalForm:
         assert np.max(np.abs(original - expected)) <= 1e-12
         assert np.max(np.abs(rho.evaluate_batch(original) - original)) <= 1e-12
 
+    @pytest.mark.parametrize("name", sorted(IDENTITY_FREE))
+    def test_kernel_graph_columns_are_rho_at_the_free_block(self, name):
+        # the kernel keeps only rho's terms in the free variables, which
+        # vanish nowhere else at (x, 0): its graph columns are rho's there,
+        # bit for bit, batched and one point at a time
+        rho = IDENTITY_FREE[name][0]()
+        nf = normal_form(rho)
+        order, g = list(nf.conjugation.order), len(nf._core.anchors)
+        rng = np.random.default_rng(97)
+        xs = 0.95 * np.sqrt(rng.random((40, nf.k))) * np.exp(2j * np.pi * rng.random((40, nf.k)))
+        full = np.zeros((40, nf.n), dtype=complex)
+        full[:, order[: nf.k]] = xs
+        assert nf.image_point(xs)[:, nf.n - g :].tobytes() == rho._columns(full, order[nf.n - g :]).tobytes()
+        for x, row in zip(xs, full):
+            assert nf.image_point(x)[nf.n - g :].tobytes() == rho._columns(row[None], order[nf.n - g :]).tobytes()
+
+    def test_rational_graph_keeps_its_pole_tolerance(self):
+        # (z1, z1 / (2 - z1)) reads its graph off rho(x, 0); with num and den
+        # both scaled by 2^k the images keep their bits, as the kernel column
+        # keeps the component's pole tolerance, relative to the denominator
+        rng = np.random.default_rng(101)
+        xs = 0.95 * np.sqrt(rng.random((20, 1))) * np.exp(2j * np.pi * rng.random((20, 1)))
+        rho = rational_graph_map()
+        nf = normal_form(rho)
+        images = nf.image_point(xs)
+        assert nf._core.base is None
+        assert np.array_equal(nf.conjugation.apply_inverse(images), rho.evaluate_batch(np.hstack([xs, 0 * xs])))
+        for k in range(-600, 601):
+            scaled = rational_graph_map(2.0 ** k)
+            form = normal_form(scaled)
+            assert form._core.pole_tols[-1] == scaled.components[1]._pole_tol
+            assert form.image_point(xs).tobytes() == images.tobytes()
+            assert form.image_point(xs[k % 20]).tobytes() == images[k % 20].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY_FREE))
+    def test_kernel_query_evaluates_one_table(self, monkeypatch, name):
+        # a query whose graphs the kernel holds evaluates one table, one
+        # point or a batch, and never rho itself
+        nf = normal_form(IDENTITY_FREE[name][0]())
+        calls, columns = [], []
+        stack_call = multipoly._Stack.__call__
+
+        def counted(self, points):
+            calls.append(len(points))
+            return stack_call(self, points)
+
+        monkeypatch.setattr(multipoly._Stack, "__call__", counted)
+        monkeypatch.setattr(RetractMap, "_columns", lambda *args: columns.append(1))
+        nf.image_point([0.3 - 0.1j] * nf.k)
+        nf.image_point(np.full((5, nf.k), 0.2j))
+        nf.f_components[-1].evaluate([0.1] * nf.k)
+        assert (calls, columns) == ([1, 5, 1], [])
+
     def test_diagonal_retract_images_come_from_newton(self):
         # rho(v, 0) = (v/2, v/2) has free block v/2, not v, so it is not the
         # image point of v; the joint Newton solve gives (v, v)
         rho = averaging_map(2)
         nf = normal_form(rho)
-        assert nf._core.rho is None
+        assert nf._core.base is not None
         v = np.array([0.3 - 0.1j, -0.5j, 0.6])
         assert np.max(np.abs(rho(np.array([v[0], 0])) - v[0] / 2)) <= 1e-15
         original = nf.conjugation.apply_inverse(nf.image_point(v[:, None]))
@@ -670,7 +732,7 @@ class TestNormalForm:
         assert (nf.k, nf.copy_count, nf.graph_count) == (1, 0, 2)
         implicit, explicit = nf._core.anchors
         assert explicit.iterations == 0 and implicit.iterations >= 1
-        assert nf._core.rho is None
+        assert nf._core.base is not None
         rng = np.random.default_rng(83)
         xs = 0.9 * np.sqrt(rng.random((30, 1))) * np.exp(2j * np.pi * rng.random((30, 1)))
         calls = self._count_newton(monkeypatch)
