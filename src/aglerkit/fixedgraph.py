@@ -40,9 +40,8 @@ class SchurMap:
     """Map F(z, w) with z in the polydisk D^n and w in the disk.
 
     The map is exact: ``rational`` is a RationalMap in n + 1 variables
-    (w last), or any map with the same ``nvars``, ``evaluate`` and
-    ``value_and_partial``.  F and its exact dF/dw at a set of rows come
-    from one evaluation.
+    (w last).  F and its exact dF/dw at a set of rows come from one
+    evaluation.
     """
 
     def __init__(self, n, rational, name=None):
@@ -330,14 +329,14 @@ class GraphFunction:
 def _solve_rows(smap, rows, anchor, tol=1e-12,
                 failure="fixed-point refinement failed at a query point"):
     """Newton at each row from ``anchor``, a value or a (g,) array shared by every
-    row: the values, and F and dF/dw there; a failed row raises with its location."""
+    row: the values, iteration counts, F and dF/dw; a failed row raises with its location."""
     start = np.full((len(rows),) + np.shape(anchor), anchor)
-    values, _, ok, f, df = _newton(smap, rows, start, tol=tol)
+    values, iterations, ok, f, df = _newton(smap, rows, start, tol=tol)
     if not ok.all():
         raise DegenerateContinuationError(
             failure, location=tuple(complex(v) for v in rows[np.argmin(ok)])
         )
-    return values, f, df
+    return values, iterations, f, df
 
 
 def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
@@ -368,7 +367,7 @@ def continue_graph(smap, record, radius=0.9, grid=20, tol=1e-12, seed=1914):
     axes = tuple(disk_points(grid, radius) for _ in range(smap.n))
     shape = tuple(len(ax) for ax in axes)
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, smap.n)
-    values, f, df = _solve_rows(
+    values, _, f, df = _solve_rows(
         smap, nodes, complex(record.w), tol,
         "Newton from the anchor value failed to converge at a point",
     )

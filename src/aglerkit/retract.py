@@ -17,14 +17,18 @@ of the recursion composes its permutation with the conjugation of the
 level below, and the bottom level adds the inverse Moebius map of each
 twisted copy.
 
-A level is explicit when the peeled variable appears in no term of the
-exact map: the graph is then the last component itself (every retract is
-a graph over its free coordinates, Heath-Suffridge), and the level solves
-nothing.  Any other level is implicit: its reduced map is the exact,
-permuted map with its trailing coordinates peeled, every evaluation one
-joint Newton solve of them from their anchor values, and its last column,
-the map of the next graph, is exact as well (dF/dw by implicit
-differentiation).  A level keeps only its graph's anchor record.
+A level is its exact map ``full`` (the top map permuted, explicit
+variables dropped) with its peeled coordinates last, and their anchors; a
+RetractMap is a level with full = itself and no anchors.  full(0) is a
+fixed point of full, so the head of full(0) is one of the level's map.  A
+level is explicit when the peeled variable appears in no term of full:
+the graph is then the last component itself (every retract is a graph over
+its free coordinates, Heath-Suffridge), the level solves nothing, and the
+variable and its component leave full.  Any other level is implicit: one
+joint Newton solve of w with every peeled coordinate, at the head of
+full(0), refines its anchor, and dF/dw = a + b (I - D)^-1 c comes from that
+solve's Jacobian [[a, b], [c, D]] (implicit differentiation).  A level
+keeps only its graph's anchor record.
 
 Evaluation works on whole arrays: the maps take (N, n) rows, and the
 conjugation, image_point and the graph evaluators act on the last axis,
@@ -47,17 +51,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateContinuationError, DomainError, InconsistencyError
-from .fixedgraph import (
-    CLASS_INTERIOR,
-    FixedPointRecord,
-    GraphFunction,
-    SchurMap,
-    _DERIV_TOL,
-    _classify,
-    _solve_rows,
-    find_fixed_w,
-)
+from .errors import DomainError, InconsistencyError
+from .fixedgraph import CLASS_INTERIOR, FixedPointRecord, GraphFunction, _DERIV_TOL, _classify, _solve_rows
 from .moebius import MoebiusAutomorphism, detect_automorphism
 from .multipoly import MultiPoly, RationalMap, _Stack
 from .sampling import disk_points, random_polydisk
@@ -70,12 +65,24 @@ ROLE_GENERIC = "generic"
 _SCAN_SAMPLES = 60  # polydisk points at which classify_components compares columns
 
 
+def _quotients(num, den, tols):
+    """num / den, after one pole test: |den| at or below ``tols`` raises DomainError."""
+    if np.count_nonzero(np.abs(den) <= tols):
+        raise DomainError("denominator vanishes at an evaluation point")
+    return num / den
+
+
 class RetractMap:
     """Self-map of D^n given componentwise.
 
     Each component is exact, a MultiPoly or a RationalMap in n variables,
-    so the map serializes; anything else raises TypeError.
+    so the map serializes; anything else raises TypeError.  As a level of
+    the normal-form recursion it is its own exact map ``full``, with no
+    peeled coordinates and so no ``anchors``.
     """
+
+    anchors = ()
+    full = property(lambda self: self)
 
     def __init__(self, n, components, name=None):
         self.n = int(n)
@@ -99,12 +106,6 @@ class RetractMap:
         self._pole_tols = np.array([c._pole_tol if isinstance(c, RationalMap) else 0.0 for c in components])
         self.name = name
 
-    @cached_property
-    def _rationals(self):
-        """The components with exact partials, built for an implicit level
-        only, once for every reduced map over this one."""
-        return tuple(RationalMap(c) if isinstance(c, MultiPoly) else c for c in self.components)
-
     @classmethod
     def identity(cls, n):
         return cls(n, tuple(MultiPoly.variable(n, i) for i in range(n)))
@@ -114,10 +115,7 @@ class RetractMap:
         all from one table; a pole of one of them raises DomainError."""
         cols = list(cols)
         pairs = self._stack(pts).reshape(len(pts), self.n, 2)[:, cols]
-        den = pairs[..., 1]
-        if np.count_nonzero(np.abs(den) <= self._pole_tols[cols]):
-            raise DomainError("denominator vanishes at an evaluation point")
-        return pairs[..., 0] / den
+        return _quotients(pairs[..., 0], pairs[..., 1], self._pole_tols[cols])
 
     def __call__(self, z):
         return self.evaluate_batch(np.reshape(z, (1, self.n)))[0]
@@ -175,16 +173,26 @@ class _ReducedMap(RetractMap):
     """
 
     def __init__(self, full, anchors):
-        self.full, self.anchors, self.n = full, anchors, full.n - len(anchors)
+        self._full, self.anchors, self.n = full, anchors, full.n - len(anchors)
+
+    full = property(lambda self: self._full)
+
+    @cached_property
+    def _tail(self):
+        """One stack of num and den of every peeled component, each followed by
+        their partials in every peeled variable."""
+        peeled = range(self.n, self.full.n)
+        return _Stack([p if v is None else p.partial(v) for j in peeled
+                       for v in (None, *peeled) for p in self.full._pairs[j]])
 
     def _rows(self, Z, W, dw=False):
-        """F = full[m:](Z, W) at (N, m) rows Z and, if dw, dF/dW, shaped like W:
-        (N, g) and (N, g, g) for the last g = full.n - m variables, or (N,)."""
-        (N, m), g = Z.shape, self.full.n - Z.shape[1]
-        pts = np.concatenate([Z, W.reshape(N, g)], axis=1)
-        f, df = np.empty((N, g), dtype=complex), np.empty((N, g, g), dtype=complex)
-        for i, comp in enumerate(self.full._rationals[m:]):
-            f[:, i], df[:, i] = comp.value_and_partial(pts, slice(m, None))
+        """F = full[n:](Z, W) at (N, n) rows Z and, if dw, dF/dW, shaped like W:
+        (N, g) and (N, g, g) for the g peeled variables, or (N,); one table."""
+        N, g = len(Z), self.full.n - self.n
+        table = self._tail(np.concatenate([Z, W.reshape(N, g)], axis=1)).reshape(N, g, g + 1, 2)
+        den = table[:, :, 0, 1]
+        f = _quotients(table[:, :, 0, 0], den, self.full._pole_tols[self.n:])
+        df = (table[:, :, 1:, 0] - f[..., None] * table[:, :, 1:, 1]) / den[..., None]
         f, df = f.reshape(W.shape), df.reshape(W.shape + W.shape[1:])
         return (f, df) if dw else f
 
@@ -200,24 +208,9 @@ class _ReducedMap(RetractMap):
         raise ValueError("a reduced map cannot be serialized")
 
 
-class _LastColumn(_ReducedMap):
-    """A reduced map seen as its last column F(z, w), an exact map of
-    ``nvars`` = n variables.  With the peeled coordinates p solved, the
-    Jacobian [[a, b], [c, D]] of full's last g + 1 components in (w, p)
-    gives dF/dw = a + b (I - D)^-1 c (implicit differentiation)."""
-
-    nvars = property(lambda self: self.n)
-
-    def evaluate(self, pts):
-        return self._columns(pts, [self.n - 1])[:, 0]
-
-    def value_and_partial(self, pts, index):
-        """F and dF/dw at (N, n) rows; SchurMap asks only for w's partial."""
-        head = self.n - 1
-        joint = np.concatenate([pts[:, head:], self._peel(pts)], axis=1)
-        f, jac = self._rows(pts[:, :head], joint, dw=True)
-        dp = np.linalg.solve(np.eye(f.shape[1] - 1) - jac[:, 1:, 1:], jac[:, 1:, :1])
-        return f[:, 0], jac[:, 0, 0] + (jac[:, :1, 1:] @ dp)[:, 0, 0]
+def _level(full, anchors):
+    """The level of exact map ``full`` with its last len(anchors) coordinates peeled."""
+    return _ReducedMap(full, anchors) if anchors else full
 
 
 def verify_idempotent(rho, samples=400, seed=7, radius=0.9, tol=1e-9):
@@ -368,27 +361,27 @@ class Conjugation:
 
 
 def _permute_map(rho, order):
-    """P . rho . P^{-1}; a reduced map permutes its exact map and keeps its
-    peeled coordinates last.  The identity order returns rho itself."""
-    n = rho.n
+    """P . rho . P^{-1}: the level's exact map permuted, with its peeled
+    coordinates kept last.  The identity order returns rho itself."""
+    n, full = rho.n, rho.full
     if list(order) == list(range(n)):
         return rho
-    if isinstance(rho, _ReducedMap):
-        order = list(order) + list(range(n, rho.full.n))
-        return _ReducedMap(_permute_map(rho.full, order), rho.anchors)
+    order = list(order) + list(range(n, full.n))
     inv = np.argsort(order)
-    return RetractMap(n, tuple(
-        comp.embed(n, inv) if isinstance(comp, MultiPoly)
-        else RationalMap(comp.numerator.embed(n, inv), comp.denominator.embed(n, inv))
-        for comp in (rho.components[j] for j in order)
-    ))
+    return _level(RetractMap(full.n, tuple(
+        comp.embed(full.n, inv) if isinstance(comp, MultiPoly)
+        else RationalMap(comp.numerator.embed(full.n, inv), comp.denominator.embed(full.n, inv))
+        for comp in (full.components[j] for j in order)
+    )), rho.anchors)
 
 
-def _drop_last(comp):
-    """An exact component without its last variable, which none of its terms holds."""
+def _restrict(comp, keep):
+    """An exact component at 0 in every variable outside ``keep``, in the
+    variables ``keep``: the terms that hold another variable are dropped."""
     if isinstance(comp, RationalMap):
-        return RationalMap(_drop_last(comp.numerator), _drop_last(comp.denominator))
-    return MultiPoly(comp.nvars - 1, {expo[:-1]: coef for expo, coef in comp.terms.items()})
+        return RationalMap(_restrict(comp.numerator, keep), _restrict(comp.denominator, keep))
+    return MultiPoly(len(keep), {tuple(e[i] for i in keep): c for e, c in comp.terms.items()
+                                 if sum(e) == sum(e[i] for i in keep)})
 
 
 def reduce_dimension(rho):
@@ -396,29 +389,39 @@ def reduce_dimension(rho):
 
     Returns the reduced map z' -> rho_head(z', f(z')), an idempotent
     self-map of D^{n-1}, and the graph's anchor, a FixedPointRecord at the
-    head z' of rho(0).  When rho is exact and no numerator or denominator
-    term holds its last variable (explicit), the anchor is rho_last(z')
-    with dF/dw = 0 and 0 iterations, and the reduced map is rho's head with
-    that variable dropped.  Otherwise find_fixed_w refines the anchor from
-    rho(0) and the reduced map peels one more coordinate.  The anchor must
-    be interior by _classify, else InconsistencyError."""
+    head z' of q = rho.full(0), a fixed point of rho.full whose head is one
+    of rho (q = rho(0) for a RetractMap).  When no numerator or denominator
+    term of full holds the last variable (explicit), the anchor is
+    full(q)'s entry with dF/dw = 0 and 0 iterations, and that variable and
+    its component leave full.  Otherwise one joint Newton solve at z' of w
+    with every peeled coordinate, from q's entry and the anchors, refines
+    the anchor, and one more coordinate is peeled.  The anchor must be
+    interior by _classify, else InconsistencyError."""
     if rho.n < 2:
         raise ValueError("reduction needs at least two variables")
-    head = rho.n - 1
-    q = rho(np.zeros(rho.n, dtype=complex))
-    if not isinstance(rho, _ReducedMap) and not rho._stack._expo[:, head].any():
-        w = complex(rho(q)[head])
-        anchor = FixedPointRecord(tuple(complex(v) for v in q[:head]), w, 0j, _classify(w, 0.0), 0.0, 0)
-        reduced = RetractMap(head, tuple(_drop_last(comp) for comp in rho.components[:head]))
+    full, anchors, head = rho.full, rho.anchors, rho.n - 1
+    q = full(np.zeros(full.n, dtype=complex))
+    z = tuple(complex(v) for v in q[:head])
+    if not full._stack._expo[:, head].any():
+        w = complex(full(q)[head])
+        anchor = FixedPointRecord(z, w, 0j, _classify(w, 0.0), 0.0, 0)
+        keep = [i for i in range(full.n) if i != head]
+        reduced = _level(RetractMap(full.n - 1, tuple(_restrict(full.components[j], keep) for j in keep)),
+                         anchors)
     else:
-        full, anchors = (rho.full, rho.anchors) if isinstance(rho, _ReducedMap) else (rho, ())
-        smap = SchurMap(head, rational=_LastColumn(full, anchors) if anchors else rho._rationals[-1])
-        records = find_fixed_w(smap, q[:head], seeds=[complex(q[-1])])
-        if not records:
-            raise DegenerateContinuationError("could not refine the seed fixed point at the image of the "
-                                              "origin", location=tuple(complex(v) for v in q[:head]))
-        anchor = records[0]
-        reduced = _ReducedMap(full, (anchor.w,) + anchors)
+        reduced = _ReducedMap(full, (complex(q[head]),) + anchors)
+        values, iterations, f, jac = _solve_rows(
+            reduced, q[None, :head], reduced.anchors,
+            failure="could not refine the seed fixed point at the image of the origin")
+        w, g = complex(values[0, 0]), len(anchors)
+        jac = jac.reshape(1, g + 1, g + 1)
+        derivative = jac[0, 0, 0]
+        if g:  # dF/dw of the last column, with the other peeled coordinates solved
+            dp = np.linalg.solve(np.eye(g) - jac[:, 1:, 1:], jac[:, 1:, :1])
+            derivative = derivative + (jac[:, :1, 1:] @ dp)[0, 0, 0]
+        anchor = FixedPointRecord(z, w, complex(derivative), _classify(w, abs(derivative)),
+                                  float(abs(f.reshape(-1)[0] - w)), int(iterations[0]))
+        reduced.anchors = (w,) + anchors  # the refined anchor replaces its seed
     if anchor.classification != CLASS_INTERIOR:
         raise InconsistencyError("a graph needs an interior anchor with |dF/dw| <= 1 - %g; got "
                                  "|w| = %.6e, |dF/dw| = %.6e"
@@ -456,8 +459,7 @@ def _with_kernel(core, rho):
     pairs = [(MultiPoly.variable(k, i), one) for i in list(range(k)) + list(core.e_sources)]
     pairs += [(MultiPoly.constant(k, c), one) for c in core.consts]
     graphs = [] if core.base is not None else list(core.chain.order[len(pairs):])
-    pairs += [[MultiPoly(k, {tuple(e[i] for i in free): c for e, c in p.terms.items()
-                             if sum(e) == sum(e[i] for i in free)}) for p in rho._pairs[j]] for j in graphs]
+    pairs += [[_restrict(p, free) for p in rho._pairs[j]] for j in graphs]
     tols = np.concatenate([np.zeros(len(pairs) - len(graphs)), rho._pole_tols[graphs]])
     return replace(core, kernel=_Stack([p for pair in pairs for p in pair]), pole_tols=tols)
 
@@ -478,10 +480,7 @@ def _image_rows(x, core):
     if x.ndim == 2 and not len(x):
         return np.empty((0, len(core.chain.order)), dtype=complex)
     table = core.kernel(x if x.ndim == 2 else x.reshape(1, k))
-    den = table[:, 1::2]
-    if np.count_nonzero(np.abs(den) <= core.pole_tols):
-        raise DomainError("denominator vanishes at an evaluation point")
-    out = table[:, ::2] / den
+    out = _quotients(table[:, ::2], table[:, 1::2], core.pole_tols)
     if core.base is not None:
         out = np.concatenate([out, core.base._peel(core.base_chain.apply_inverse(out))], axis=1)
     return out if x.ndim == 2 else out[0]
@@ -503,9 +502,9 @@ def _normalize(rho, opts, depth=0, roles=None):
         g = generic[0]
         order = tuple(list(range(g)) + list(range(g + 1, d)) + [g])
         reduced, anchor = reduce_dimension(_permute_map(rho, order))
-        # an explicit peel leaves every head component the same function, so
-        # the reduced map's roles are rho's, with the sources past g renumbered
-        below = None if isinstance(reduced, _ReducedMap) else [
+        # an explicit peel (no iteration) leaves every head component the same
+        # function, so the reduced map's roles are rho's, sources past g renumbered
+        below = None if anchor.iterations else [
             replace(r, source=None if r.source is None else r.source - (r.source > g))
             for r in roles[:g] + roles[g + 1:]]
         core = _normalize(reduced, opts, depth + 1, below)

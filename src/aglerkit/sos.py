@@ -124,7 +124,7 @@ def factors_from_gram(gram: np.ndarray, degrees: tuple) -> list[BivariatePolynom
             % (g.shape, n_b, m_b)
         )
     vals, vecs = np.linalg.eigh(hermitize(g))
-    cutoff = 1e-14 * max(float(vals[-1]) if vals.size else 0.0, 1.0)
+    cutoff = 1e-14 * (float(vals[-1]) if vals.size else 0.0)  # relative: a Gram's scale is p's squared
     polys = []
     for lam, column in zip(vals, vecs.T):
         if lam <= cutoff:

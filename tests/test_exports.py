@@ -7,7 +7,7 @@ from aglerkit import fixedgraph, moebius, retract
 from aglerkit.fixedgraph import FixedPointRecord, GraphFunction
 from aglerkit.moebius import MoebiusAutomorphism
 from aglerkit.poly2 import BivariatePolynomial
-from aglerkit.retract import ComponentRole
+from aglerkit.retract import ComponentRole, RetractMap
 
 # Library paths that no pipeline, demo or benchmark reaches; the package keeps none of them.
 REMOVED = (
@@ -19,6 +19,8 @@ REMOVED = (
     "NO_FIXED_POINTS",
     "ConjugationChain",
     "fit_moebius",
+    "_LastColumn",
+    "_drop_last",
 )
 
 
@@ -44,3 +46,11 @@ def test_removed_methods_are_gone():
     assert not hasattr(ComponentRole, "to_json")
     assert not hasattr(FixedPointRecord, "from_json")
     assert not hasattr(GraphFunction, "_nearest")
+    assert not hasattr(RetractMap, "_rationals")
+
+
+def test_retract_solves_no_schur_map():
+    # a retract level is its exact map and its anchors; no level hands a
+    # column to the fixedgraph layer's single-unknown search
+    assert not hasattr(retract, "SchurMap")
+    assert not hasattr(retract, "find_fixed_w")

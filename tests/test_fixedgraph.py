@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aglerkit import fixedgraph, moebius, multipoly, retract
+from aglerkit import fixedgraph, moebius, multipoly
 from aglerkit.errors import DegenerateContinuationError, InconsistencyError
 from aglerkit.fixedgraph import (
     CLASS_AUTOMORPHISM,
@@ -16,7 +16,6 @@ from aglerkit.fixedgraph import (
 )
 from aglerkit.multipoly import MultiPoly, RationalMap
 from aglerkit.pick import pick_matrix
-from aglerkit.retract import RetractMap
 from aglerkit.sampling import disk_points, random_polydisk
 from aglerkit.serialize import canonical_dumps
 
@@ -214,22 +213,6 @@ class TestSchurMap:
         assert canonical_dumps(clone.to_json()) == canonical_dumps(smap.to_json())
         z = np.array([0.4, -0.3j])
         assert abs(clone(z, 0.2) - smap(z, 0.2)) <= 1e-15
-
-    def test_depth_one_reduced_map_refuses_serialization(self, monkeypatch):
-        # every component (z1 + z2 + z3) / 3: both levels are implicit, and
-        # the second graph's map is the last column of a reduced map, which
-        # is exact but has no closed form to write out
-        seen = []
-        schur = retract.SchurMap
-        monkeypatch.setattr(retract, "SchurMap",
-                            lambda n, rational: seen.append(schur(n, rational)) or seen[-1])
-        m = MultiPoly(3, {(1, 0, 0): 1 / 3, (0, 1, 0): 1 / 3, (0, 0, 1): 1 / 3})
-        once, _ = retract.reduce_dimension(RetractMap(3, (m, m, m)))
-        retract.reduce_dimension(once)
-        assert len(seen) == 2
-        assert seen[0].to_json()["n"] == 2
-        with pytest.raises(ValueError):
-            seen[1].to_json()
 
 
 class TestFindFixedW:

@@ -272,6 +272,14 @@ class TestVerification:
         assert report.cs_max_violation <= 1e-8
         assert report.psd_min_eig >= -1e-8
 
+    def test_small_scale_certificate_verifies(self):
+        # the factor cutoff is relative to the Gram's largest eigenvalue, so a
+        # Gram of scale 1e-18 keeps its factors and decompose then verify passes
+        p = BivariatePolynomial(1e-9 * np.array([[3.0, 1.0], [1.0, 0.5]], dtype=complex))
+        bundle = KernelBundle.from_certificate(solve_gram(p))
+        assert verify_decomposition(bundle).passed
+        assert check_bounds(bundle).passed
+
     def test_report_carries_witnesses_of_worst_points(self, classic_cert):
         bundle = KernelBundle.from_certificate(classic_cert)
         report = verify_decomposition(bundle, samples=100, seed=5, tol=1e-8)

@@ -76,6 +76,40 @@ def averaging_map(n):
     return RetractMap(n, (m,) * n)
 
 
+def _product(factors, n):
+    # product of polynomials given as {exponent: coefficient} dicts in n variables
+    out = {(0,) * n: 1.0}
+    for factor in factors:
+        terms = {}
+        for e1, c1 in out.items():
+            for e2, c2 in factor.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                terms[key] = terms.get(key, 0.0) + c1 * c2
+        out = terms
+    return out
+
+
+def moebius_averaging_map(a):
+    # the averaging retract conjugated coordinatewise by phi_i(z) = (z - a_i) /
+    # (1 - conj(a_i) z): component j is psi_j(N / D) = (N + a_j D) / (D + conj(a_j) N)
+    # for N / D = (phi_1(z_1) + ... + phi_n(z_n)) / n, rational and nonlinear in
+    # every variable; with equal a_i it maps 0 to 0, else not
+    n = len(a)
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    one = (0,) * n
+    dens = [{one: 1.0, unit[i]: -np.conj(a[i])} for i in range(n)]
+    D = _product(dens, n)
+    N = {}
+    for i in range(n):
+        for key, c in _product([{unit[i]: 1.0, one: -a[i]}] + dens[:i] + dens[i + 1:], n).items():
+            N[key] = N.get(key, 0.0) + c / n
+    keys = set(N) | set(D)
+    return RetractMap(n, tuple(
+        RationalMap(MultiPoly(n, {e: N.get(e, 0.0) + a[j] * D.get(e, 0.0) for e in keys}),
+                    MultiPoly(n, {e: D.get(e, 0.0) + np.conj(a[j]) * N.get(e, 0.0) for e in keys}))
+        for j in range(n)))
+
+
 def twisted_graph_map():
     # (z1, z2, z3, z4) -> (z2 z4, z2, -z2, z4): the graph sits in front of
     # the free block and a twisted copy, so the conjugation permutes all four
@@ -688,30 +722,24 @@ class TestNormalForm:
         derivatives = [pair_to_complex(c.provenance["source"]["derivative"]) for c in nf.f_components]
         assert np.max(np.abs(np.array(derivatives) - 1.0 / np.arange(2, n + 1))) <= 1e-15
 
-    @pytest.mark.parametrize("rho, implicit", [(cubic_curve_map(), 0), (averaging_map(4), 3)],
+    @pytest.mark.parametrize("rho, implicit", [(cubic_curve_map(), 0),
+                                               (moebius_averaging_map([0.3 - 0.2j] * 4), 3)],
                              ids=["cubic_curve", "averaging_4"])
-    def test_reduced_last_column_differentiates_exactly(self, monkeypatch, rho, implicit):
-        # only an implicit level builds a SchurMap, for its anchor test; at
-        # depth >= 1 its map is a reduced map's last column, whose dF/dw by
-        # implicit differentiation matches a central difference of F
-        seen = []
-        schur = retract.SchurMap
-        monkeypatch.setattr(retract, "SchurMap",
-                            lambda n, rational: seen.append(rational) or schur(n, rational))
-        normal_form(rho)
-        assert len(seen) == implicit
-        h = 1e-6
-        for column in seen[1:]:
-            pts = random_polydisk(np.random.default_rng(71), 20, column.nvars, 0.6)
-            f, df = column.value_and_partial(pts, column.nvars - 1)
-            assert np.max(np.abs(f - column.evaluate(pts))) <= 1e-15
-            up, down = pts.copy(), pts.copy()
-            up[:, -1] += h
-            down[:, -1] -= h
-            central = (column.evaluate(up) - column.evaluate(down)) / (2 * h)
-            assert np.max(np.abs(df - central)) <= 1e-8
-            empty = column.value_and_partial(np.zeros((0, column.nvars)), column.nvars - 1)
-            assert [a.shape for a in empty] == [(0,), (0,)]
+    def test_reduced_last_column_differentiates_exactly(self, rho, implicit):
+        # each level's anchor dF/dw (0 at an explicit level; at an implicit one
+        # a + b (I - D)^-1 c from its joint solve's Jacobian) matches a central
+        # difference of that level's last component; the Moebius-conjugated
+        # averaging map is nonlinear in w, and its levels 1 and 2 are reduced maps
+        h, level, solved = 1e-6, rho, 0
+        while level.n > 1:
+            reduced, anchor = reduce_dimension(level)
+            up, down = np.array(anchor.z + (anchor.w + h,)), np.array(anchor.z + (anchor.w - h,))
+            central = (level(up)[-1] - level(down)[-1]) / (2 * h)
+            assert abs(anchor.derivative - central) <= 1e-8
+            assert abs(anchor.derivative - (1 / level.n if implicit else 0)) <= 1e-14
+            solved += anchor.iterations > 0
+            level = reduced
+        assert solved == implicit
 
     @pytest.mark.parametrize("name", ["parabola", "triple_product", "cubic_curve"])
     def test_explicit_levels_make_no_newton_call(self, monkeypatch, name):
@@ -739,6 +767,51 @@ class TestNormalForm:
         original = nf.conjugation.apply_inverse(nf.image_point(xs))
         assert len(calls) == 1
         assert np.max(np.abs(original - np.hstack([xs ** 2, xs, xs]))) <= 1e-12
+
+    def test_explicit_level_below_an_implicit_level(self, monkeypatch):
+        # (m, m, m^2) with m = (z1 + z2) / 2: z1 is peeled implicitly, then z3,
+        # which no term of the top map holds, explicitly: that level makes no
+        # Newton call, and z3 and its component leave the exact map
+        m = MultiPoly(3, {(1, 0, 0): 0.5, (0, 1, 0): 0.5})
+        rho = RetractMap(3, (m, m, MultiPoly(3, {(2, 0, 0): 0.25, (1, 1, 0): 0.5, (0, 2, 0): 0.25})))
+        top, implicit = reduce_dimension(retract._permute_map(rho, (1, 2, 0)))
+        calls = self._count_newton(monkeypatch)
+        bottom, explicit = reduce_dimension(top)
+        assert calls == []
+        assert implicit.iterations >= 1 and explicit.iterations == 0
+        assert (bottom.full.n, bottom.anchors) == (2, top.anchors)
+        nf = normal_form(rho)
+        assert [a.iterations for a in nf._core.anchors] == [0, implicit.iterations]
+        rng = np.random.default_rng(103)
+        xs = 0.9 * np.sqrt(rng.random((30, 1))) * np.exp(2j * np.pi * rng.random((30, 1)))
+        original = nf.conjugation.apply_inverse(nf.image_point(xs))
+        assert np.max(np.abs(original - np.hstack([xs, xs, xs ** 2]))) <= 1e-12
+
+    def test_newton_route_query_evaluates_one_table_per_newton_step(self, monkeypatch):
+        # every peeled component of averaging_4 and its partials come from one
+        # table per Newton step, after the kernel's one table
+        nf = normal_form(averaging_map(4))
+        tables, steps = [], []
+        stack_call, rows = multipoly._Stack.__call__, retract._ReducedMap._rows
+        monkeypatch.setattr(multipoly._Stack, "__call__",
+                            lambda self, points: tables.append(1) or stack_call(self, points))
+        monkeypatch.setattr(retract._ReducedMap, "_rows",
+                            lambda self, *args, **kwargs: steps.append(1) or rows(self, *args, **kwargs))
+        nf.image_point([0.3 - 0.1j])
+        assert steps and len(tables) == 1 + len(steps)
+
+    def test_anchors_off_the_origin_give_fixed_images(self):
+        # coordinatewise distinct Moebius maps move rho(0) off the origin; each
+        # level's anchor sits at the head of its exact map at 0, a fixed point
+        rho = moebius_averaging_map([0.3, -0.2j, 0.1 + 0.25j])
+        assert np.min(np.abs(rho(np.zeros(3)))) > 0.1
+        nf = normal_form(rho)
+        assert (nf.k, nf.graph_count) == (1, 2)
+        assert nf.diagnostics["normal_form_residual"] <= 1e-11
+        rng = np.random.default_rng(107)
+        xs = 0.9 * np.sqrt(rng.random((30, 1))) * np.exp(2j * np.pi * rng.random((30, 1)))
+        original = nf.conjugation.apply_inverse(nf.image_point(xs))
+        assert np.max(np.abs(rho.evaluate_batch(original) - original)) <= 1e-11
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_implicit_images_match_the_bottom_reduced_map(self, n):
