@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateContinuationError, InconsistencyError
+from .multipoly import MultiPoly, RationalMap, _QuotientRule
 from .pick import pick_matrix
 from .sampling import disk_points, random_disk, random_polydisk
 from .serialize import complex_to_pair, matrix_to_pairs
@@ -40,20 +41,24 @@ class SchurMap:
     """Map F(z, w) with z in the polydisk D^n and w in the disk.
 
     The map is exact: ``rational`` is a RationalMap in n + 1 variables
-    (w last).  F and its exact dF/dw at a set of rows come from one
-    evaluation.
+    (w last), else TypeError.  F and its exact dF/dw at a set of rows come
+    from one table of num, den, d num/dw and d den/dw, by multipoly's
+    quotient rule.
     """
 
     def __init__(self, n, rational, name=None):
         self.n = int(n)
         if self.n < 1:
             raise ValueError("the map needs at least one z variable")
+        if not isinstance(rational, RationalMap):
+            raise TypeError("rational must be a RationalMap")
         if rational.nvars != self.n + 1:
             raise ValueError(
                 "rational map must use %d variables (z..., w)" % (self.n + 1)
             )
         self.rational = rational
         self.name = name
+        self._rule = _QuotientRule([(rational.numerator, rational.denominator)], rational._pole_tol)
 
     def _rows(self, Z, W, dw=False):
         """F at each row pair, or the pair (F, dF/dw) when ``dw`` is set.
@@ -64,9 +69,8 @@ class SchurMap:
         pts = np.empty((len(W), self.n + 1), dtype=complex)
         pts[:, : self.n] = Z
         pts[:, self.n] = W
-        if dw:
-            return self.rational.value_and_partial(pts, self.n)
-        return self.rational.evaluate(pts)
+        f, df = self._rule(pts)
+        return (f[:, 0], df[:, 0, 0]) if dw else f[:, 0]
 
     def _at(self, z, w, dw=False):
         """_rows at one z point and a scalar or array of w values (dF/dw if dw)."""
@@ -118,8 +122,6 @@ class SchurMap:
 
     @classmethod
     def from_json(cls, payload):
-        from .multipoly import MultiPoly, RationalMap
-
         numerator = MultiPoly.from_json(payload["numerator"])
         denominator = None
         if "denominator" in payload:

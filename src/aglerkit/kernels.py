@@ -65,6 +65,7 @@ class KernelBundle:
         self._matrix = np.stack([q.padded((n, m)).coeffs.ravel() for q in polys], axis=-1)
         self._powers = np.arange(n + 1), np.arange(m + 1)
         self._bounds = (2, 2 + 2 * len(self.a_vec))
+        self._pole_tol = 1e-12 * np.abs(p.coeffs).max()  # |p| at or below it is a zero of p
 
     @classmethod
     def from_certificate(cls, cert: SosCertificate) -> "KernelBundle":
@@ -109,7 +110,7 @@ class KernelBundle:
         z2 = np.asarray(z2, dtype=complex)
         if np.any(np.abs(z1) > 1.0 + 1e-12) or np.any(np.abs(z2) > 1.0 + 1e-12):
             raise DomainError("evaluation outside the closed bidisk")
-        return _f(self._table(z1, z2))
+        return _f(self._table(z1, z2), self._pole_tol)
 
     def K(self, j, z, w):
         """Pick-type kernel K_j(z, w)."""
@@ -127,9 +128,9 @@ def _half(table, j):
     return len(table[j]) // 2
 
 
-def _f(table):
+def _f(table, tol):
     p, p_tilde = table[0]
-    if np.any(np.abs(p) <= 1e-12):
+    if np.any(np.abs(p) <= tol):
         raise DomainError("denominator p vanishes at an evaluation point")
     return p_tilde / p
 
@@ -216,7 +217,7 @@ def verify_decomposition(
     w = (ws[:, 0], ws[:, 1])
     tz, tw = bundle._table(*z), bundle._table(*w)
 
-    fz, fw = _f(tz), _f(tw)
+    fz, fw = _f(tz, bundle._pole_tol), _f(tw, bundle._pole_tol)
     k1, k2 = _K(1, tz, tw), _K(2, tz, tw)
     l1, l2 = _L(1, tz, tw), _L(2, tz, tw)
 
@@ -274,7 +275,7 @@ def check_bounds(
     zs = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
     z = (zs[:, 0], zs[:, 1])
     tz = bundle._table(*z)
-    residual = 1.0 - np.abs(_f(tz)) ** 2
+    residual = 1.0 - np.abs(_f(tz, bundle._pole_tol)) ** 2
     room = np.stack([1.0 - np.abs(x) ** 2 for x in z])  # 1 - |z_j|^2, a row per kernel
     k = np.stack([_K(j, tz, tz).real for j in (1, 2)])
     margin = float((1.0 / room - k).min())

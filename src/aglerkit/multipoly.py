@@ -4,18 +4,19 @@
 bidegree bookkeeping and reflection.  The fixed-point and retract layers
 work with maps of three or more variables where dense grids get wasteful,
 so this module stores a sparse exponent-to-coefficient table instead and
-adds exact partial derivatives for quotients.  These are the exact maps
-of those layers; ``evaluate`` on a ``(..., nvars)`` array is the one way
-to evaluate either kind, and ``RationalMap.value_and_partial`` gives a
-quotient together with one partial.
+adds exact partial derivatives.  These are the exact maps of those layers;
+``evaluate`` on a ``(..., nvars)`` array is the one way to evaluate either
+kind.
 
 Both evaluate through one stacked kernel: the union of the exponents of
 several polynomials and one coefficient matrix.  A call raises each
 variable of the point set to the powers it needs once, gathers every
 monomial from that table and takes all the polynomials by one matmul.  A
-``MultiPoly`` is a stack of one; a ``RationalMap`` stacks num, den and
-the partials of both, so a point set is evaluated once for F and any
-partial; ``retract.RetractMap`` stacks the num and den of every component.
+``MultiPoly`` is a stack of one, a ``RationalMap`` of num and den, and
+``retract.RetractMap`` of the num and den of every component.  Every
+quotient of an exact map passes one pole test, ``_quotients``, and a
+Newton step takes F and dF/dW from one ``_QuotientRule``, a stack of num,
+den and their partials in the solved variables.
 """
 
 from __future__ import annotations
@@ -176,8 +177,36 @@ class MultiPoly:
         return "MultiPoly(nvars=%d, terms=%d)" % (self.nvars, len(self.terms))
 
 
+def _quotients(num, den, tols):
+    """num / den, after one pole test: |den| at or below ``tols`` raises DomainError."""
+    if np.count_nonzero(np.abs(den) <= tols):
+        raise DomainError("denominator vanishes at an evaluation point")
+    return num / den
+
+
+class _QuotientRule:
+    """F = num / den and dF/dW for the g (num, den) ``pairs``, W the last g variables.
+
+    One stack holds each num and den, then their partials in each of the g
+    variables, so (N, nvars) points take one table and one pole test (at
+    ``tols``): F as (N, g), dF/dW = (d num - F d den) / den as (N, g, g).
+    """
+
+    def __init__(self, pairs, tols):
+        nvars, self.g, self._tols = pairs[0][0].nvars, len(pairs), tols
+        solved = range(nvars - self.g, nvars)
+        self._stack = _Stack([p if v is None else p.partial(v)
+                              for pair in pairs for v in (None, *solved) for p in pair])
+
+    def __call__(self, points):
+        table = self._stack(points).reshape(len(points), self.g, self.g + 1, 2)
+        den = table[:, :, 0, 1]
+        f = _quotients(table[:, :, 0, 0], den, self._tols)
+        return f, (table[:, :, 1:, 0] - f[..., None] * table[:, :, 1:, 1]) / den[..., None]
+
+
 class RationalMap:
-    """Quotient of two sparse polynomials with exact partial derivatives."""
+    """Quotient of two sparse polynomials: one table of num and den, one pole test."""
 
     def __init__(self, numerator, denominator=None):
         if denominator is None:
@@ -191,40 +220,15 @@ class RationalMap:
         self.numerator = numerator
         self.denominator = denominator
         self._pole_tol = _POLE_TOL * denominator.coeff_norm()
-        polys = [numerator, denominator]
-        for index in range(numerator.nvars):
-            polys += [numerator.partial(index), denominator.partial(index)]
-        self._stack = _Stack(polys)
+        self._stack = _Stack([numerator, denominator])
 
     @property
     def nvars(self):
         return self.numerator.nvars
 
-    def _table(self, points):
-        table = self._stack(points)
-        if np.count_nonzero(np.abs(table[..., 1]) <= self._pole_tol):
-            raise DomainError("denominator vanishes at an evaluation point")
-        return table
-
     def evaluate(self, points):
-        table = self._table(points)
-        return table[..., 0] / table[..., 1]
-
-    def value_and_partial(self, points, index):
-        """F and its partial in variable ``index`` at ``(..., nvars)`` points.
-
-        Both come from the table ``evaluate`` uses, which holds num, den
-        and their partials: F = num / den, dF = (d num - F d den) / den.
-        A slice of variables gives their partials along a new last axis.
-        """
-        one = not isinstance(index, slice)
-        if one and not 0 <= index < self.nvars:
-            raise ValueError("variable index out of range")
-        table = self._table(points)
-        den = table[..., 1]
-        value = table[..., 0] / den
-        f, d = (value, den) if one else (value[..., None], den[..., None])
-        return value, (table[..., 2::2][..., index] - f * table[..., 3::2][..., index]) / d
+        table = self._stack(points)
+        return _quotients(table[..., 0], table[..., 1], self._pole_tol)
 
     def to_json(self):
         return {

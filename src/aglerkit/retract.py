@@ -51,10 +51,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import multipoly
 from .errors import DomainError, InconsistencyError
 from .fixedgraph import CLASS_INTERIOR, FixedPointRecord, GraphFunction, _DERIV_TOL, _classify, _solve_rows
 from .moebius import MoebiusAutomorphism, detect_automorphism
-from .multipoly import MultiPoly, RationalMap, _Stack
+from .multipoly import MultiPoly, RationalMap, _QuotientRule, _Stack
 from .sampling import disk_points, random_polydisk
 
 ROLE_IDENTITY = "identity"
@@ -63,13 +64,6 @@ ROLE_CONSTANT = "constant"
 ROLE_GENERIC = "generic"
 
 _SCAN_SAMPLES = 60  # polydisk points at which classify_components compares columns
-
-
-def _quotients(num, den, tols):
-    """num / den, after one pole test: |den| at or below ``tols`` raises DomainError."""
-    if np.count_nonzero(np.abs(den) <= tols):
-        raise DomainError("denominator vanishes at an evaluation point")
-    return num / den
 
 
 class RetractMap:
@@ -115,7 +109,7 @@ class RetractMap:
         all from one table; a pole of one of them raises DomainError."""
         cols = list(cols)
         pairs = self._stack(pts).reshape(len(pts), self.n, 2)[:, cols]
-        return _quotients(pairs[..., 0], pairs[..., 1], self._pole_tols[cols])
+        return multipoly._quotients(pairs[..., 0], pairs[..., 1], self._pole_tols[cols])
 
     def __call__(self, z):
         return self.evaluate_batch(np.reshape(z, (1, self.n)))[0]
@@ -179,20 +173,13 @@ class _ReducedMap(RetractMap):
 
     @cached_property
     def _tail(self):
-        """One stack of num and den of every peeled component, each followed by
-        their partials in every peeled variable."""
-        peeled = range(self.n, self.full.n)
-        return _Stack([p if v is None else p.partial(v) for j in peeled
-                       for v in (None, *peeled) for p in self.full._pairs[j]])
+        """The quotient rule of the peeled components, in the peeled variables."""
+        return _QuotientRule(self.full._pairs[self.n:], self.full._pole_tols[self.n:])
 
     def _rows(self, Z, W, dw=False):
         """F = full[n:](Z, W) at (N, n) rows Z and, if dw, dF/dW, shaped like W:
         (N, g) and (N, g, g) for the g peeled variables, or (N,); one table."""
-        N, g = len(Z), self.full.n - self.n
-        table = self._tail(np.concatenate([Z, W.reshape(N, g)], axis=1)).reshape(N, g, g + 1, 2)
-        den = table[:, :, 0, 1]
-        f = _quotients(table[:, :, 0, 0], den, self.full._pole_tols[self.n:])
-        df = (table[:, :, 1:, 0] - f[..., None] * table[:, :, 1:, 1]) / den[..., None]
+        f, df = self._tail(np.concatenate([Z, W.reshape(len(Z), self.full.n - self.n)], axis=1))
         f, df = f.reshape(W.shape), df.reshape(W.shape + W.shape[1:])
         return (f, df) if dw else f
 
@@ -480,7 +467,7 @@ def _image_rows(x, core):
     if x.ndim == 2 and not len(x):
         return np.empty((0, len(core.chain.order)), dtype=complex)
     table = core.kernel(x if x.ndim == 2 else x.reshape(1, k))
-    out = _quotients(table[:, ::2], table[:, 1::2], core.pole_tols)
+    out = multipoly._quotients(table[:, ::2], table[:, 1::2], core.pole_tols)
     if core.base is not None:
         out = np.concatenate([out, core.base._peel(core.base_chain.apply_inverse(out))], axis=1)
     return out if x.ndim == 2 else out[0]

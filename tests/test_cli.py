@@ -313,12 +313,14 @@ class TestVerify:
         assert payload["bounds"]["passed"] is True
 
     def test_small_scale_decompose_then_verify_passes(self, tmp_path):
-        # p = 1e-9 (3 + z1 + z2 + 0.5 z1 z2): its Grams are of scale 1e-18
-        coeffs = [[[3e-9, 0.0], [1e-9, 0.0]], [[1e-9, 0.0], [5e-10, 0.0]]]
-        inp = write_json(tmp_path / "p.json", {"polynomial": {"bidegree": [1, 1], "coeffs": coeffs}})
-        out = tmp_path / "cert.json"
-        assert main(["decompose", "--input", inp, "--output", str(out)]) == EXIT_OK
-        assert main(["verify", "--input", str(out), "--output", str(tmp_path / "v.json")]) == EXIT_OK
+        # p = s (3 + z1 + z2 + 0.5 z1 z2): at s = 1e-9 its Grams are of scale
+        # 1e-18, and from s = 1e-13 on |p| < 1e-12 on the whole bidisk
+        for s in (1e-9, 1e-13, 1e-14, 1e-40):
+            coeffs = [[[3 * s, 0.0], [s, 0.0]], [[s, 0.0], [0.5 * s, 0.0]]]
+            inp = write_json(tmp_path / "p.json", {"polynomial": {"bidegree": [1, 1], "coeffs": coeffs}})
+            out = tmp_path / "cert.json"
+            assert main(["decompose", "--input", inp, "--output", str(out)]) == EXIT_OK
+            assert main(["verify", "--input", str(out), "--output", str(tmp_path / "v.json")]) == EXIT_OK
 
     def test_unreadable_input_exit_66_names_the_path(self, classic_certificate, capsys):
         # a path through a file (NotADirectoryError) and a directory both exit 66,

@@ -6,6 +6,7 @@ import aglerkit
 from aglerkit import fixedgraph, moebius, retract
 from aglerkit.fixedgraph import FixedPointRecord, GraphFunction
 from aglerkit.moebius import MoebiusAutomorphism
+from aglerkit.multipoly import RationalMap
 from aglerkit.poly2 import BivariatePolynomial
 from aglerkit.retract import ComponentRole, RetractMap
 
@@ -47,6 +48,14 @@ def test_removed_methods_are_gone():
     assert not hasattr(FixedPointRecord, "from_json")
     assert not hasattr(GraphFunction, "_nearest")
     assert not hasattr(RetractMap, "_rationals")
+    assert not hasattr(RationalMap, "value_and_partial")
+    assert not hasattr(RationalMap, "_table")
+
+
+def test_the_pole_rule_lives_in_multipoly_alone():
+    # every quotient of an exact map, and every Newton step's F and dF/dW,
+    # goes through multipoly's one pole test
+    assert not hasattr(retract, "_quotients")
 
 
 def test_retract_solves_no_schur_map():

@@ -136,6 +136,21 @@ class TestSchurMap:
         assert converged.all()
         assert len(calls) == iterations.max()
 
+    def test_rows_with_dw_are_one_table_of_four_polynomials(self, monkeypatch):
+        # F and dF/dw come from num, den, d num/dw and d den/dw alone
+        smap = SchurMap(2, rational=nonlinear_rational_map())
+        widths = []
+        stack_call = multipoly._Stack.__call__
+
+        def counted(self, points):
+            widths.append(self._coef.shape[1])
+            return stack_call(self, points)
+
+        monkeypatch.setattr(multipoly._Stack, "__call__", counted)
+        zs = random_polydisk(np.random.default_rng(3), 5, 2, 0.8)
+        f, df = smap._rows(zs, np.linspace(-0.5, 0.5, 5), dw=True)
+        assert widths == [4] and f.shape == df.shape == (5,)
+
     def test_zero_rows_return_at_once_without_evaluating(self, monkeypatch):
         smap = product_average_map()
         calls = []
@@ -189,6 +204,8 @@ class TestSchurMap:
             SchurMap(1, rational=RationalMap(num))
         with pytest.raises(TypeError):
             SchurMap(1, evaluate=RationalMap(MultiPoly(2, {(0, 1): 0.5})).evaluate)
+        with pytest.raises(TypeError):  # refused at once, not at the first Newton step
+            SchurMap(1, rational=MultiPoly(2, {(0, 1): 0.5}))
 
     def test_check_schur_passes_for_average_map(self):
         report = product_average_map().check_schur()

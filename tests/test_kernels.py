@@ -130,9 +130,14 @@ class TestDomainGuards:
             bundle.eval_f(1.5, 0.0)
 
     def test_evaluation_at_boundary_zero_is_rejected(self):
-        bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B])
-        with pytest.raises(DomainError):
-            bundle.eval_f(1.0, 1.0)
+        # the zero test is relative to p's largest coefficient modulus: the
+        # exact zero (1, 1) raises at 2^k scalings of p, and other points keep their bits
+        plain = KernelBundle(CLASSIC, [HAND_A], [HAND_B]).eval_f(0.5, 0.25j)
+        for k in (-600, 0, 600):
+            bundle = KernelBundle(CLASSIC.scale(2.0 ** k), [HAND_A], [HAND_B])
+            with pytest.raises(DomainError):
+                bundle.eval_f(1.0, 1.0)
+            assert bundle.eval_f(0.5, 0.25j) == plain
 
     def test_invalid_kernel_index(self):
         bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B])
@@ -274,11 +279,14 @@ class TestVerification:
 
     def test_small_scale_certificate_verifies(self):
         # the factor cutoff is relative to the Gram's largest eigenvalue, so a
-        # Gram of scale 1e-18 keeps its factors and decompose then verify passes
-        p = BivariatePolynomial(1e-9 * np.array([[3.0, 1.0], [1.0, 0.5]], dtype=complex))
-        bundle = KernelBundle.from_certificate(solve_gram(p))
-        assert verify_decomposition(bundle).passed
-        assert check_bounds(bundle).passed
+        # Gram of scale 1e-18 keeps its factors, and the zero test of f = p~/p
+        # is relative to p's coefficients, so |p| < 1e-12 on the whole bidisk
+        # is no zero: decompose then verify passes at each of these scales
+        for scale in (1e-9, 1e-13, 1e-14, 1e-40):
+            p = BivariatePolynomial(scale * np.array([[3.0, 1.0], [1.0, 0.5]], dtype=complex))
+            bundle = KernelBundle.from_certificate(solve_gram(p))
+            assert verify_decomposition(bundle).passed
+            assert check_bounds(bundle).passed
 
     def test_report_carries_witnesses_of_worst_points(self, classic_cert):
         bundle = KernelBundle.from_certificate(classic_cert)

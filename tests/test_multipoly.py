@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aglerkit.errors import DomainError
-from aglerkit.multipoly import MultiPoly, RationalMap
+from aglerkit.multipoly import MultiPoly, RationalMap, _QuotientRule
 
 UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
 
@@ -82,29 +82,34 @@ class TestEvaluate:
             MultiPoly(2, {(1, 0): 1.0}).evaluate(np.zeros((4, 3)))
 
 
+def quotient_rule(rmap, g):
+    """multipoly's quotient rule over g copies of rmap: partials in its last g variables."""
+    return _QuotientRule([(rmap.numerator, rmap.denominator)] * g, rmap._pole_tol)
+
+
 class TestRationalMap:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), nvars=st.integers(1, 4))
     def test_value_and_partial_match_evaluate_and_the_quotient_rule(self, data, nvars):
+        # nvars copies of one quotient take its partials in every variable
         rmap = data.draw(rational_maps(nvars))
-        pts = data.draw(points(nvars))
+        pts = data.draw(points(nvars)).reshape(-1, nvars)
         num, den = rmap.numerator, rmap.denominator
         den_values = den.evaluate(pts)
+        value, slopes = quotient_rule(rmap, nvars)(pts)
+        assert value.shape == (len(pts), nvars) and slopes.shape == (len(pts), nvars, nvars)
+        scale = naive_table(num, pts)[1] / np.abs(den_values)
+        assert np.all(np.abs(value - rmap.evaluate(pts)[:, None]) <= 1e-13 * scale[:, None])
         for index in range(nvars):
-            value, slope = rmap.value_and_partial(pts, index)
-            assert np.array_equal(value, rmap.evaluate(pts))
             dnum, dden = num.partial(index), den.partial(index)
             expected = (dnum.evaluate(pts) * den_values
                         - num.evaluate(pts) * dden.evaluate(pts)) / den_values ** 2
             bound = (naive_table(dnum, pts)[1] * naive_table(den, pts)[1]
                      + naive_table(num, pts)[1] * naive_table(dden, pts)[1]) / np.abs(den_values) ** 2
-            assert slope.shape == pts.shape[:-1]
-            assert np.all(np.abs(slope - expected) <= 1e-12 * bound)
-        # a slice of variables gives the same partials along a new last axis
-        value, slopes = rmap.value_and_partial(pts, slice(0, nvars))
-        assert slopes.shape == pts.shape[:-1] + (nvars,)
-        for index in range(nvars):
-            assert np.array_equal(slopes[..., index], rmap.value_and_partial(pts, index)[1])
+            assert np.all(np.abs(slopes[:, :, index] - expected[:, None]) <= 1e-12 * bound[:, None])
+        # one copy takes the partial in the last variable alone (the last bound)
+        slope = quotient_rule(rmap, 1)(pts)[1][:, 0, 0]
+        assert np.all(np.abs(slope - expected) <= 1e-12 * bound)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data(), nvars=st.integers(1, 4))
@@ -120,25 +125,41 @@ class TestRationalMap:
         pts[1, j] = a
         with pytest.raises(DomainError):
             rmap.evaluate(pts)
-        for index in range(nvars):
+        for g in range(1, nvars + 1):
             with pytest.raises(DomainError):
-                rmap.value_and_partial(pts, index)
+                quotient_rule(rmap, g)(pts)
 
     def test_the_pole_test_is_relative_to_the_denominator(self):
         # z / (2 - z) with num and den both scaled by 2^k evaluates to the
-        # same bits at every k; at scale 1e-13 it is no pole at z = 0.5, and
-        # its true pole z = 2 raises at every scale
+        # same bits at every k, by evaluate and by the quotient rule; at scale
+        # 1e-13 it is no pole at z = 0.5, and its true pole z = 2 raises at
+        # every scale
         def scaled(c):
             return RationalMap(MultiPoly(1, {(1,): c}), MultiPoly(1, {(0,): 2 * c, (1,): -c}))
 
         pts = np.array([[0.5], [-0.3 + 0.4j], [0.9j], [0.0], [1.0]])
-        value, slope = scaled(1.0).value_and_partial(pts, 0)
+        value, slope = quotient_rule(scaled(1.0), 1)(pts)
+        plain = scaled(1.0).evaluate(pts)
         for k in range(-600, 601):
             rmap = scaled(2.0 ** k)
-            assert np.array_equal(rmap.evaluate(pts), value)
-            assert np.array_equal(rmap.value_and_partial(pts, 0)[1], slope)
+            assert np.array_equal(rmap.evaluate(pts), plain)
+            f, df = quotient_rule(rmap, 1)(pts)
+            assert np.array_equal(f, value) and np.array_equal(df, slope)
         tiny = scaled(1e-13)
         assert abs(tiny.evaluate(np.array([0.5])) - 1 / 3) <= 1e-15
         for c in (2.0 ** -600, 1e-13, 1.0, 2.0 ** 600):
             with pytest.raises(DomainError):
                 scaled(c).evaluate(np.array([[0.5], [2.0]]))
+            with pytest.raises(DomainError):
+                quotient_rule(scaled(c), 1)(np.array([[0.5], [2.0]]))
+
+    def test_construction_takes_no_partial(self, monkeypatch):
+        # a RationalMap is num / den; the partials belong to the quotient rule
+        calls = []
+        partial = MultiPoly.partial
+        monkeypatch.setattr(MultiPoly, "partial", lambda self, index: calls.append(index) or partial(self, index))
+        num = MultiPoly(3, {(1, 0, 2): 0.5, (0, 1, 0): 0.2j})
+        den = MultiPoly(3, {(0, 0, 0): 2.0, (1, 1, 1): -0.5})
+        rmap = RationalMap(num, den)
+        rmap.evaluate(np.full((4, 3), 0.3 + 0.1j))
+        assert calls == []
