@@ -55,17 +55,23 @@ class KernelBundle:
         a_vec: list[BivariatePolynomial],
         b_vec: list[BivariatePolynomial],
     ):
+        """a_vec and b_vec: polynomials, or their grids, within bidegrees (n - 1, m) and (n, m - 1)."""
         n, m = p.bidegree
         self.p = p
-        self.a_vec = list(a_vec)
-        self.b_vec = list(b_vec)
-        # each group, then its reflections at its degree box: one column per polynomial
-        groups = ((n, m), [p]), ((n - 1, m), self.a_vec), ((n, m - 1), self.b_vec)
-        polys = [q for degrees, group in groups for q in group + [g.reflect(degrees) for g in group]]
-        self._matrix = np.stack([q.padded((n, m)).coeffs.ravel() for q in polys], axis=-1)
+        self._vectors = _grids(a_vec, (n - 1, m)), _grids(b_vec, (n, m - 1))
+        # each group, then its reflections (a conj flip at its degree box): a column per polynomial
+        groups = [np.concatenate([g, np.conj(g[:, ::-1, ::-1])]) for g in (p.coeffs[None], *self._vectors)]
+        bounds = np.cumsum([len(g) for g in groups])
+        matrix = np.zeros(p.coeffs.shape + (bounds[-1],), dtype=complex)
+        for g, stop in zip(groups, bounds):
+            matrix[: g.shape[1], : g.shape[2], stop - len(g):stop] = g.transpose(1, 2, 0)
+        self._matrix, self._bounds = matrix.reshape(-1, bounds[-1]), bounds[:2]
         self._powers = np.arange(n + 1), np.arange(m + 1)
-        self._bounds = (2, 2 + 2 * len(self.a_vec))
         self._pole_tol = 1e-12 * np.abs(p.coeffs).max()  # |p| at or below it is a zero of p
+
+    # the factor vectors as polynomials on their degree boxes
+    a_vec = property(lambda self: [BivariatePolynomial(g) for g in self._vectors[0]])
+    b_vec = property(lambda self: [BivariatePolynomial(g) for g in self._vectors[1]])
 
     @classmethod
     def from_certificate(cls, cert: SosCertificate) -> "KernelBundle":
@@ -78,15 +84,9 @@ class KernelBundle:
         reflection, which the pointwise Cauchy-Schwarz bound requires.
         """
         n, m = cert.p.bidegree
-        a_deg, b_deg = (n - 1, m), (n, m - 1)
-        inv = 1.0 / np.sqrt(2.0)
-        a_half = [q.padded(a_deg).scale(inv) for q in factors_from_gram(cert.gram_a, a_deg)]
-        b_half = [q.padded(b_deg).scale(inv) for q in factors_from_gram(cert.gram_b, b_deg)]
-        return cls(
-            cert.p,
-            a_half + [q.reflect(a_deg) for q in a_half],
-            b_half + [q.reflect(b_deg) for q in b_half],
-        )
+        halves = [_grids(factors_from_gram(gram, box), box) * (1.0 / np.sqrt(2.0))
+                  for gram, box in ((cert.gram_a, (n - 1, m)), (cert.gram_b, (n, m - 1)))]
+        return cls(cert.p, *(np.concatenate([h, np.conj(h[:, ::-1, ::-1])]) for h in halves))
 
     # -- evaluation ---------------------------------------------------
 
@@ -119,6 +119,15 @@ class KernelBundle:
     def L(self, j, z, w):
         """Difference-quotient kernel L_j(z, w); note p(z) p(w), no conjugation."""
         return _L(j, self._table(*z), self._table(*w))
+
+
+def _grids(polys, box):
+    """The grids of the polynomials (or grids) on the degree box, stacked; ValueError if one exceeds it."""
+    grids = np.zeros((len(polys), box[0] + 1, box[1] + 1), dtype=complex)
+    for grid, q in zip(grids, polys):
+        q = getattr(q, "coeffs", q)
+        grid[: q.shape[0], : q.shape[1]] = q
+    return grids
 
 
 def _half(table, j):

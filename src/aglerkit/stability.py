@@ -4,23 +4,24 @@ p is stable when it has no zeros in the open bidisk; boundary zeros do not
 disqualify StableOpen.  Slices fix one variable on torus and interior-disk
 samples, in scan order: z1 fixed, then z2; in each, the torus, then 0, then
 the disk.  p(0, .), the first interior slice, goes first: a confirmed proposal
-there (below) is the scan's own ZeroFound witness.  Then the Schur-Cohn test
-(Huang; Geronimo and Woerdeman): p has no zero on the closed bidisk exactly
-when p(0, .) and det G have none on the closed disk, G the outer factor of the
-moments M(z2) of sos; run on p(r z1, r z2), r = 1 + 2 max(tol, eps^(1/degree)),
-it gives StableClosedStrict.  Any other input is scanned: companion eigensolves
-give the roots of every torus slice and of each interior one that Cauchy's
-bound does not place beyond 1 - tol and its order's smallest torus root.  A
-slice proposes its smallest root inside, and an interior slice that vanishes
-identically proposes w = 0.  The first proposal in scan order on an interior
-slice where p is small, about which a disk that holds a zero of p lies inside,
-is the ZeroFound witness; any other, even a boundary zero that rounding moved
-inside, makes the verdict Inconclusive.  min_modulus, the least |p| on the
-torus grid, is the torus slice rows times the torus powers, in the rows that a
-Lipschitz bound does not clear.  p is first scaled by the exact power of two
-that puts its largest real or imaginary part in [1, 2): tol is relative to p's
-size, and min_modulus is scaled back.  Scan verdicts are a sampling
-certificate, exact about the witnesses they report.
+there (below) is the scan's own ZeroFound witness.  Then StableClosedStrict, if p
+has no zero on the closed bidisk of radius r = 1 + 2 max(tol, eps^(1/degree)):
+by Cauchy's bound, if |c_00| exceeds the sum of the other |c_ab| r^(a+b), else by
+the Schur-Cohn test (Huang; Geronimo and Woerdeman) on p(r z1, r z2): p has no
+zero on the closed bidisk exactly when p(0, .) and det G have none on the closed
+disk, G the outer factor of the moments M(z2) of sos.  Any other input is
+scanned: companion eigensolves give the roots of every torus slice and of each
+interior one that Cauchy's bound does not place beyond 1 - tol and its order's
+smallest torus root.  A slice proposes its smallest root inside, and an interior
+slice that vanishes identically proposes w = 0.  The first proposal in scan
+order on an interior slice where p is small, about which a disk that holds a
+zero of p lies inside, is the ZeroFound witness; any other, even a boundary zero
+that rounding moved inside, makes the verdict Inconclusive.  min_modulus, the
+least |p| on the torus grid, is the torus slice rows times the torus powers, in
+the rows that a Lipschitz bound does not clear.  p is first scaled by the exact
+power of two that puts its largest real or imaginary part in [1, 2): tol is
+relative to p's size, and min_modulus is scaled back.  Scan verdicts are a
+sampling certificate, exact about the witnesses they report.
 """
 
 from __future__ import annotations
@@ -170,13 +171,10 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
         flat = np.max(mag, axis=1) <= tol * coeff_scale
         degenerate[part] = flat
         found[~flat & on_torus] = roots_rows(slice_coeffs[~flat & on_torus], lead_tol=1e-13)
-        # Cauchy: no root in |w| <= bar when sum_{k>=1} |c_k| bar^k < |c_0|, so
-        # an interior row cleared here can neither propose a zero nor hold the
-        # smallest root, as this order's torus rows, earlier in scan order, hold low
+        # an interior row with no root within max(low, 1 - tol) can neither propose a
+        # zero nor hold the smallest root, as this order's torus rows, earlier in scan order, hold low
         low = np.min(np.nan_to_num(np.abs(found[on_torus]), nan=np.inf), initial=np.inf)
-        bar = (1.0 + _SCREEN) * max(low, 1.0 - tol)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN sums clear nothing
-            cleared = mag[:, 1:] @ bar ** np.arange(1, mag.shape[1]) <= (1 - _SCREEN) * mag[:, 0]
+        cleared = _cauchy_clears(mag, np.arange(mag.shape[1]), max(low, 1.0 - tol))
         solve = ~flat & ~on_torus & ~cleared
         found[solve] = roots_rows(slice_coeffs[solve], lead_tol=1e-13)
 
@@ -209,15 +207,14 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
 
 
 def _shortcut(p, zero, row, torus_grid, min_modulus, tol):
-    """ZeroFound on p(0, .), the (1, m + 1) row, or StableClosedStrict by the Schur-Cohn
-    test; None if neither.  p's largest coefficient is at least 1."""
+    """ZeroFound on p(0, .), the (1, m + 1) row, or StableClosedStrict by Cauchy's bound on the
+    bidisk or else the Schur-Cohn test; None if neither.  p's largest coefficient is at least 1."""
     (n, m), coeff_scale = p.bidegree, float(np.max(np.abs(p.coeffs)))
     margin = max(tol, np.finfo(float).eps ** (1.0 / max(n, m, 1)))  # covers the scan's rounding
     radius = 1.0 + 2.0 * margin
     mag = np.abs(row[0])
     flat = np.max(mag) <= tol * coeff_scale
-    with np.errstate(over="ignore", invalid="ignore"):  # Cauchy, as in the scan: no root within
-        far = mag[1:] @ ((1 + _SCREEN) * radius) ** np.arange(1, mag.size) <= (1 - _SCREEN) * mag[0]
+    far = _cauchy_clears(mag, np.arange(mag.size), radius)
     roots = np.zeros(0, dtype=complex) if flat or far else roots_rows(row, lead_tol=1e-13)[0]
     moduli = np.nan_to_num(np.abs(roots), nan=np.inf)
     low = np.min(moduli, initial=np.inf)
@@ -226,13 +223,21 @@ def _shortcut(p, zero, row, torus_grid, min_modulus, tol):
         modulus, reach = _zero_reach(p, np.array([zero]), np.array([root]), flat)
         confirmed = modulus[0] <= tol * coeff_scale and reach[0] < 1.0
         return (ZERO_FOUND, (complex(zero), complex(root))) if confirmed else None
-    exponents = np.add.outer(np.arange(n + 1), np.arange(m + 1))
+    exponents, moduli = np.add.outer(np.arange(n + 1), np.arange(m + 1)), np.abs(p.coeffs)
     # with no zero on the closed bidisk |p| is least on the torus, at least min_modulus less
     # pi/N sum (a + b + 1) |c_ab| (the 1 for rounding): above tol * scale, no slice is flat
-    gap = np.pi / torus_grid * np.sum((exponents + 1) * np.abs(p.coeffs))
+    gap = np.pi / torus_grid * np.sum((exponents + 1) * moduli)
     if low > radius and min_modulus - gap > tol * coeff_scale and (
-            not n or _outer_factor_clears(p.coeffs / coeff_scale * radius ** exponents, margin)):
+            not n or _cauchy_clears(moduli.ravel(), exponents.ravel(), radius)
+            or _outer_factor_clears(p.coeffs / coeff_scale * radius ** exponents, margin)):
         return STABLE_CLOSED_STRICT, None
+
+
+def _cauchy_clears(mag, degrees, radius):
+    """Cauchy's bound: no zero within radius if sum_(k>=1) mag[..., k] ((1 + _SCREEN) radius)^degrees[k]
+    <= (1 - _SCREEN) mag[..., 0], the constant term's modulus; inf and NaN sums clear nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return mag[..., 1:] @ ((1 + _SCREEN) * radius) ** degrees[1:] <= (1 - _SCREEN) * mag[..., 0]
 
 
 def _torus_minimum(p, ring, torus):

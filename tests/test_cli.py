@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aglerkit.sos
 from aglerkit import cli
 from aglerkit.cli import (
     EXIT_INCONCLUSIVE,
@@ -244,6 +245,25 @@ class TestDecompose:
         assert payload["certificate"]["G_A"] == []
         assert payload["stability"]["verdict"] == "StableClosedStrict"
         assert "min_root_modulus" not in payload["stability"]
+
+    @pytest.mark.parametrize("coeffs", [[[4.0, -1.0], [-1.0, 0.0]], [[3.0, 1.0j], [0.5, -1.0]]],
+                             ids=["4_z1_z2", "dominant_11"])
+    def test_dominant_input_runs_one_doubling(self, tmp_path, monkeypatch, coeffs):
+        # a guard that counts instead of timing: Cauchy's bound clears the pre-gate, so the
+        # Schur-Cohn doubling runs once, in solve_gram
+        calls, doubling = [], aglerkit.sos._riccati_doubling
+
+        def spy(*args):
+            calls.append(args)
+            return doubling(*args)
+
+        monkeypatch.setattr(aglerkit.sos, "_riccati_doubling", spy)
+        poly = {"bidegree": [1, 1], "coeffs": [[[c.real, c.imag] for c in map(complex, row)] for row in coeffs]}
+        inp = write_json(tmp_path / "p.json", {"polynomial": poly})
+        out = tmp_path / "cert.json"
+        assert main(["decompose", "--input", inp, "--output", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["stability"]["verdict"] == "StableClosedStrict"
+        assert len(calls) == 1
 
     def test_unstable_input_gated_before_solving(self, tmp_path, capsys):
         inp = write_json(tmp_path / "bad.json", interior_zero_payload())

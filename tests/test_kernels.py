@@ -16,7 +16,7 @@ from aglerkit.kernels import (
 )
 from aglerkit.poly2 import BivariatePolynomial
 from aglerkit.sampling import random_polydisk
-from aglerkit.sos import SosCertificate, gram_from_factors, solve_gram
+from aglerkit.sos import SosCertificate, factors_from_gram, gram_from_factors, solve_gram
 
 CLASSIC = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])
 PRODUCT_22 = BivariatePolynomial([[8.0, -6.0, 1.0], [-6.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
@@ -249,6 +249,27 @@ class TestMonomialTable:
         majorant = polyval2d(np.abs(z1), np.abs(z2), np.abs(coeffs))
         error = np.abs(np.concatenate(bundle._table(z1, z2)) - horner)
         assert np.all(error <= 8 * (n + m + 2) * np.finfo(float).eps * majorant)
+
+    @pytest.mark.parametrize("bidegree", BIDEGREES)
+    def test_matrix_is_the_polynomial_columns_bit_for_bit(self, bidegree):
+        # the reference builds, reflects and pads one polynomial at a time
+        n, m = bidegree
+        rng = np.random.default_rng(sum(bidegree) + 41)
+        c = rng.standard_normal((n + 1, m + 1)) + 1j * rng.standard_normal((n + 1, m + 1))
+        c[0, 0] = 0.0
+        c *= 0.5 / max(np.sum(np.abs(c)), 1.0)
+        c[0, 0] = 1.0
+        cert = solve_gram(BivariatePolynomial(c))
+        boxes = (n - 1, m), (n, m - 1)
+        halves = [[q.scale(1.0 / np.sqrt(2.0)) for q in factors_from_gram(gram, box)]
+                  for gram, box in zip((cert.gram_a, cert.gram_b), boxes)]
+        vectors = [half + [q.reflect(box) for q in half] for half, box in zip(halves, boxes)]
+        columns = [cert.p, cert.p.reflect()]
+        for vec, box in zip(vectors, boxes):
+            columns += vec + [q.reflect(box) for q in vec]
+        reference = np.stack([q.padded((n, m)).coeffs.ravel() for q in columns], axis=-1)
+        for bundle in (KernelBundle.from_certificate(cert), KernelBundle(cert.p, *vectors)):
+            assert bundle._matrix.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("poly", [CLASSIC, PRODUCT_22])
     def test_psd_min_eig_matches_independent_subset_tables(self, poly):

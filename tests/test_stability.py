@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aglerkit.sos
 import aglerkit.stability
 from aglerkit.poly2 import BivariatePolynomial
 from aglerkit.stability import (
@@ -15,7 +16,9 @@ from aglerkit.stability import (
     STABLE_OPEN,
     ZERO_FOUND,
     StabilityReport,
+    _cauchy_clears,
     _fixed_samples,
+    _outer_factor_clears,
     _sample_powers,
     _scan,
     _torus_minimum,
@@ -147,6 +150,16 @@ def random_strictly_stable(rng, n, m):
     return BivariatePolynomial(c)
 
 
+def linear_product(rng, factors):
+    """A product of factors 1 - a z1 - b z2 with |a| + |b| <= 0.9 and random phases: no zero on
+    the closed bidisk, and often not dominated by its constant term."""
+    p = BivariatePolynomial.constant(1.0)
+    for _ in range(factors):
+        a, b = rng.uniform(0.0, 0.9) * rng.dirichlet([1.0, 1.0]) * np.exp(2j * np.pi * rng.uniform(size=2))
+        p = p * BivariatePolynomial([[1.0, -b], [-a, 0.0]])
+    return p
+
+
 CORPUS = [
     CLASSIC,
     BivariatePolynomial([[4.0, -1.0], [-1.0, 0.0]]),
@@ -223,7 +236,7 @@ def scanned_rows(monkeypatch):
 
 
 class TestShortcuts:
-    """The z1 = 0 slice and the Schur-Cohn test decide inputs exactly as the scan does."""
+    """The z1 = 0 slice, Cauchy's bound and the Schur-Cohn test decide inputs exactly as the scan does."""
 
     @pytest.mark.parametrize("p, tol, scanned", [
         (BivariatePolynomial([[4.0], [-1.0], [0.5]]), 1e-9, False),  # (2, 0), roots 2.83
@@ -272,7 +285,7 @@ class TestShortcuts:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
-        st.sampled_from(["stable", "gaussian"]),
+        st.sampled_from(["stable", "gaussian", "product"]),
         st.integers(0, 6), st.integers(0, 6), st.integers(0, 2 ** 32 - 1),
         st.sampled_from([(64, 8), (128, 16), (512, 64)]),
     )
@@ -280,14 +293,100 @@ class TestShortcuts:
         rng = np.random.default_rng(seed)
         if kind == "stable":
             p = random_strictly_stable(rng, max(n, 1), m)  # c(0, 0) = 0 needs a second term
+        elif kind == "product":  # strict, and often decided by the Schur-Cohn test
+            p = linear_product(rng, 2 + n % 2)
         else:
             n, m = min(n, 4), min(m, 4)
             p = BivariatePolynomial(rng.standard_normal((n + 1, m + 1))
                                     + 1j * rng.standard_normal((n + 1, m + 1)))
+        for grids in [(64, 8), (128, 16), (512, 64)] if kind == "product" else [grids]:
+            report = check_stability(p, *grids)
+            assert_same_report(report, _scan(p, *grids))
+            if kind != "gaussian":
+                assert report.verdict == STABLE_CLOSED_STRICT
+
+
+def doublings(monkeypatch):
+    """Collects the calls of sos._riccati_doubling: the Schur-Cohn test makes one."""
+    calls, doubling = [], aglerkit.sos._riccati_doubling
+
+    def spy(*args):
+        calls.append(args)
+        return doubling(*args)
+
+    monkeypatch.setattr(aglerkit.sos, "_riccati_doubling", spy)
+    return calls
+
+
+def shortcut_tests(p, tol=1e-9):
+    """Cauchy's bound and the Schur-Cohn test as _shortcut runs them: on the bidisk of its
+    radius, with p scaled as _scan scales it."""
+    shift = int(np.frexp(np.max(np.abs(p.coeffs.view(float))))[1]) - 1
+    c = np.ldexp(p.coeffs.view(float), -shift).view(complex)
+    n, m = p.bidegree
+    margin = max(tol, np.finfo(float).eps ** (1.0 / max(n, m, 1)))
+    radius, exponents = 1.0 + 2.0 * margin, np.add.outer(np.arange(n + 1), np.arange(m + 1))
+    return (_cauchy_clears(np.abs(c).ravel(), exponents.ravel(), radius),
+            _outer_factor_clears(c / np.max(np.abs(c)) * radius ** exponents, margin))
+
+
+NEAR_EQUALITY = 1.0 + (1.0 - 2.0 ** -12) / 3.0 * BivariatePolynomial([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+HALF = BivariatePolynomial([[1.0, -0.5], [-0.5, 0.25]])  # (1 - z1/2)(1 - z2/2)
+
+
+class TestCauchyBound:
+    """Cauchy's bound on the bidisk decides strictness with no Schur-Cohn doubling when |c_00|
+    dominates; it clears only inputs that the Schur-Cohn test clears too."""
+
+    @pytest.mark.parametrize("p", [random_strictly_stable(np.random.default_rng(3), 3, 3),
+                                   BivariatePolynomial([[4.0, -1.0], [-1.0, 0.0]])],
+                             ids=["random_33", "4_z1_z2"])
+    @pytest.mark.parametrize("grids", [(64, 8), (128, 16), (512, 64)])
+    def test_dominant_input_runs_no_doubling(self, monkeypatch, p, grids):
+        # a guard that counts instead of timing
+        calls = doublings(monkeypatch)
         report = check_stability(p, *grids)
+        assert report.verdict == STABLE_CLOSED_STRICT and not calls
         assert_same_report(report, _scan(p, *grids))
-        if kind == "stable":
-            assert report.verdict == STABLE_CLOSED_STRICT
+
+    @pytest.mark.parametrize("p", [HALF, NEAR_EQUALITY], ids=["half_half", "near_equality"])
+    @pytest.mark.parametrize("grids", [(64, 8), (128, 16), (512, 64)])
+    def test_strict_input_the_bound_misses_runs_one_doubling(self, monkeypatch, p, grids):
+        # HALF's other coefficient moduli sum to 1.25; NEAR_EQUALITY's to 1 - 2**-12, inside
+        # the bound's rounding margin
+        assert not shortcut_tests(p)[0]
+        calls = doublings(monkeypatch)
+        report = check_stability(p, *grids)
+        assert report.verdict == STABLE_CLOSED_STRICT and len(calls) == 1
+        assert_same_report(report, _scan(p, *grids))
+
+    def test_equality_goes_on_to_the_scan(self, monkeypatch):
+        # 2 - z1 - z2 meets the bound with equality and vanishes at (1, 1)
+        assert not shortcut_tests(CLASSIC)[0]
+        calls, seen = doublings(monkeypatch), scanned_rows(monkeypatch)
+        report = check_stability(CLASSIC)
+        assert report.verdict == STABLE_OPEN and len(seen) > 1 and not calls
+
+    def test_cleared_inputs_clear_the_schur_cohn_test(self):
+        # seeded dominant families: (1, 1)-(6, 6), 2**k multiples, torus rotations,
+        # and |c_00| = (1 + delta) sum |c_ab| down to delta = 1e-10
+        rng = np.random.default_rng(71)
+        polys = []
+        for d in range(1, 7):
+            for n, m in ((d, d), (d, 1 + d % 3), (1 + d % 3, d)):
+                p = random_strictly_stable(rng, n, m)
+                u, v = np.exp(2j * np.pi * rng.uniform(size=2))
+                rotated = p.coeffs * np.outer(u ** np.arange(n + 1), v ** np.arange(m + 1))
+                polys += [p, BivariatePolynomial(rotated)]
+                polys += [BivariatePolynomial(rotated * 2.0 ** k) for k in rng.integers(-600, 601, size=2)]
+        for delta in 10.0 ** -np.arange(2, 11):
+            c = gaussian(rng, *rng.integers(1, 4, size=2)).coeffs.copy()
+            c[0, 0] = 0.0
+            c[0, 0] = (1.0 + delta) * np.sum(np.abs(c)) * np.exp(2j * np.pi * rng.uniform())
+            polys.append(BivariatePolynomial(c))
+        cleared = [shortcut_tests(p) for p in polys]
+        assert all(schur_cohn for cauchy, schur_cohn in cleared if cauchy)
+        assert sum(cauchy for cauchy, _ in cleared) >= len(polys) - 9
 
 
 class TestBoundaryZeros:
