@@ -295,7 +295,8 @@ def build_parser():
     p_ret = sub.add_parser("retract", help="normal form of an idempotent self-map")
     common(p_ret, tol=1e-9)
     p_ret.add_argument("--seed", type=int, default=23, help="random seed")
-    p_ret.add_argument("--samples", type=int, default=400, help="idempotence samples")
+    p_ret.add_argument("--samples", type=int, default=400,
+                       help="samples for the modulus fallback and for idempotence of rational or large maps")
     p_ret.add_argument("--grid", type=int, default=12, help="nodes per free axis")
     p_ret.add_argument("--radius", type=float, default=0.85, help="grid radius")
     p_ret.set_defaults(handler=_cmd_retract)

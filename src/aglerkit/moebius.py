@@ -11,7 +11,8 @@ so two values fix it: with c = phi(0) and d = phi(w0),
 Detection reads (u, a) off a one-variable slice at 0 and one probe w0, then
 keeps the map only if u is unimodular, c lies inside the disk (by the
 tolerance, so that no division can vanish) and the map matches the slice
-on a batch of check nodes.
+on a batch of check nodes.  ``from_coefficients`` reads (u, a) off the four
+coefficients of an exact map (alpha w + beta) / (gamma w + delta) instead.
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ class MoebiusAutomorphism:
             raise ValueError("factor must be unimodular")
         if abs(self.point) >= 1.0:
             raise ValueError("point must lie inside the open disk")
+
+    @classmethod
+    def from_coefficients(cls, alpha, beta, gamma, delta):
+        """(alpha w + beta) / (gamma w + delta) if, over delta, it reads
+        (-u w + u a) / (1 - conj(a) w) with |u| = 1, |a| < 1 (to _FIT_TOL); else None."""
+        u = -alpha / delta if delta else 0
+        a = beta / delta / u if u else np.inf
+        fits = abs(abs(u) - 1.0) <= _FIT_TOL and abs(a) < 1.0 - _FIT_TOL  # so delta != 0
+        return cls(u / abs(u), a) if fits and abs(gamma / delta + np.conj(a)) <= _FIT_TOL else None
 
     def __call__(self, w):
         w = np.asarray(w, dtype=complex)

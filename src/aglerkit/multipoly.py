@@ -16,7 +16,8 @@ monomial from that table and takes all the polynomials by one matmul.  A
 ``retract.RetractMap`` of the num and den of every component.  Every
 quotient of an exact map passes one pole test, ``_quotients``, and a
 Newton step takes F and dF/dW from one ``_QuotientRule``, a stack of num,
-den and their partials in the solved variables.
+den and their partials in the solved variables.  ``_compose`` substitutes
+polynomials into polynomials term by term, bounding each coefficient's rounding.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .errors import DomainError
 from .serialize import complex_to_pair, pair_to_complex
 
 _POLE_TOL = 1e-12  # |den| at or below this times den's largest coefficient modulus is a pole
+# bounds the rounding error of one complex product (sqrt(2) gamma_2, Higham 2002 lemma 3.5)
+# or sum relative to its computed modulus, with room for the rounding of the bounds themselves
+_ROUND = 3 * 2.0 ** -53
+_COMPOSE_WORK = 50_000  # coefficient products _compose may spend on monomials, under 0.1 s
 
 
 def _normalize_key(exponents, nvars):
@@ -175,6 +180,47 @@ class MultiPoly:
 
     def __repr__(self):
         return "MultiPoly(nvars=%d, terms=%d)" % (self.nvars, len(self.terms))
+
+
+def _compose(polys, images, minus):
+    """polys[j] at the polynomials ``images`` (one per variable) less minus[j], term
+    by term in floating point, as {exponent: (value, error)} dicts.
+
+    error bounds |value - exact coefficient|, barring underflow: it is a running
+    error bound (Higham 2002, section 3.3), in which a product by a coefficient c
+    scales the error by |c| and each operation adds _ROUND times its computed
+    modulus.  A monomial of degree 1 is an image itself, exactly; any other is
+    built once, as one a degree lower times an image, and shared by all polys.
+    None if the monomials take more than _COMPOSE_WORK coefficient products.
+    """
+    def times(out, terms, factor):  # out += terms * factor, an {exponent: coefficient} dict
+        for shift, coef in factor.items():
+            for expo, (value, error) in terms.items():
+                key = tuple(a + b for a, b in zip(expo, shift))
+                total, bound = out.get(key, (0j, 0.0))
+                total += coef * value
+                out[key] = (total, bound + error * abs(coef) + _ROUND * (abs(coef * value) + abs(total)))
+        return out
+
+    zero, n = (0,) * images[0].nvars, len(images)
+    monomials = {(0,) * n: {zero: (1.0 + 0j, 0.0)}}
+    monomials.update({tuple(int(v == i) for v in range(n)): {e: (c, 0.0) for e, c in image.terms.items()}
+                      for i, image in enumerate(images)})
+    composed, work = [], 0
+    for poly, less in zip(polys, minus):
+        composed.append({e: (-c, 0.0) for e, c in less.terms.items()})
+        for expo, coef in poly.terms.items():
+            key = (0,) * n
+            for i, power in enumerate(expo):
+                for p in range(1, power + 1):
+                    lower, key = key, key[:i] + (p,) + key[i + 1:]
+                    if key not in monomials:
+                        work += len(monomials[lower]) * len(images[i].terms)
+                        if work > _COMPOSE_WORK:
+                            return None
+                        monomials[key] = times({}, monomials[lower], images[i].terms)
+            times(composed[-1], monomials[key], {zero: coef})
+    return composed
 
 
 def _quotients(num, den, tols):

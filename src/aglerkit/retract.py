@@ -11,11 +11,13 @@ components (functions of the free block v' = (v_1, ..., v_k), constants
 included).  This module verifies idempotence, classifies components,
 peels off graph components one at a time in the last variable, and
 assembles the conjugation plus residual diagnostics for the resulting
-normal form.  The conjugation is one automorphism of D^n, a coordinate
-permutation followed by one disk automorphism per coordinate: each level
-of the recursion composes its permutation with the conjugation of the
-level below, and the bottom level adds the inverse Moebius map of each
-twisted copy.
+normal form.  An exact map's roles, and a polynomial map's idempotence,
+are read off its terms; a reduced map's roles are sampled.  The
+conjugation is one automorphism of D^n, a coordinate permutation
+followed by one disk automorphism per coordinate: each level of the
+recursion composes its permutation with the conjugation of the level
+below, and the bottom level adds the inverse Moebius map of each twisted
+copy.
 
 A level is its exact map ``full`` (the top map permuted, explicit
 variables dropped) with its peeled coordinates last, and their anchors; a
@@ -32,16 +34,15 @@ keeps only its graph's anchor record.
 
 Evaluation works on whole arrays: the maps take (N, n) rows, and the
 conjugation, image_point and the graph evaluators act on the last axis,
-so (k,) gives (n,) and (N, k) gives (N, n).  A normal form holds one
-exact kernel in the k free variables, a num/den pair for each image
-column that needs no solve, and an image point is one table of it and
-one division.  The kernel holds the free block, the copies and the
-constants and, when every free coordinate is an identity component of
-rho itself, the graphs too: rho(v', 0) lies in Fix(rho) with free block
-v', and rho's terms in the other variables vanish there.  Any other map,
-such as the diagonal retract ((z1+z2)/2, (z1+z2)/2), where rho(v, 0) =
-(v/2, v/2), fills its graph columns by one joint Newton solve of every
-peeled coordinate of the top map, started from the anchors.
+so (k,) gives (n,) and (N, k) gives (N, n).  An image point's free and copy
+columns are copies of v' and its constants are set.  When every free
+coordinate is an identity component of rho itself, rho(v', 0) lies in
+Fix(rho) with free block v', and rho's terms in the other variables vanish
+there, so a normal form holds its graph columns as one exact kernel in the
+k free variables: one table of it, and one division for the rational ones.
+Any other map, such as the diagonal retract ((z1+z2)/2, (z1+z2)/2), where
+rho(v, 0) = (v/2, v/2), fills its graph columns by one joint Newton solve
+of every peeled coordinate of the top map, started from the anchors.
 """
 
 from __future__ import annotations
@@ -201,20 +202,34 @@ def _level(full, anchors):
 
 
 def verify_idempotent(rho, samples=400, seed=7, radius=0.9, tol=1e-9):
-    """Sample rho(rho(z)) - rho(z) over the polydisk and report the defect."""
+    """Check that rho maps into the closed polydisk and that rho(rho) = rho.
+
+    A polynomial RetractMap's defect (``method`` "exact") is the largest l1
+    norm of a component of rho(rho) - rho plus its rounding bound, so it bounds
+    |rho(rho) - rho| on the closed polydisk, and its max_modulus the bound
+    max_j sum |c_alpha| radius^|alpha| if that is at most 1 + tol.  Otherwise,
+    and for a map that is rational or too large to compose (multipoly._compose),
+    ``samples`` seeded points inside ``radius`` decide them ("sampled")."""
     if samples < 1:
         raise ValueError("samples must be a positive integer")
-    rng = np.random.default_rng(seed)
-    pts = random_polydisk(rng, samples, rho.n, radius)
-    first = rho.evaluate_batch(pts)
-    max_modulus = float(np.max(np.abs(first))) if first.size else 0.0
+    polynomial = not rho.anchors and all(isinstance(c, MultiPoly) for c in rho.components)
+    composed = multipoly._compose(rho.components, rho.components, rho.components) if polynomial else None
+    exact = composed is not None  # else too large to compose, and sampled like a rational map
+    stack = rho.full._stack  # a numerator's sum |c_alpha| radius^|alpha| bounds it at radius
+    bound = np.max(radius ** stack._expo.sum(axis=1) @ np.abs(stack._coef[:, ::2])) if exact else np.inf
     report = {"samples": int(samples), "radius": float(radius), "tol": float(tol),
-              "max_modulus": max_modulus}
-    if max_modulus > 1.0 + tol:
+              "method": "exact" if exact else "sampled", "max_modulus": float(bound)}
+    if report["max_modulus"] > 1.0 + tol:
+        first = rho.evaluate_batch(random_polydisk(np.random.default_rng(seed), samples, rho.n, radius))
+        report["max_modulus"] = float(np.max(np.abs(first)))
+    if report["max_modulus"] > 1.0 + tol:
         return dict(report, max_defect=float("inf"), passed=False,
                     reason="the map leaves the closed polydisk")
-    second = rho.evaluate_batch(first)
-    defect = float(np.max(np.abs(second - first))) if first.size else 0.0
+    if exact:  # the l1 norm of rho(rho)_j - rho_j with its rounding bound, widened for the sum's own
+        defect = max(sum(abs(value) + error for value, error in terms.values())
+                     * (1 + multipoly._ROUND * (len(terms) + 1)) for terms in composed)
+    else:
+        defect = float(np.max(np.abs(rho.evaluate_batch(first) - first)))
     report.update(max_defect=defect, passed=bool(defect <= tol))
     if not report["passed"]:
         report["reason"] = "rho(rho) differs from rho"
@@ -249,60 +264,73 @@ def _active_variables(rho, bases, tol=1e-9):
 def classify_components(rho, seed=97, radius=0.85, tol=1e-9):
     """Role of each component: identity, copy of a variable, constant, generic.
 
-    A copy is a component of the form phi(z_i) for a disk automorphism phi
-    and a single input variable i.  Idempotence forces structure on these
-    roles: a component that is an automorphism of its own variable must be
-    the identity, and the source variable of any copy must itself be an
-    identity coordinate.  Violations raise InconsistencyError.  A component
-    that one variable alone moves is tested on its slice through the first
-    base point, one batch for both the Moebius form and the single source.
-    """
-    rng = np.random.default_rng(seed)
-    pts = random_polydisk(rng, _SCAN_SAMPLES, rho.n, radius)
-    vals = rho.evaluate_batch(pts)
-    bases = random_polydisk(rng, 3, rho.n, 0.8)
-
-    roles = []
-    active = None
-    for j in range(rho.n):
-        col = vals[:, j]
-        mean = complex(col.mean())
-        if np.max(np.abs(col - mean)) <= max(tol, 1e-9):
-            if abs(mean) >= 1.0:
-                raise DomainError("constant component %d lies outside the open disk" % j)
-            roles.append(ComponentRole(ROLE_CONSTANT, value=mean))
-            continue
-        if np.max(np.abs(col - pts[:, j])) <= tol:
-            roles.append(ComponentRole(ROLE_IDENTITY, source=j))
-            continue
-        if active is None:
-            active = _active_variables(rho, bases, tol=tol)
-        role = ComponentRole(ROLE_GENERIC)
-        sources = np.flatnonzero(active[:, j])
-        if len(sources) == 1:
-            i = int(sources[0])
-
-            def slice_fn(w, _j=j, _i=i):
-                points = np.repeat(bases[:1], len(w), axis=0)
-                points[:, _i] = w
-                return rho._columns(points, [_j])[:, 0]
-
-            phi = detect_automorphism(slice_fn)
-            if phi is not None:
-                if i == j:
-                    if not phi.is_identity():
-                        raise InconsistencyError("component %d is a non-identity automorphism of its "
-                                                 "own variable; no idempotent map does that" % j)
-                    role = ComponentRole(ROLE_IDENTITY, source=j)
-                else:
-                    role = ComponentRole(ROLE_COPY, source=i, moebius=phi)
-        roles.append(role)
-
+    A copy is phi(z_i) for a disk automorphism phi.  Idempotence forces an
+    automorphism of a component's own variable to be the identity, and a copy's
+    source to be an identity coordinate; violations raise InconsistencyError, a
+    constant outside the open disk DomainError.  An exact map's roles are read
+    off its terms, a reduced map's off samples."""
+    roles = _sampled_roles(rho, seed, radius, tol) if rho.anchors else [
+        _term_role(rho, j, tol) for j in range(rho.n)]
     for j, role in enumerate(roles):
+        if role.kind == ROLE_COPY and role.source == j:
+            if not role.moebius.is_identity():
+                raise InconsistencyError("component %d is a non-identity automorphism of its "
+                                         "own variable; no idempotent map does that" % j)
+            roles[j] = ComponentRole(ROLE_IDENTITY, source=j)
+    for j, role in enumerate(roles):
+        if role.kind == ROLE_CONSTANT and abs(role.value) >= 1.0:
+            raise DomainError("constant component %d lies outside the open disk" % j)
         if role.kind == ROLE_COPY and roles[role.source].kind != ROLE_IDENTITY:
             raise InconsistencyError("component %d copies variable %d through a Moebius map, but "
                                      "component %d is not the identity; idempotence is violated"
                                      % (j, role.source, role.source))
+    return roles
+
+
+def _term_role(rho, j, tol):
+    """Component j of an exact map from its num/den terms: constant when no term holds
+    a variable, identity when ||num - z_j den||_1 <= tol times den's largest coefficient,
+    phi(z_i) when num and den are affine in z_i alone (phi from their four coefficients)."""
+    (num, den), zero = rho._pairs[j], (0,) * rho.n
+    active = {i for p in (num, den) for e in p.terms for i, power in enumerate(e) if power}
+    shifted = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in den.terms.items()}
+    if not active:
+        return ComponentRole(ROLE_CONSTANT, value=num.terms.get(zero, 0j) / den.terms[zero])
+    miss = sum(abs(num.terms.get(e, 0j) - shifted.get(e, 0j)) for e in set(num.terms) | set(shifted))
+    if miss <= tol * den.coeff_norm():
+        return ComponentRole(ROLE_IDENTITY, source=j)
+    if len(active) == 1 and all(max(e) == 1 for p in (num, den) for e in p.terms if any(e)):
+        unit = tuple(int(v in active) for v in range(rho.n))
+        phi = MoebiusAutomorphism.from_coefficients(*(p.terms.get(e, 0j) for p in (num, den)
+                                                      for e in (unit, zero)))
+        if phi is not None:
+            return ComponentRole(ROLE_COPY, source=active.pop(), moebius=phi)
+    return ComponentRole(ROLE_GENERIC)
+
+
+def _sampled_roles(rho, seed, radius, tol):
+    """Roles from rho at _SCAN_SAMPLES seeded points inside ``radius``; a
+    component that one variable alone moves is tested for a Moebius slice."""
+    rng = np.random.default_rng(seed)
+    pts = random_polydisk(rng, _SCAN_SAMPLES, rho.n, radius)
+    vals = rho.evaluate_batch(pts)
+    bases = random_polydisk(rng, 3, rho.n, 0.8)
+    roles, active = [], None
+    for j in range(rho.n):
+        col = vals[:, j]
+        mean = complex(col.mean())
+        if np.max(np.abs(col - mean)) <= max(tol, 1e-9):
+            roles.append(ComponentRole(ROLE_CONSTANT, value=mean))
+        elif np.max(np.abs(col - pts[:, j])) <= tol:
+            roles.append(ComponentRole(ROLE_IDENTITY, source=j))
+        else:
+            active = _active_variables(rho, bases, tol=tol) if active is None else active
+            sources, phi = np.flatnonzero(active[:, j]), None
+            if len(sources) == 1:  # the slice in that variable through the first base point
+                phi = detect_automorphism(lambda w, i=sources[0], j=j: rho._columns(
+                    np.where(np.arange(rho.n) == i, w[:, None], bases[:1]), [j])[:, 0])
+            roles.append(ComponentRole(ROLE_GENERIC) if phi is None else
+                         ComponentRole(ROLE_COPY, source=int(sources[0]), moebius=phi))
     return roles
 
 
@@ -419,11 +447,10 @@ def reduce_dimension(rho):
 @dataclass
 class _CoreForm:
     """Normalization result; ``anchors`` and the graphs are deepest first.
-    ``kernel`` (see _with_kernel) holds a num/den pair in the free variables
-    for each image column that needs no solve, a pole where |den| is at or
-    below its entry of ``pole_tols``.  ``base``, if set, is the top map
-    permuted by the levels' ``peel`` with every graph peeled; it solves the
-    graph columns in the bottom map's coordinates (``base_chain``)."""
+    ``kernel`` (see _with_kernel) holds each graph's numerator in the free variables,
+    then the denominators of its ``rational`` columns, with their ``pole_tols``.
+    ``base``, if set, is the top map permuted by the levels' ``peel`` with every
+    graph peeled; it solves the graph columns in the bottom map's ``base_chain``."""
 
     k: int
     e_sources: list
@@ -434,42 +461,51 @@ class _CoreForm:
     peel: Conjugation
     base: _ReducedMap | None = None
     kernel: _Stack | None = None
+    rational: list = field(default_factory=list)
     pole_tols: np.ndarray | None = None
 
 
 def _with_kernel(core, rho):
-    """core with its kernel: the free coordinates, copies and constants and,
-    unless core.base solves them, the graphs as rho's components at (x, 0),
-    each with its pole tolerance.  A term of rho that holds a variable
-    outside the free block is 0 there and is dropped, so each column is exact."""
-    k, free, one = core.k, list(core.chain.order[: core.k]), MultiPoly.constant(core.k, 1.0)
-    pairs = [(MultiPoly.variable(k, i), one) for i in list(range(k)) + list(core.e_sources)]
-    pairs += [(MultiPoly.constant(k, c), one) for c in core.consts]
-    graphs = [] if core.base is not None else list(core.chain.order[len(pairs):])
-    pairs += [[_restrict(p, free) for p in rho._pairs[j]] for j in graphs]
-    tols = np.concatenate([np.zeros(len(pairs) - len(graphs)), rho._pole_tols[graphs]])
-    return replace(core, kernel=_Stack([p for pair in pairs for p in pair]), pole_tols=tols)
+    """core with its kernel, unless core.base solves the graphs or there are none:
+    each graph is rho's component at (x, 0), whose terms in a variable outside
+    the free block are 0 and dropped, so each column is exact."""
+    free = list(core.chain.order[: core.k])
+    graphs = list(core.chain.order[core.k + len(core.e_sources) + len(core.consts):])
+    if core.base is not None or not graphs:
+        return core
+    rational = [c for c, j in enumerate(graphs) if isinstance(rho.components[j], RationalMap)]
+    polys = [rho._pairs[j][0] for j in graphs] + [rho._pairs[graphs[c]][1] for c in rational]
+    return replace(core, kernel=_Stack([_restrict(p, free) for p in polys]), rational=rational,
+                   pole_tols=rho._pole_tols[[graphs[c] for c in rational]])
 
 
 def _image_rows(x, core):
-    """Free coordinates (k,) or (N, k) -> points (n,) or (N, n).
-
-    Free coordinates must be finite and lie in the closed unit polydisk.
-    The kernel's columns come from one table, one pole test and one
-    division; with core.base set, the graph columns from one joint solve.
-    """
+    """Free coordinates (k,) or (N, k), finite and in the closed unit polydisk,
+    -> points (n,) or (N, n): copies of x, the constants, and the graphs from one
+    table of the kernel, dividing only the rational ones, or one joint solve."""
     x = np.asarray(x, dtype=complex)
-    k = core.k
+    k, m = core.k, len(core.e_sources)
     if x.ndim not in (1, 2) or x.shape[-1] != k:
         raise ValueError("free coordinates need a trailing axis of length %d" % k)
     if not (np.abs(x) <= 1.0).all():
         raise ValueError("free coordinates must be finite and lie in the closed unit polydisk")
-    if x.ndim == 2 and not len(x):
-        return np.empty((0, len(core.chain.order)), dtype=complex)
-    table = core.kernel(x if x.ndim == 2 else x.reshape(1, k))
-    out = multipoly._quotients(table[:, ::2], table[:, 1::2], core.pole_tols)
-    if core.base is not None:
-        out = np.concatenate([out, core.base._peel(core.base_chain.apply_inverse(out))], axis=1)
+    rows = x if x.ndim == 2 else x.reshape(1, k)
+    head = k + m + len(core.consts)
+    out = np.empty((len(rows), len(core.chain.order)), dtype=complex)
+    out[:, :k] = rows
+    if m:
+        out[:, k : k + m] = rows[:, core.e_sources]
+    if core.consts:
+        out[:, k + m : head] = core.consts
+    if core.kernel is not None and len(rows):
+        table = core.kernel(rows)
+        g = len(out[0]) - head
+        if core.rational:
+            table[:, core.rational] = multipoly._quotients(table[:, core.rational], table[:, g:],
+                                                           core.pole_tols)
+        out[:, head:] = table[:, :g]
+    elif core.base is not None and len(rows):
+        out[:, head:] = core.base._peel(core.base_chain.apply_inverse(out[:, :head]))
     return out if x.ndim == 2 else out[0]
 
 
@@ -523,10 +559,8 @@ class NormalForm:
     normalized_map is Phi . rho . Phi^{-1} for the stored conjugation Phi,
     on (..., n) arrays; on image points assembled by image_point it agrees
     with the identity up to the recorded residuals.  image_point and every
-    f_components evaluator read the free, copy and constant columns off one
-    table of the form's kernel, and the graph columns too when every free
-    coordinate is an identity component of rho; else one joint Newton solve
-    fills the graph columns.
+    f_components evaluator take the graph columns from one table of the
+    form's kernel, or one joint Newton solve (see _image_rows).
     """
 
     n: int

@@ -71,3 +71,34 @@ class TestDetectAutomorphism:
             )
             assert all(detect_automorphism(h) is None for h in near_misses)
         assert worst <= 1e-12
+
+
+class TestFromCoefficients:
+    def test_seeded_sweep_recovers_automorphisms_at_any_scale(self):
+        # phi(w) = (-u w + u a) / (-conj(a) w + 1), numerator and denominator times s
+        rng = np.random.default_rng(2027)
+        nodes = np.array([0.0, 0.5, -0.3j, 0.7 + 0.2j])
+        for _ in range(200):
+            u = np.exp(2j * np.pi * rng.random())
+            a = 0.95 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+            s = 10.0 ** rng.uniform(-200, 200) * np.exp(2j * np.pi * rng.random())
+            found = MoebiusAutomorphism.from_coefficients(-u * s, u * a * s, -np.conj(a) * s, s)
+            phi = MoebiusAutomorphism(u, a)
+            assert abs(found.factor - u) <= 1e-12 and abs(found.point - a) <= 1e-12
+            assert np.max(np.abs(found(nodes) - phi(nodes))) <= 1e-12
+
+    @pytest.mark.parametrize("coefficients", [
+        (0.5, 0.0, 0.0, 1.0),           # w / 2
+        (1.0, 0.5, 0.0, 1.0),           # w + 1/2
+        (-1.0, 2.0, -0.5, 1.0),         # the point 2 lies outside the disk
+        (-1.0, 0.5, -0.5 + 1e-6, 1.0),  # gamma / delta misses -conj(a)
+        (0.0, 1.0, 1.0, 0.0),           # 1 / w
+        (1.0, 0.0, 1.0, 0.0),           # the constant 1
+    ])
+    def test_maps_that_are_no_automorphism_give_none(self, coefficients):
+        assert MoebiusAutomorphism.from_coefficients(*coefficients) is None
+
+    def test_the_identity_and_a_rotation(self):
+        assert MoebiusAutomorphism.from_coefficients(1.0, 0.0, 0.0, 1.0).is_identity()
+        rotation = MoebiusAutomorphism.from_coefficients(1j, 0.0, 0.0, 1.0)
+        assert abs(rotation(0.5) - 0.5j) <= 1e-15 and not rotation.is_identity()

@@ -1,7 +1,12 @@
 """Tests for idempotent self-maps of the polydisk and their normal forms."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aglerkit import fixedgraph, multipoly, retract
 from aglerkit.errors import DomainError, InconsistencyError
@@ -163,6 +168,80 @@ def swap_map():
     )
 
 
+def explicit_above_map():
+    # (m^2, m, m) with m = (z2 + z3) / 2: an explicit level above an implicit one
+    m = MultiPoly(3, {(0, 1, 0): 0.5, (0, 0, 1): 0.5})
+    return RetractMap(3, (MultiPoly(3, {(0, 2, 0): 0.25, (0, 1, 1): 0.5, (0, 0, 2): 0.25}), m, m))
+
+
+def explicit_below_map():
+    # (m, m, m^2) with m = (z1 + z2) / 2: an explicit level below an implicit one
+    m = MultiPoly(3, {(1, 0, 0): 0.5, (0, 1, 0): 0.5})
+    return RetractMap(3, (m, m, MultiPoly(3, {(2, 0, 0): 0.25, (1, 1, 0): 0.5, (0, 2, 0): 0.25})))
+
+
+def hidden_term_map():
+    # (z1, z1^2 + 1e-6 z2^150): rho(rho) - rho = 1e-6 ((z1^2 + 1e-6 z2^150)^150 - z2^150)
+    # in the second component, below 1.5e-13 in modulus at radius 0.9
+    return RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(2, 0): 1.0, (0, 150): 1e-6})))
+
+
+# every polynomial map of this file that maps the closed polydisk into itself
+POLYNOMIAL = {
+    "duplicate": duplicate_map, "twisted_copy": twisted_copy_map, "parabola": parabola_map,
+    "triple_product": triple_product_map, "cubic_curve": cubic_curve_map,
+    "diagonal": lambda: averaging_map(2), "averaging_3": lambda: averaging_map(3),
+    "averaging_4": lambda: averaging_map(4), "twisted_graph": twisted_graph_map,
+    "first_graph": first_graph_map, "constant_second": constant_second_map, "swap": swap_map,
+    "identity_2": lambda: RetractMap.identity(2), "explicit_above": explicit_above_map,
+    "explicit_below": explicit_below_map, "hidden_term": hidden_term_map,
+}
+
+
+def _sqrt_up(q):
+    # a Fraction at or above the square root of the Fraction q >= 0, within 2^-80 / q's denominator
+    scale = q.denominator << 80
+    return Fraction(math.isqrt(q.numerator * q.denominator << 160) + (q > 0), scale)
+
+
+def fractions_defect(rho):
+    # max_j of the l1 norm of rho(rho)_j - rho_j, composed in exact rationals from
+    # the float coefficients; each modulus is rounded up, so this bounds it above
+    def times(p, q):
+        out = {}
+        for e1, (a, b) in p.items():
+            for e2, (c, d) in q.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                re, im = out.get(key, (0, 0))
+                out[key] = (re + a * c - b * d, im + a * d + b * c)
+        return out
+
+    comps = [{e: (Fraction(c.real), Fraction(c.imag)) for e, c in comp.terms.items()}
+             for comp in rho.components]
+    worst = Fraction(0)
+    for comp in comps:
+        total = {e: (-a, -b) for e, (a, b) in comp.items()}
+        for expo, coef in comp.items():
+            term = {(0,) * rho.n: coef}
+            for i, power in enumerate(expo):
+                for _ in range(power):
+                    term = times(term, comps[i])
+            for e, (c, d) in term.items():
+                re, im = total.get(e, (0, 0))
+                total[e] = (re + c, im + d)
+        worst = max(worst, sum(_sqrt_up(re * re + im * im) for re, im in total.values()))
+    return worst
+
+
+def as_reduced_level(rho):
+    # rho as a reduced map, whose roles and idempotence are sampled: rho plus a
+    # coordinate w that rho ignores and maps to 0, with w peeled
+    n = rho.n
+    full = RetractMap(n + 1, [comp.embed(n + 1, range(n)) for comp in rho.components]
+                      + [MultiPoly(n + 1, {})])
+    return retract._ReducedMap(full, (0j,))
+
+
 class TestRetractMap:
     def test_identity_evaluates_to_input(self):
         rho = RetractMap.identity(3)
@@ -273,6 +352,68 @@ class TestVerifyIdempotent:
         with pytest.raises(ValueError):
             verify_idempotent(swap_map(), samples=0)
 
+    @pytest.mark.parametrize("name", sorted(POLYNOMIAL))
+    def test_exact_defect_dominates_the_defect_in_fractions(self, name):
+        rho = POLYNOMIAL[name]()
+        report = verify_idempotent(rho)
+        assert report["method"] == "exact"
+        assert Fraction(report["max_defect"]) >= fractions_defect(rho)
+        assert report["passed"] is (name not in ("swap", "hidden_term"))
+
+    @pytest.mark.parametrize("rho", [rational_graph_map(), rational_graph_map(2.0 ** -600),
+                                     moebius_averaging_map([0.3 - 0.2j] * 3),
+                                     moebius_averaging_map([0.3, -0.2j, 0.1 + 0.25j])],
+                             ids=["rational_graph", "rational_graph_tiny", "moebius_averaging_3",
+                                  "moebius_averaging_off_origin"])
+    def test_rational_maps_are_sampled(self, rho):
+        report = verify_idempotent(rho)
+        assert report["method"] == "sampled"
+        assert report["passed"] is True
+
+    def test_exact_modulus_is_the_coefficient_bound(self):
+        # max_j sum |c| r^|alpha| over the numerators: 0.25 + 0.5 r^2 for (z1, 0.25 + 0.5 z1 z2)
+        rho = RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(0, 0): 0.25, (1, 1): 0.5})))
+        for radius in (0.3, 0.9):
+            bound = max(radius, 0.25 + 0.5 * radius ** 2)
+            assert verify_idempotent(rho, radius=radius)["max_modulus"] == bound
+
+    def test_a_coefficient_bound_above_one_falls_back_to_samples(self):
+        # (z1, 0.4 (1 + z1 - z1^2)) has sum |c| r^|alpha| = 1.084 at r = 0.9 but stays
+        # inside the disk: the sample decides the modulus, the terms the defect
+        f = MultiPoly(2, {(0, 0): 0.4, (1, 0): 0.4, (2, 0): -0.4})
+        rho = RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), f))
+        report = verify_idempotent(rho)
+        sampled = verify_idempotent(RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), RationalMap(f))))
+        assert (report["method"], sampled["method"]) == ("exact", "sampled")
+        assert report["passed"] is True and report["max_defect"] <= 1e-15
+        assert report["max_modulus"] == sampled["max_modulus"] < 1.0
+
+    def test_a_composition_too_large_is_sampled(self):
+        # (g, g, g) with g = m + (z1 - z2)^2 m^4 / 100 and m = (z1 + z2 + z3) / 3 is
+        # idempotent, as g(w, w, w) = w, and (m^6, m^6, m^6) is not; composing either
+        # takes more than multipoly._COMPOSE_WORK products, so samples decide both
+        unit = [{(1, 0, 0): 1.0}, {(0, 1, 0): 1.0}, {(0, 0, 1): 1.0}]
+        m = {e: 1 / 3 for u in unit for e in u}
+        bump = _product([{(2, 0, 0): 1.0, (1, 1, 0): -2.0, (0, 2, 0): 1.0}] + [m] * 4, 3)
+        g = MultiPoly(3, {**{e: c / 100 for e, c in bump.items()}, **m})
+        for rho, idempotent in ((RetractMap(3, (g,) * 3), True),
+                                (RetractMap(3, (MultiPoly(3, _product([m] * 6, 3)),) * 3), False)):
+            assert multipoly._compose(rho.components, rho.components, rho.components) is None
+            report = verify_idempotent(rho)
+            assert report["method"] == "sampled" and report["passed"] is idempotent
+
+    def test_a_hidden_term_fails_only_the_exact_check(self):
+        # the defect is below 1.5e-13 at radius 0.9, but rho(rho) - rho has
+        # coefficients of modulus 1e-6, so the exact check fails
+        rho = hidden_term_map()
+        sampled = verify_idempotent(as_reduced_level(rho), radius=0.9)
+        assert sampled["method"] == "sampled" and sampled["passed"] is True
+        report = verify_idempotent(rho, radius=0.9)
+        assert report["method"] == "exact" and report["passed"] is False
+        assert report["max_defect"] >= 2e-6
+        with pytest.raises(InconsistencyError, match="not idempotent"):
+            normal_form(rho)
+
 
 class TestClassifyComponents:
     def test_duplicate_is_identity_plus_copy(self):
@@ -318,6 +459,38 @@ class TestClassifyComponents:
         )
         with pytest.raises(InconsistencyError):
             classify_components(rho)
+
+    def test_constant_value_is_the_coefficient(self):
+        assert classify_components(constant_second_map())[1].value == CONST
+        rational = RationalMap(MultiPoly(2, {(0, 0): 0.6}), MultiPoly(2, {(0, 0): 2.0}))
+        roles = classify_components(RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), rational)))
+        assert (roles[1].kind, roles[1].value) == (ROLE_CONSTANT, 0.3)
+
+    def test_constant_outside_the_disk_raises(self):
+        rho = RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(0, 0): 1.0})))
+        with pytest.raises(DomainError, match="outside the open disk"):
+            classify_components(rho)
+
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 1.0, 2.0 ** 600])
+    def test_rational_identity_is_relative_to_the_denominator(self, scale):
+        # s z1 (1 - z2 / 2) / (s (1 - z2 / 2)) is z1 at every scale s
+        den = MultiPoly(2, {(0, 0): scale, (0, 1): -scale / 2})
+        num = MultiPoly(2, {(1, 0): scale, (1, 1): -scale / 2})
+        roles = classify_components(RetractMap(2, (RationalMap(num, den), MultiPoly(2, {(0, 1): 1.0}))))
+        assert [r.kind for r in roles] == [ROLE_IDENTITY, ROLE_IDENTITY]
+
+    def test_rational_copy_reads_the_moebius_map_off_its_coefficients(self):
+        # ((a - z2) / (1 - conj(a) z2), z2): a copy of z2 through phi(w) = (a - w) / (1 - conj(a) w)
+        a = 0.3 - 0.4j
+        copy = RationalMap(MultiPoly(2, {(0, 0): a, (0, 1): -1.0}),
+                           MultiPoly(2, {(0, 0): 1.0, (0, 1): -np.conj(a)}))
+        roles = classify_components(RetractMap(2, (copy, MultiPoly(2, {(0, 1): 1.0}))))
+        assert (roles[0].kind, roles[0].source) == (ROLE_COPY, 1)
+        assert (roles[0].moebius.factor, roles[0].moebius.point) == (1.0, a)
+
+    def test_an_affine_slice_that_is_no_automorphism_is_generic(self):
+        rho = RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(1, 0): 0.5, (0, 0): 0.1})))
+        assert [r.kind for r in classify_components(rho)] == [ROLE_IDENTITY, ROLE_GENERIC]
 
 
 class TestConjugation:
@@ -754,9 +927,7 @@ class TestNormalForm:
         # (m^2, m, m) with m = (z2 + z3) / 2: z1 appears in no term, so the
         # top level is explicit and leaves the diagonal retract (m, m), whose
         # level is implicit; images take the Newton route over the top map
-        m = MultiPoly(3, {(0, 1, 0): 0.5, (0, 0, 1): 0.5})
-        rho = RetractMap(3, (MultiPoly(3, {(0, 2, 0): 0.25, (0, 1, 1): 0.5, (0, 0, 2): 0.25}), m, m))
-        nf = normal_form(rho)
+        nf = normal_form(explicit_above_map())
         assert (nf.k, nf.copy_count, nf.graph_count) == (1, 0, 2)
         implicit, explicit = nf._core.anchors
         assert explicit.iterations == 0 and implicit.iterations >= 1
@@ -772,8 +943,7 @@ class TestNormalForm:
         # (m, m, m^2) with m = (z1 + z2) / 2: z1 is peeled implicitly, then z3,
         # which no term of the top map holds, explicitly: that level makes no
         # Newton call, and z3 and its component leave the exact map
-        m = MultiPoly(3, {(1, 0, 0): 0.5, (0, 1, 0): 0.5})
-        rho = RetractMap(3, (m, m, MultiPoly(3, {(2, 0, 0): 0.25, (1, 1, 0): 0.5, (0, 2, 0): 0.25})))
+        rho = explicit_below_map()
         top, implicit = reduce_dimension(retract._permute_map(rho, (1, 2, 0)))
         calls = self._count_newton(monkeypatch)
         bottom, explicit = reduce_dimension(top)
@@ -789,7 +959,8 @@ class TestNormalForm:
 
     def test_newton_route_query_evaluates_one_table_per_newton_step(self, monkeypatch):
         # every peeled component of averaging_4 and its partials come from one
-        # table per Newton step, after the kernel's one table
+        # table per Newton step, and no other table is evaluated: the free
+        # column is x itself, so this route has no kernel
         nf = normal_form(averaging_map(4))
         tables, steps = [], []
         stack_call, rows = multipoly._Stack.__call__, retract._ReducedMap._rows
@@ -798,7 +969,8 @@ class TestNormalForm:
         monkeypatch.setattr(retract._ReducedMap, "_rows",
                             lambda self, *args, **kwargs: steps.append(1) or rows(self, *args, **kwargs))
         nf.image_point([0.3 - 0.1j])
-        assert steps and len(tables) == 1 + len(steps)
+        assert nf._core.kernel is None
+        assert steps and len(tables) == len(steps)
 
     def test_anchors_off_the_origin_give_fixed_images(self):
         # coordinatewise distinct Moebius maps move rho(0) off the origin; each
@@ -875,3 +1047,123 @@ class TestNormalForm:
         assert len(payload["f_components"]) == 1
         assert payload["conjugation"] == {"order": [0, 1], "moebius": [None, None]}
         assert payload["diagnostics"]["idempotence"]["passed"] is True
+
+
+def spy(monkeypatch, module, name, calls):
+    # record each call of module.name in calls, then make it
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
+
+
+@st.composite
+def graph_retracts(draw):
+    """(x, f(x)) over k free coordinates, each f_j a constant, a rotated free
+    coordinate or a polynomial in the free block with sum |c| <= 1; in one
+    draw in four a free coordinate is scaled by 0.3..0.7, which is not idempotent."""
+    k, r = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n = k + r
+    unit = [tuple(int(v == i) for v in range(n)) for i in range(n)]
+    phase = st.floats(0.0, 2 * np.pi).map(lambda t: complex(np.exp(1j * t)))
+    comps = [MultiPoly(n, {unit[i]: 1.0}) for i in range(k)]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, k - 1))
+        comps[i] = MultiPoly(n, {unit[i]: draw(st.floats(0.3, 0.7))})
+    for _ in range(r):
+        kind = draw(st.sampled_from(["constant", "copy", "generic"]))
+        if kind == "constant":
+            terms = {(0,) * n: draw(st.floats(0.0, 0.95)) * draw(phase)}
+        elif kind == "copy":
+            terms = {unit[draw(st.integers(0, k - 1))]: draw(phase)}
+        else:
+            free = st.tuples(*[st.integers(0, 2)] * k).map(lambda e: e + (0,) * r)
+            count = draw(st.integers(1, 4))
+            terms = {draw(free): draw(st.floats(0.05, 1.0)) * draw(phase) for _ in range(count)}
+            total = sum(abs(c) for c in terms.values())
+            terms = {e: c / max(total, 1.0) for e, c in terms.items()}
+        comps.append(MultiPoly(n, terms))
+    return RetractMap(n, comps)
+
+
+def _roles_or_error(rho):
+    try:
+        return classify_components(rho)
+    except (InconsistencyError, DomainError) as exc:
+        return type(exc)
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("name", ["parabola", "triple_product", "cubic_curve"])
+    def test_exact_maps_sample_no_role_and_divide_no_query(self, monkeypatch, name):
+        # roles and idempotence come off the terms, and no image column is rational
+        calls = []
+        for attr in ("detect_automorphism", "_active_variables", "random_polydisk", "_sampled_roles"):
+            spy(monkeypatch, retract, attr, calls)
+        nf = normal_form(IDENTITY_FREE[name][0]())
+        assert nf.diagnostics["idempotence"]["method"] == "exact"
+        spy(monkeypatch, multipoly, "_quotients", calls)
+        nf.image_point([0.3 - 0.1j] * nf.k)
+        nf.image_point(np.full((5, nf.k), 0.2j))
+        nf.f_components[-1].evaluate([0.1] * nf.k)
+        assert calls == []
+
+    def test_rational_graph_columns_take_one_pole_test(self, monkeypatch):
+        nf = normal_form(rational_graph_map())
+        calls = []
+        spy(monkeypatch, multipoly, "_quotients", calls)
+        nf.image_point([0.3 - 0.1j])
+        assert calls == ["_quotients"]
+
+    @pytest.mark.parametrize("n", [2, 3], ids=["diagonal", "averaging_3"])
+    def test_implicit_levels_classify_by_sampling(self, monkeypatch, n):
+        # the top map's roles come off its terms; each implicit level below it
+        # is a reduced map, sampled
+        levels = []
+        sampled = retract._sampled_roles
+        monkeypatch.setattr(retract, "_sampled_roles",
+                            lambda rho, *args: levels.append((type(rho), rho.n)) or sampled(rho, *args))
+        nf = normal_form(averaging_map(n))
+        assert levels == [(retract._ReducedMap, d) for d in range(n - 1, 0, -1)]
+        assert nf.diagnostics["idempotence"]["method"] == "exact"
+
+    def test_a_copy_at_an_implicit_level_is_found_by_sampling(self):
+        # (m, m, -m) with m = (z1 + z2) / 2: peeling z1 leaves (v, -v), a copy through w -> -w
+        m = MultiPoly(3, {(1, 0, 0): 0.5, (0, 1, 0): 0.5})
+        rho = RetractMap(3, (m, m, MultiPoly(3, {(1, 0, 0): -0.5, (0, 1, 0): -0.5})))
+        nf = normal_form(rho)
+        assert (nf.k, nf.copy_count, nf.graph_count) == (1, 1, 1)
+        assert abs(nf.conjugation.maps[1](0.3) + 0.3) <= 1e-12
+        xs = np.array([[0.3 - 0.1j], [-0.5j], [0.6]])
+        assert np.max(np.abs(nf.conjugation.apply_inverse(nf.image_point(xs)) - xs * [1, 1, -1])) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [parabola_map(), duplicate_map(), constant_second_map(),
+                                     twisted_copy_map(), averaging_map(2)],
+                             ids=["parabola", "duplicate", "constant_second", "twisted_copy", "diagonal"])
+    def test_free_and_copy_columns_keep_the_bits_of_x(self, rho):
+        # -0.9j has real part -0.0: the free and plain copy columns are x itself
+        nf = normal_form(rho)
+        plain = [c for c in range(nf.k, nf.k + nf.copy_count) if nf.conjugation.maps[c] is None]
+        for x in (np.array([-0.9j]), np.array([complex(0.3, -0.0)]), np.array([[-0.9j], [-0.0 - 0.0j]])):
+            image = nf.image_point(x)
+            assert image[..., :1].tobytes() == x.tobytes()
+            for c in plain:
+                assert image[..., c : c + 1].tobytes() == x.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(graph_retracts())
+    def test_exact_roles_and_verdicts_match_the_sampled_route(self, rho):
+        # the same map as a reduced level is classified and checked on samples
+        level = as_reduced_level(rho)
+        exact, sampled = verify_idempotent(rho), verify_idempotent(level)
+        assert (exact["method"], sampled["method"]) == ("exact", "sampled")
+        assert exact["passed"] is sampled["passed"]
+        roles, reference = _roles_or_error(rho), _roles_or_error(level)
+        if not isinstance(roles, list):
+            assert roles is reference
+            return
+        assert [(r.kind, r.source) for r in roles] == [(r.kind, r.source) for r in reference]
+        for role, ref in zip(roles, reference):
+            if role.kind == ROLE_CONSTANT:
+                assert abs(role.value - ref.value) <= 1e-12
+            if role.kind == ROLE_COPY:
+                assert abs(role.moebius.factor - ref.moebius.factor) <= 1e-9
+                assert abs(role.moebius.point - ref.moebius.point) <= 1e-9
