@@ -99,6 +99,7 @@ class RetractMap:
                        for c in components]
         self._stack = _Stack([p for pair in self._pairs for p in pair])
         self._pole_tols = np.array([c._pole_tol if isinstance(c, RationalMap) else 0.0 for c in components])
+        self._rational = np.array([isinstance(c, RationalMap) for c in components])
         self.name = name
 
     @classmethod
@@ -106,11 +107,15 @@ class RetractMap:
         return cls(n, tuple(MultiPoly.variable(n, i) for i in range(n)))
 
     def _columns(self, pts, cols):
-        """Components ``cols`` at the rows of an (N, n) array, as (N, len(cols)),
-        all from one table; a pole of one of them raises DomainError."""
+        """Components ``cols`` at the rows of an (N, n) array, as (N, len(cols)), all
+        from one table; only rational ones divide, and a pole of one raises DomainError."""
         cols = list(cols)
         pairs = self._stack(pts).reshape(len(pts), self.n, 2)[:, cols]
-        return multipoly._quotients(pairs[..., 0], pairs[..., 1], self._pole_tols[cols])
+        out, rational = pairs[..., 0].copy(), self._rational[cols]
+        if rational.any():
+            out[:, rational] = multipoly._quotients(pairs[:, rational, 0], pairs[:, rational, 1],
+                                                    self._pole_tols[cols][rational])
+        return out
 
     def __call__(self, z):
         return self.evaluate_batch(np.reshape(z, (1, self.n)))[0]

@@ -10,18 +10,19 @@ by Cauchy's bound, if |c_00| exceeds the sum of the other |c_ab| r^(a+b), else b
 the Schur-Cohn test (Huang; Geronimo and Woerdeman) on p(r z1, r z2): p has no
 zero on the closed bidisk exactly when p(0, .) and det G have none on the closed
 disk, G the outer factor of the moments M(z2) of sos.  Any other input is
-scanned: companion eigensolves give the roots of every torus slice and of each
-interior one that Cauchy's bound does not place beyond 1 - tol and its order's
-smallest torus root.  A slice proposes its smallest root inside, and an interior
-slice that vanishes identically proposes w = 0.  The first proposal in scan
-order on an interior slice where p is small, about which a disk that holds a
-zero of p lies inside, is the ZeroFound witness; any other, even a boundary zero
-that rounding moved inside, makes the verdict Inconclusive.  min_modulus, the
-least |p| on the torus grid, is the torus slice rows times the torus powers, in
-the rows that a Lipschitz bound does not clear.  p is first scaled by the exact
-power of two that puts its largest real or imaginary part in [1, 2): tol is
-relative to p's size, and min_modulus is scaled back.  Scan verdicts are a
-sampling certificate, exact about the witnesses they report.
+scanned: companion eigensolves give the roots of each slice that neither Cauchy's
+bound nor a Schur-Cohn recursion with a rounding bound clears of roots within
+(1 + tol)(1 + 2^-10), as no other can propose a zero or block StableClosedStrict.
+A slice proposes its smallest root inside, and an interior slice that vanishes
+identically proposes w = 0.  The first proposal in scan order on an interior
+slice where p is small, about which a disk that holds a zero of p lies inside,
+is the ZeroFound witness; any other, even a boundary zero that rounding moved
+inside, makes the verdict Inconclusive.  min_modulus, the least |p| on the torus
+grid, is the torus slice rows times the torus powers, in the rows that a
+Lipschitz bound does not clear.  p is first scaled by the exact power of two
+that puts its largest real or imaginary part in [1, 2): tol is relative to p's
+size, and min_modulus is scaled back.  Scan verdicts are a sampling certificate,
+exact about the witnesses they report.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
+from .multipoly import _ROUND
 from .poly2 import BivariatePolynomial
 from .serialize import FORMAT_TAG, complex_to_pair
 from .sos import _outer_factor
@@ -40,7 +42,7 @@ STABLE_OPEN = "StableOpen"
 STABLE_CLOSED_STRICT = "StableClosedStrict"
 ZERO_FOUND = "ZeroFound"
 INCONCLUSIVE = "Inconclusive"
-_SCREEN = 2.0 ** -10  # Cauchy screen margin: rounding in its sum and eigvals' error
+_SCREEN = 2.0 ** -10  # screen margin: eigvals' error, and rounding in Cauchy's sum
 
 
 @dataclass
@@ -155,55 +157,43 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
     if decided:
         return StabilityReport(*decided, reported, torus_grid, disk_grid, tol)
 
-    # slices[h][s, k] is the coefficient of w**k in p(samples[s], w) (h = 0) or p(w, samples[s])
-    slices = [powers[:, : grid.shape[0]] @ grid for grid in (p.coeffs, p.coeffs.T)]
-    # scan order: z1 fixed, then z2 fixed; in each, the samples in order
-    fixed = np.tile(samples, 2)
-    swapped = np.repeat([False, True], samples.size)
-    degenerate = np.zeros(fixed.size, dtype=bool)
-    # roots[r] holds row r's roots, NaN-padded; a spare column serves constants
-    roots = np.full((fixed.size, max(p.coeffs.shape)), np.nan, dtype=complex)
-    on_torus = np.arange(samples.size) < torus_grid
-    for half, slice_coeffs in enumerate(slices):
-        part = slice(half * samples.size, (half + 1) * samples.size)
-        found = roots[part, : slice_coeffs.shape[1] - 1]  # a view into roots
-        mag = np.abs(slice_coeffs)
-        flat = np.max(mag, axis=1) <= tol * coeff_scale
-        degenerate[part] = flat
-        found[~flat & on_torus] = roots_rows(slice_coeffs[~flat & on_torus], lead_tol=1e-13)
-        # an interior row with no root within max(low, 1 - tol) can neither propose a
-        # zero nor hold the smallest root, as this order's torus rows, earlier in scan order, hold low
-        low = np.min(np.nan_to_num(np.abs(found[on_torus]), nan=np.inf), initial=np.inf)
-        cleared = _cauchy_clears(mag, np.arange(mag.shape[1]), max(low, 1.0 - tol))
-        solve = ~flat & ~on_torus & ~cleared
-        found[solve] = roots_rows(slice_coeffs[solve], lead_tol=1e-13)
-
+    # table[k, h, s] is the coefficient of w**k in p(samples[s], w) (h = 0) or p(w, samples[s]),
+    # zero-padded; as (k, r) with r = h * samples.size + s, scan order is column order
+    table = np.zeros((max(p.coeffs.shape), 2, samples.size), dtype=complex)
+    for half, grid in enumerate((p.coeffs, p.coeffs.T)):
+        table[: grid.shape[1], half] = (powers[:, : grid.shape[0]] @ grid).T
+    table = table.reshape(len(table), -1)
+    mag = np.abs(table)
+    flat = np.max(mag, axis=0) <= tol * coeff_scale
+    # only a row with a root within 1 + tol can propose a zero or block StableClosedStrict
+    live = np.flatnonzero(~flat & ~_cauchy_clears(mag.T, np.arange(len(mag)), 1.0 + tol))
+    solve = live[~_schur_cohn_clears(table.take(live, axis=1).T, (1.0 + tol) * (1 + _SCREEN))]
+    roots = roots_rows(table.take(solve, axis=1).T, lead_tol=1e-13)
     moduli = np.nan_to_num(np.abs(roots), nan=np.inf)
-    row_min = np.min(moduli, axis=1)
+    row_min = np.min(moduli, axis=1, initial=np.inf)
     # torus rows by index, as |exp(2 pi i k / N)| can round below 1
-    interior = np.tile(np.arange(samples.size) >= torus_grid, 2)
+    interior = np.arange(table.shape[1]) % samples.size >= torus_grid
     # proposed zeros of p: (fixed, 0) on a degenerate interior slice, and the
     # smallest root on a slice with a root inside
-    rows = np.flatnonzero((degenerate & interior) | (row_min < 1.0 - tol))
-    root = np.where(degenerate[rows], 0j, roots[rows, np.argmin(moduli[rows], axis=1)])
-    flip, at = swapped[rows], fixed[rows]
+    inside = row_min < 1.0 - tol
+    rows = np.concatenate([np.flatnonzero(flat & interior), solve[inside]])
+    if not rows.size:
+        strict = np.min(row_min, initial=np.inf) > 1.0 + tol and min_modulus > tol
+        return StabilityReport(STABLE_CLOSED_STRICT if strict else STABLE_OPEN, None, reported,
+                               torus_grid, disk_grid, tol)
+    rows, order = np.sort(rows), np.argsort(rows)
+    root = np.concatenate([np.zeros(rows.size - np.count_nonzero(inside), dtype=complex),
+                           roots[inside, np.argmin(moduli[inside], axis=1)]])[order]
+    flip, at = rows >= samples.size, samples[rows % samples.size]
     w1, w2 = np.where(flip, root, at), np.where(flip, at, root)
     # a proposal counts if p is small there, its slice is an interior one, and
     # along the coordinate it was found in (the fixed one on a degenerate
     # slice) a disk that holds a zero of p lies inside
-    modulus, reach = _zero_reach(p, w1, w2, flip != degenerate[rows])
+    modulus, reach = _zero_reach(p, w1, w2, flip != flat[rows])
     confirmed = (modulus <= tol * coeff_scale) & (reach < 1.0) & interior[rows]
-
-    if np.any(confirmed):
-        verdict, k = ZERO_FOUND, np.argmax(confirmed)  # the first in scan order ends the scan
-    elif rows.size:
-        verdict, k = INCONCLUSIVE, -1  # the last proposal is pending
-    elif np.min(row_min) > 1.0 + tol and min_modulus > tol:
-        verdict = STABLE_CLOSED_STRICT
-    else:
-        verdict = STABLE_OPEN
-    witness = (complex(w1[k]), complex(w2[k])) if rows.size else None
-    return StabilityReport(verdict, witness, reported, torus_grid, disk_grid, tol)
+    # the first confirmed proposal in scan order ends the scan; else the last is pending
+    verdict, k = (ZERO_FOUND, np.argmax(confirmed)) if np.any(confirmed) else (INCONCLUSIVE, -1)
+    return StabilityReport(verdict, (complex(w1[k]), complex(w2[k])), reported, torus_grid, disk_grid, tol)
 
 
 def _shortcut(p, zero, row, torus_grid, min_modulus, tol):
@@ -238,6 +228,36 @@ def _cauchy_clears(mag, degrees, radius):
     <= (1 - _SCREEN) mag[..., 0], the constant term's modulus; inf and NaN sums clear nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
         return mag[..., 1:] @ ((1 + _SCREEN) * radius) ** degrees[1:] <= (1 - _SCREEN) * mag[..., 0]
+
+
+def _schur_cohn_clears(rows, radius):
+    """Whether each nonzero row, its leading coefficients <= 1e-13 max|row| trimmed as in roots_rows,
+    provably has no zero on the closed disk of this radius: the Schur-Cohn recursion (Jury 1964;
+    Bistritz 1984) on q(w) = row(radius w).  q of formal degree d has none exactly when |q_0| > |q_d|
+    and conj(q_0) q - q_d w^d conj(q(1 / conj w)), of formal degree d - 1, has none (Rouche's theorem).
+    err[k] bounds |q_k| less the exact value on the trimmed row: the trimmed terms and rounding, then
+    a running error bound (multipoly._compose): 2 _ROUND per step, 2^-1060 for underflow, 1 + 2^-20
+    for its own rounding.  Each step scales q by the power of two that puts max |q_k| in [1/2, 1)."""
+    c = np.ascontiguousarray(np.asarray(rows, dtype=complex).T)  # c[k]: each row's w**k coefficient
+    width, powers = len(c), np.cumprod([1.0] + [radius] * (len(c) - 1))[:, None]
+    top, alive = np.max(np.abs(c), axis=0), np.ones(c.shape[1], dtype=bool)
+    c = c * powers
+    mag = np.abs(c)
+    err = (1 + 2.0 ** -20) * (width * _ROUND * mag + 1e-13 * powers * top) + 2.0 ** -1060
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(width - 1, 0, -1):
+            scale = np.ldexp(1.0, -np.frexp(np.max(mag, axis=0))[1])
+            c, mag, err = c * scale, mag * scale, err * scale
+            ok = mag[0] - mag[d] > (1 + 2.0 ** -20) * (err[0] + err[d] + _ROUND * (mag[0] + mag[d]))
+            if not ok.all():
+                alive[alive] = ok
+                c, mag, err = (np.compress(ok, x, axis=1) for x in (c, mag, err))
+            c = np.conj(c[0]) * c[:d] - c[d] * np.conj(c[d:0:-1])
+            err = (1 + 2.0 ** -20) * ((err[0] + 2 * _ROUND * mag[0]) * mag[:d] + (mag[0] + err[0]) * err[:d]
+                                      + (err[d] + 2 * _ROUND * mag[d]) * mag[d:0:-1]
+                                      + (mag[d] + err[d]) * err[d:0:-1]) + 2.0 ** -1060
+            mag = np.abs(c)
+    return alive
 
 
 def _torus_minimum(p, ring, torus):

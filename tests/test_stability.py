@@ -1,6 +1,8 @@
 """Tests for the bidisk zero-freeness scan."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from aglerkit.stability import (
     _fixed_samples,
     _outer_factor_clears,
     _sample_powers,
+    _schur_cohn_clears,
     _scan,
     _torus_minimum,
     _zero_reach,
@@ -171,7 +174,7 @@ CORPUS = [
 
 
 class TestScreenedScan:
-    """Interior slices screened out by Cauchy's bound never change a report."""
+    """Slices that Cauchy's bound or the Schur-Cohn screen clears never change a report."""
 
     @pytest.mark.parametrize("grids", [(128, 16), (512, 64)])
     def test_corpus(self, grids):
@@ -221,18 +224,31 @@ class TestScreenedScan:
         assert report.verdict == STABLE_CLOSED_STRICT
         assert sum(seen) <= 0.2 * rows
 
+    @pytest.mark.parametrize("p", [CLASSIC, CORPUS[2]], ids=["classic", "product_22"])
+    def test_boundary_zero_inputs_solve_few_rows(self, monkeypatch, p):
+        # a regression guard that counts instead of timing: with Cauchy's bound alone these
+        # handed 1,024 and 3,348 of their 9,218 slice rows to roots_rows
+        seen, screened = scanned_rows(monkeypatch)
+        assert check_stability(p).verdict == STABLE_OPEN and screened
+        assert sum(len(rows) for rows in seen) <= 32
+
 
 def scanned_rows(monkeypatch):
-    """Collects the row batches check_stability hands to roots_rows: the scan makes
-    at least two calls per variable order, the shortcuts at most one in all."""
-    seen = []
+    """Collects the row batches check_stability hands to roots_rows, and the row counts it
+    hands to the Schur-Cohn screen: the scan calls the screen once, the shortcuts never."""
+    seen, screened = [], []
 
     def spy(rows, lead_tol=0.0):
         seen.append(np.array(rows))
         return roots_rows(rows, lead_tol=lead_tol)
 
+    def screen(rows, radius):
+        screened.append(len(rows))
+        return _schur_cohn_clears(rows, radius)
+
     monkeypatch.setattr(aglerkit.stability, "roots_rows", spy)
-    return seen
+    monkeypatch.setattr(aglerkit.stability, "_schur_cohn_clears", screen)
+    return seen, screened
 
 
 class TestShortcuts:
@@ -253,39 +269,41 @@ class TestShortcuts:
     ], ids=["n0", "0m", "00", "padded_one", "lead_vanishes", "tol_zero", "zero_on_axis",
             "zero_off_axis", "boundary_n0", "boundary_0m", "flat_axis"])
     def test_edge_cases_get_the_scan_verdict(self, monkeypatch, p, tol, scanned):
-        seen = scanned_rows(monkeypatch)
+        _, screened = scanned_rows(monkeypatch)
         report = check_stability(p, torus_grid=64, disk_grid=8, tol=tol)
-        assert (len(seen) > 1) == scanned
+        assert bool(screened) == scanned
         assert_same_report(report, _scan(p, 64, 8, tol))
 
     def test_strict_input_solves_at_most_the_zero_slice(self, monkeypatch):
-        # a regression guard that counts instead of timing: the scan eigensolves
-        # 1,537 of its 9,218 slices here, the shortcuts at most p(0, .)
-        seen = scanned_rows(monkeypatch)
+        # a regression guard that counts instead of timing: the shortcuts eigensolve at
+        # most p(0, .) and never reach the scan
+        seen, screened = scanned_rows(monkeypatch)
         p = random_strictly_stable(np.random.default_rng(3), 3, 3)
         assert check_stability(p).verdict == STABLE_CLOSED_STRICT
-        assert len(seen) <= 1
+        assert len(seen) <= 1 and not screened
         for rows in seen:
             assert rows.shape == (1, 4) and np.array_equal(rows[0], p.coeffs[0])
 
     def test_zero_slice_witnesses_are_the_scans(self, monkeypatch):
-        seen = scanned_rows(monkeypatch)
+        seen, screened = scanned_rows(monkeypatch)
         rng = np.random.default_rng(61)
         shortcut = 0
         for n, m in rng.integers(1, 5, size=(20, 2)):
             p = BivariatePolynomial(rng.standard_normal((n + 1, m + 1))
                                     + 1j * rng.standard_normal((n + 1, m + 1)))
             seen.clear()
+            screened.clear()
             report = check_stability(p, torus_grid=128, disk_grid=16)
-            if len(seen) <= 1:
+            if not screened:
+                assert len(seen) <= 1
                 shortcut += 1
                 assert report.verdict == ZERO_FOUND and report.witness[0] == 0.0
             assert_same_report(report, _scan(p, 128, 16))
         assert shortcut >= 10
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
-        st.sampled_from(["stable", "gaussian", "product"]),
+        st.sampled_from(["stable", "gaussian", "product", "boundary"]),
         st.integers(0, 6), st.integers(0, 6), st.integers(0, 2 ** 32 - 1),
         st.sampled_from([(64, 8), (128, 16), (512, 64)]),
     )
@@ -295,11 +313,19 @@ class TestShortcuts:
             p = random_strictly_stable(rng, max(n, 1), m)  # c(0, 0) = 0 needs a second term
         elif kind == "product":  # strict, and often decided by the Schur-Cohn test
             p = linear_product(rng, 2 + n % 2)
+        elif kind == "boundary" and seed % 2:  # (1, 1) is a zero of multiplicity k
+            p = power(CLASSIC, 1 + n % 4)
+        elif kind == "boundary":  # 1 - a z1 - b z2 with |a| + |b| = 1 has a zero on the torus
+            a, b = rng.dirichlet([1.0, 1.0]) * np.exp(2j * np.pi * rng.uniform(size=2))
+            p = linear_product(rng, 1 + m % 2) * BivariatePolynomial([[1.0, -b], [-a, 0.0]])
         else:
             n, m = min(n, 4), min(m, 4)
             p = BivariatePolynomial(rng.standard_normal((n + 1, m + 1))
                                     + 1j * rng.standard_normal((n + 1, m + 1)))
-        for grids in [(64, 8), (128, 16), (512, 64)] if kind == "product" else [grids]:
+        for grids in [(64, 8), (128, 16), (512, 64)] if kind in ("product", "boundary") else [grids]:
+            if kind == "boundary":  # the screen must leave these rows to the eigensolver
+                assert_matches_full_scan(p, *grids)
+                continue
             report = check_stability(p, *grids)
             assert_same_report(report, _scan(p, *grids))
             if kind != "gaussian":
@@ -363,9 +389,9 @@ class TestCauchyBound:
     def test_equality_goes_on_to_the_scan(self, monkeypatch):
         # 2 - z1 - z2 meets the bound with equality and vanishes at (1, 1)
         assert not shortcut_tests(CLASSIC)[0]
-        calls, seen = doublings(monkeypatch), scanned_rows(monkeypatch)
+        calls, (_, screened) = doublings(monkeypatch), scanned_rows(monkeypatch)
         report = check_stability(CLASSIC)
-        assert report.verdict == STABLE_OPEN and len(seen) > 1 and not calls
+        assert report.verdict == STABLE_OPEN and screened and not calls
 
     def test_cleared_inputs_clear_the_schur_cohn_test(self):
         # seeded dominant families: (1, 1)-(6, 6), 2**k multiples, torus rotations,
@@ -512,6 +538,90 @@ class TestSelfConsistency:
 def gaussian(rng, n, m):
     return BivariatePolynomial(rng.standard_normal((n + 1, m + 1))
                                + 1j * rng.standard_normal((n + 1, m + 1)))
+
+
+SCREEN_RADIUS = (1.0 + 1e-9) * (1.0 + 2.0 ** -10)  # the scan's Schur-Cohn radius at tol 1e-9
+
+
+def zero_within(row, radius):
+    """Whether the row roots_rows solves, its leading coefficients <= 1e-13 max|row| trimmed, has
+    a zero with |w| <= radius, decided exactly: the Schur-Cohn recursion on Gaussian integers, the
+    row's binary fractions at that radius times their common denominator."""
+    mag = np.abs(row)
+    degree = len(row) - 1 - np.argmax((mag > 1e-13 * np.max(mag))[::-1])
+    parts = [(Fraction(c.real) * Fraction(radius) ** k, Fraction(c.imag) * Fraction(radius) ** k)
+             for k, c in enumerate(row[: degree + 1])]
+    den = math.lcm(*(x.denominator for part in parts for x in part))
+    a = [(int(x * den), int(y * den)) for x, y in parts]
+    while len(a) > 1:  # a[k] = (re, im) of q_k; the next q_k is conj(q_0) q_k - q_d conj(q_(d-k))
+        (x0, y0), (xd, yd), d = a[0], a[-1], len(a) - 1
+        if x0 * x0 + y0 * y0 <= xd * xd + yd * yd:
+            return True
+        a = [(x0 * x + y0 * y - xd * u - yd * v, x0 * y - y0 * x - yd * u + xd * v)
+             for (x, y), (u, v) in zip(a[:d], a[d:0:-1])]
+    return False
+
+
+class TestSchurCohnScreen:
+    """A row the screen clears has no zero on the closed disk of its radius."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([1.0, 0.75, SCREEN_RADIUS]),
+        st.one_of(st.none(), st.tuples(st.integers(1, 52), st.floats(0.0, 1.0), st.integers(1, 4))),
+        st.lists(st.tuples(st.integers(1, 8), st.floats(0.0, 1.0), st.integers(1, 4)), max_size=6),
+        st.sampled_from([False, False, False, True]), st.sampled_from([0.0, 1e-14, 1e-20]),
+        st.floats(-3.0, 3.0),
+    )
+    def test_no_row_with_a_zero_within_the_radius_is_cleared(self, radius, inside, outside, at_zero,
+                                                             tiny, size):
+        # planted roots radius (1 -+ 2**-k) e^(2 pi i turn) in clusters of up to 4 alike, one
+        # cluster at most inside and at most 12 roots in all; a root at 0 makes the constant
+        # term exactly 0, and a tiny leading coefficient is trimmed
+        clusters = ([(-1.0, *inside)] if inside else []) + [(1.0, *cluster) for cluster in outside]
+        roots = [radius * (1.0 + sign * 2.0 ** -k) * np.exp(2j * np.pi * turn)
+                 for sign, k, turn, count in clusters for _ in range(count)][: 12 - at_zero]
+        row = np.polynomial.polynomial.polyfromroots(roots + [0.0] * at_zero) * 10.0 ** size * (1 - 0.5j)
+        if tiny:
+            row = np.append(row, tiny * np.max(np.abs(row)))
+        if _schur_cohn_clears(row.reshape(1, -1), radius)[0]:
+            assert not zero_within(row, radius)
+
+    def test_rows_with_a_zero_on_the_circle_are_not_cleared(self):
+        # one root within 4 units in the last place of the circle and the rest beyond it, and in
+        # every other row a trimmed leading coefficient that pushes that root outward: only
+        # the rounding bound and the trimmed terms in it keep such rows from being cleared
+        poly = np.polynomial.polynomial
+        rng = np.random.default_rng(89)
+        for i in range(400):
+            radius, degree = (1.0, 0.75, SCREEN_RADIUS)[i % 3], 1 + i % 6
+            roots = radius * (1.0 + rng.uniform(size=degree)) * np.exp(2j * np.pi * rng.uniform(size=degree))
+            roots[0] = radius * (1.0 + rng.integers(-4, 5) * 2.0 ** -52) * np.exp(2j * np.pi * rng.uniform())
+            row = poly.polyfromroots(roots)
+            if i % 2:  # a w**(degree + 1) term moves roots[0] by about -term / row'(roots[0])
+                push = -roots[0] * poly.polyval(roots[0], poly.polyder(row)) / roots[0] ** (degree + 1)
+                row = np.append(row, 0.9e-13 * np.max(np.abs(row)) * push / abs(push))
+            if _schur_cohn_clears(row.reshape(1, -1), radius)[0]:
+                assert not zero_within(row, radius)
+
+    def test_cleared_rows_have_no_computed_root_within_the_radius(self):
+        # 10**4 seeded rows of degree 1-8, zero-padded to 9 columns: Gaussian ones, and ones
+        # with planted roots at SCREEN_RADIUS (1 +- 2**-k)
+        rng = np.random.default_rng(83)
+        rows = np.zeros((10 ** 4, 9), dtype=complex)
+        for r, degree in enumerate(rng.integers(1, 9, size=len(rows))):
+            if r % 2:
+                rows[r, : degree + 1] = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+                continue
+            offsets = rng.choice([-1.0, 1.0], degree) * 2.0 ** -rng.integers(1, 31, degree)
+            roots = SCREEN_RADIUS * (1.0 + offsets) * np.exp(2j * np.pi * rng.uniform(size=degree))
+            rows[r, : degree + 1] = np.polynomial.polynomial.polyfromroots(roots)
+        cleared = _schur_cohn_clears(rows, SCREEN_RADIUS)
+        smallest = np.min(np.nan_to_num(np.abs(roots_rows(rows, lead_tol=1e-13)), nan=np.inf), axis=1)
+        assert np.all(smallest[cleared] > SCREEN_RADIUS)
+        # and the screen is not empty: it clears most rows with every root beyond 1.01 the radius
+        assert np.count_nonzero(cleared) >= 500
+        assert np.mean(cleared[smallest > 1.01 * SCREEN_RADIUS]) > 0.95
 
 
 class TestTorusMinimum:
