@@ -138,28 +138,6 @@ class MultiPoly:
             out[key] = out.get(key, 0.0 + 0.0j) + power * coef
         return MultiPoly(self.nvars, out)
 
-    def embed(self, nvars_new, positions):
-        """Reinterpret in a larger variable list.
-
-        ``positions[i]`` is the index that old variable ``i`` occupies in
-        the new list; the remaining new variables never appear.
-        """
-        nvars_new = int(nvars_new)
-        positions = tuple(int(p) for p in positions)
-        if len(positions) != self.nvars:
-            raise ValueError("positions must list every old variable once")
-        if len(set(positions)) != self.nvars:
-            raise ValueError("positions must be distinct")
-        if any(not 0 <= p < nvars_new for p in positions):
-            raise ValueError("position out of range for the enlarged list")
-        out = {}
-        for expo, coef in self.terms.items():
-            new_expo = [0] * nvars_new
-            for old_index, power in enumerate(expo):
-                new_expo[positions[old_index]] = power
-            out[tuple(new_expo)] = coef
-        return MultiPoly(nvars_new, out)
-
     def to_json(self):
         return {
             "nvars": self.nvars,
@@ -231,18 +209,20 @@ def _quotients(num, den, tols):
 
 
 class _QuotientRule:
-    """F = num / den and dF/dW for the g (num, den) ``pairs``, W the last g variables.
+    """F = num / den and dF/dW for the g (num, den) ``pairs``, W the g ``solved`` variables.
 
     One stack holds each num and den, then their partials in each of the g
     variables, so (N, nvars) points take one table and one pole test (at
-    ``tols``): F as (N, g), dF/dW = (d num - F d den) / den as (N, g, g).
+    ``tols``): F as (N, g), dF/dW = (d num - F d den) / den as (N, g, g).  A
+    point holds the other variables in order, then W; the stack's ``_vars``
+    reads each variable from its column, so no point is reordered.
     """
 
-    def __init__(self, pairs, tols):
+    def __init__(self, pairs, tols, solved):
         nvars, self.g, self._tols = pairs[0][0].nvars, len(pairs), tols
-        solved = range(nvars - self.g, nvars)
         self._stack = _Stack([p if v is None else p.partial(v)
                               for pair in pairs for v in (None, *solved) for p in pair])
+        self._stack._vars = np.argsort([v for v in range(nvars) if v not in solved] + list(solved))
 
     def __call__(self, points):
         table = self._stack(points).reshape(len(points), self.g, self.g + 1, 2)

@@ -9,28 +9,29 @@ a map is equivalent to one of the shape
 with k free coordinates, m plain copies of free coordinates, and r graph
 components (functions of the free block v' = (v_1, ..., v_k), constants
 included).  This module verifies idempotence, classifies components,
-peels off graph components one at a time in the last variable, and
+peels off graph components one at a time, each where it sits, and
 assembles the conjugation plus residual diagnostics for the resulting
 normal form.  An exact map's roles, and a polynomial map's idempotence,
 are read off its terms; a reduced map's roles are sampled.  The
 conjugation is one automorphism of D^n, a coordinate permutation
-followed by one disk automorphism per coordinate: each level of the
-recursion composes its permutation with the conjugation of the level
-below, and the bottom level adds the inverse Moebius map of each twisted
-copy.
+followed by one disk automorphism per coordinate: the bottom level orders
+its coordinates by their indices in the top map and adds the inverse
+Moebius map of each twisted copy, and each level above appends its graph.
 
-A level is its exact map ``full`` (the top map permuted, explicit
-variables dropped) with its peeled coordinates last, and their anchors; a
-RetractMap is a level with full = itself and no anchors.  full(0) is a
-fixed point of full, so the head of full(0) is one of the level's map.  A
-level is explicit when the peeled variable appears in no term of full:
-the graph is then the last component itself (every retract is a graph over
-its free coordinates, Heath-Suffridge), the level solves nothing, and the
-variable and its component leave full.  Any other level is implicit: one
-joint Newton solve of w with every peeled coordinate, at the head of
-full(0), refines its anchor, and dF/dw = a + b (I - D)^-1 c comes from that
-solve's Jacobian [[a, b], [c, D]] (implicit differentiation).  A level
-keeps only its graph's anchor record.
+A level is its exact map ``full`` (the top map, explicit variables
+dropped), the indices of its ``peeled`` variables in full and their
+anchors; its head is full's other variables, in order, so no level builds
+a permuted copy of the map.  A RetractMap is a level with full = itself
+and nothing peeled.  full(0) is a fixed point of full, so the head of
+full(0) is one of the level's map.  A level is explicit when the peeled
+variable appears in no term of full: the graph is then its component
+itself (every retract is a graph over its free coordinates,
+Heath-Suffridge), the level solves nothing, and the variable and its
+component leave full.  Any other level is implicit: one joint Newton
+solve of w with every peeled coordinate, at the head of full(0), refines
+its anchor, and dF/dw = a + b (I - D)^-1 c comes from that solve's
+Jacobian [[a, b], [c, D]] (implicit differentiation).  A level keeps only
+its graph's anchor record.
 
 Evaluation works on whole arrays: the maps take (N, n) rows, and the
 conjugation, image_point and the graph evaluators act on the last axis,
@@ -76,7 +77,7 @@ class RetractMap:
     peeled coordinates and so no ``anchors``.
     """
 
-    anchors = ()
+    anchors = peeled = ()
     full = property(lambda self: self)
 
     def __init__(self, n, components, name=None):
@@ -163,29 +164,35 @@ class RetractMap:
 
 
 class _ReducedMap(RetractMap):
-    """z -> full_head(z, w(z)) for an exact map ``full`` with its last g
-    coordinates peeled; it cannot be serialized.
+    """z -> full(z, w(z)) at the head variables for an exact map ``full`` with
+    its variables ``peeled`` solved; it cannot be serialized.
 
-    At head rows z of D^n the peeled equations w = full_tail(z, w) have one
-    joint solution w(z) in D^g, as each peeled slice has one interior fixed
-    point (Schwarz-Pick).  ``anchors`` holds the anchor value of each
-    peeled coordinate's graph, left to right.
+    The head variables are full's other variables, in order; a point holds
+    them in that order.  At head rows z of D^n the peeled equations
+    w = full_peeled(z, w) have one joint solution w(z) in D^g, as each peeled
+    slice has one interior fixed point (Schwarz-Pick).  ``anchors`` holds
+    the anchor value of each peeled variable's graph, in ``peeled``'s order.
     """
 
-    def __init__(self, full, anchors):
-        self._full, self.anchors, self.n = full, anchors, full.n - len(anchors)
+    def __init__(self, full, peeled, anchors):
+        self._full, self.peeled, self.anchors = full, tuple(peeled), anchors
+        self._head = np.array([i for i in range(full.n) if i not in self.peeled], dtype=int)
+        self.n = len(self._head)
 
     full = property(lambda self: self._full)
 
     @cached_property
     def _tail(self):
-        """The quotient rule of the peeled components, in the peeled variables."""
-        return _QuotientRule(self.full._pairs[self.n:], self.full._pole_tols[self.n:])
+        """The quotient rule of the peeled components in the peeled variables, on
+        rows [head, peeled]."""
+        full = self.full
+        return _QuotientRule([full._pairs[p] for p in self.peeled], full._pole_tols[list(self.peeled)],
+                             self.peeled)
 
     def _rows(self, Z, W, dw=False):
-        """F = full[n:](Z, W) at (N, n) rows Z and, if dw, dF/dW, shaped like W:
+        """F = full_peeled(Z, W) at (N, n) rows Z and, if dw, dF/dW, shaped like W:
         (N, g) and (N, g, g) for the g peeled variables, or (N,); one table."""
-        f, df = self._tail(np.concatenate([Z, W.reshape(len(Z), self.full.n - self.n)], axis=1))
+        f, df = self._tail(np.concatenate([Z, W.reshape(len(Z), len(self.peeled))], axis=1))
         f, df = f.reshape(W.shape), df.reshape(W.shape + W.shape[1:])
         return (f, df) if dw else f
 
@@ -195,15 +202,12 @@ class _ReducedMap(RetractMap):
         return _solve_rows(self, head, self.anchors)[0]
 
     def _columns(self, pts, cols):
-        return self.full._columns(np.concatenate([pts, self._peel(pts)], axis=1), cols)
+        rows = np.empty((len(pts), self.full.n), dtype=complex)
+        rows[:, self._head], rows[:, list(self.peeled)] = pts, self._peel(pts)
+        return self.full._columns(rows, self._head[list(cols)])
 
     def to_json(self):
         raise ValueError("a reduced map cannot be serialized")
-
-
-def _level(full, anchors):
-    """The level of exact map ``full`` with its last len(anchors) coordinates peeled."""
-    return _ReducedMap(full, anchors) if anchors else full
 
 
 def verify_idempotent(rho, samples=400, seed=7, radius=0.9, tol=1e-9):
@@ -352,13 +356,6 @@ class Conjugation:
     order: tuple
     maps: tuple
 
-    @classmethod
-    def permuted(cls, order, below):
-        """Permute by ``order``, then act by ``below`` on the leading positions."""
-        m = len(below.order)
-        return cls(tuple(order[i] for i in below.order) + tuple(order[m:]),
-                   below.maps + (None,) * (len(order) - m))
-
     def apply(self, z):
         out = np.asarray(z, dtype=complex)[..., list(self.order)]
         for i, phi in enumerate(self.maps):
@@ -380,21 +377,6 @@ class Conjugation:
                 "moebius": [None if phi is None else phi.to_json() for phi in self.maps]}
 
 
-def _permute_map(rho, order):
-    """P . rho . P^{-1}: the level's exact map permuted, with its peeled
-    coordinates kept last.  The identity order returns rho itself."""
-    n, full = rho.n, rho.full
-    if list(order) == list(range(n)):
-        return rho
-    order = list(order) + list(range(n, full.n))
-    inv = np.argsort(order)
-    return _level(RetractMap(full.n, tuple(
-        comp.embed(full.n, inv) if isinstance(comp, MultiPoly)
-        else RationalMap(comp.numerator.embed(full.n, inv), comp.denominator.embed(full.n, inv))
-        for comp in (full.components[j] for j in order)
-    )), rho.anchors)
-
-
 def _restrict(comp, keep):
     """An exact component at 0 in every variable outside ``keep``, in the
     variables ``keep``: the terms that hold another variable are dropped."""
@@ -405,39 +387,49 @@ def _restrict(comp, keep):
 
 
 def reduce_dimension(rho):
-    """Split the last component off as a fixed-point graph w = f(z').
-
-    Returns the reduced map z' -> rho_head(z', f(z')), an idempotent
-    self-map of D^{n-1}, and the graph's anchor, a FixedPointRecord at the
-    head z' of q = rho.full(0), a fixed point of rho.full whose head is one
-    of rho (q = rho(0) for a RetractMap).  When no numerator or denominator
-    term of full holds the last variable (explicit), the anchor is
-    full(q)'s entry with dF/dw = 0 and 0 iterations, and that variable and
-    its component leave full.  Otherwise one joint Newton solve at z' of w
-    with every peeled coordinate, from q's entry and the anchors, refines
-    the anchor, and one more coordinate is peeled.  The anchor must be
-    interior by _classify, else InconsistencyError."""
+    """Peel the last component, where it sits, as a fixed-point graph: _reduce(rho, rho.n - 1).
+    An explicit level of a RetractMap gives an exact RetractMap."""
     if rho.n < 2:
         raise ValueError("reduction needs at least two variables")
-    full, anchors, head = rho.full, rho.anchors, rho.n - 1
+    return _reduce(rho, rho.n - 1)
+
+
+def _reduce(rho, g):
+    """Split component g off, where it sits, as a fixed-point graph w = f(z').
+
+    Returns the reduced map z' -> rho(z', f(z')) without component g, an
+    idempotent self-map of D^{n-1}, and the graph's anchor, a FixedPointRecord
+    at the head z' of q = rho.full(0), a fixed point of rho.full whose head is
+    one of rho (q = rho(0) for a RetractMap).  When no numerator or denominator
+    term of full holds g's variable v (explicit), the anchor is full(q)'s
+    entry with dF/dw = 0 and 0 iterations, and v and its component leave full:
+    the reduced map is an exact RetractMap when nothing else is peeled.
+    Otherwise v joins the peeled variables, first, and one joint Newton solve
+    at z' of every peeled coordinate, from q's entry and the anchors, refines
+    the anchor.  The anchor must be interior by _classify, else
+    InconsistencyError."""
+    full, anchors, peeled = rho.full, rho.anchors, rho.peeled
+    head = [i for i in range(full.n) if i not in peeled]
+    v = head[g]
     q = full(np.zeros(full.n, dtype=complex))
-    z = tuple(complex(v) for v in q[:head])
-    if not full._stack._expo[:, head].any():
-        w = complex(full(q)[head])
+    z = tuple(complex(q[i]) for i in head if i != v)
+    if not full._stack._expo[:, v].any():
+        w = complex(full(q)[v])
         anchor = FixedPointRecord(z, w, 0j, _classify(w, 0.0), 0.0, 0)
-        keep = [i for i in range(full.n) if i != head]
-        reduced = _level(RetractMap(full.n - 1, tuple(_restrict(full.components[j], keep) for j in keep)),
-                         anchors)
+        keep = [i for i in range(full.n) if i != v]
+        reduced = RetractMap(full.n - 1, tuple(_restrict(full.components[j], keep) for j in keep))
+        if anchors:
+            reduced = _ReducedMap(reduced, [p - (p > v) for p in peeled], anchors)
     else:
-        reduced = _ReducedMap(full, (complex(q[head]),) + anchors)
+        reduced = _ReducedMap(full, (v,) + peeled, (complex(q[v]),) + anchors)
         values, iterations, f, jac = _solve_rows(
-            reduced, q[None, :head], reduced.anchors,
+            reduced, np.array([z]), reduced.anchors,
             failure="could not refine the seed fixed point at the image of the origin")
-        w, g = complex(values[0, 0]), len(anchors)
-        jac = jac.reshape(1, g + 1, g + 1)
+        w, m = complex(values[0, 0]), len(anchors)
+        jac = jac.reshape(1, m + 1, m + 1)
         derivative = jac[0, 0, 0]
-        if g:  # dF/dw of the last column, with the other peeled coordinates solved
-            dp = np.linalg.solve(np.eye(g) - jac[:, 1:, 1:], jac[:, 1:, :1])
+        if m:  # dF/dw of the new column, with the other peeled coordinates solved
+            dp = np.linalg.solve(np.eye(m) - jac[:, 1:, 1:], jac[:, 1:, :1])
             derivative = derivative + (jac[:, :1, 1:] @ dp)[0, 0, 0]
         anchor = FixedPointRecord(z, w, complex(derivative), _classify(w, abs(derivative)),
                                   float(abs(f.reshape(-1)[0] - w)), int(iterations[0]))
@@ -454,8 +446,8 @@ class _CoreForm:
     """Normalization result; ``anchors`` and the graphs are deepest first.
     ``kernel`` (see _with_kernel) holds each graph's numerator in the free variables,
     then the denominators of its ``rational`` columns, with their ``pole_tols``.
-    ``base``, if set, is the top map permuted by the levels' ``peel`` with every
-    graph peeled; it solves the graph columns in the bottom map's ``base_chain``."""
+    ``base``, if set, is the top map with every graph peeled; it solves the graph
+    columns in the bottom map's ``base_chain``, the bottom's own conjugation."""
 
     k: int
     e_sources: list
@@ -463,7 +455,6 @@ class _CoreForm:
     anchors: list
     chain: Conjugation
     base_chain: Conjugation
-    peel: Conjugation
     base: _ReducedMap | None = None
     kernel: _Stack | None = None
     rational: list = field(default_factory=list)
@@ -514,8 +505,9 @@ def _image_rows(x, core):
     return out if x.ndim == 2 else out[0]
 
 
-def _normalize(rho, opts, depth=0, roles=None):
-    """The core form of rho at a recursion depth, from rho's roles if given."""
+def _normalize(rho, opts, index, depth=0, roles=None):
+    """The core form of rho at a recursion depth, from rho's roles if given;
+    index[j] is the top map's index of rho's coordinate j."""
     d = rho.n
     if roles is None:
         roles = classify_components(rho, seed=opts["seed"] + 17 * depth,
@@ -528,20 +520,19 @@ def _normalize(rho, opts, depth=0, roles=None):
 
     if generic:
         g = generic[0]
-        order = tuple(list(range(g)) + list(range(g + 1, d)) + [g])
-        reduced, anchor = reduce_dimension(_permute_map(rho, order))
+        reduced, anchor = _reduce(rho, g)
         # an explicit peel (no iteration) leaves every head component the same
         # function, so the reduced map's roles are rho's, sources past g renumbered
         below = None if anchor.iterations else [
             replace(r, source=None if r.source is None else r.source - (r.source > g))
             for r in roles[:g] + roles[g + 1:]]
-        core = _normalize(reduced, opts, depth + 1, below)
-        core = replace(core, anchors=core.anchors + [anchor], peel=Conjugation.permuted(order, core.peel),
-                       chain=Conjugation.permuted(order, core.chain))
+        core = _normalize(reduced, opts, index[:g] + index[g + 1:], depth + 1, below)
+        core = replace(core, anchors=core.anchors + [anchor],
+                       chain=Conjugation(core.chain.order + (index[g],), core.chain.maps + (None,)))
         if depth or all(roles[j].kind == ROLE_IDENTITY for j in core.chain.order[: core.k]):
             return core
-        return replace(core, base=_ReducedMap(
-            _permute_map(rho, core.peel.order), tuple(a.w for a in core.anchors)))
+        graphs = core.chain.order[core.k + len(core.e_sources) + len(core.consts):]
+        return replace(core, base=_ReducedMap(rho, graphs, tuple(a.w for a in core.anchors)))
 
     ids = [j for j, role in enumerate(roles) if role.kind == ROLE_IDENTITY]
     copies = [j for j, role in enumerate(roles) if role.kind == ROLE_COPY]
@@ -552,9 +543,9 @@ def _normalize(rho, opts, depth=0, roles=None):
             maps[pos] = roles[j].moebius.inverse()
     rank = {src: pos for pos, src in enumerate(ids)}
     e_sources = [rank[roles[j].source] for j in copies]
-    chain = Conjugation(tuple(ids + copies + consts), tuple(maps))
-    return _CoreForm(len(ids), e_sources, [roles[j].value for j in consts], [], chain, chain,
-                     Conjugation(tuple(range(d)), (None,) * d))
+    order, maps = ids + copies + consts, tuple(maps)
+    return _CoreForm(len(ids), e_sources, [roles[j].value for j in consts], [],
+                     Conjugation(tuple(index[j] for j in order), maps), Conjugation(tuple(order), maps))
 
 
 @dataclass
@@ -625,7 +616,7 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
 
     opts = {"seed": int(seed), "scan_radius": min(float(radius), 0.85),
             "role_tol": max(float(tol), 1e-9)}
-    core = _with_kernel(_normalize(rho, opts), rho)
+    core = _with_kernel(_normalize(rho, opts, tuple(range(rho.n))), rho)
     chain = core.chain
 
     def normalized_map(v, _rho=rho, _chain=chain):

@@ -43,6 +43,7 @@ STABLE_CLOSED_STRICT = "StableClosedStrict"
 ZERO_FOUND = "ZeroFound"
 INCONCLUSIVE = "Inconclusive"
 _SCREEN = 2.0 ** -10  # screen margin: eigvals' error, and rounding in Cauchy's sum
+_LEAD_TOL = 1e-13  # roots_rows trims leading coefficients <= this times max|row|; the screen trims the same
 
 
 @dataclass
@@ -168,7 +169,7 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
     # only a row with a root within 1 + tol can propose a zero or block StableClosedStrict
     live = np.flatnonzero(~flat & ~_cauchy_clears(mag.T, np.arange(len(mag)), 1.0 + tol))
     solve = live[~_schur_cohn_clears(table.take(live, axis=1).T, (1.0 + tol) * (1 + _SCREEN))]
-    roots = roots_rows(table.take(solve, axis=1).T, lead_tol=1e-13)
+    roots = roots_rows(table.take(solve, axis=1).T, lead_tol=_LEAD_TOL)
     moduli = np.nan_to_num(np.abs(roots), nan=np.inf)
     row_min = np.min(moduli, axis=1, initial=np.inf)
     # torus rows by index, as |exp(2 pi i k / N)| can round below 1
@@ -205,7 +206,7 @@ def _shortcut(p, zero, row, torus_grid, min_modulus, tol):
     mag = np.abs(row[0])
     flat = np.max(mag) <= tol * coeff_scale
     far = _cauchy_clears(mag, np.arange(mag.size), radius)
-    roots = np.zeros(0, dtype=complex) if flat or far else roots_rows(row, lead_tol=1e-13)[0]
+    roots = np.zeros(0, dtype=complex) if flat or far else roots_rows(row, lead_tol=_LEAD_TOL)[0]
     moduli = np.nan_to_num(np.abs(roots), nan=np.inf)
     low = np.min(moduli, initial=np.inf)
     if flat or low < 1.0 - tol:
@@ -231,7 +232,7 @@ def _cauchy_clears(mag, degrees, radius):
 
 
 def _schur_cohn_clears(rows, radius):
-    """Whether each nonzero row, its leading coefficients <= 1e-13 max|row| trimmed as in roots_rows,
+    """Whether each nonzero row, its leading coefficients <= _LEAD_TOL max|row| trimmed as in roots_rows,
     provably has no zero on the closed disk of this radius: the Schur-Cohn recursion (Jury 1964;
     Bistritz 1984) on q(w) = row(radius w).  q of formal degree d has none exactly when |q_0| > |q_d|
     and conj(q_0) q - q_d w^d conj(q(1 / conj w)), of formal degree d - 1, has none (Rouche's theorem).
@@ -243,7 +244,7 @@ def _schur_cohn_clears(rows, radius):
     top, alive = np.max(np.abs(c), axis=0), np.ones(c.shape[1], dtype=bool)
     c = c * powers
     mag = np.abs(c)
-    err = (1 + 2.0 ** -20) * (width * _ROUND * mag + 1e-13 * powers * top) + 2.0 ** -1060
+    err = (1 + 2.0 ** -20) * (width * _ROUND * mag + _LEAD_TOL * powers * top) + 2.0 ** -1060
     with np.errstate(over="ignore", invalid="ignore"):
         for d in range(width - 1, 0, -1):
             scale = np.ldexp(1.0, -np.frexp(np.max(mag, axis=0))[1])

@@ -1,5 +1,9 @@
 """The public surface of the aglerkit package."""
 
+import ast
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 import aglerkit
@@ -63,3 +67,41 @@ def test_retract_solves_no_schur_map():
     # column to the fixedgraph layer's single-unknown search
     assert not hasattr(retract, "SchurMap")
     assert not hasattr(retract, "find_fixed_w")
+
+
+def private_definitions(tree):
+    """(name, node) for each private module-level function, class and constant of a
+    module, and each private method of its classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(item.name, item) for item in node.body if isinstance(item, ast.FunctionDef)]
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found if name.startswith("_") and not name.endswith("__")]
+
+
+def names_read(tree):
+    """How often a tree names each name: loaded names, attributes and imports."""
+    read = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            read[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            read[node.name] += 1
+    return read
+
+
+def test_no_private_code_is_orphaned():
+    # every private name the package defines is named somewhere in the package
+    # outside its own definition: a helper that lost its last caller is deleted,
+    # not kept for the tests
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(aglerkit.__file__).parent.glob("*.py"))]
+    read = sum(map(names_read, trees), Counter())
+    defined = [pair for tree in trees for pair in private_definitions(tree)]
+    assert len(defined) >= 90
+    assert [name for name, node in defined if read[name] <= names_read(node)[name]] == []

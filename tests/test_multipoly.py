@@ -85,7 +85,8 @@ class TestEvaluate:
 
 def quotient_rule(rmap, g):
     """multipoly's quotient rule over g copies of rmap: partials in its last g variables."""
-    return _QuotientRule([(rmap.numerator, rmap.denominator)] * g, rmap._pole_tol)
+    return _QuotientRule([(rmap.numerator, rmap.denominator)] * g, rmap._pole_tol,
+                         range(rmap.nvars - g, rmap.nvars))
 
 
 class TestRationalMap:
@@ -111,6 +112,29 @@ class TestRationalMap:
         # one copy takes the partial in the last variable alone (the last bound)
         slope = quotient_rule(rmap, 1)(pts)[1][:, 0, 0]
         assert np.all(np.abs(slope - expected) <= 1e-12 * bound)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), nvars=st.integers(2, 4))
+    def test_solved_variables_are_read_where_the_rows_hold_them(self, data, nvars):
+        # rows hold the other variables in order, then the solved ones in the
+        # order given, as a peeled retract level passes them to Newton
+        rmap = data.draw(rational_maps(nvars))
+        solved = data.draw(st.permutations(range(nvars)))[: data.draw(st.integers(1, nvars))]
+        pts = data.draw(points(nvars)).reshape(-1, nvars)
+        order = [v for v in range(nvars) if v not in solved] + solved
+        value, slopes = _QuotientRule([(rmap.numerator, rmap.denominator)] * len(solved),
+                                      rmap._pole_tol, solved)(pts[:, order])
+        num, den = rmap.numerator, rmap.denominator
+        den_values = den.evaluate(pts)
+        scale = naive_table(num, pts)[1] / np.abs(den_values)
+        assert np.all(np.abs(value - rmap.evaluate(pts)[:, None]) <= 1e-13 * scale[:, None])
+        for c, index in enumerate(solved):
+            dnum, dden = num.partial(index), den.partial(index)
+            expected = (dnum.evaluate(pts) * den_values
+                        - num.evaluate(pts) * dden.evaluate(pts)) / den_values ** 2
+            bound = (naive_table(dnum, pts)[1] * naive_table(den, pts)[1]
+                     + naive_table(num, pts)[1] * naive_table(dden, pts)[1]) / np.abs(den_values) ** 2
+            assert np.all(np.abs(slopes[:, :, c] - expected[:, None]) <= 1e-12 * bound[:, None])
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data(), nvars=st.integers(1, 4))
