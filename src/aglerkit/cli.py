@@ -260,7 +260,7 @@ def build_parser():
     p_stab = sub.add_parser("stability", help="zero-free verdict on the closed bidisk")
     common(p_stab, tol=1e-9)
     p_stab.add_argument("--grid", type=int, default=512,
-                        help="torus grid per axis of min_modulus and of the fallback slice scan")
+                        help="torus grid per axis of min_modulus, the strict torus bound and the slice scan")
     p_stab.set_defaults(handler=_cmd_stability)
 
     p_dec = sub.add_parser("decompose", help="sum-of-squares Gram certificate")

@@ -7,9 +7,10 @@ the disk.  p(0, .), the first interior slice, goes first: a confirmed proposal
 there (below) is the scan's own ZeroFound witness.  Then StableClosedStrict, if p
 has no zero on the closed bidisk of radius r = 1 + 2 max(tol, eps^(1/degree)):
 by Cauchy's bound, if |c_00| exceeds the sum of the other |c_ab| r^(a+b), else by
-the Schur-Cohn test (Huang; Geronimo and Woerdeman) on p(r z1, r z2): p has no
-zero on the closed bidisk exactly when p(0, .) and det G have none on the closed
-disk, G the outer factor of the moments M(z2) of sos.  Any other input is
+one-variable tests on q = p(r z1, r z2) (DeCarlo, Murray and Saeks; Strintzis):
+q has no zero on the closed bidisk when q(0, .) and q(., 1) have none on the
+closed disk (Cauchy's bound or a certified Schur-Cohn recursion) and q has none
+on the torus (its torus grid minimum exceeds a Lipschitz gap).  Any other input is
 scanned: companion eigensolves give the roots of each slice that neither Cauchy's
 bound nor a Schur-Cohn recursion with a rounding bound clears of roots within
 (1 + tol)(1 + 2^-10), as no other can propose a zero or block StableClosedStrict.
@@ -21,8 +22,8 @@ inside, makes the verdict Inconclusive.  min_modulus, the least |p| on the torus
 grid, is the torus slice rows times the torus powers, in the rows that a
 Lipschitz bound does not clear.  p is first scaled by the exact power of two
 that puts its largest real or imaginary part in [1, 2): tol is relative to p's
-size, and min_modulus is scaled back.  Scan verdicts are a sampling certificate,
-exact about the witnesses they report.
+size, and min_modulus is scaled back.  Verdicts before the scan are proved; scan
+verdicts are a sampling certificate, exact about the witnesses they report.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from numpy.polynomial.polynomial import polyval2d
 from .multipoly import _ROUND
 from .poly2 import BivariatePolynomial
 from .serialize import FORMAT_TAG, complex_to_pair
-from .sos import _outer_factor
 
 STABLE_OPEN = "StableOpen"
 STABLE_CLOSED_STRICT = "StableClosedStrict"
@@ -154,7 +154,7 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
     reported = float(np.ldexp(min_modulus, shift))
     # p(0, .) from a product of two rows, which sums as the full slice table does
     zero_row = (powers[torus_grid:torus_grid + 2, : p.coeffs.shape[0]] @ p.coeffs)[:1]
-    decided = shortcuts and _shortcut(p, samples[torus_grid], zero_row, torus_grid, min_modulus, tol)
+    decided = shortcuts and _shortcut(p, samples[torus_grid], zero_row, powers[:torus_grid], min_modulus, tol)
     if decided:
         return StabilityReport(*decided, reported, torus_grid, disk_grid, tol)
 
@@ -197,9 +197,10 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
     return StabilityReport(verdict, (complex(w1[k]), complex(w2[k])), reported, torus_grid, disk_grid, tol)
 
 
-def _shortcut(p, zero, row, torus_grid, min_modulus, tol):
-    """ZeroFound on p(0, .), the (1, m + 1) row, or StableClosedStrict by Cauchy's bound on the
-    bidisk or else the Schur-Cohn test; None if neither.  p's largest coefficient is at least 1."""
+def _shortcut(p, zero, row, torus, min_modulus, tol):
+    """ZeroFound on p(0, .), the (1, m + 1) row, or StableClosedStrict by Cauchy's bound on the bidisk or
+    else, with p(0, .) cleared within r, by _decarlo_strintzis_clears on p(r z1, r z2); None if neither.
+    torus holds the torus grid's powers, a row per point.  p's largest coefficient is at least 1."""
     (n, m), coeff_scale = p.bidegree, float(np.max(np.abs(p.coeffs)))
     margin = max(tol, np.finfo(float).eps ** (1.0 / max(n, m, 1)))  # covers the scan's rounding
     radius = 1.0 + 2.0 * margin
@@ -217,11 +218,25 @@ def _shortcut(p, zero, row, torus_grid, min_modulus, tol):
     exponents, moduli = np.add.outer(np.arange(n + 1), np.arange(m + 1)), np.abs(p.coeffs)
     # with no zero on the closed bidisk |p| is least on the torus, at least min_modulus less
     # pi/N sum (a + b + 1) |c_ab| (the 1 for rounding): above tol * scale, no slice is flat
-    gap = np.pi / torus_grid * np.sum((exponents + 1) * moduli)
-    if low > radius and min_modulus - gap > tol * coeff_scale and (
+    gap = np.pi / len(torus) * np.sum((exponents + 1) * moduli)
+    if min_modulus - gap > tol * coeff_scale and (far or _schur_cohn_clears(row, radius)[0]) and (
             not n or _cauchy_clears(moduli.ravel(), exponents.ravel(), radius)
-            or _outer_factor_clears(p.coeffs / coeff_scale * radius ** exponents, margin)):
+            or _decarlo_strintzis_clears(p.coeffs * radius ** exponents, exponents, torus)):
         return STABLE_CLOSED_STRICT, None
+
+
+def _decarlo_strintzis_clears(q, exponents, torus):
+    """Whether q, with q(0, .) free of zeros on the closed disk, has none on the closed bidisk (DeCarlo,
+    Murray and Saeks 1977; Strintzis 1977): Cauchy's bound or _schur_cohn_clears clears the row q(., 1),
+    and q's least modulus on the torus grid, from torus (the grid's powers), exceeds pi/N sum (a + b + 1)
+    |q_ab|.  For each z2 on the circle q(., z2) then has as many zeros in the disk as at z2 = 1, none;
+    so for each z1 in the closed disk q(z1, .) has as many as at z1 = 0, none.  The gap's 1 covers the
+    rounding of q and of its torus values, and by Rouche's theorem that of the summed row q(., 1)."""
+    row = q.sum(axis=1)
+    if not (_cauchy_clears(np.abs(row), np.arange(row.size), 1.0) or _schur_cohn_clears(row[None], 1.0)[0]):
+        return False
+    gap = np.pi / len(torus) * np.sum((exponents + 1) * np.abs(q))
+    return _torus_minimum(BivariatePolynomial(q), torus[:, : q.shape[1]] @ q.T, torus[:, : q.shape[0]]) > gap
 
 
 def _cauchy_clears(mag, degrees, radius):
@@ -292,23 +307,6 @@ def _row_minima(rows, torus):
         values = np.resize(chunk, (max(len(chunk), 2), chunk.shape[1])) @ torus.T
         minima[start:start + len(chunk)] = np.min(np.abs(values[: len(chunk)]), axis=1)
     return minima
-
-
-def _outer_factor_clears(coeffs, margin):
-    """Whether det G has no zero on the closed disk (n >= 1): the block companion of
-    G_0^-1 G_j has spectral radius below 1, and G meets M_k = sum_j G_(j+k) G_j* to margin."""
-    n, m = coeffs.shape[0] - 1, coeffs.shape[1] - 1
-    try:
-        moments, outer = _outer_factor(coeffs)
-        miss = max(np.max(np.abs(moments[m + k] - np.einsum(
-            "jab,jcb->ac", outer[k:], outer[: m + 1 - k].conj()))) for k in range(m + 1))
-        companion = np.eye(n * m, k=-n, dtype=complex)
-        if m:
-            companion[:n] = -np.linalg.solve(outer[0], np.concatenate(outer[1:], axis=1))
-        rho = np.max(np.abs(np.linalg.eigvals(companion)), initial=0.0)
-    except np.linalg.LinAlgError:  # M is singular on the circle, or nearly so
-        return False
-    return miss <= margin * np.max(np.abs(moments)) and rho < 1.0
 
 
 def _zero_reach(p, w1, w2, in_z1):

@@ -246,11 +246,12 @@ class TestDecompose:
         assert payload["stability"]["verdict"] == "StableClosedStrict"
         assert "min_root_modulus" not in payload["stability"]
 
-    @pytest.mark.parametrize("coeffs", [[[4.0, -1.0], [-1.0, 0.0]], [[3.0, 1.0j], [0.5, -1.0]]],
-                             ids=["4_z1_z2", "dominant_11"])
-    def test_dominant_input_runs_one_doubling(self, tmp_path, monkeypatch, coeffs):
-        # a guard that counts instead of timing: Cauchy's bound clears the pre-gate, so the
-        # Schur-Cohn doubling runs once, in solve_gram
+    @pytest.mark.parametrize("coeffs", [[[4.0, -1.0], [-1.0, 0.0]], [[3.0, 1.0j], [0.5, -1.0]],
+                                        [[1.0, -0.5], [-0.5, 0.25]]],
+                             ids=["4_z1_z2", "dominant_11", "half_half"])
+    def test_strict_input_runs_one_doubling(self, tmp_path, monkeypatch, coeffs):
+        # a guard that counts instead of timing: Cauchy's bound, or for (1 - z1/2)(1 - z2/2) the
+        # DeCarlo-Strintzis test, clears the pre-gate, so the doubling runs once, in solve_gram
         calls, doubling = [], aglerkit.sos._riccati_doubling
 
         def spy(*args):

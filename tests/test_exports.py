@@ -105,3 +105,12 @@ def test_no_private_code_is_orphaned():
     defined = [pair for tree in trees for pair in private_definitions(tree)]
     assert len(defined) >= 90
     assert [name for name, node in defined if read[name] <= names_read(node)[name]] == []
+
+
+def test_stability_imports_nothing_from_the_solver():
+    # the stability gate decides by its own one-variable tests: no verdict rests on the Gram solver
+    tree = ast.parse((Path(aglerkit.__file__).parent / "stability.py").read_text())
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert [name for name in modules if name and "sos" in name.split(".")] == []

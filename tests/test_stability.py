@@ -19,8 +19,8 @@ from aglerkit.stability import (
     ZERO_FOUND,
     StabilityReport,
     _cauchy_clears,
+    _decarlo_strintzis_clears,
     _fixed_samples,
-    _outer_factor_clears,
     _sample_powers,
     _schur_cohn_clears,
     _scan,
@@ -233,9 +233,10 @@ class TestScreenedScan:
         assert sum(len(rows) for rows in seen) <= 32
 
 
-def scanned_rows(monkeypatch):
+def scanned_rows(monkeypatch, tol=1e-9):
     """Collects the row batches check_stability hands to roots_rows, and the row counts it
-    hands to the Schur-Cohn screen: the scan calls the screen once, the shortcuts never."""
+    hands to the scan's Schur-Cohn screen, the one call at radius (1 + tol)(1 + 2^-10): the
+    shortcuts' row tests, at their own radius and at 1, are not counted."""
     seen, screened = [], []
 
     def spy(rows, lead_tol=0.0):
@@ -243,7 +244,8 @@ def scanned_rows(monkeypatch):
         return roots_rows(rows, lead_tol=lead_tol)
 
     def screen(rows, radius):
-        screened.append(len(rows))
+        if radius == (1.0 + tol) * (1 + 2.0 ** -10):
+            screened.append(len(rows))
         return _schur_cohn_clears(rows, radius)
 
     monkeypatch.setattr(aglerkit.stability, "roots_rows", spy)
@@ -252,7 +254,7 @@ def scanned_rows(monkeypatch):
 
 
 class TestShortcuts:
-    """The z1 = 0 slice, Cauchy's bound and the Schur-Cohn test decide inputs exactly as the scan does."""
+    """The z1 = 0 slice, Cauchy's bound and the DeCarlo-Strintzis test decide inputs as the scan does."""
 
     @pytest.mark.parametrize("p, tol, scanned", [
         (BivariatePolynomial([[4.0], [-1.0], [0.5]]), 1e-9, False),  # (2, 0), roots 2.83
@@ -269,7 +271,7 @@ class TestShortcuts:
     ], ids=["n0", "0m", "00", "padded_one", "lead_vanishes", "tol_zero", "zero_on_axis",
             "zero_off_axis", "boundary_n0", "boundary_0m", "flat_axis"])
     def test_edge_cases_get_the_scan_verdict(self, monkeypatch, p, tol, scanned):
-        _, screened = scanned_rows(monkeypatch)
+        _, screened = scanned_rows(monkeypatch, tol)
         report = check_stability(p, torus_grid=64, disk_grid=8, tol=tol)
         assert bool(screened) == scanned
         assert_same_report(report, _scan(p, 64, 8, tol))
@@ -311,7 +313,7 @@ class TestShortcuts:
         rng = np.random.default_rng(seed)
         if kind == "stable":
             p = random_strictly_stable(rng, max(n, 1), m)  # c(0, 0) = 0 needs a second term
-        elif kind == "product":  # strict, and often decided by the Schur-Cohn test
+        elif kind == "product":  # strict, and often decided by the DeCarlo-Strintzis test
             p = linear_product(rng, 2 + n % 2)
         elif kind == "boundary" and seed % 2:  # (1, 1) is a zero of multiplicity k
             p = power(CLASSIC, 1 + n % 4)
@@ -333,7 +335,7 @@ class TestShortcuts:
 
 
 def doublings(monkeypatch):
-    """Collects the calls of sos._riccati_doubling: the Schur-Cohn test makes one."""
+    """Collects the calls of sos._riccati_doubling, which solve_gram makes and check_stability never."""
     calls, doubling = [], aglerkit.sos._riccati_doubling
 
     def spy(*args):
@@ -344,16 +346,17 @@ def doublings(monkeypatch):
     return calls
 
 
-def shortcut_tests(p, tol=1e-9):
-    """Cauchy's bound and the Schur-Cohn test as _shortcut runs them: on the bidisk of its
+def shortcut_tests(p, tol=1e-9, grids=(128, 16)):
+    """Cauchy's bound and the DeCarlo-Strintzis test as _shortcut runs them: on the bidisk of its
     radius, with p scaled as _scan scales it."""
     shift = int(np.frexp(np.max(np.abs(p.coeffs.view(float))))[1]) - 1
     c = np.ldexp(p.coeffs.view(float), -shift).view(complex)
     n, m = p.bidegree
     margin = max(tol, np.finfo(float).eps ** (1.0 / max(n, m, 1)))
     radius, exponents = 1.0 + 2.0 * margin, np.add.outer(np.arange(n + 1), np.arange(m + 1))
-    return (_cauchy_clears(np.abs(c).ravel(), exponents.ravel(), radius),
-            _outer_factor_clears(c / np.max(np.abs(c)) * radius ** exponents, margin))
+    q, torus = c * radius ** exponents, _sample_powers(*grids, max(n, m) + 1)[1][: grids[0]]
+    decarlo = _schur_cohn_clears(c[:1], radius)[0] and _decarlo_strintzis_clears(q, exponents, torus)
+    return _cauchy_clears(np.abs(c).ravel(), exponents.ravel(), radius), decarlo
 
 
 NEAR_EQUALITY = 1.0 + (1.0 - 2.0 ** -12) / 3.0 * BivariatePolynomial([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
@@ -361,8 +364,8 @@ HALF = BivariatePolynomial([[1.0, -0.5], [-0.5, 0.25]])  # (1 - z1/2)(1 - z2/2)
 
 
 class TestCauchyBound:
-    """Cauchy's bound on the bidisk decides strictness with no Schur-Cohn doubling when |c_00|
-    dominates; it clears only inputs that the Schur-Cohn test clears too."""
+    """Cauchy's bound on the bidisk decides strictness when |c_00| dominates, and the DeCarlo-Strintzis
+    test when it does not; Cauchy's bound clears only inputs that the DeCarlo-Strintzis test clears too."""
 
     @pytest.mark.parametrize("p", [random_strictly_stable(np.random.default_rng(3), 3, 3),
                                    BivariatePolynomial([[4.0, -1.0], [-1.0, 0.0]])],
@@ -377,13 +380,13 @@ class TestCauchyBound:
 
     @pytest.mark.parametrize("p", [HALF, NEAR_EQUALITY], ids=["half_half", "near_equality"])
     @pytest.mark.parametrize("grids", [(64, 8), (128, 16), (512, 64)])
-    def test_strict_input_the_bound_misses_runs_one_doubling(self, monkeypatch, p, grids):
+    def test_strict_input_the_bound_misses_runs_no_doubling(self, monkeypatch, p, grids):
         # HALF's other coefficient moduli sum to 1.25; NEAR_EQUALITY's to 1 - 2**-12, inside
-        # the bound's rounding margin
-        assert not shortcut_tests(p)[0]
-        calls = doublings(monkeypatch)
+        # the bound's rounding margin: the DeCarlo-Strintzis test decides them, not the scan
+        assert not shortcut_tests(p)[0] and shortcut_tests(p, grids=grids)[1]
+        calls, (_, screened) = doublings(monkeypatch), scanned_rows(monkeypatch)
         report = check_stability(p, *grids)
-        assert report.verdict == STABLE_CLOSED_STRICT and len(calls) == 1
+        assert report.verdict == STABLE_CLOSED_STRICT and not calls and not screened
         assert_same_report(report, _scan(p, *grids))
 
     def test_equality_goes_on_to_the_scan(self, monkeypatch):
@@ -411,8 +414,72 @@ class TestCauchyBound:
             c[0, 0] = (1.0 + delta) * np.sum(np.abs(c)) * np.exp(2j * np.pi * rng.uniform())
             polys.append(BivariatePolynomial(c))
         cleared = [shortcut_tests(p) for p in polys]
-        assert all(schur_cohn for cauchy, schur_cohn in cleared if cauchy)
+        assert all(decarlo for cauchy, decarlo in cleared if cauchy)
         assert sum(cauchy for cauchy, _ in cleared) >= len(polys) - 9
+
+
+class TestShortcutSoundness:
+    """Against exact ground truth: a product of factors 1 - a z1 - b z2 has a zero on the closed
+    bidisk of radius r exactly when some factor has (|a| + |b|) r >= 1."""
+
+    @staticmethod
+    def shortcut_verdicts(monkeypatch):
+        verdicts, shortcut = [], aglerkit.stability._shortcut
+
+        def spy(*args):
+            decided = shortcut(*args)
+            verdicts.append(decided and decided[0])
+            return decided
+
+        monkeypatch.setattr(aglerkit.stability, "_shortcut", spy)
+        return verdicts
+
+    def test_strict_shortcut_verdicts_have_every_factor_inside(self, monkeypatch):
+        verdicts, rng, strict = self.shortcut_verdicts(monkeypatch), np.random.default_rng(83), 0
+        for i in range(120):
+            tol, count = (0.0, 1e-9, 1e-3)[i % 3], 1 + i % 4
+            grids = [(64, 8), (128, 16), (512, 64)][i // 3 % 3]
+            radius = 1.0 + 2.0 * max(tol, np.finfo(float).eps ** (1.0 / count))  # _shortcut's
+            sums = rng.uniform(0.3, 0.95, size=count) / radius
+            if i % 2:  # a near miss on either side of the radius
+                sums[-1] = (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** -rng.integers(1, 13)) / radius
+            p, largest = BivariatePolynomial.constant(2.0 ** rng.integers(-600, 601)), 0.0
+            for total in sums:
+                a, b = total * rng.dirichlet([1.0, 1.0]) * np.exp(2j * np.pi * rng.uniform(size=2))
+                p, largest = p * BivariatePolynomial([[1.0, -b], [-a, 0.0]]), max(largest, abs(a) + abs(b))
+            verdicts.clear()
+            report = check_stability(p, *grids, tol=tol)
+            assert_same_report(report, _scan(p, *grids, tol=tol))
+            if verdicts[0] == STABLE_CLOSED_STRICT:
+                strict += 1
+                assert largest * radius < 1.0
+        assert strict >= 30
+
+    def test_inputs_with_a_zero_inside_fail_the_test(self):
+        # Gaussian inputs whose p(0, .) clears: each with a zero the scan confirms fails the row
+        # q(., 1) or the torus condition
+        rng, failed = np.random.default_rng(89), 0
+        for _ in range(200):
+            n, m = rng.integers(1, 5, size=2)
+            p = gaussian(rng, n, m)
+            if _schur_cohn_clears(p.coeffs[:1], 1.0)[0] and check_stability(p, 128, 16).verdict == ZERO_FOUND:
+                torus = _sample_powers(128, 16, max(n, m) + 1)[1][:128]
+                exponents = np.add.outer(np.arange(n + 1), np.arange(m + 1))
+                assert not _decarlo_strintzis_clears(p.coeffs, exponents, torus)
+                failed += 1
+        assert failed >= 20
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    @pytest.mark.parametrize("grids", [(64, 8), (128, 16), (512, 64)])
+    def test_zero_between_one_and_the_radius_goes_to_the_scan(self, monkeypatch, tol, grids):
+        # 1 - (z1 + z2) / (2 (1 + margin/2)) vanishes at z1 = z2 = 1 + margin/2, inside radius
+        # 1 + 2 margin (at tol = 0 the coefficient rounds to 1/2: a zero at (1, 1))
+        c = 1.0 / (2.0 * (1.0 + max(tol, np.finfo(float).eps) / 2))
+        p = BivariatePolynomial([[1.0, -c], [-c, 0.0]])
+        verdicts = self.shortcut_verdicts(monkeypatch)
+        report = check_stability(p, *grids, tol=tol)
+        assert verdicts == [None] and report.verdict != STABLE_CLOSED_STRICT
+        assert_same_report(report, _scan(p, *grids, tol=tol))
 
 
 class TestBoundaryZeros:
