@@ -20,13 +20,14 @@ pointwise bound |L_j(z, w)|^2 <= K_j(z, z) K_j(w, w) holds as well, and on
 the diagonal L_j(z, z) equals the partial derivative of f.
 
 A bundle holds p, the factors and their reflections as the columns of one
-coefficient matrix over the monomials z1^i z2^j, so a point set's table,
-(p, p~), (a, a~), (b, b~), is its monomial table times that matrix.  f, K_j
-and L_j are products of tables; the checks build one per point set, and the
-positivity subsets of the sample points are read out of its table.  Each
-property has one check: verify_decomposition samples the identities,
-Cauchy-Schwarz and positivity on point pairs, check_bounds the growth bound
-K_j(z, z) <= 1/(1 - |z_j|^2) and the sum defect on one point set.
+coefficient matrix over the monomials z1^i z2^j; a point set's table, (p, f),
+(a, a~), (b, b~), is its monomial table times that matrix, f = p~/p after
+multipoly's pole test, so f, K_j and L_j raise DomainError at a zero of p.
+The checks build one table per point set and read the positivity subsets of
+the sample points out of it.  Each property has one check:
+verify_decomposition samples the identities, Cauchy-Schwarz and positivity
+on point pairs, check_bounds the growth bound K_j(z, z) <= 1/(1 - |z_j|^2)
+and the sum defect on one point set.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import multipoly
 from .errors import DomainError
 from .poly2 import BivariatePolynomial
 from .sampling import random_polydisk
@@ -67,7 +69,7 @@ class KernelBundle:
             matrix[: g.shape[1], : g.shape[2], stop - len(g):stop] = g.transpose(1, 2, 0)
         self._matrix, self._bounds = matrix.reshape(-1, bounds[-1]), bounds[:2]
         self._powers = np.arange(n + 1), np.arange(m + 1)
-        self._pole_tol = 1e-12 * np.abs(p.coeffs).max()  # |p| at or below it is a zero of p
+        self._pole_tol = multipoly._POLE_TOL * np.abs(p.coeffs).max()  # |p| at or below it is a zero of p
 
     # the factor vectors as polynomials on their degree boxes
     a_vec = property(lambda self: [BivariatePolynomial(g) for g in self._vectors[0]])
@@ -91,18 +93,21 @@ class KernelBundle:
     # -- evaluation ---------------------------------------------------
 
     def _table(self, z1, z2):
-        """Values at the points, three stacks on axis 0: (p, p~), (a, a~), (b, b~).
+        """Values at the points, three stacks on axis 0: (p, f), (a, a~), (b, b~).
 
         The points are the rows of one product of their monomial table with the
-        coefficient matrix.  A lone point takes two rows, as numpy sums a one-row
-        product in another order, so batched calls give one-point values exactly.
+        coefficient matrix, and f = p~/p takes multipoly's pole test.  A lone point
+        takes two rows, as numpy sums a one-row product in another order, so
+        batched calls give one-point values exactly.
         """
         z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
         rows = max(z1.size, 2)
         x1, x2 = (np.resize(x, (rows, 1)) ** k for x, k in zip((z1, z2), self._powers))
         mono = (x1[:, :, None] * x2[:, None, :]).reshape(rows, -1)
         values = (mono @ self._matrix)[:z1.size].T.reshape((-1,) + z1.shape)
-        return np.split(values, self._bounds)
+        table = np.split(values, self._bounds)
+        table[0][1] = multipoly._quotients(table[0][1], table[0][0], self._pole_tol)
+        return table
 
     def eval_f(self, z1, z2):
         """f = p~/p; rejects points outside the closed bidisk or too close to a zero of p."""
@@ -110,7 +115,7 @@ class KernelBundle:
         z2 = np.asarray(z2, dtype=complex)
         if np.any(np.abs(z1) > 1.0 + 1e-12) or np.any(np.abs(z2) > 1.0 + 1e-12):
             raise DomainError("evaluation outside the closed bidisk")
-        return _f(self._table(z1, z2), self._pole_tol)
+        return self._table(z1, z2)[0][1]
 
     def K(self, j, z, w):
         """Pick-type kernel K_j(z, w)."""
@@ -135,13 +140,6 @@ def _half(table, j):
     if j not in (1, 2):
         raise ValueError("kernel index must be 1 or 2")
     return len(table[j]) // 2
-
-
-def _f(table, tol):
-    p, p_tilde = table[0]
-    if np.any(np.abs(p) <= tol):
-        raise DomainError("denominator p vanishes at an evaluation point")
-    return p_tilde / p
 
 
 def _K(j, tz, tw):
@@ -226,7 +224,7 @@ def verify_decomposition(
     w = (ws[:, 0], ws[:, 1])
     tz, tw = bundle._table(*z), bundle._table(*w)
 
-    fz, fw = _f(tz, bundle._pole_tol), _f(tw, bundle._pole_tol)
+    fz, fw = tz[0][1], tw[0][1]
     k1, k2 = _K(1, tz, tw), _K(2, tz, tw)
     l1, l2 = _L(1, tz, tw), _L(2, tz, tw)
 
@@ -284,7 +282,7 @@ def check_bounds(
     zs = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
     z = (zs[:, 0], zs[:, 1])
     tz = bundle._table(*z)
-    residual = 1.0 - np.abs(_f(tz, bundle._pole_tol)) ** 2
+    residual = 1.0 - np.abs(tz[0][1]) ** 2
     room = np.stack([1.0 - np.abs(x) ** 2 for x in z])  # 1 - |z_j|^2, a row per kernel
     k = np.stack([_K(j, tz, tz).real for j in (1, 2)])
     margin = float((1.0 / room - k).min())

@@ -401,20 +401,19 @@ def _reduce(rho, g):
     idempotent self-map of D^{n-1}, and the graph's anchor, a FixedPointRecord
     at the head z' of q = rho.full(0), a fixed point of rho.full whose head is
     one of rho (q = rho(0) for a RetractMap).  When no numerator or denominator
-    term of full holds g's variable v (explicit), the anchor is full(q)'s
-    entry with dF/dw = 0 and 0 iterations, and v and its component leave full:
-    the reduced map is an exact RetractMap when nothing else is peeled.
-    Otherwise v joins the peeled variables, first, and one joint Newton solve
-    at z' of every peeled coordinate, from q's entry and the anchors, refines
-    the anchor.  The anchor must be interior by _classify, else
-    InconsistencyError."""
+    term of full holds g's variable v (explicit), the anchor is q's own entry
+    (full(q) = q for the idempotent full) with dF/dw = 0, and v and its component
+    leave full: the reduced map is an exact RetractMap when nothing else is peeled.
+    Otherwise v joins the peeled variables, first, and one joint Newton solve at z'
+    of every peeled coordinate, from q's entry and the anchors, refines the anchor.
+    The anchor must be interior by _classify, else InconsistencyError."""
     full, anchors, peeled = rho.full, rho.anchors, rho.peeled
     head = [i for i in range(full.n) if i not in peeled]
     v = head[g]
     q = full(np.zeros(full.n, dtype=complex))
     z = tuple(complex(q[i]) for i in head if i != v)
     if not full._stack._expo[:, v].any():
-        w = complex(full(q)[v])
+        w = complex(q[v])
         anchor = FixedPointRecord(z, w, 0j, _classify(w, 0.0), 0.0, 0)
         keep = [i for i in range(full.n) if i != v]
         reduced = RetractMap(full.n - 1, tuple(_restrict(full.components[j], keep) for j in keep))
@@ -447,32 +446,26 @@ class _CoreForm:
     ``kernel`` (see _with_kernel) holds each graph's numerator in the free variables,
     then the denominators of its ``rational`` columns, with their ``pole_tols``.
     ``base``, if set, is the top map with every graph peeled; it solves the graph
-    columns in the bottom map's ``base_chain``, the bottom's own conjugation."""
+    columns at the head columns of the points that ``chain`` maps back to the top map."""
 
     k: int
     e_sources: list
     consts: list
     anchors: list
     chain: Conjugation
-    base_chain: Conjugation
     base: _ReducedMap | None = None
     kernel: _Stack | None = None
     rational: list = field(default_factory=list)
     pole_tols: np.ndarray | None = None
 
 
-def _with_kernel(core, rho):
-    """core with its kernel, unless core.base solves the graphs or there are none:
-    each graph is rho's component at (x, 0), whose terms in a variable outside
-    the free block are 0 and dropped, so each column is exact."""
-    free = list(core.chain.order[: core.k])
-    graphs = list(core.chain.order[core.k + len(core.e_sources) + len(core.consts):])
-    if core.base is not None or not graphs:
-        return core
+def _with_kernel(core, rho, graphs):
+    """core with its kernel for rho's ``graphs``: each is rho's component at (x, 0), whose
+    terms in a variable outside the free block are 0 and dropped, so each column is exact."""
     rational = [c for c, j in enumerate(graphs) if isinstance(rho.components[j], RationalMap)]
     polys = [rho._pairs[j][0] for j in graphs] + [rho._pairs[graphs[c]][1] for c in rational]
-    return replace(core, kernel=_Stack([_restrict(p, free) for p in polys]), rational=rational,
-                   pole_tols=rho._pole_tols[[graphs[c] for c in rational]])
+    return replace(core, kernel=_Stack([_restrict(p, core.chain.order[: core.k]) for p in polys]),
+                   rational=rational, pole_tols=rho._pole_tols[[graphs[c] for c in rational]])
 
 
 def _image_rows(x, core):
@@ -501,7 +494,7 @@ def _image_rows(x, core):
                                                            core.pole_tols)
         out[:, head:] = table[:, :g]
     elif core.base is not None and len(rows):
-        out[:, head:] = core.base._peel(core.base_chain.apply_inverse(out[:, :head]))
+        out[:, head:] = core.base._peel(core.chain.apply_inverse(out)[:, core.base._head])
     return out if x.ndim == 2 else out[0]
 
 
@@ -529,9 +522,11 @@ def _normalize(rho, opts, index, depth=0, roles=None):
         core = _normalize(reduced, opts, index[:g] + index[g + 1:], depth + 1, below)
         core = replace(core, anchors=core.anchors + [anchor],
                        chain=Conjugation(core.chain.order + (index[g],), core.chain.maps + (None,)))
-        if depth or all(roles[j].kind == ROLE_IDENTITY for j in core.chain.order[: core.k]):
+        if depth:
             return core
         graphs = core.chain.order[core.k + len(core.e_sources) + len(core.consts):]
+        if all(roles[j].kind == ROLE_IDENTITY for j in core.chain.order[: core.k]):
+            return _with_kernel(core, rho, graphs)
         return replace(core, base=_ReducedMap(rho, graphs, tuple(a.w for a in core.anchors)))
 
     ids = [j for j, role in enumerate(roles) if role.kind == ROLE_IDENTITY]
@@ -545,7 +540,7 @@ def _normalize(rho, opts, index, depth=0, roles=None):
     e_sources = [rank[roles[j].source] for j in copies]
     order, maps = ids + copies + consts, tuple(maps)
     return _CoreForm(len(ids), e_sources, [roles[j].value for j in consts], [],
-                     Conjugation(tuple(index[j] for j in order), maps), Conjugation(tuple(order), maps))
+                     Conjugation(tuple(index[j] for j in order), maps))
 
 
 @dataclass
@@ -616,7 +611,7 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
 
     opts = {"seed": int(seed), "scan_radius": min(float(radius), 0.85),
             "role_tol": max(float(tol), 1e-9)}
-    core = _with_kernel(_normalize(rho, opts, tuple(range(rho.n))), rho)
+    core = _normalize(rho, opts, tuple(range(rho.n)))
     chain = core.chain
 
     def normalized_map(v, _rho=rho, _chain=chain):

@@ -154,7 +154,7 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
     reported = float(np.ldexp(min_modulus, shift))
     # p(0, .) from a product of two rows, which sums as the full slice table does
     zero_row = (powers[torus_grid:torus_grid + 2, : p.coeffs.shape[0]] @ p.coeffs)[:1]
-    decided = shortcuts and _shortcut(p, samples[torus_grid], zero_row, powers[:torus_grid], min_modulus, tol)
+    decided = shortcuts and _shortcut(p, zero_row, powers[:torus_grid], min_modulus, tol)
     if decided:
         return StabilityReport(*decided, reported, torus_grid, disk_grid, tol)
 
@@ -197,7 +197,7 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
     return StabilityReport(verdict, (complex(w1[k]), complex(w2[k])), reported, torus_grid, disk_grid, tol)
 
 
-def _shortcut(p, zero, row, torus, min_modulus, tol):
+def _shortcut(p, row, torus, min_modulus, tol):
     """ZeroFound on p(0, .), the (1, m + 1) row, or StableClosedStrict by Cauchy's bound on the bidisk or
     else, with p(0, .) cleared within r, by _decarlo_strintzis_clears on p(r z1, r z2); None if neither.
     torus holds the torus grid's powers, a row per point.  p's largest coefficient is at least 1."""
@@ -212,9 +212,9 @@ def _shortcut(p, zero, row, torus, min_modulus, tol):
     low = np.min(moduli, initial=np.inf)
     if flat or low < 1.0 - tol:
         root = 0j if flat else roots[np.argmin(moduli)]
-        modulus, reach = _zero_reach(p, np.array([zero]), np.array([root]), flat)
+        modulus, reach = _zero_reach(p, np.zeros(1, dtype=complex), np.array([root]), flat)
         confirmed = modulus[0] <= tol * coeff_scale and reach[0] < 1.0
-        return (ZERO_FOUND, (complex(zero), complex(root))) if confirmed else None
+        return (ZERO_FOUND, (0j, complex(root))) if confirmed else None
     exponents, moduli = np.add.outer(np.arange(n + 1), np.arange(m + 1)), np.abs(p.coeffs)
     # with no zero on the closed bidisk |p| is least on the torus, at least min_modulus less
     # pi/N sum (a + b + 1) |c_ab| (the 1 for rounding): above tol * scale, no slice is flat

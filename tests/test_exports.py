@@ -4,10 +4,11 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aglerkit
-from aglerkit import fixedgraph, moebius, retract
+from aglerkit import fixedgraph, kernels, moebius, multipoly, retract
 from aglerkit.fixedgraph import FixedPointRecord, GraphFunction
 from aglerkit.moebius import MoebiusAutomorphism
 from aglerkit.multipoly import RationalMap
@@ -57,9 +58,13 @@ def test_removed_methods_are_gone():
 
 
 def test_the_pole_rule_lives_in_multipoly_alone():
-    # every quotient of an exact map, and every Newton step's F and dF/dW,
-    # goes through multipoly's one pole test
+    # every quotient of an exact map, every Newton step's F and dF/dW, and
+    # the kernels' f = p~/p go through multipoly's one pole test
     assert not hasattr(retract, "_quotients")
+    assert not hasattr(kernels, "_f")
+    p = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.5j]])
+    bundle = kernels.KernelBundle(p, [], [])
+    assert bundle._pole_tol == multipoly._POLE_TOL * np.abs(p.coeffs).max()
 
 
 def test_retract_solves_no_schur_map():

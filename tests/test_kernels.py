@@ -139,6 +139,16 @@ class TestDomainGuards:
                 bundle.eval_f(1.0, 1.0)
             assert bundle.eval_f(0.5, 0.25j) == plain
 
+    @pytest.mark.parametrize("kernel", ["K", "L"])
+    def test_kernels_raise_at_a_zero_of_p(self, kernel):
+        # the kernels divide by p through the table's one pole test, as f does
+        bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B])
+        for j in (1, 2):
+            with pytest.raises(DomainError):
+                getattr(bundle, kernel)(j, (1.0, 1.0), (0.5, 0.25j))
+            with pytest.raises(DomainError):
+                getattr(bundle, kernel)(j, (0.5, 0.25j), (1.0, 1.0))
+
     def test_invalid_kernel_index(self):
         bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B])
         with pytest.raises(ValueError):
@@ -246,9 +256,15 @@ class TestMonomialTable:
         z1, z2 = closed_bidisk_points(rng, 500)
         coeffs = bundle._matrix.reshape(n + 1, m + 1, -1)
         horner = polyval2d(z1, z2, coeffs)
-        majorant = polyval2d(np.abs(z1), np.abs(z2), np.abs(coeffs))
-        error = np.abs(np.concatenate(bundle._table(z1, z2)) - horner)
-        assert np.all(error <= 8 * (n + m + 2) * np.finfo(float).eps * majorant)
+        eps = np.finfo(float).eps
+        bound = 8 * (n + m + 2) * eps * polyval2d(np.abs(z1), np.abs(z2), np.abs(coeffs))
+        table = np.concatenate(bundle._table(z1, z2))
+        # row 1 is f = p~/p: the rows' bounds carried through the division, and its rounding
+        f = horner[1] / horner[0]
+        assert np.all(np.abs(table[1] - f) <= (bound[1] + np.abs(f) * bound[0]) / np.abs(table[0])
+                      + 2 * eps * np.abs(f))
+        rows = np.arange(len(table)) != 1
+        assert np.all(np.abs(table[rows] - horner[rows]) <= bound[rows])
 
     @pytest.mark.parametrize("bidegree", BIDEGREES)
     def test_matrix_is_the_polynomial_columns_bit_for_bit(self, bidegree):

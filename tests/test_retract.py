@@ -1164,6 +1164,17 @@ class TestRoutes:
         normal_form(rho)
         assert len(maps) == built
 
+    @pytest.mark.parametrize("name, points", [("parabola", 1), ("triple_product", 1), ("cubic_curve", 2)])
+    def test_explicit_anchors_evaluate_the_exact_map_once(self, monkeypatch, name, points):
+        # an explicit level's anchor is the entry of q = full(0) itself, as
+        # full(q) = q: one one-point evaluation per level (evaluating full(q)
+        # as well would make 2, 2 and 4)
+        rows, columns = [], RetractMap._columns
+        monkeypatch.setattr(RetractMap, "_columns",
+                            lambda self, pts, cols: rows.append(len(pts)) or columns(self, pts, cols))
+        normal_form(IDENTITY_FREE[name][0]())
+        assert rows.count(1) == points
+
 
 def conjugated(rho, sigma):
     # P rho P^-1 for (P z)_i = z_sigma(i): component i is rho_sigma(i), in which
