@@ -55,7 +55,6 @@ from .retract import (
     RetractMap,
     classify_components,
     normal_form,
-    reduce_dimension,
     verify_idempotent,
 )
 from .sampling import disk_points, random_disk, random_polydisk
@@ -130,7 +129,6 @@ __all__ = [
     "pick_matrix",
     "random_disk",
     "random_polydisk",
-    "reduce_dimension",
     "solve_gram",
     "solve_pick",
     "sos_residual",

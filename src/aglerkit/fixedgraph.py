@@ -58,7 +58,8 @@ class SchurMap:
             )
         self.rational = rational
         self.name = name
-        self._rule = _QuotientRule([(rational.numerator, rational.denominator)], rational._pole_tol, [self.n])
+        self._rule = _QuotientRule([(rational.numerator, rational.denominator)], rational._pole_tol, [self.n],
+                                   range(self.n + 1))
 
     def _rows(self, Z, W, dw=False):
         """F at each row pair, or the pair (F, dF/dw) when ``dw`` is set.

@@ -22,7 +22,8 @@ the diagonal L_j(z, z) equals the partial derivative of f.
 A bundle holds p, the factors and their reflections as the columns of one
 coefficient matrix over the monomials z1^i z2^j; a point set's table, (p, f),
 (a, a~), (b, b~), is its monomial table times that matrix, f = p~/p after
-multipoly's pole test, so f, K_j and L_j raise DomainError at a zero of p.
+multipoly's pole test, so f, K_j and L_j raise DomainError at a zero of p,
+and at a point outside the closed bidisk, where the kernels are not defined.
 The checks build one table per point set and read the positivity subsets of
 the sample points out of it.  Each property has one check:
 verify_decomposition samples the identities, Cauchy-Schwarz and positivity
@@ -109,21 +110,24 @@ class KernelBundle:
         table[0][1] = multipoly._quotients(table[0][1], table[0][0], self._pole_tol)
         return table
 
-    def eval_f(self, z1, z2):
-        """f = p~/p; rejects points outside the closed bidisk or too close to a zero of p."""
-        z1 = np.asarray(z1, dtype=complex)
-        z2 = np.asarray(z2, dtype=complex)
+    def _bidisk_table(self, z1, z2):
+        """_table at points of the closed bidisk; DomainError at any other point."""
         if np.any(np.abs(z1) > 1.0 + 1e-12) or np.any(np.abs(z2) > 1.0 + 1e-12):
             raise DomainError("evaluation outside the closed bidisk")
-        return self._table(z1, z2)[0][1]
+        return self._table(z1, z2)
+
+    def eval_f(self, z1, z2):
+        """f = p~/p; rejects points outside the closed bidisk or too close to a zero of p."""
+        return self._bidisk_table(z1, z2)[0][1]
 
     def K(self, j, z, w):
-        """Pick-type kernel K_j(z, w)."""
-        return _K(j, self._table(*z), self._table(*w))
+        """Pick-type kernel K_j(z, w), on the closed bidisk as eval_f."""
+        return _K(j, self._bidisk_table(*z), self._bidisk_table(*w))
 
     def L(self, j, z, w):
-        """Difference-quotient kernel L_j(z, w); note p(z) p(w), no conjugation."""
-        return _L(j, self._table(*z), self._table(*w))
+        """Difference-quotient kernel L_j(z, w), on the closed bidisk as eval_f; note p(z) p(w),
+        no conjugation."""
+        return _L(j, self._bidisk_table(*z), self._bidisk_table(*w))
 
 
 def _grids(polys, box):

@@ -214,15 +214,19 @@ class _QuotientRule:
     One stack holds each num and den, then their partials in each of the g
     variables, so (N, nvars) points take one table and one pole test (at
     ``tols``): F as (N, g), dF/dW = (d num - F d den) / den as (N, g, g).  A
-    point holds the other variables in order, then W; the stack's ``_vars``
-    reads each variable from its column, so no point is reordered.
+    point holds variable ``columns[c]`` in its column c, as its caller lays
+    the point out; the stack's ``_vars`` reads each variable from its column,
+    so no point is reordered.  A variable in no column must be held by no
+    term: its power 0 is read from column 0.
     """
 
-    def __init__(self, pairs, tols, solved):
-        nvars, self.g, self._tols = pairs[0][0].nvars, len(pairs), tols
-        self._stack = _Stack([p if v is None else p.partial(v)
-                              for pair in pairs for v in (None, *solved) for p in pair])
-        self._stack._vars = np.argsort([v for v in range(nvars) if v not in solved] + list(solved))
+    def __init__(self, pairs, tols, solved, columns):
+        self.g, self._tols = len(pairs), tols
+        stack = self._stack = _Stack([p if v is None else p.partial(v)
+                                      for pair in pairs for v in (None, *solved) for p in pair])
+        stack._vars = np.zeros(stack.nvars, dtype=int)
+        stack._vars[list(columns)] = np.arange(len(columns))
+        stack.nvars = len(columns)
 
     def __call__(self, points):
         table = self._stack(points).reshape(len(points), self.g, self.g + 1, 2)

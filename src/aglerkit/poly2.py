@@ -52,12 +52,6 @@ class BivariatePolynomial:
         c[0, 0] = value
         return cls(c)
 
-    @classmethod
-    def monomial(cls, a: int, b: int, coefficient=1.0) -> "BivariatePolynomial":
-        c = np.zeros((a + 1, b + 1), dtype=complex)
-        c[a, b] = coefficient
-        return cls(c)
-
     # -- structure ----------------------------------------------------
 
     @property

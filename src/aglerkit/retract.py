@@ -14,24 +14,23 @@ assembles the conjugation plus residual diagnostics for the resulting
 normal form.  An exact map's roles, and a polynomial map's idempotence,
 are read off its terms; a reduced map's roles are sampled.  The
 conjugation is one automorphism of D^n, a coordinate permutation
-followed by one disk automorphism per coordinate: the bottom level orders
-its coordinates by their indices in the top map and adds the inverse
-Moebius map of each twisted copy, and each level above appends its graph.
+followed by one disk automorphism per coordinate: the last level's free,
+copy and constant coordinates by their indices in the top map, with the
+inverse Moebius map of each twisted copy, then the graphs, deepest first.
 
-A level is its exact map ``full`` (the top map, explicit variables
-dropped), the indices of its ``peeled`` variables in full and their
-anchors; its head is full's other variables, in order, so no level builds
-a permuted copy of the map.  A RetractMap is a level with full = itself
-and nothing peeled.  full(0) is a fixed point of full, so the head of
-full(0) is one of the level's map.  A level is explicit when the peeled
-variable appears in no term of full: the graph is then its component
-itself (every retract is a graph over its free coordinates,
-Heath-Suffridge), the level solves nothing, and the variable and its
-component leave full.  Any other level is implicit: one joint Newton
-solve of w with every peeled coordinate, at the head of full(0), refines
-its anchor, and dF/dw = a + b (I - D)^-1 c comes from that solve's
-Jacobian [[a, b], [c, D]] (implicit differentiation).  A level keeps only
-its graph's anchor record.
+A level is the top map ``full`` and two sets of its indices: the
+``peeled`` variables, with their anchors, and the ``dropped`` ones; its
+head is full's other variables, in order, so no level builds a map.  A
+RetractMap is a level with full = itself and nothing peeled or dropped.
+full(0) is a fixed point of full, so the head of full(0) is one of the
+level's map.  A level is explicit when no term of a component not yet
+dropped holds the peeled variable: the graph is then its component itself
+(every retract is a graph over its free coordinates, Heath-Suffridge),
+and the level solves nothing and drops the variable.  Any other level is
+implicit: one joint Newton solve of w with every peeled coordinate, at the
+head of full(0), refines its anchor, and dF/dw = a + b (I - D)^-1 c comes
+from that solve's Jacobian [[a, b], [c, D]] (implicit differentiation).
+A level keeps only its graph's anchor record.
 
 Evaluation works on whole arrays: the maps take (N, n) rows, and the
 conjugation, image_point and the graph evaluators act on the last axis,
@@ -73,11 +72,11 @@ class RetractMap:
 
     Each component is exact, a MultiPoly or a RationalMap in n variables,
     so the map serializes; anything else raises TypeError.  As a level of
-    the normal-form recursion it is its own exact map ``full``, with no
-    peeled coordinates and so no ``anchors``.
+    a normal form it is its own exact map ``full``, with nothing peeled, so
+    no ``anchors``, and nothing dropped.
     """
 
-    anchors = peeled = ()
+    anchors = peeled = dropped = ()
     full = property(lambda self: self)
 
     def __init__(self, n, components, name=None):
@@ -165,18 +164,21 @@ class RetractMap:
 
 class _ReducedMap(RetractMap):
     """z -> full(z, w(z)) at the head variables for an exact map ``full`` with
-    its variables ``peeled`` solved; it cannot be serialized.
+    its variables ``peeled`` solved and its variables ``dropped`` at 0; it
+    cannot be serialized.
 
     The head variables are full's other variables, in order; a point holds
-    them in that order.  At head rows z of D^n the peeled equations
-    w = full_peeled(z, w) have one joint solution w(z) in D^g, as each peeled
-    slice has one interior fixed point (Schwarz-Pick).  ``anchors`` holds
-    the anchor value of each peeled variable's graph, in ``peeled``'s order.
+    them in that order.  No term of a head or peeled component holds a
+    dropped variable (see _reduce).  At head rows z of D^n the peeled
+    equations w = full_peeled(z, w) have one joint solution w(z) in D^g, as
+    each peeled slice has one interior fixed point (Schwarz-Pick).
+    ``anchors`` holds the anchor value of each peeled variable's graph, in
+    ``peeled``'s order.
     """
 
-    def __init__(self, full, peeled, anchors):
-        self._full, self.peeled, self.anchors = full, tuple(peeled), anchors
-        self._head = np.array([i for i in range(full.n) if i not in self.peeled], dtype=int)
+    def __init__(self, full, peeled, anchors, dropped=()):
+        self._full, self.peeled, self.anchors, self.dropped = full, tuple(peeled), anchors, tuple(dropped)
+        self._head = np.array([i for i in range(full.n) if i not in self.peeled + self.dropped], dtype=int)
         self.n = len(self._head)
 
     full = property(lambda self: self._full)
@@ -187,7 +189,7 @@ class _ReducedMap(RetractMap):
         rows [head, peeled]."""
         full = self.full
         return _QuotientRule([full._pairs[p] for p in self.peeled], full._pole_tols[list(self.peeled)],
-                             self.peeled)
+                             self.peeled, [*self._head, *self.peeled])
 
     def _rows(self, Z, W, dw=False):
         """F = full_peeled(Z, W) at (N, n) rows Z and, if dw, dF/dW, shaped like W:
@@ -202,7 +204,7 @@ class _ReducedMap(RetractMap):
         return _solve_rows(self, head, self.anchors)[0]
 
     def _columns(self, pts, cols):
-        rows = np.empty((len(pts), self.full.n), dtype=complex)
+        rows = np.zeros((len(pts), self.full.n), dtype=complex)
         rows[:, self._head], rows[:, list(self.peeled)] = pts, self._peel(pts)
         return self.full._columns(rows, self._head[list(cols)])
 
@@ -221,7 +223,7 @@ def verify_idempotent(rho, samples=400, seed=7, radius=0.9, tol=1e-9):
     ``samples`` seeded points inside ``radius`` decide them ("sampled")."""
     if samples < 1:
         raise ValueError("samples must be a positive integer")
-    polynomial = not rho.anchors and all(isinstance(c, MultiPoly) for c in rho.components)
+    polynomial = rho is rho.full and all(isinstance(c, MultiPoly) for c in rho.components)
     composed = multipoly._compose(rho.components, rho.components, rho.components) if polynomial else None
     exact = composed is not None  # else too large to compose, and sampled like a rational map
     stack = rho.full._stack  # a numerator's sum |c_alpha| radius^|alpha| bounds it at radius
@@ -278,7 +280,7 @@ def classify_components(rho, seed=97, radius=0.85, tol=1e-9):
     source to be an identity coordinate; violations raise InconsistencyError, a
     constant outside the open disk DomainError.  An exact map's roles are read
     off its terms, a reduced map's off samples."""
-    roles = _sampled_roles(rho, seed, radius, tol) if rho.anchors else [
+    roles = _sampled_roles(rho, seed, radius, tol) if rho is not rho.full else [
         _term_role(rho, j, tol) for j in range(rho.n)]
     for j, role in enumerate(roles):
         if role.kind == ROLE_COPY and role.source == j:
@@ -386,41 +388,31 @@ def _restrict(comp, keep):
                                  if sum(e) == sum(e[i] for i in keep)})
 
 
-def reduce_dimension(rho):
-    """Peel the last component, where it sits, as a fixed-point graph: _reduce(rho, rho.n - 1).
-    An explicit level of a RetractMap gives an exact RetractMap."""
-    if rho.n < 2:
-        raise ValueError("reduction needs at least two variables")
-    return _reduce(rho, rho.n - 1)
-
-
 def _reduce(rho, g):
     """Split component g off, where it sits, as a fixed-point graph w = f(z').
 
     Returns the reduced map z' -> rho(z', f(z')) without component g, an
-    idempotent self-map of D^{n-1}, and the graph's anchor, a FixedPointRecord
-    at the head z' of q = rho.full(0), a fixed point of rho.full whose head is
-    one of rho (q = rho(0) for a RetractMap).  When no numerator or denominator
-    term of full holds g's variable v (explicit), the anchor is q's own entry
-    (full(q) = q for the idempotent full) with dF/dw = 0, and v and its component
-    leave full: the reduced map is an exact RetractMap when nothing else is peeled.
-    Otherwise v joins the peeled variables, first, and one joint Newton solve at z'
-    of every peeled coordinate, from q's entry and the anchors, refines the anchor.
-    The anchor must be interior by _classify, else InconsistencyError."""
-    full, anchors, peeled = rho.full, rho.anchors, rho.peeled
-    head = [i for i in range(full.n) if i not in peeled]
+    idempotent self-map of D^{n-1}: the top map ``full`` of rho with one more
+    index peeled or dropped.  The graph's anchor is a FixedPointRecord at the
+    head z' of q = full(0), a fixed point of full whose head is one of rho.
+    When no numerator or denominator term of a component not yet dropped
+    holds g's variable v (explicit), the anchor is q's own entry (full(q) = q
+    for the idempotent full) with dF/dw = 0, and v is dropped.  Otherwise v
+    joins the peeled variables, first, and one joint Newton solve at z' of
+    every peeled coordinate, from q's entry and the anchors, refines the
+    anchor.  The anchor must be interior by _classify, else InconsistencyError."""
+    full, anchors, peeled, dropped = rho.full, rho.anchors, rho.peeled, rho.dropped
+    head = [i for i in range(full.n) if i not in peeled + dropped]
     v = head[g]
     q = full(np.zeros(full.n, dtype=complex))
     z = tuple(complex(q[i]) for i in head if i != v)
-    if not full._stack._expo[:, v].any():
+    held = full._stack._coef[full._stack._expo[:, v] > 0].reshape(-1, full.n, 2)  # term, component, num/den
+    if not held[:, [j for j in range(full.n) if j not in dropped]].any():
         w = complex(q[v])
         anchor = FixedPointRecord(z, w, 0j, _classify(w, 0.0), 0.0, 0)
-        keep = [i for i in range(full.n) if i != v]
-        reduced = RetractMap(full.n - 1, tuple(_restrict(full.components[j], keep) for j in keep))
-        if anchors:
-            reduced = _ReducedMap(reduced, [p - (p > v) for p in peeled], anchors)
+        reduced = _ReducedMap(full, peeled, anchors, dropped + (v,))
     else:
-        reduced = _ReducedMap(full, (v,) + peeled, (complex(q[v]),) + anchors)
+        reduced = _ReducedMap(full, (v,) + peeled, (complex(q[v]),) + anchors, dropped)
         values, iterations, f, jac = _solve_rows(
             reduced, np.array([z]), reduced.anchors,
             failure="could not refine the seed fixed point at the image of the origin")
@@ -443,8 +435,8 @@ def _reduce(rho, g):
 @dataclass
 class _CoreForm:
     """Normalization result; ``anchors`` and the graphs are deepest first.
-    ``kernel`` (see _with_kernel) holds each graph's numerator in the free variables,
-    then the denominators of its ``rational`` columns, with their ``pole_tols``.
+    ``kernel``, if set, holds each graph's numerator in the free variables, then
+    the denominators of its ``rational`` columns, with their ``pole_tols``.
     ``base``, if set, is the top map with every graph peeled; it solves the graph
     columns at the head columns of the points that ``chain`` maps back to the top map."""
 
@@ -457,15 +449,6 @@ class _CoreForm:
     kernel: _Stack | None = None
     rational: list = field(default_factory=list)
     pole_tols: np.ndarray | None = None
-
-
-def _with_kernel(core, rho, graphs):
-    """core with its kernel for rho's ``graphs``: each is rho's component at (x, 0), whose
-    terms in a variable outside the free block are 0 and dropped, so each column is exact."""
-    rational = [c for c, j in enumerate(graphs) if isinstance(rho.components[j], RationalMap)]
-    polys = [rho._pairs[j][0] for j in graphs] + [rho._pairs[graphs[c]][1] for c in rational]
-    return replace(core, kernel=_Stack([_restrict(p, core.chain.order[: core.k]) for p in polys]),
-                   rational=rational, pole_tols=rho._pole_tols[[graphs[c] for c in rational]])
 
 
 def _image_rows(x, core):
@@ -498,49 +481,52 @@ def _image_rows(x, core):
     return out if x.ndim == 2 else out[0]
 
 
-def _normalize(rho, opts, index, depth=0, roles=None):
-    """The core form of rho at a recursion depth, from rho's roles if given;
-    index[j] is the top map's index of rho's coordinate j."""
-    d = rho.n
-    if roles is None:
-        roles = classify_components(rho, seed=opts["seed"] + 17 * depth,
-                                    radius=opts["scan_radius"], tol=opts["role_tol"])
-    generic = [j for j, role in enumerate(roles) if role.kind == ROLE_GENERIC]
+def _normalize(rho, opts):
+    """The core form of the top map rho: each level peels its first generic
+    component, where it sits (_reduce), until none is left.  ``roles`` are the
+    level's, in head order, and a role's source is a top-map index: an
+    explicit level leaves every head component the same function, so it keeps
+    the roles above it, and any other level is classified afresh.  When every
+    free coordinate is an identity component of rho, a graph column is rho's
+    component at (x, 0), where a term in a variable outside the free block is
+    0, so the kernel holds each column exactly by its other terms."""
+    def classify(level):  # sources are the level's positions; the seed moves by 17 a level
+        return classify_components(level, seed=opts["seed"] + 17 * len(graphs),
+                                   radius=opts["scan_radius"], tol=opts["role_tol"])
 
-    if d == 1 and generic:
-        raise InconsistencyError("a one-variable idempotent self-map of the disk must be the "
-                                 "identity or a point; this one is neither")
-
-    if generic:
+    level, head, graphs, anchors = rho, list(range(rho.n)), [], []
+    roles = top = classify(rho)
+    generic = [g for g, role in enumerate(roles) if role.kind == ROLE_GENERIC]
+    while generic:
+        if len(head) == 1:
+            raise InconsistencyError("a one-variable idempotent self-map of the disk must be the "
+                                     "identity or a point; this one is neither")
         g = generic[0]
-        reduced, anchor = _reduce(rho, g)
-        # an explicit peel (no iteration) leaves every head component the same
-        # function, so the reduced map's roles are rho's, sources past g renumbered
-        below = None if anchor.iterations else [
-            replace(r, source=None if r.source is None else r.source - (r.source > g))
-            for r in roles[:g] + roles[g + 1:]]
-        core = _normalize(reduced, opts, index[:g] + index[g + 1:], depth + 1, below)
-        core = replace(core, anchors=core.anchors + [anchor],
-                       chain=Conjugation(core.chain.order + (index[g],), core.chain.maps + (None,)))
-        if depth:
-            return core
-        graphs = core.chain.order[core.k + len(core.e_sources) + len(core.consts):]
-        if all(roles[j].kind == ROLE_IDENTITY for j in core.chain.order[: core.k]):
-            return _with_kernel(core, rho, graphs)
-        return replace(core, base=_ReducedMap(rho, graphs, tuple(a.w for a in core.anchors)))
+        level, anchor = _reduce(level, g)
+        graphs.insert(0, head.pop(g))
+        anchors.insert(0, anchor)
+        if anchor.iterations:
+            roles = [r if r.source is None else replace(r, source=head[r.source]) for r in classify(level)]
+        else:
+            roles = roles[:g] + roles[g + 1:]
+        generic = [g for g, role in enumerate(roles) if role.kind == ROLE_GENERIC]
 
-    ids = [j for j, role in enumerate(roles) if role.kind == ROLE_IDENTITY]
-    copies = [j for j, role in enumerate(roles) if role.kind == ROLE_COPY]
-    consts = [j for j, role in enumerate(roles) if role.kind == ROLE_CONSTANT]
-    maps = [None] * d
-    for pos, j in enumerate(copies, start=len(ids)):
-        if not roles[j].moebius.is_identity():
-            maps[pos] = roles[j].moebius.inverse()
-    rank = {src: pos for pos, src in enumerate(ids)}
-    e_sources = [rank[roles[j].source] for j in copies]
-    order, maps = ids + copies + consts, tuple(maps)
-    return _CoreForm(len(ids), e_sources, [roles[j].value for j in consts], [],
-                     Conjugation(tuple(index[j] for j in order), maps))
+    ids = [i for i, role in zip(head, roles) if role.kind == ROLE_IDENTITY]
+    copies = [(i, role) for i, role in zip(head, roles) if role.kind == ROLE_COPY]
+    consts = [(i, role) for i, role in zip(head, roles) if role.kind == ROLE_CONSTANT]
+    maps = [None if role.moebius.is_identity() else role.moebius.inverse() for _, role in copies]
+    chain = Conjugation(tuple(ids + [i for i, _ in copies + consts] + graphs),
+                        (None,) * len(ids) + tuple(maps) + (None,) * (len(consts) + len(graphs)))
+    core = _CoreForm(len(ids), [ids.index(role.source) for _, role in copies],
+                     [role.value for _, role in consts], anchors, chain)
+    if graphs and all(top[i].kind == ROLE_IDENTITY for i in ids):
+        core.rational = [c for c, j in enumerate(graphs) if isinstance(rho.components[j], RationalMap)]
+        polys = [rho._pairs[j][0] for j in graphs] + [rho._pairs[graphs[c]][1] for c in core.rational]
+        core.kernel = _Stack([_restrict(p, ids) for p in polys])
+        core.pole_tols = rho._pole_tols[[graphs[c] for c in core.rational]]
+    elif graphs:
+        core.base = _ReducedMap(rho, graphs, tuple(a.w for a in anchors))
+    return core
 
 
 @dataclass
@@ -611,7 +597,7 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
 
     opts = {"seed": int(seed), "scan_radius": min(float(radius), 0.85),
             "role_tol": max(float(tol), 1e-9)}
-    core = _normalize(rho, opts, tuple(range(rho.n)))
+    core = _normalize(rho, opts)
     chain = core.chain
 
     def normalized_map(v, _rho=rho, _chain=chain):

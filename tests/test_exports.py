@@ -27,6 +27,7 @@ REMOVED = (
     "fit_moebius",
     "_LastColumn",
     "_drop_last",
+    "reduce_dimension",
 )
 
 
@@ -47,6 +48,7 @@ def test_removed_name_is_not_exported(name):
 
 def test_removed_methods_are_gone():
     assert not hasattr(BivariatePolynomial, "allclose")
+    assert not hasattr(BivariatePolynomial, "monomial")
     assert not hasattr(MoebiusAutomorphism, "identity")
     assert not hasattr(MoebiusAutomorphism, "from_json")
     assert not hasattr(ComponentRole, "to_json")

@@ -128,6 +128,14 @@ class TestDomainGuards:
         bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B])
         with pytest.raises(DomainError):
             bundle.eval_f(1.5, 0.0)
+        # the kernels share f's one domain test, in either point
+        for kernel, j, z, w in (("K", 1, (1.5, 0), (0, 0)), ("L", 2, (3.0, 0.2), (0.1, 0.1)),
+                                ("K", 2, (0.1, 0.1), (0.2, 1.0 + 1e-9))):
+            with pytest.raises(DomainError, match="outside the closed bidisk"):
+                getattr(bundle, kernel)(j, z, w)
+        # |z_j| = 1 lies in the closed bidisk and still evaluates
+        for kernel in ("K", "L"):
+            assert np.isfinite(getattr(bundle, kernel)(1, (1.0, 0.2), (0.1, -1j)))
 
     def test_evaluation_at_boundary_zero_is_rejected(self):
         # the zero test is relative to p's largest coefficient modulus: the

@@ -86,7 +86,7 @@ class TestEvaluate:
 def quotient_rule(rmap, g):
     """multipoly's quotient rule over g copies of rmap: partials in its last g variables."""
     return _QuotientRule([(rmap.numerator, rmap.denominator)] * g, rmap._pole_tol,
-                         range(rmap.nvars - g, rmap.nvars))
+                         range(rmap.nvars - g, rmap.nvars), range(rmap.nvars))
 
 
 class TestRationalMap:
@@ -116,14 +116,14 @@ class TestRationalMap:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data(), nvars=st.integers(2, 4))
     def test_solved_variables_are_read_where_the_rows_hold_them(self, data, nvars):
-        # rows hold the other variables in order, then the solved ones in the
-        # order given, as a peeled retract level passes them to Newton
+        # rows hold the variables in the column order their caller gives, as a
+        # retract level lays out its head and peeled variables for Newton
         rmap = data.draw(rational_maps(nvars))
         solved = data.draw(st.permutations(range(nvars)))[: data.draw(st.integers(1, nvars))]
         pts = data.draw(points(nvars)).reshape(-1, nvars)
-        order = [v for v in range(nvars) if v not in solved] + solved
+        order = data.draw(st.permutations(range(nvars)))
         value, slopes = _QuotientRule([(rmap.numerator, rmap.denominator)] * len(solved),
-                                      rmap._pole_tol, solved)(pts[:, order])
+                                      rmap._pole_tol, solved, order)(pts[:, order])
         num, den = rmap.numerator, rmap.denominator
         den_values = den.evaluate(pts)
         scale = naive_table(num, pts)[1] / np.abs(den_values)
@@ -135,6 +135,16 @@ class TestRationalMap:
             bound = (naive_table(dnum, pts)[1] * naive_table(den, pts)[1]
                      + naive_table(num, pts)[1] * naive_table(dden, pts)[1]) / np.abs(den_values) ** 2
             assert np.all(np.abs(slopes[:, :, c] - expected[:, None]) <= 1e-12 * bound[:, None])
+
+    def test_a_variable_in_no_column_is_held_by_no_term(self):
+        # (z1 + z3) / (2 - z1 z3) in z1, z2, z3 on rows [z3, z1]: z2 has no column
+        rmap = RationalMap(MultiPoly(3, {(1, 0, 0): 1.0, (0, 0, 1): 1.0}),
+                           MultiPoly(3, {(0, 0, 0): 2.0, (1, 0, 1): -1.0}))
+        pts = np.array([[0.3, 0.0, -0.5j], [-0.2 + 0.1j, 0.0, 0.4]])
+        value, slope = _QuotientRule([(rmap.numerator, rmap.denominator)], rmap._pole_tol,
+                                     [2], [2, 0])(pts[:, [2, 0]])
+        assert np.array_equal(value, quotient_rule(rmap, 1)(pts)[0])
+        assert np.array_equal(slope, quotient_rule(rmap, 1)(pts)[1])
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data(), nvars=st.integers(1, 4))

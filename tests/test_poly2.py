@@ -40,8 +40,8 @@ class TestConstruction:
         with pytest.raises(ValueError):
             p.coeffs[0, 0] = 5.0
 
-    def test_monomial_constructor(self):
-        p = BivariatePolynomial.monomial(2, 1, -3.0)
+    def test_one_term_grid(self):
+        p = BivariatePolynomial([[0.0, 0.0], [0.0, 0.0], [0.0, -3.0]])  # -3 z1^2 z2
         assert p.bidegree == (2, 1)
         assert p(0.5, 2.0) == pytest.approx(-3.0 * 0.25 * 2.0)
 
@@ -117,15 +117,15 @@ class TestReflection:
         assert np.allclose(p.reflect((2, 1)).coeffs, [[0, 0], [0, 0], [0, 1]])
 
     def test_reflection_below_actual_degree_is_rejected(self):
-        p = BivariatePolynomial.monomial(2, 2)
+        p = BivariatePolynomial([[0, 0, 0], [0, 0, 0], [0, 0, 1]])  # z1^2 z2^2
         with pytest.raises(ValueError):
             p.reflect((1, 1))
 
 
 class TestArithmetic:
     def test_product_of_variables(self):
-        z1 = BivariatePolynomial.monomial(1, 0)
-        z2 = BivariatePolynomial.monomial(0, 1)
+        z1 = BivariatePolynomial([[0], [1]])
+        z2 = BivariatePolynomial([[0, 1]])
         prod = z1 * z2
         assert prod.bidegree == (1, 1)
         assert np.allclose(prod.coeffs, [[0, 0], [0, 1]])
@@ -184,7 +184,7 @@ class TestDerivative:
         assert np.allclose(d.coeffs, [[-1.0, 0.0]])
 
     def test_second_variable_of_cross_term(self):
-        p = BivariatePolynomial.monomial(1, 1)
+        p = BivariatePolynomial([[0, 0], [0, 1]])  # z1 z2
         d = p.derivative(2)
         assert np.allclose(d.coeffs, [[0.0], [1.0]])
 

@@ -22,7 +22,6 @@ from aglerkit.retract import (
     RetractMap,
     classify_components,
     normal_form,
-    reduce_dimension,
     verify_idempotent,
 )
 from aglerkit.sampling import random_polydisk
@@ -181,6 +180,15 @@ def explicit_below_map():
     return RetractMap(3, (m, m, MultiPoly(3, {(2, 0, 0): 0.25, (1, 1, 0): 0.5, (0, 2, 0): 0.25})))
 
 
+def explicit_between_map():
+    # (m, m, m^2, p, p) on D^5 with m = (z1 + z2) / 2 and p = (z4 + z5) / 2: an
+    # explicit level between two implicit ones
+    m = MultiPoly(5, {(1, 0, 0, 0, 0): 0.5, (0, 1, 0, 0, 0): 0.5})
+    p = MultiPoly(5, {(0, 0, 0, 1, 0): 0.5, (0, 0, 0, 0, 1): 0.5})
+    square = MultiPoly(5, {(2, 0, 0, 0, 0): 0.25, (1, 1, 0, 0, 0): 0.5, (0, 2, 0, 0, 0): 0.25})
+    return RetractMap(5, (m, m, square, p, p))
+
+
 def hidden_term_map():
     # (z1, z1^2 + 1e-6 z2^150): rho(rho) - rho = 1e-6 ((z1^2 + 1e-6 z2^150)^150 - z2^150)
     # in the second component, below 1.5e-13 in modulus at radius 0.9
@@ -310,12 +318,12 @@ class TestRetractMap:
 
     def test_reduced_map_refuses_serialization(self):
         # the diagonal retract's level is implicit, so its reduced map peels
-        # a coordinate by Newton; an explicit level's reduced map is exact
-        reduced, _ = reduce_dimension(averaging_map(2))
-        with pytest.raises(ValueError):
-            reduced.to_json()
-        exact, _ = reduce_dimension(parabola_map())
-        assert exact.to_json() == RetractMap.identity(1).to_json()
+        # a coordinate by Newton; an explicit level's drops one by index, and
+        # neither is an exact map of its own
+        for rho in (averaging_map(2), parabola_map()):
+            reduced, _ = retract._reduce(rho, rho.n - 1)
+            with pytest.raises(ValueError):
+                reduced.to_json()
 
 
 class TestVerifyIdempotent:
@@ -530,7 +538,12 @@ class TestConjugation:
         assert np.max(np.abs(conj.apply_inverse(conj.apply(rows)) - rows)) <= 1e-12
 
 
-class TestReduceDimension:
+def reduce_last(level):
+    # peel the level's last component, where it sits
+    return retract._reduce(level, level.n - 1)
+
+
+class TestReduce:
     @staticmethod
     def _explicit_anchor(anchor, z, w):
         # an explicit level's anchor is rho_last at the head of rho(0): no
@@ -540,32 +553,40 @@ class TestReduceDimension:
         assert anchor.classification == fixedgraph.CLASS_INTERIOR
 
     def test_parabola_splits_into_square_graph(self, monkeypatch):
-        # z2 appears in no term, so the graph is z1^2 itself and the reduced
-        # map is the head with z2 dropped, exactly, by no Newton solve
+        # z2 appears in no term, so the graph is z1^2 itself and the level is
+        # the top map with z2 dropped, by no Newton solve and no new map; it
+        # evaluates as the head identity
         monkeypatch.setattr(fixedgraph, "_newton", None)
-        reduced, anchor = reduce_dimension(parabola_map())
+        rho = parabola_map()
+        reduced, anchor = reduce_last(rho)
         self._explicit_anchor(anchor, (0j,), 0j)
-        assert type(reduced) is RetractMap
-        assert reduced.components[0].terms == {(1,): 1.0}
+        assert (reduced.full, reduced.peeled, reduced.dropped, reduced.n) == (rho, (), (1,), 1)
+        monkeypatch.undo()
         assert reduced([0.4])[0] == 0.4
         assert verify_idempotent(reduced)["passed"] is True
 
     def test_triple_product_splits_into_product_graph(self, monkeypatch):
         monkeypatch.setattr(fixedgraph, "_newton", None)
-        reduced, anchor = reduce_dimension(triple_product_map())
+        rho = triple_product_map()
+        reduced, anchor = reduce_last(rho)
         self._explicit_anchor(anchor, (0j, 0j), 0j)
-        assert reduced.to_json() == RetractMap.identity(2).to_json()
+        assert (reduced.full, reduced.peeled, reduced.dropped, reduced.n) == (rho, (), (2,), 2)
+        monkeypatch.undo()
         z = np.array([0.3, -0.2j])
         assert np.array_equal(reduced(z), z)
         assert verify_idempotent(reduced, samples=100)["passed"] is True
 
     def test_constant_component_gives_constant_graph(self):
-        reduced, anchor = reduce_dimension(constant_second_map())
+        reduced, anchor = reduce_last(constant_second_map())
         self._explicit_anchor(anchor, (0j,), CONST)
+        assert reduced.dropped == (1,)
         assert reduced([0.7])[0] == 0.7
 
-    def test_reduced_map_rows_match_single_points(self):
-        reduced, _ = reduce_dimension(triple_product_map())
+    @pytest.mark.parametrize("make", [triple_product_map, lambda: averaging_map(3)],
+                             ids=["triple_product", "averaging_3"])
+    def test_reduced_map_rows_match_single_points(self, make):
+        # an explicit level (the triple product's) and an implicit one
+        reduced, _ = reduce_last(make())
         pts = random_polydisk(np.random.default_rng(43), 12, 2, 0.8)
         batch = reduced.evaluate_batch(pts)
         single = np.array([reduced(z) for z in pts])
@@ -576,8 +597,8 @@ class TestReduceDimension:
         # averaging_3 -> diagonal-like -> (z1): both levels are implicit, so
         # the twice-reduced map solves both peeled coordinates jointly, and
         # the second anchor's dF/dw is the reduced last column's, 1/2
-        once, first = reduce_dimension(averaging_map(3))
-        twice, second = reduce_dimension(once)
+        once, first = reduce_last(averaging_map(3))
+        twice, second = reduce_last(once)
         assert first.iterations >= 1 and second.iterations >= 1
         assert abs(first.derivative - 1 / 3) <= 1e-15
         assert abs(second.derivative - 1 / 2) <= 1e-15
@@ -587,27 +608,21 @@ class TestReduceDimension:
         assert np.max(np.abs(batch - single)) <= 1e-12
         assert np.max(np.abs(batch - pts)) <= 1e-10
         # (z1, z1^2, z1^3) -> (z1, z1^2) -> (z1): two explicit levels
-        once, _ = reduce_dimension(cubic_curve_map())
-        twice, anchor = reduce_dimension(once)
+        once, _ = reduce_last(cubic_curve_map())
+        twice, anchor = reduce_last(once)
         self._explicit_anchor(anchor, (0j,), 0j)
-        assert once.components[1].terms == {(2, 0): 1.0}
-        assert twice.to_json() == RetractMap.identity(1).to_json()
-
-    def test_single_variable_map_is_rejected(self):
-        rho = RetractMap(1, (MultiPoly(1, {(1,): 1.0}),))
-        with pytest.raises(ValueError):
-            reduce_dimension(rho)
+        assert (twice.peeled, twice.dropped, twice.n) == ((), (2, 1), 1)
 
     def test_identity_last_component_is_flagged(self):
         # the w-slice of the last component is the identity automorphism
         with pytest.raises(InconsistencyError):
-            reduce_dimension(RetractMap.identity(2))
+            reduce_last(RetractMap.identity(2))
 
     def test_explicit_anchor_on_the_circle_is_flagged(self):
         # (z1, 1): the explicit anchor w = 1 is no interior fixed point
         rho = RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(0, 0): 1.0})))
         with pytest.raises(InconsistencyError, match="interior anchor"):
-            reduce_dimension(rho)
+            reduce_last(rho)
 
 
 class TestNormalForm:
@@ -888,7 +903,7 @@ class TestNormalForm:
         # averaging map is nonlinear in w, and its levels 1 and 2 are reduced maps
         h, level, solved = 1e-6, rho, 0
         while level.n > 1:
-            reduced, anchor = reduce_dimension(level)
+            reduced, anchor = reduce_last(level)
             up, down = np.array(anchor.z + (anchor.w + h,)), np.array(anchor.z + (anchor.w - h,))
             central = (level(up)[-1] - level(down)[-1]) / (2 * h)
             assert abs(anchor.derivative - central) <= 1e-8
@@ -925,20 +940,36 @@ class TestNormalForm:
     def test_explicit_level_below_an_implicit_level(self, monkeypatch):
         # (m, m, m^2) with m = (z1 + z2) / 2: z1 is peeled implicitly, then z3,
         # which no term of the top map holds, explicitly: that level makes no
-        # Newton call, and z3 and its component leave the exact map
+        # Newton call, and drops z3 from the top map by its index
         rho = explicit_below_map()
         top, implicit = retract._reduce(rho, 0)
         calls = self._count_newton(monkeypatch)
-        bottom, explicit = reduce_dimension(top)
+        bottom, explicit = reduce_last(top)
         assert calls == []
         assert implicit.iterations >= 1 and explicit.iterations == 0
-        assert (bottom.full.n, bottom.anchors) == (2, top.anchors)
+        assert (bottom.full, bottom.peeled, bottom.dropped, bottom.anchors) == (rho, (0,), (2,), top.anchors)
         nf = normal_form(rho)
         assert [a.iterations for a in nf._core.anchors] == [0, implicit.iterations]
         rng = np.random.default_rng(103)
         xs = 0.9 * np.sqrt(rng.random((30, 1))) * np.exp(2j * np.pi * rng.random((30, 1)))
         original = nf.conjugation.apply_inverse(nf.image_point(xs))
         assert np.max(np.abs(original - np.hstack([xs, xs, xs ** 2]))) <= 1e-12
+
+    def test_explicit_level_between_implicit_levels(self):
+        # z1 is peeled implicitly, z3 dropped, then z4 peeled: the last level's
+        # Newton table holds the head, then z4 and z1, and no column for z3
+        rho = explicit_between_map()
+        level = rho
+        for g in (0, 1, 1):
+            level, _ = retract._reduce(level, g)
+        assert (list(level._head), level.dropped, level.peeled) == ([1, 4], (2,), (3, 0))
+        nf = normal_form(rho)
+        assert (nf.k, nf.copy_count, nf.graph_count) == (2, 0, 3)
+        assert [a.iterations for a in nf._core.anchors] == [1, 0, 1]
+        rng = np.random.default_rng(109)
+        xs = 0.9 * np.sqrt(rng.random((30, 2))) * np.exp(2j * np.pi * rng.random((30, 2)))
+        original = nf.conjugation.apply_inverse(nf.image_point(xs))
+        assert np.max(np.abs(rho.evaluate_batch(original) - original)) <= 1e-12
 
     def test_newton_route_query_evaluates_one_table_per_newton_step(self, monkeypatch):
         # every peeled component of averaging_4 and its partials come from one
@@ -1151,18 +1182,20 @@ class TestRoutes:
                 assert abs(role.moebius.factor - ref.moebius.factor) <= 1e-9
                 assert abs(role.moebius.point - ref.moebius.point) <= 1e-9
 
-    @pytest.mark.parametrize("make, built", [(cubic_curve_map, 2), (lambda: averaging_map(3), 0)],
-                             ids=["cubic_curve", "averaging_3"])
-    def test_levels_build_no_permuted_map(self, monkeypatch, make, built):
-        # a regression guard that counts instead of timing: an explicit level
-        # builds its restricted exact map and an implicit one builds no map; a
-        # permuted copy of the exact map per level built 3 and 3
+    @pytest.mark.parametrize("make", [parabola_map, triple_product_map, cubic_curve_map,
+                                      lambda: averaging_map(3)],
+                             ids=["parabola", "triple_product", "cubic_curve", "averaging_3"])
+    def test_levels_build_no_permuted_map(self, monkeypatch, make):
+        # a regression guard that counts instead of timing: every level is the
+        # top map and its index sets, so no level builds a map; a restricted
+        # exact map per explicit level built 1, 1 and 2 here, and a permuted
+        # copy of the exact map per level built 3 and 3 on the last two
         rho, maps = make(), []
         init = RetractMap.__init__
         monkeypatch.setattr(RetractMap, "__init__",
                             lambda self, *args, **kwargs: maps.append(1) or init(self, *args, **kwargs))
         normal_form(rho)
-        assert len(maps) == built
+        assert maps == []
 
     @pytest.mark.parametrize("name, points", [("parabola", 1), ("triple_product", 1), ("cubic_curve", 2)])
     def test_explicit_anchors_evaluate_the_exact_map_once(self, monkeypatch, name, points):
@@ -1198,8 +1231,8 @@ def _permutations(n):
 PERMUTED = {
     "cubic_curve": cubic_curve_map, "triple_product": triple_product_map,
     "averaging_3": lambda: averaging_map(3), "explicit_above": explicit_above_map,
-    "explicit_below": explicit_below_map, "twisted_graph": twisted_graph_map,
-    "rational_graph": rational_graph_map,
+    "explicit_below": explicit_below_map, "explicit_between": explicit_between_map,
+    "twisted_graph": twisted_graph_map, "rational_graph": rational_graph_map,
     "moebius_averaging": lambda: moebius_averaging_map([0.3, -0.2j, 0.1 + 0.25j]),
 }
 

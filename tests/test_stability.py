@@ -79,7 +79,7 @@ class TestVerdicts:
 
     def test_degenerate_slice_reports_zero(self):
         # z1 * z2 vanishes identically in z2 at z1 = 0
-        p = BivariatePolynomial.monomial(1, 1)
+        p = BivariatePolynomial([[0, 0], [0, 1]])
         report = check_stability(p, torus_grid=64, disk_grid=8)
         assert report.verdict == ZERO_FOUND
         assert abs(p(*report.witness)) <= report.tolerance
@@ -201,7 +201,7 @@ class TestScreenedScan:
         rng = np.random.default_rng(59)
         near_edge = BivariatePolynomial([[1.9, -1.0], [-1.0, 0.0]])  # zero at (0.95, 0.95)
         polys = [BivariatePolynomial([[-0.5], [1.0]]),  # the whole slice z1 = 1/2
-                 BivariatePolynomial.monomial(1, 1),  # degenerate slice at z1 = 0
+                 BivariatePolynomial([[0, 0], [0, 1]]),  # degenerate slice at z1 = 0
                  CLASSIC * BivariatePolynomial([[-0.5], [1.0]]),
                  near_edge, near_edge * CLASSIC]
         for n, m in rng.integers(1, 5, size=(16, 2)):
@@ -506,7 +506,7 @@ class TestBoundaryZeros:
 
     def test_zero_found_witnesses_are_strictly_inside(self):
         rng = np.random.default_rng(53)
-        polys = [BivariatePolynomial([[-0.5], [1.0]]), BivariatePolynomial.monomial(1, 1)]
+        polys = [BivariatePolynomial([[-0.5], [1.0]]), BivariatePolynomial([[0, 0], [0, 1]])]
         for n, m in rng.integers(1, 4, size=(20, 2)):
             polys.append(BivariatePolynomial(
                 rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
