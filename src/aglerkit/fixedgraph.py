@@ -306,10 +306,8 @@ class GraphFunction:
 
     @property
     def max_residual(self):
-        arr = np.asarray(self.residuals, dtype=float)
-        if arr.size == 0:
-            return 0.0
-        return float(np.max(arr))
+        # residuals are moduli, at least 0, so the initial 0 moves only an empty grid's maximum
+        return float(np.max(np.asarray(self.residuals, dtype=float), initial=0.0))
 
     def evaluate(self, z):
         """f at one point (k,), as a complex, or at the rows of (N, k), as (N,)."""

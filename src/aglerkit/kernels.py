@@ -33,6 +33,7 @@ and the sum defect on one point set.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,17 +174,7 @@ class VerificationReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "format": FORMAT_TAG,
-            "identity1_max": self.identity1_max,
-            "identity2_max": self.identity2_max,
-            "cs_max_violation": self.cs_max_violation,
-            "psd_min_eig": self.psd_min_eig,
-            "witnesses": self.witnesses,
-            "samples": self.samples,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return {"format": FORMAT_TAG, **dataclasses.asdict(self)}
 
 
 @dataclass
@@ -195,14 +186,7 @@ class BoundReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "format": FORMAT_TAG,
-            "bound_margin": self.bound_margin,
-            "sum_defect_max": self.sum_defect_max,
-            "samples": self.samples,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return {"format": FORMAT_TAG, **dataclasses.asdict(self)}
 
 
 def _witness(kind, value, z, w=None):

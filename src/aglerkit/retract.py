@@ -12,7 +12,8 @@ included).  This module verifies idempotence, classifies components,
 peels off graph components one at a time, each where it sits, and
 assembles the conjugation plus residual diagnostics for the resulting
 normal form.  An exact map's roles, and a polynomial map's idempotence,
-are read off its terms; a reduced map's roles are sampled.  The
+are read off its terms: which variables each component's terms hold is one
+(n, n) table of the map; a reduced map's roles are sampled.  The
 conjugation is one automorphism of D^n, a coordinate permutation
 followed by one disk automorphism per coordinate: the last level's free,
 copy and constant coordinates by their indices in the top map, with the
@@ -22,15 +23,16 @@ A level is the top map ``full`` and two sets of its indices: the
 ``peeled`` variables, with their anchors, and the ``dropped`` ones; its
 head is full's other variables, in order, so no level builds a map.  A
 RetractMap is a level with full = itself and nothing peeled or dropped.
-full(0) is a fixed point of full, so the head of full(0) is one of the
-level's map.  A level is explicit when no term of a component not yet
-dropped holds the peeled variable: the graph is then its component itself
-(every retract is a graph over its free coordinates, Heath-Suffridge),
-and the level solves nothing and drops the variable.  Any other level is
-implicit: one joint Newton solve of w with every peeled coordinate, at the
-head of full(0), refines its anchor, and dF/dw = a + b (I - D)^-1 c comes
-from that solve's Jacobian [[a, b], [c, D]] (implicit differentiation).
-A level keeps only its graph's anchor record.
+full(0), computed once per map, is a fixed point of full, so the head of
+full(0) is one of the level's map.  A level is explicit when, by full's
+table, no term of a component not yet dropped holds the peeled variable:
+the graph is then its component itself (every retract is a graph over its
+free coordinates, Heath-Suffridge), and the level solves nothing and
+drops the variable.  Any other level is implicit: one joint Newton solve
+of w with every peeled coordinate, at the head of full(0), refines its
+anchor, and dF/dw = a + b (I - D)^-1 c comes from that solve's Jacobian
+[[a, b], [c, D]] (implicit differentiation).  A level keeps only its
+graph's anchor record.
 
 Evaluation works on whole arrays: the maps take (N, n) rows, and the
 conjugation, image_point and the graph evaluators act on the last axis,
@@ -98,9 +100,16 @@ class RetractMap:
         self._pairs = [(c.numerator, c.denominator) if isinstance(c, RationalMap) else (c, one)
                        for c in components]
         self._stack = _Stack([p for pair in self._pairs for p in pair])
+        # _holds[i, j]: some numerator or denominator term of component j holds variable i
+        self._holds = (self._stack._expo.T > 0) @ (self._stack._coef != 0).reshape(-1, self.n, 2).any(axis=2)
         self._pole_tols = np.array([c._pole_tol if isinstance(c, RationalMap) else 0.0 for c in components])
         self._rational = np.array([isinstance(c, RationalMap) for c in components])
         self.name = name
+
+    @cached_property
+    def _at_zero(self):
+        """rho(0), a fixed point of the idempotent map: computed once, on first use."""
+        return self(np.zeros(self.n, dtype=complex))
 
     @classmethod
     def identity(cls, n):
@@ -303,19 +312,19 @@ def _term_role(rho, j, tol):
     a variable, identity when ||num - z_j den||_1 <= tol times den's largest coefficient,
     phi(z_i) when num and den are affine in z_i alone (phi from their four coefficients)."""
     (num, den), zero = rho._pairs[j], (0,) * rho.n
-    active = {i for p in (num, den) for e in p.terms for i, power in enumerate(e) if power}
+    active = np.flatnonzero(rho._holds[:, j])
     shifted = {e[:j] + (e[j] + 1,) + e[j + 1:]: c for e, c in den.terms.items()}
-    if not active:
+    if not len(active):
         return ComponentRole(ROLE_CONSTANT, value=num.terms.get(zero, 0j) / den.terms[zero])
     miss = sum(abs(num.terms.get(e, 0j) - shifted.get(e, 0j)) for e in set(num.terms) | set(shifted))
     if miss <= tol * den.coeff_norm():
         return ComponentRole(ROLE_IDENTITY, source=j)
     if len(active) == 1 and all(max(e) == 1 for p in (num, den) for e in p.terms if any(e)):
-        unit = tuple(int(v in active) for v in range(rho.n))
+        unit = tuple(int(v == active[0]) for v in range(rho.n))
         phi = MoebiusAutomorphism.from_coefficients(*(p.terms.get(e, 0j) for p in (num, den)
                                                       for e in (unit, zero)))
         if phi is not None:
-            return ComponentRole(ROLE_COPY, source=active.pop(), moebius=phi)
+            return ComponentRole(ROLE_COPY, source=int(active[0]), moebius=phi)
     return ComponentRole(ROLE_GENERIC)
 
 
@@ -379,12 +388,10 @@ class Conjugation:
                 "moebius": [None if phi is None else phi.to_json() for phi in self.maps]}
 
 
-def _restrict(comp, keep):
-    """An exact component at 0 in every variable outside ``keep``, in the
-    variables ``keep``: the terms that hold another variable are dropped."""
-    if isinstance(comp, RationalMap):
-        return RationalMap(_restrict(comp.numerator, keep), _restrict(comp.denominator, keep))
-    return MultiPoly(len(keep), {tuple(e[i] for i in keep): c for e, c in comp.terms.items()
+def _restrict(poly, keep):
+    """A numerator or denominator at 0 in every variable outside ``keep``, in
+    the variables ``keep``: the terms that hold another variable are dropped."""
+    return MultiPoly(len(keep), {tuple(e[i] for i in keep): c for e, c in poly.terms.items()
                                  if sum(e) == sum(e[i] for i in keep)})
 
 
@@ -394,9 +401,10 @@ def _reduce(rho, g):
     Returns the reduced map z' -> rho(z', f(z')) without component g, an
     idempotent self-map of D^{n-1}: the top map ``full`` of rho with one more
     index peeled or dropped.  The graph's anchor is a FixedPointRecord at the
-    head z' of q = full(0), a fixed point of full whose head is one of rho.
-    When no numerator or denominator term of a component not yet dropped
-    holds g's variable v (explicit), the anchor is q's own entry (full(q) = q
+    head z' of q = full(0), a fixed point of full whose head is one of rho,
+    computed once per map.  When no numerator or denominator term of a
+    component not yet dropped holds g's variable v (explicit, by full's
+    ``_holds`` table), the anchor is q's own entry (full(q) = q
     for the idempotent full) with dF/dw = 0, and v is dropped.  Otherwise v
     joins the peeled variables, first, and one joint Newton solve at z' of
     every peeled coordinate, from q's entry and the anchors, refines the
@@ -404,10 +412,9 @@ def _reduce(rho, g):
     full, anchors, peeled, dropped = rho.full, rho.anchors, rho.peeled, rho.dropped
     head = [i for i in range(full.n) if i not in peeled + dropped]
     v = head[g]
-    q = full(np.zeros(full.n, dtype=complex))
+    q = full._at_zero
     z = tuple(complex(q[i]) for i in head if i != v)
-    held = full._stack._coef[full._stack._expo[:, v] > 0].reshape(-1, full.n, 2)  # term, component, num/den
-    if not held[:, [j for j in range(full.n) if j not in dropped]].any():
+    if not full._holds[v, [j for j in range(full.n) if j not in dropped]].any():
         w = complex(q[v])
         anchor = FixedPointRecord(z, w, 0j, _classify(w, 0.0), 0.0, 0)
         reduced = _ReducedMap(full, peeled, anchors, dropped + (v,))
@@ -520,7 +527,7 @@ def _normalize(rho, opts):
     core = _CoreForm(len(ids), [ids.index(role.source) for _, role in copies],
                      [role.value for _, role in consts], anchors, chain)
     if graphs and all(top[i].kind == ROLE_IDENTITY for i in ids):
-        core.rational = [c for c, j in enumerate(graphs) if isinstance(rho.components[j], RationalMap)]
+        core.rational = [c for c, j in enumerate(graphs) if rho._rational[j]]
         polys = [rho._pairs[j][0] for j in graphs] + [rho._pairs[graphs[c]][1] for c in core.rational]
         core.kernel = _Stack([_restrict(p, ids) for p in polys])
         core.pole_tols = rho._pole_tols[[graphs[c] for c in core.rational]]

@@ -28,6 +28,7 @@ verdicts are a sampling certificate, exact about the witnesses they report.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -60,18 +61,8 @@ class StabilityReport:
         return self.verdict in (STABLE_OPEN, STABLE_CLOSED_STRICT)
 
     def to_json(self) -> dict:
-        return {
-            "format": FORMAT_TAG,
-            "verdict": self.verdict,
-            "witness": None if self.witness is None else [
-                complex_to_pair(self.witness[0]),
-                complex_to_pair(self.witness[1]),
-            ],
-            "min_modulus": self.min_modulus,
-            "torus_grid": self.torus_grid,
-            "disk_grid": self.disk_grid,
-            "tolerance": self.tolerance,
-        }
+        witness = None if self.witness is None else [complex_to_pair(w) for w in self.witness]
+        return {"format": FORMAT_TAG, **dataclasses.asdict(self), "witness": witness}
 
 
 def roots_rows(rows, lead_tol: float = 0.0) -> np.ndarray:

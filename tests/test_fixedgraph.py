@@ -10,6 +10,7 @@ from aglerkit.fixedgraph import (
     CLASS_BOUNDARY,
     CLASS_INTERIOR,
     FixedPointRecord,
+    GraphFunction,
     SchurMap,
     continue_graph,
     find_fixed_w,
@@ -186,6 +187,12 @@ class TestSchurMap:
         # F and dF/dw come back as evaluated at the returned values
         assert np.array_equal(f, Pair()._rows(zs, values)) and np.array_equal(df, np.broadcast_to(A, (3, 2, 2)))
 
+    def test_a_row_with_no_newton_step_stops_unconverged(self):
+        # F = w^2 + 0.3 at w = 0.5: dF/dw = 1, so G = F - w = 0.05 has no step
+        _, iterations, converged, _, _ = fixedgraph._newton(w_map({(0, 2): 1.0, (0, 0): 0.3}),
+                                                            np.zeros((1, 1)), [0.5])
+        assert iterations.tolist() == [1] and converged.tolist() == [False]
+
     def test_one_unknown_as_a_column_runs_the_flat_rows(self):
         # (N, 1) unknowns take the one-unknown step and keep their shape
         smap = SchurMap(2, rational=nonlinear_rational_map())
@@ -277,6 +284,9 @@ class TestFindFixedW:
         )
         assert len(records) == 1
 
+    def test_an_unconverged_seed_is_skipped(self):
+        assert find_fixed_w(w_map({(0, 2): 1.0, (0, 0): 0.3}), [0.0], seeds=[0.5]) == []
+
     def test_derivative_above_one_raises(self):
         # 2 w^2 fixes w = 1/2 with slope 2, impossible for a disk self-map
         smap = w_map({(0, 2): 2.0})
@@ -325,6 +335,10 @@ class TestLocalGraph:
         points = random_polydisk(rng, 25, 2, 0.85)
         values, _ = graph_at(smap, record, points)
         assert np.max(np.abs(values - f0.evaluate(points))) <= 1e-10
+
+    def test_an_empty_grid_has_residual_zero(self):
+        empty = np.zeros(0)
+        assert GraphFunction(axes=(empty,), values=empty, residuals=empty, evaluator=None).max_residual == 0.0
 
     def test_requires_interior_record(self):
         smap = identity_in_w_map()

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from aglerkit.errors import DomainError
 from aglerkit.multipoly import MultiPoly, RationalMap, _compose, _QuotientRule
 
+import exact
+
 UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
@@ -200,31 +202,6 @@ class TestRationalMap:
         assert calls == []
 
 
-def fractions_compose(poly, images, less):
-    # poly at the images less ``less``, term by term in exact rationals, as
-    # {exponent: (re, im)}
-    def times(p, q):
-        out = {}
-        for e1, (a, b) in p.items():
-            for e2, c in q.terms.items():
-                c, d = Fraction(c.real), Fraction(c.imag)
-                key = tuple(x + y for x, y in zip(e1, e2))
-                re, im = out.get(key, (0, 0))
-                out[key] = (re + a * c - b * d, im + a * d + b * c)
-        return out
-
-    total = {e: (-Fraction(c.real), -Fraction(c.imag)) for e, c in less.terms.items()}
-    for expo, c in poly.terms.items():
-        term = {(0,) * images[0].nvars: (Fraction(c.real), Fraction(c.imag))}
-        for i, power in enumerate(expo):
-            for _ in range(power):
-                term = times(term, images[i])
-        for e, (a, b) in term.items():
-            re, im = total.get(e, (0, 0))
-            total[e] = (re + a, im + b)
-    return total
-
-
 class TestCompose:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data(), nvars=st.integers(1, 3))
@@ -237,9 +214,9 @@ class TestCompose:
 
         polys, images = [poly(), poly()], [poly() for _ in range(nvars)]
         for p, q, composed in zip(polys, polys[::-1], _compose(polys, images, polys[::-1])):
-            exact = fractions_compose(p, images, q)
-            for e in set(exact) | set(composed):
+            rational = exact.compose(p, images, q)
+            for e in set(rational) | set(composed):
                 value, error = composed.get(e, (0j, 0.0))
-                re, im = exact.get(e, (0, 0))
+                re, im = rational.get(e, (0, 0))
                 distance = (Fraction(value.real) - re) ** 2 + (Fraction(value.imag) - im) ** 2
                 assert distance <= Fraction(error) ** 2

@@ -146,6 +146,7 @@ class TestArithmetic:
         p = CLASSIC
         q = 2.0 - p  # = z1 + z2
         assert q(0.25, 0.5) == pytest.approx(0.75)
+        assert np.array_equal((p - q).coeffs, [[2.0, -2.0], [-2.0, 0.0]])
         assert (p * 0.5)(0.0, 0.0) == pytest.approx(1.0)
         assert p.scale(1j)(0.0, 0.0) == pytest.approx(2j)
 

@@ -1,7 +1,6 @@
 """Tests for idempotent self-maps of the polydisk and their normal forms."""
 
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +25,8 @@ from aglerkit.retract import (
 )
 from aglerkit.sampling import random_polydisk
 from aglerkit.serialize import canonical_dumps, pair_to_complex
+
+import exact
 
 CONST = 0.3 - 0.2j
 
@@ -207,39 +208,11 @@ POLYNOMIAL = {
 }
 
 
-def _sqrt_up(q):
-    # a Fraction at or above the square root of the Fraction q >= 0, within 2^-80 / q's denominator
-    scale = q.denominator << 80
-    return Fraction(math.isqrt(q.numerator * q.denominator << 160) + (q > 0), scale)
-
-
 def fractions_defect(rho):
     # max_j of the l1 norm of rho(rho)_j - rho_j, composed in exact rationals from
     # the float coefficients; each modulus is rounded up, so this bounds it above
-    def times(p, q):
-        out = {}
-        for e1, (a, b) in p.items():
-            for e2, (c, d) in q.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                re, im = out.get(key, (0, 0))
-                out[key] = (re + a * c - b * d, im + a * d + b * c)
-        return out
-
-    comps = [{e: (Fraction(c.real), Fraction(c.imag)) for e, c in comp.terms.items()}
-             for comp in rho.components]
-    worst = Fraction(0)
-    for comp in comps:
-        total = {e: (-a, -b) for e, (a, b) in comp.items()}
-        for expo, coef in comp.items():
-            term = {(0,) * rho.n: coef}
-            for i, power in enumerate(expo):
-                for _ in range(power):
-                    term = times(term, comps[i])
-            for e, (c, d) in term.items():
-                re, im = total.get(e, (0, 0))
-                total[e] = (re + c, im + d)
-        worst = max(worst, sum(_sqrt_up(re * re + im * im) for re, im in total.values()))
-    return worst
+    return max(sum(exact.sqrt_up(re * re + im * im) for re, im in exact.compose(c, rho.components, c).values())
+               for c in rho.components)
 
 
 def as_reduced_level(rho):
@@ -299,6 +272,16 @@ class TestRetractMap:
         alone = np.stack([comp.evaluate(pts) for comp in comps], axis=1)
         assert np.max(np.abs(rho.evaluate_batch(pts) - alone)) <= 1e-15
         assert np.max(np.abs(rho._columns(pts, [2, 0]) - alone[:, [2, 0]])) <= 1e-15
+
+    @pytest.mark.parametrize("make", [*POLYNOMIAL.values(), rational_graph_map,
+                                      lambda: moebius_averaging_map([0.3, -0.2j, 0.1 + 0.25j])],
+                             ids=[*POLYNOMIAL, "rational_graph", "moebius_averaging_3"])
+    def test_holds_tells_which_variables_each_component_holds(self, make):
+        # holds[i, j]: some numerator or denominator term of component j has a positive power of z_i
+        rho = make()
+        parts = [(c.numerator, c.denominator) if isinstance(c, RationalMap) else (c,) for c in rho.components]
+        walk = [[any(e[i] > 0 for p in parts[j] for e in p.terms) for j in range(rho.n)] for i in range(rho.n)]
+        assert rho._holds.tolist() == walk
 
     def test_evaluate_batch_shape(self):
         rho = parabola_map()
@@ -1197,16 +1180,17 @@ class TestRoutes:
         normal_form(rho)
         assert maps == []
 
-    @pytest.mark.parametrize("name, points", [("parabola", 1), ("triple_product", 1), ("cubic_curve", 2)])
-    def test_explicit_anchors_evaluate_the_exact_map_once(self, monkeypatch, name, points):
+    @pytest.mark.parametrize("name", ["parabola", "triple_product", "cubic_curve"])
+    def test_explicit_anchors_evaluate_the_exact_map_once(self, monkeypatch, name):
         # an explicit level's anchor is the entry of q = full(0) itself, as
-        # full(q) = q: one one-point evaluation per level (evaluating full(q)
-        # as well would make 2, 2 and 4)
+        # full(q) = q, and every level's full is the top map, which computes q
+        # once: one one-point evaluation per normal form (once per level would
+        # make 2 on the cubic curve, and evaluating full(q) as well 4)
         rows, columns = [], RetractMap._columns
         monkeypatch.setattr(RetractMap, "_columns",
                             lambda self, pts, cols: rows.append(len(pts)) or columns(self, pts, cols))
         normal_form(IDENTITY_FREE[name][0]())
-        assert rows.count(1) == points
+        assert rows.count(1) == 1
 
 
 def conjugated(rho, sigma):

@@ -5,8 +5,6 @@ test trusts the solver only because this identity was verified by direct
 coefficient expansion.
 """
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +34,8 @@ from aglerkit.sos import (
     sos_target_tensor,
 )
 
+import exact
+
 CLASSIC = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])  # 2 - z1 - z2
 SQUARE = CLASSIC * CLASSIC  # its double zero at (1, 1) leaves no outer factor
 STEEP = BivariatePolynomial([[3.0, -2.0], [-1.0, 0.0]])  # 3 - z1 - 2 z2, also zero at (1, 1)
@@ -62,12 +62,11 @@ def displacement_class_sums(tensor: np.ndarray) -> np.ndarray:
 def exact_identity_residual(p, gram_a, gram_b):
     """Max |L(G_A, G_B) - T| over coefficients in rational arithmetic, for integer p."""
     n, m = p.bidegree
-    exact = np.vectorize(Fraction, otypes=[object])
     parts = []
     for part, target in ((np.real, sos_target_tensor(p).real), (np.imag, 0.0)):
-        a4 = exact(part(gram_a)).reshape(n, m + 1, n, m + 1)
-        b4 = exact(part(gram_b)).reshape(n + 1, m, n + 1, m)
-        diff = exact(-np.broadcast_to(target, (n + 1, m + 1, n + 1, m + 1)))
+        a4 = exact.fractions(part(gram_a)).reshape(n, m + 1, n, m + 1)
+        b4 = exact.fractions(part(gram_b)).reshape(n + 1, m, n + 1, m)
+        diff = exact.fractions(-np.broadcast_to(target, (n + 1, m + 1, n + 1, m + 1)))
         diff[:n, :, :n, :] += a4
         diff[1:, :, 1:, :] -= a4
         diff[:, :m, :, :m] += b4

@@ -1,8 +1,6 @@
 """Tests for the bidisk zero-freeness scan."""
 
-import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +28,8 @@ from aglerkit.stability import (
     roots_rows,
 )
 from aglerkit.serialize import canonical_dumps
+
+import exact
 
 
 CLASSIC = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])  # 2 - z1 - z2
@@ -612,21 +612,10 @@ SCREEN_RADIUS = (1.0 + 1e-9) * (1.0 + 2.0 ** -10)  # the scan's Schur-Cohn radiu
 
 def zero_within(row, radius):
     """Whether the row roots_rows solves, its leading coefficients <= 1e-13 max|row| trimmed, has
-    a zero with |w| <= radius, decided exactly: the Schur-Cohn recursion on Gaussian integers, the
-    row's binary fractions at that radius times their common denominator."""
+    a zero with |w| <= radius, decided exactly."""
     mag = np.abs(row)
     degree = len(row) - 1 - np.argmax((mag > 1e-13 * np.max(mag))[::-1])
-    parts = [(Fraction(c.real) * Fraction(radius) ** k, Fraction(c.imag) * Fraction(radius) ** k)
-             for k, c in enumerate(row[: degree + 1])]
-    den = math.lcm(*(x.denominator for part in parts for x in part))
-    a = [(int(x * den), int(y * den)) for x, y in parts]
-    while len(a) > 1:  # a[k] = (re, im) of q_k; the next q_k is conj(q_0) q_k - q_d conj(q_(d-k))
-        (x0, y0), (xd, yd), d = a[0], a[-1], len(a) - 1
-        if x0 * x0 + y0 * y0 <= xd * xd + yd * yd:
-            return True
-        a = [(x0 * x + y0 * y - xd * u - yd * v, x0 * y - y0 * x - yd * u + xd * v)
-             for (x, y), (u, v) in zip(a[:d], a[d:0:-1])]
-    return False
+    return exact.zero_within(row[: degree + 1], radius)
 
 
 class TestSchurCohnScreen:
