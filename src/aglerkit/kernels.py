@@ -28,12 +28,16 @@ The checks build one table per point set and read the positivity subsets of
 the sample points out of it.  Each property has one check:
 verify_decomposition samples the identities, Cauchy-Schwarz and positivity
 on point pairs, check_bounds the growth bound K_j(z, z) <= 1/(1 - |z_j|^2)
-and the sum defect on one point set.
+and the sum defect on one point set.  A check's draws depend on its (seed,
+samples) alone, so they are taken once per process and shared read-only (the
+four latest pairs are kept): 32 * samples bytes for check_bounds, 64 * samples
+for verify_decomposition.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +193,19 @@ class BoundReport:
         return {"format": FORMAT_TAG, **dataclasses.asdict(self)}
 
 
+@functools.lru_cache(maxsize=4)
+def _draws(seed, samples, pairs):
+    """A check's seeded draws, read-only, in one generator's order: the point sets z and, for
+    pairs, w, each as its coordinates (z1, z2); then the positivity subsets (none without pairs)."""
+    rng = np.random.default_rng(seed)
+    points = [random_polydisk(rng, samples, 2, SAMPLE_RADIUS) for _ in range(1 + pairs)]
+    size = min(PSD_SUBSET_SIZE, samples)
+    subsets = np.array([rng.choice(samples, size=size, replace=False) for _ in range(PSD_SUBSETS * pairs)])
+    for array in (*points, subsets):
+        array.flags.writeable = False
+    return tuple((zs[:, 0], zs[:, 1]) for zs in points), subsets
+
+
 def _witness(kind, value, z, w=None):
     entry = {"check": kind, "value": float(value), "z": [complex_to_pair(z[0]), complex_to_pair(z[1])]}
     if w is not None:
@@ -205,11 +222,7 @@ def verify_decomposition(
     """Check both kernel identities, the Cauchy-Schwarz bound, and sampled Gram positivity."""
     if samples < 1:
         raise ValueError("need at least one sample pair")
-    rng = np.random.default_rng(seed)
-    zs = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
-    ws = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
-    z = (zs[:, 0], zs[:, 1])
-    w = (ws[:, 0], ws[:, 1])
+    (z, w), idx = _draws(seed, samples, True)
     tz, tw = bundle._table(*z), bundle._table(*w)
 
     fz, fw = tz[0][1], tw[0][1]
@@ -224,7 +237,6 @@ def verify_decomposition(
     cs1 = np.abs(l1) ** 2 - _K(1, tz, tz).real * _K(1, tw, tw).real
     cs2 = np.abs(l2) ** 2 - _K(2, tz, tz).real * _K(2, tw, tw).real
 
-    idx = [rng.choice(samples, size=min(PSD_SUBSET_SIZE, samples), replace=False) for _ in range(PSD_SUBSETS)]
     subsets = [t[:, idx] for t in tz]  # the positivity subsets' rows of the sample table
     rows, cols = [t[..., :, None] for t in subsets], [t[..., None, :] for t in subsets]
     grid = np.stack([_K(j, rows, cols) for j in (1, 2)])  # (kernel, subset, point, point)
@@ -266,9 +278,7 @@ def check_bounds(
     """
     if samples < 1:
         raise ValueError("need at least one sample point")
-    rng = np.random.default_rng(seed)
-    zs = random_polydisk(rng, samples, 2, SAMPLE_RADIUS)
-    z = (zs[:, 0], zs[:, 1])
+    (z,), _ = _draws(seed, samples, False)
     tz = bundle._table(*z)
     residual = 1.0 - np.abs(tz[0][1]) ** 2
     room = np.stack([1.0 - np.abs(x) ** 2 for x in z])  # 1 - |z_j|^2, a row per kernel

@@ -183,7 +183,7 @@ class SosCertificate:
 
     @classmethod
     def from_json(cls, obj) -> "SosCertificate":
-        """Load a certificate; ValueError unless p~ is p's reflection and residual, tol are finite."""
+        """Load a certificate; ValueError unless p~ is p's reflection and residual, tol and every pair are finite."""
         p = BivariatePolynomial.from_json(obj["p"])
         p_tilde = BivariatePolynomial.from_json(obj["p_tilde"])
         if not np.array_equal(p_tilde.coeffs, p.reflect().coeffs):

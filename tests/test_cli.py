@@ -644,11 +644,20 @@ class TestNonFiniteInput:
         payload = {"nodes": [[0.0, 0.0], ["@", 0.0]], "targets": [[0.0, 0.0], [0.5, 0.0]]}
         self.refused(["pick", "--input", with_literal(tmp_path / "pick.json", payload, literal)], capsys)
 
+    # where each key's literal goes: the field itself, a Gram entry's part, a factor coefficient's part
+    CERTIFICATE_PATHS = {"residual": (), "tol": (), "G_A": (0, 0, 0), "G_B": (1, 0, 1),
+                         "A_polys": (0, "coeffs", 0, 0, 0)}
+
     @pytest.mark.parametrize("key, literal", [("residual", "NaN"), ("residual", "Infinity"),
-                                              ("residual", "1e999"), ("tol", "NaN")])
+                                              ("residual", "1e999"), ("tol", "NaN")]
+                             + [(key, literal) for literal in LITERALS for key in ("G_A", "G_B", "A_polys")])
     def test_certificate_residual_or_tol_exit_64(self, classic_certificate, tmp_path, capsys, key, literal):
         payload = json.loads(classic_certificate.read_text())
-        payload["certificate"][key] = "@"
+        *path, last = (key,) + self.CERTIFICATE_PATHS[key]
+        target = payload["certificate"]
+        for step in path:
+            target = target[step]
+        target[last] = "@"
         inp = with_literal(tmp_path / "cert.json", payload, literal)
         code = main(["verify", "--input", inp])
         captured = capsys.readouterr()
@@ -718,6 +727,21 @@ class TestUsageAndDeterminism:
         assert main(["fixedgraph", "--input", inp]) == EXIT_OK
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("command, payload", [
+        ("stability", classic_poly_payload),
+        ("decompose", classic_poly_payload),
+        ("verify", None),  # the classic certificate
+        ("pick", TestPick.blaschke_payload),
+        ("fixedgraph", product_average_smap_payload),
+        ("retract", parabola_retract_payload),
+    ])
+    def test_stdout_is_the_reference_encoding_of_its_parse(self, classic_certificate, tmp_path, capsys,
+                                                           command, payload):
+        inp = str(classic_certificate) if payload is None else write_json(tmp_path / "in.json", payload())
+        assert main([command, "--input", inp]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def test_thread_env_var_tolerated(self, tmp_path, monkeypatch, capsys):
         inp = write_json(tmp_path / "p.json", classic_poly_payload())

@@ -16,6 +16,7 @@ from aglerkit.kernels import (
 )
 from aglerkit.poly2 import BivariatePolynomial
 from aglerkit.sampling import random_polydisk
+from aglerkit.serialize import canonical_dumps
 from aglerkit.sos import SosCertificate, factors_from_gram, gram_from_factors, solve_gram
 
 CLASSIC = BivariatePolynomial([[2.0, -1.0], [-1.0, 0.0]])
@@ -424,6 +425,7 @@ class TestBounds:
         # Cauchy-Schwarz needs point pairs and is verify_decomposition's check
         draws, tables = [], []
         draw, table = kernels.random_polydisk, KernelBundle._table
+        kernels._draws.cache_clear()  # a warm cache would take no draw
 
         def spy_draw(*args):
             draws.append(args[1])
@@ -458,3 +460,40 @@ class TestBounds:
         obj = report.to_json()
         assert obj["format"] == "aglerkit/1"
         assert obj["passed"] is True
+
+
+class TestDrawCache:
+    """A check's draws depend on (seed, samples) alone, so each pair is drawn once and shared."""
+
+    def test_draws_are_read_only(self):
+        (z, w), subsets = kernels._draws(5, 40, True)
+        (zb,), empty = kernels._draws(5, 40, False)
+        assert empty.size == 0 and not empty.flags.writeable
+        for array in (*z, *w, *zb, subsets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("check, seed", [(verify_decomposition, 1234), (check_bounds, 1235)])
+    def test_reports_are_the_same_bytes_cold_and_warm(self, classic_bundle, check, seed):
+        kernels._draws.cache_clear()
+        cold = canonical_dumps(check(classic_bundle, samples=300, seed=seed).to_json())
+        hits = kernels._draws.cache_info().hits
+        warm = canonical_dumps(check(classic_bundle, samples=300, seed=seed).to_json())
+        assert kernels._draws.cache_info().hits == hits + 1
+        assert warm == cold
+
+    def test_draws_follow_an_uncached_generator(self):
+        (z, w), subsets = kernels._draws(11, 30, True)
+        rng = np.random.default_rng(11)
+        for points in (z, w):
+            zs = random_polydisk(rng, 30, 2, SAMPLE_RADIUS)
+            assert np.array_equal(points[0], zs[:, 0]) and np.array_equal(points[1], zs[:, 1])
+        for row in subsets:
+            assert np.array_equal(row, rng.choice(30, size=PSD_SUBSET_SIZE, replace=False))
+        assert len(subsets) == PSD_SUBSETS
+
+    def test_distinct_keys_give_distinct_draws(self):
+        ((z1, z2),), _ = kernels._draws(21, 50, False)
+        for seed, samples in ((22, 50), (21, 51)):
+            ((y1, y2),), _ = kernels._draws(seed, samples, False)
+            assert not np.array_equal(y1[:50], z1) and not np.array_equal(y2[:50], z2)
