@@ -116,8 +116,8 @@ class KernelBundle:
         return table
 
     def _bidisk_table(self, z1, z2):
-        """_table at points of the closed bidisk; DomainError at any other point."""
-        if np.any(np.abs(z1) > 1.0 + 1e-12) or np.any(np.abs(z2) > 1.0 + 1e-12):
+        """_table at points of the closed bidisk; DomainError at any other, a non-finite one included."""
+        if not ((np.abs(z1) <= 1.0 + 1e-12).all() and (np.abs(z2) <= 1.0 + 1e-12).all()):
             raise DomainError("evaluation outside the closed bidisk")
         return self._table(z1, z2)
 

@@ -51,9 +51,9 @@ class _Stack:
     """Polynomials in the same variables, evaluated together from one table.
 
     Holds the union of their exponents and one ``(terms, k)`` coefficient
-    matrix.  A call on ``(..., nvars)`` points raises each variable to the
-    powers 0..dmax once, gathers every monomial from that table, and
-    returns the ``(..., k)`` values by one matmul.
+    matrix.  A call on ``(..., nvars)`` points raises each variable to each
+    exponent the terms hold once, gathers every monomial from that table,
+    and returns the ``(..., k)`` values by one matmul.
     """
 
     def __init__(self, polys):
@@ -62,8 +62,10 @@ class _Stack:
         self._expo = np.array(keys, dtype=int).reshape(len(keys), self.nvars)
         self._coef = np.array([[poly.terms.get(key, 0.0) for poly in polys] for key in keys],
                               dtype=complex).reshape(len(keys), len(polys))
-        # complex, as the power loop casts the exponents to the points' type on every call
-        self._powers = np.arange(self._expo.max(initial=0) + 1, dtype=complex)
+        # each exponent once (np.unique would import numpy.ma); complex, as the power loop
+        # casts the exponents to the points' type on every call
+        powers = sorted(set(self._expo.ravel().tolist()))
+        self._powers, self._slots = np.array(powers, dtype=complex), np.searchsorted(powers, self._expo)
         self._vars = np.arange(self.nvars)
 
     def __call__(self, points):
@@ -72,8 +74,8 @@ class _Stack:
             raise ValueError(
                 "points must have a trailing axis of length %d" % self.nvars
             )
-        table = pts[..., :, None] ** self._powers  # (..., nvars, dmax + 1)
-        return table[..., self._vars, self._expo].prod(axis=-1) @ self._coef
+        table = pts[..., :, None] ** self._powers  # (..., nvars, distinct exponents)
+        return table[..., self._vars, self._slots].prod(axis=-1) @ self._coef
 
 
 class MultiPoly:

@@ -44,7 +44,9 @@ there, so a normal form holds its graph columns as one exact kernel in the
 k free variables: one table of it, and one division for the rational ones.
 Any other map, such as the diagonal retract ((z1+z2)/2, (z1+z2)/2), where
 rho(v, 0) = (v/2, v/2), fills its graph columns by one joint Newton solve
-of every peeled coordinate of the top map, started from the anchors.
+of every peeled coordinate of the top map, started from the anchors.  A
+NormalForm is one object holding its layout, input map, conjugation and
+that graph rule, which image_point and every graph evaluator read.
 """
 
 from __future__ import annotations
@@ -439,67 +441,17 @@ def _reduce(rho, g):
     return reduced, anchor
 
 
-@dataclass
-class _CoreForm:
-    """Normalization result; ``anchors`` and the graphs are deepest first.
-    ``kernel``, if set, holds each graph's numerator in the free variables, then
-    the denominators of its ``rational`` columns, with their ``pole_tols``.
-    ``base``, if set, is the top map with every graph peeled; it solves the graph
-    columns at the head columns of the points that ``chain`` maps back to the top map."""
-
-    k: int
-    e_sources: list
-    consts: list
-    anchors: list
-    chain: Conjugation
-    base: _ReducedMap | None = None
-    kernel: _Stack | None = None
-    rational: list = field(default_factory=list)
-    pole_tols: np.ndarray | None = None
-
-
-def _image_rows(x, core):
-    """Free coordinates (k,) or (N, k), finite and in the closed unit polydisk,
-    -> points (n,) or (N, n): copies of x, the constants, and the graphs from one
-    table of the kernel, dividing only the rational ones, or one joint solve."""
-    x = np.asarray(x, dtype=complex)
-    k, m = core.k, len(core.e_sources)
-    if x.ndim not in (1, 2) or x.shape[-1] != k:
-        raise ValueError("free coordinates need a trailing axis of length %d" % k)
-    if not (np.abs(x) <= 1.0).all():
-        raise ValueError("free coordinates must be finite and lie in the closed unit polydisk")
-    rows = x if x.ndim == 2 else x.reshape(1, k)
-    head = k + m + len(core.consts)
-    out = np.empty((len(rows), len(core.chain.order)), dtype=complex)
-    out[:, :k] = rows
-    if m:
-        out[:, k : k + m] = rows[:, core.e_sources]
-    if core.consts:
-        out[:, k + m : head] = core.consts
-    if core.kernel is not None and len(rows):
-        table = core.kernel(rows)
-        g = len(out[0]) - head
-        if core.rational:
-            table[:, core.rational] = multipoly._quotients(table[:, core.rational], table[:, g:],
-                                                           core.pole_tols)
-        out[:, head:] = table[:, :g]
-    elif core.base is not None and len(rows):
-        out[:, head:] = core.base._peel(core.chain.apply_inverse(out)[:, core.base._head])
-    return out if x.ndim == 2 else out[0]
-
-
-def _normalize(rho, opts):
-    """The core form of the top map rho: each level peels its first generic
-    component, where it sits (_reduce), until none is left.  ``roles`` are the
-    level's, in head order, and a role's source is a top-map index: an
-    explicit level leaves every head component the same function, so it keeps
-    the roles above it, and any other level is classified afresh.  When every
-    free coordinate is an identity component of rho, a graph column is rho's
-    component at (x, 0), where a term in a variable outside the free block is
-    0, so the kernel holds each column exactly by its other terms."""
+def _normalize(rho, seed, scan_radius, role_tol):
+    """The normal form of the top map rho, with no components or diagnostics yet:
+    each level peels its first generic component, where it sits (_reduce), until
+    none is left.  ``roles`` are the level's, in head order, and a role's source
+    is a top-map index: an explicit level leaves every head component the same
+    function, so it keeps the roles above it, and any other level is classified
+    afresh.  When every free coordinate is an identity component of rho, a graph
+    column is rho's component at (x, 0), where a term in a variable outside the
+    free block is 0, so the kernel holds each column exactly by its other terms."""
     def classify(level):  # sources are the level's positions; the seed moves by 17 a level
-        return classify_components(level, seed=opts["seed"] + 17 * len(graphs),
-                                   radius=opts["scan_radius"], tol=opts["role_tol"])
+        return classify_components(level, seed=seed + 17 * len(graphs), radius=scan_radius, tol=role_tol)
 
     level, head, graphs, anchors = rho, list(range(rho.n)), [], []
     roles = top = classify(rho)
@@ -524,37 +476,45 @@ def _normalize(rho, opts):
     maps = [None if role.moebius.is_identity() else role.moebius.inverse() for _, role in copies]
     chain = Conjugation(tuple(ids + [i for i, _ in copies + consts] + graphs),
                         (None,) * len(ids) + tuple(maps) + (None,) * (len(consts) + len(graphs)))
-    core = _CoreForm(len(ids), [ids.index(role.source) for _, role in copies],
-                     [role.value for _, role in consts], anchors, chain)
+    form = NormalForm(rho.n, len(ids), tuple(ids.index(role.source) for _, role in copies), chain,
+                      rho, [role.value for _, role in consts], anchors)
     if graphs and all(top[i].kind == ROLE_IDENTITY for i in ids):
-        core.rational = [c for c, j in enumerate(graphs) if rho._rational[j]]
-        polys = [rho._pairs[j][0] for j in graphs] + [rho._pairs[graphs[c]][1] for c in core.rational]
-        core.kernel = _Stack([_restrict(p, ids) for p in polys])
-        core.pole_tols = rho._pole_tols[[graphs[c] for c in core.rational]]
+        form._rational = [c for c, j in enumerate(graphs) if rho._rational[j]]
+        polys = [rho._pairs[j][0] for j in graphs] + [rho._pairs[graphs[c]][1] for c in form._rational]
+        form._kernel = _Stack([_restrict(p, ids) for p in polys])
+        form._pole_tols = rho._pole_tols[[graphs[c] for c in form._rational]]
     elif graphs:
-        core.base = _ReducedMap(rho, graphs, tuple(a.w for a in anchors))
-    return core
+        form._base = _ReducedMap(rho, graphs, tuple(a.w for a in anchors))
+    return form
 
 
 @dataclass
 class NormalForm:
-    """Normalized retract: free block, copy block, graph block.
+    """Normalized retract: free block, copy block, graph block, as one object.
 
-    normalized_map is Phi . rho . Phi^{-1} for the stored conjugation Phi,
-    on (..., n) arrays; on image points assembled by image_point it agrees
-    with the identity up to the recorded residuals.  image_point and every
-    f_components evaluator take the graph columns from one table of the
-    form's kernel, or one joint Newton solve (see _image_rows).
+    Its layout is k free coordinates, the copies' sources ``e_sources``, the
+    constants ``_consts`` and the graphs' anchor records ``_anchors``, deepest
+    first, after the conjugation Phi of the input map ``_rho``.  Its graph rule
+    is ``_kernel``, if set: each graph's numerator in the free variables, then
+    the denominators of its ``_rational`` columns, with their ``_pole_tols``;
+    else ``_base``, if set: the top map with every graph peeled, which solves
+    the graph columns at the head columns of the points that Phi^{-1} maps back
+    to the top map.  image_point and every f_components evaluator read them.
     """
 
     n: int
     k: int
     e_sources: tuple
-    f_components: list
     conjugation: Conjugation
-    normalized_map: object
+    _rho: RetractMap
+    _consts: list
+    _anchors: list
+    f_components: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
-    _core: _CoreForm = field(default=None, init=False, repr=False)  # set by normal_form
+    _base: _ReducedMap | None = None
+    _kernel: _Stack | None = None
+    _rational: list = field(default_factory=list)
+    _pole_tols: np.ndarray | None = None
 
     @property
     def copy_count(self):
@@ -565,8 +525,39 @@ class NormalForm:
         return len(self.f_components)
 
     def image_point(self, x):
-        """Normalized image point of free coordinates: (k,) -> (n,), (N, k) -> (N, n)."""
-        return _image_rows(x, self._core)
+        """Normalized image point of free coordinates, finite and in the closed unit
+        polydisk: (k,) -> (n,), (N, k) -> (N, n).  Copies of x, the constants, and
+        the graphs from one table of the kernel, dividing only the rational ones,
+        or one joint solve."""
+        x = np.asarray(x, dtype=complex)
+        k, m = self.k, len(self.e_sources)
+        if x.ndim not in (1, 2) or x.shape[-1] != k:
+            raise ValueError("free coordinates need a trailing axis of length %d" % k)
+        if not (np.abs(x) <= 1.0).all():
+            raise ValueError("free coordinates must be finite and lie in the closed unit polydisk")
+        rows = x if x.ndim == 2 else x.reshape(1, k)
+        head = k + m + len(self._consts)
+        out = np.empty((len(rows), self.n), dtype=complex)
+        out[:, :k] = rows
+        if m:
+            out[:, k : k + m] = rows[:, list(self.e_sources)]
+        if self._consts:
+            out[:, k + m : head] = self._consts
+        if self._kernel is not None and len(rows):
+            table = self._kernel(rows)
+            g = self.n - head
+            if self._rational:
+                table[:, self._rational] = multipoly._quotients(table[:, self._rational], table[:, g:],
+                                                                self._pole_tols)
+            out[:, head:] = table[:, :g]
+        elif self._base is not None and len(rows):
+            out[:, head:] = self._base._peel(self.conjugation.apply_inverse(out)[:, self._base._head])
+        return out if x.ndim == 2 else out[0]
+
+    def normalized_map(self, v):
+        """Phi . rho . Phi^{-1} at (..., n) points; on image points, the identity up to the residuals."""
+        v, chain = np.asarray(v, dtype=complex), self.conjugation
+        return chain.apply(self._rho.evaluate_batch(chain.apply_inverse(v)).reshape(v.shape))
 
     def to_json(self):
         return {
@@ -602,37 +593,24 @@ def normal_form(rho, tol=1e-9, grid=12, radius=0.85, seed=23, samples=400):
         raise InconsistencyError("map is not idempotent to tolerance %.1e (defect %.3e, max modulus "
                                  "%.6f)" % (report["tol"], report["max_defect"], report["max_modulus"]))
 
-    opts = {"seed": int(seed), "scan_radius": min(float(radius), 0.85),
-            "role_tol": max(float(tol), 1e-9)}
-    core = _normalize(rho, opts)
-    chain = core.chain
-
-    def normalized_map(v, _rho=rho, _chain=chain):
-        v = np.asarray(v, dtype=complex)
-        return _chain.apply(_rho.evaluate_batch(_chain.apply_inverse(v)).reshape(v.shape))
-
-    k = core.k
-    m = len(core.e_sources)
+    form = _normalize(rho, int(seed), min(float(radius), 0.85), max(float(tol), 1e-9))
+    k, m = form.k, form.copy_count
     axes = tuple(disk_points(int(grid), float(radius)) for _ in range(k))
     shape = tuple(len(ax) for ax in axes)
     size = int(np.prod(shape))
     nodes = np.array(np.meshgrid(*axes, indexing="ij"), dtype=complex).reshape(k, size).T
-    images = _image_rows(nodes, core)
-    defect_grid = np.max(np.abs(normalized_map(images) - images), axis=1).reshape(shape)
+    images = form.image_point(nodes)
+    defect_grid = np.max(np.abs(form.normalized_map(images) - images), axis=1).reshape(shape)
 
-    f_components = []
-    for c, anchor in enumerate([None] * len(core.consts) + core.anchors, start=k + m):
+    for c, anchor in enumerate([None] * len(form._consts) + form._anchors, start=k + m):
         prov = {"method": "constant", "position": c} if anchor is None else {
             "method": "fixed_point_composition", "position": c, "source": anchor.to_json()}
-        f_components.append(GraphFunction(
+        form.f_components.append(GraphFunction(
             axes=axes, values=images[:, c].reshape(shape), residuals=defect_grid.copy(),
-            provenance=prov, evaluator=lambda rows, c=c: _image_rows(rows, core)[:, c]))
+            provenance=prov, evaluator=lambda rows, c=c: form.image_point(rows)[:, c]))
 
-    diagnostics = {"idempotence": report,
-                   "normal_form_residual": float(np.max(defect_grid)) if defect_grid.size else 0.0,
-                   "free_count": int(k), "copy_count": int(m), "graph_count": len(f_components),
-                   "grid": int(grid), "radius": float(radius), "seed": int(seed)}
-    form = NormalForm(n=rho.n, k=k, e_sources=tuple(core.e_sources), f_components=f_components,
-                      conjugation=chain, normalized_map=normalized_map, diagnostics=diagnostics)
-    form._core = core
+    form.diagnostics = {"idempotence": report,
+                        "normal_form_residual": float(np.max(defect_grid)) if defect_grid.size else 0.0,
+                        "free_count": int(k), "copy_count": int(m), "graph_count": form.graph_count,
+                        "grid": int(grid), "radius": float(radius), "seed": int(seed)}
     return form

@@ -387,17 +387,17 @@ def _riccati_doubling(a, b, r, s):
 
 
 def _outer_factor(coeffs):
-    """M_k and G_j of M's outer factor (module docstring), n > 0; LinAlgError if M is singular."""
+    """The G_j of M's outer factor, stacked (module docstring), n > 0; LinAlgError if M is singular."""
     n, m = coeffs.shape[0] - 1, coeffs.shape[1] - 1
     moments = _schur_cohn_moments(coeffs)
     if m == 0:
-        return moments, np.linalg.cholesky(moments[0])[None]
+        return np.linalg.cholesky(moments[0])[None]
     size, up = n * m, moments[m + 1:].reshape(n * m, n)  # N = [M_1; ..; M_m]
     shift = np.eye(size, k=n)  # A, the block up-shift; C = [I 0 .. 0]
     x = _riccati_doubling(shift.T, np.eye(size, n), moments[m], up)
     g0 = np.linalg.cholesky(moments[m] + x[:n, :n])
     gains = np.linalg.solve(g0.conj(), (up + shift @ x[:, :n]).T).T  # K G_0, K Re = N + A X C*
-    return moments, np.concatenate([g0[None], gains.reshape(m, n, n)])
+    return np.concatenate([g0[None], gains.reshape(m, n, n)])
 
 
 def _fejer_riesz_factors(coeffs, target):
@@ -405,7 +405,7 @@ def _fejer_riesz_factors(coeffs, target):
     n, m = coeffs.shape[0] - 1, coeffs.shape[1] - 1
     x_fac = none = np.zeros((0, 0), dtype=complex)
     if n > 0:
-        x_fac = _outer_factor(coeffs)[1].transpose(1, 0, 2).reshape(n * (m + 1), n)  # G_j[i, k]
+        x_fac = _outer_factor(coeffs).transpose(1, 0, 2).reshape(n * (m + 1), n)  # G_j[i, k]
     rest = target - gram_pair_tensor(x_fac @ x_fac.conj().T, none, n, m)
     gram_b = _diagonal_cumsum(rest[:, :m, :, :m].transpose(1, 3, 0, 2)).transpose(2, 0, 3, 1)
     order_b = (n + 1) * m

@@ -28,6 +28,8 @@ REMOVED = (
     "_LastColumn",
     "_drop_last",
     "reduce_dimension",
+    "_CoreForm",
+    "_image_rows",
 )
 
 

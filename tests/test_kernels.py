@@ -127,11 +127,15 @@ class TestHandCertificateKernels:
 class TestDomainGuards:
     def test_evaluation_outside_bidisk_is_rejected(self):
         bundle = KernelBundle(CLASSIC, [HAND_A], [HAND_B])
-        with pytest.raises(DomainError):
-            bundle.eval_f(1.5, 0.0)
+        # a non-finite coordinate is no point of the bidisk either
+        nan, cnan = float("nan"), complex(0.1, float("nan"))
+        for z in ((1.5, 0.0), (nan, 0.0), (0.2, cnan)):
+            with pytest.raises(DomainError):
+                bundle.eval_f(*z)
         # the kernels share f's one domain test, in either point
         for kernel, j, z, w in (("K", 1, (1.5, 0), (0, 0)), ("L", 2, (3.0, 0.2), (0.1, 0.1)),
-                                ("K", 2, (0.1, 0.1), (0.2, 1.0 + 1e-9))):
+                                ("K", 2, (0.1, 0.1), (0.2, 1.0 + 1e-9)), ("K", 1, (nan, 0), (0, 0)),
+                                ("L", 2, (0.1, 0.1), (cnan, 0.3)), ("L", 1, (cnan, nan), (0, 0))):
             with pytest.raises(DomainError, match="outside the closed bidisk"):
                 getattr(bundle, kernel)(j, z, w)
         # |z_j| = 1 lies in the closed bidisk and still evaluates

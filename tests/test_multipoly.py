@@ -80,6 +80,14 @@ class TestEvaluate:
         assert values.shape == shape[:-1]
         assert np.array_equal(values, np.zeros(shape[:-1]))
 
+    def test_the_power_table_holds_the_exponents_of_the_terms_alone(self):
+        # z1 + 1e-9 z2^200000 raises each variable to 0, 1 and 200000 only, not to
+        # every power up to 200000
+        poly = MultiPoly(2, {(1, 0): 1.0, (0, 200000): 1e-9})
+        stack = poly._stack
+        assert stack._powers.shape == (len(np.unique(stack._expo)),) == (3,)
+        assert abs(poly.evaluate(np.array([0.5, 1.0])) - (0.5 + 1e-9)) <= 1e-16
+
     def test_trailing_axis_must_match_nvars(self):
         with pytest.raises(ValueError):
             MultiPoly(2, {(1, 0): 1.0}).evaluate(np.zeros((4, 3)))

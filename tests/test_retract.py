@@ -633,6 +633,14 @@ class TestNormalForm:
         v = nf.image_point([0.4 - 0.1j])
         assert np.max(np.abs(nf.normalized_map(v) - v)) <= 1e-9
 
+    def test_a_high_degree_term_normalizes(self):
+        # (z1, z1^2 + 1e-9 z2^200000) is too large to compose, so sampled points decide
+        # its idempotence; a table holds 3 powers of each variable, not 200,001
+        rho = RetractMap(2, (MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(2, 0): 1.0, (0, 200000): 1e-9})))
+        nf = normal_form(rho)
+        assert nf.diagnostics["idempotence"]["method"] == "sampled"
+        assert (nf.k, nf.copy_count, nf.graph_count) == (1, 0, 1)
+
     def test_parabola_map_has_square_graph(self):
         nf = normal_form(parabola_map())
         assert (nf.k, nf.copy_count, nf.graph_count) == (1, 0, 1)
@@ -684,7 +692,7 @@ class TestNormalForm:
         for rho, closed_form in ((cubic_curve_map(), lambda x: [x, x ** 2, x ** 3]),
                                  (averaging_map(3), lambda x: [x, x, x])):
             nf = normal_form(rho)
-            anchors = nf._core.anchors
+            anchors = nf._anchors
             assert [c.provenance["source"] for c in nf.f_components] == [a.to_json() for a in anchors]
             original = nf.conjugation.apply_inverse(nf.image_point(xs))
             assert np.max(np.abs(original - np.hstack(closed_form(xs)))) <= 1e-12
@@ -701,8 +709,10 @@ class TestNormalForm:
             assert np.max(np.abs(batch - single)) <= 1e-12
 
     def test_image_point_columns_are_the_component_values(self):
+        # the kernel route, the Newton route and a constant column
         rng = np.random.default_rng(61)
-        for rho in (triple_product_map(), cubic_curve_map()):
+        for rho in (triple_product_map(), cubic_curve_map(), averaging_map(3), explicit_between_map(),
+                    constant_second_map()):
             nf = normal_form(rho)
             k, m = nf.k, nf.copy_count
             xs = 0.6 * (rng.uniform(-1, 1, (12, k)) + 1j * rng.uniform(-1, 1, (12, k))) / np.sqrt(2)
@@ -768,7 +778,7 @@ class TestNormalForm:
         # bit for bit, batched and one point at a time
         rho = IDENTITY_FREE[name][0]()
         nf = normal_form(rho)
-        order, g = list(nf.conjugation.order), len(nf._core.anchors)
+        order, g = list(nf.conjugation.order), len(nf._anchors)
         rng = np.random.default_rng(97)
         xs = 0.95 * np.sqrt(rng.random((40, nf.k))) * np.exp(2j * np.pi * rng.random((40, nf.k)))
         full = np.zeros((40, nf.n), dtype=complex)
@@ -786,12 +796,12 @@ class TestNormalForm:
         rho = rational_graph_map()
         nf = normal_form(rho)
         images = nf.image_point(xs)
-        assert nf._core.base is None
+        assert nf._base is None
         assert np.array_equal(nf.conjugation.apply_inverse(images), rho.evaluate_batch(np.hstack([xs, 0 * xs])))
         for k in range(-600, 601):
             scaled = rational_graph_map(2.0 ** k)
             form = normal_form(scaled)
-            assert form._core.pole_tols[-1] == scaled.components[1]._pole_tol
+            assert form._pole_tols[-1] == scaled.components[1]._pole_tol
             assert form.image_point(xs).tobytes() == images.tobytes()
             assert form.image_point(xs[k % 20]).tobytes() == images[k % 20].tobytes()
 
@@ -819,7 +829,7 @@ class TestNormalForm:
         # image point of v; the joint Newton solve gives (v, v)
         rho = averaging_map(2)
         nf = normal_form(rho)
-        assert nf._core.base is not None
+        assert nf._base is not None
         v = np.array([0.3 - 0.1j, -0.5j, 0.6])
         assert np.max(np.abs(rho(np.array([v[0], 0])) - v[0] / 2)) <= 1e-15
         original = nf.conjugation.apply_inverse(nf.image_point(v[:, None]))
@@ -901,7 +911,7 @@ class TestNormalForm:
         # identity component, so neither the levels nor the image grid solve
         monkeypatch.setattr(fixedgraph, "_newton", None)
         nf = normal_form(IDENTITY_FREE[name][0]())
-        assert [a.iterations for a in nf._core.anchors] == [0] * nf.graph_count
+        assert [a.iterations for a in nf._anchors] == [0] * nf.graph_count
         assert nf.diagnostics["normal_form_residual"] <= 1e-15
 
     def test_explicit_level_above_an_implicit_level(self, monkeypatch):
@@ -910,9 +920,9 @@ class TestNormalForm:
         # level is implicit; images take the Newton route over the top map
         nf = normal_form(explicit_above_map())
         assert (nf.k, nf.copy_count, nf.graph_count) == (1, 0, 2)
-        implicit, explicit = nf._core.anchors
+        implicit, explicit = nf._anchors
         assert explicit.iterations == 0 and implicit.iterations >= 1
-        assert nf._core.base is not None
+        assert nf._base is not None
         rng = np.random.default_rng(83)
         xs = 0.9 * np.sqrt(rng.random((30, 1))) * np.exp(2j * np.pi * rng.random((30, 1)))
         calls = self._count_newton(monkeypatch)
@@ -932,7 +942,7 @@ class TestNormalForm:
         assert implicit.iterations >= 1 and explicit.iterations == 0
         assert (bottom.full, bottom.peeled, bottom.dropped, bottom.anchors) == (rho, (0,), (2,), top.anchors)
         nf = normal_form(rho)
-        assert [a.iterations for a in nf._core.anchors] == [0, implicit.iterations]
+        assert [a.iterations for a in nf._anchors] == [0, implicit.iterations]
         rng = np.random.default_rng(103)
         xs = 0.9 * np.sqrt(rng.random((30, 1))) * np.exp(2j * np.pi * rng.random((30, 1)))
         original = nf.conjugation.apply_inverse(nf.image_point(xs))
@@ -948,7 +958,7 @@ class TestNormalForm:
         assert (list(level._head), level.dropped, level.peeled) == ([1, 4], (2,), (3, 0))
         nf = normal_form(rho)
         assert (nf.k, nf.copy_count, nf.graph_count) == (2, 0, 3)
-        assert [a.iterations for a in nf._core.anchors] == [1, 0, 1]
+        assert [a.iterations for a in nf._anchors] == [1, 0, 1]
         rng = np.random.default_rng(109)
         xs = 0.9 * np.sqrt(rng.random((30, 2))) * np.exp(2j * np.pi * rng.random((30, 2)))
         original = nf.conjugation.apply_inverse(nf.image_point(xs))
@@ -966,7 +976,7 @@ class TestNormalForm:
         monkeypatch.setattr(retract._ReducedMap, "_rows",
                             lambda self, *args, **kwargs: steps.append(1) or rows(self, *args, **kwargs))
         nf.image_point([0.3 - 0.1j])
-        assert nf._core.kernel is None
+        assert nf._kernel is None
         assert steps and len(tables) == len(steps)
 
     def test_anchors_off_the_origin_give_fixed_images(self):
