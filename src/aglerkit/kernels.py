@@ -101,16 +101,14 @@ class KernelBundle:
     def _table(self, z1, z2):
         """Values at the points, three stacks on axis 0: (p, f), (a, a~), (b, b~).
 
-        The points are the rows of one product of their monomial table with the
-        coefficient matrix, and f = p~/p takes multipoly's pole test.  A lone point
-        takes two rows, as numpy sums a one-row product in another order, so
-        batched calls give one-point values exactly.
+        The points are the rows of their monomial table times the coefficient matrix,
+        by multipoly's table product, so batched calls give one-point values exactly;
+        f = p~/p takes multipoly's pole test.
         """
         z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
-        rows = max(z1.size, 2)
-        x1, x2 = (np.resize(x, (rows, 1)) ** k for x, k in zip((z1, z2), self._powers))
-        mono = (x1[:, :, None] * x2[:, None, :]).reshape(rows, -1)
-        values = (mono @ self._matrix)[:z1.size].T.reshape((-1,) + z1.shape)
+        x1, x2 = (x.reshape(-1, 1) ** k for x, k in zip((z1, z2), self._powers))
+        mono = (x1[:, :, None] * x2[:, None, :]).reshape(z1.size, -1)
+        values = multipoly._table_product(mono, self._matrix).T.reshape((-1,) + z1.shape)
         table = np.split(values, self._bounds)
         table[0][1] = multipoly._quotients(table[0][1], table[0][0], self._pole_tol)
         return table

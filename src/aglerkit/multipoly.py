@@ -18,6 +18,7 @@ quotient of an exact map passes one pole test, ``_quotients``, and a
 Newton step takes F and dF/dW from one ``_QuotientRule``, a stack of num,
 den and their partials in the solved variables.  ``_compose`` substitutes
 polynomials into polynomials term by term, bounding each coefficient's rounding.
+``_table_product`` takes a table product in blocks that OpenBLAS keeps on one thread.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ _POLE_TOL = 1e-12  # |den| at or below this times den's largest coefficient modu
 # or sum relative to its computed modulus, with room for the rounding of the bounds themselves
 _ROUND = 3 * 2.0 ** -53
 _COMPOSE_WORK = 50_000  # coefficient products _compose may spend on monomials, under 0.1 s
+_THREADED = 2 ** 16  # complex multiply-adds from which OpenBLAS splits one product across its threads
 
 
 def _normalize_key(exponents, nvars):
@@ -44,7 +46,23 @@ def _normalize_key(exponents, nvars):
         )
     if any(e < 0 for e in key):
         raise ValueError("negative exponent in %r" % (key,))
+    if max(key, default=0) >= 2 ** 63:
+        raise ValueError("exponent %d in %r does not fit in a signed 64-bit integer" % (max(key), key))
     return key
+
+
+def _table_product(rows, matrix):
+    """rows @ matrix, bit for bit, in row blocks of under _THREADED complex multiply-adds where two rows
+    fit, as splitting so small a product across threads costs several times its work.  numpy sums a
+    one-row product in another order, so a lone row goes twice and a trailing one joins the block before."""
+    step = max(2, (_THREADED - 1) // matrix.size - 1)  # so a block of step + 1 rows fits too
+    if len(rows) <= step + 1:
+        return np.matmul(rows, matrix) if len(rows) != 1 else np.matmul(rows[[0, 0]], matrix)[:1]
+    out = np.empty((len(rows), matrix.shape[1]), dtype=complex)
+    for start in range(0, len(rows) - 1, step):
+        stop = start + step if start + step < len(rows) - 1 else len(rows)
+        np.matmul(rows[start:stop], matrix, out=out[start:stop])
+    return out
 
 
 class _Stack:

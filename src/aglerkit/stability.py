@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval2d
 
-from .multipoly import _ROUND
+from .multipoly import _ROUND, _table_product
 from .poly2 import BivariatePolynomial
 from .serialize import FORMAT_TAG, complex_to_pair
 
@@ -140,7 +140,7 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
 
     samples, powers = _sample_powers(torus_grid, disk_grid, max(p.coeffs.shape))
     # ring[s, k] is the coefficient of z1**k in p(z1, samples[s]), s on the torus
-    ring = powers[:torus_grid, : p.coeffs.shape[1]] @ p.coeffs.T
+    ring = _table_product(powers[:torus_grid, : p.coeffs.shape[1]], p.coeffs.T)
     min_modulus = _torus_minimum(p, ring, powers[:torus_grid, : ring.shape[1]])
     reported = float(np.ldexp(min_modulus, shift))
     # p(0, .) from a product of two rows, which sums as the full slice table does
@@ -153,7 +153,7 @@ def _scan(p, torus_grid=512, disk_grid=64, tol=1e-9, shortcuts=False):
     # zero-padded; as (k, r) with r = h * samples.size + s, scan order is column order
     table = np.zeros((max(p.coeffs.shape), 2, samples.size), dtype=complex)
     for half, grid in enumerate((p.coeffs, p.coeffs.T)):
-        table[: grid.shape[1], half] = (powers[:, : grid.shape[0]] @ grid).T
+        table[: grid.shape[1], half] = _table_product(powers[:, : grid.shape[0]], grid).T
     table = table.reshape(len(table), -1)
     mag = np.abs(table)
     flat = np.max(mag, axis=0) <= tol * coeff_scale
@@ -227,7 +227,8 @@ def _decarlo_strintzis_clears(q, exponents, torus):
     if not (_cauchy_clears(np.abs(row), np.arange(row.size), 1.0) or _schur_cohn_clears(row[None], 1.0)[0]):
         return False
     gap = np.pi / len(torus) * np.sum((exponents + 1) * np.abs(q))
-    return _torus_minimum(BivariatePolynomial(q), torus[:, : q.shape[1]] @ q.T, torus[:, : q.shape[0]]) > gap
+    ring = _table_product(torus[:, : q.shape[1]], q.T)
+    return _torus_minimum(BivariatePolynomial(q), ring, torus[:, : q.shape[0]], floor=gap) > gap
 
 
 def _cauchy_clears(mag, degrees, radius):
@@ -267,17 +268,18 @@ def _schur_cohn_clears(rows, radius):
     return alive
 
 
-def _torus_minimum(p, ring, torus):
-    """The least |p| on the torus grid, min |ring @ torus.T| bit for bit, in O(N) memory.
+def _torus_minimum(p, ring, torus, floor=np.inf):
+    """The least |p| on the torus grid, min |ring @ torus.T| bit for bit, in O(N) memory; or, where
+    that exceeds floor, a value that does too.
 
     Row s is p(., w_s), w_s = exp(2 pi i s / N).  From N = 256 on, every 8th row is
     evaluated first, then each row whose evaluated neighbours' least value, less L =
     sum_b b sum_a |c_ab| (p's change per radian of w) times their angle and twice
-    16 (n + m + 2) eps sum |c_ab| (a computed value's distance from p), is below the
-    least value found; lip and slack also cover the bound's own rounding."""
+    16 (n + m + 2) eps sum |c_ab| (a computed value's distance from p), is below both
+    the least value found and floor; lip and slack also cover the bound's own rounding."""
     (n, m), size = p.bidegree, len(ring)
-    if size < 256:  # pruning saves less than it costs, and the product holds < 2**16 values
-        return float(np.min(np.abs(ring @ torus.T)))
+    if size < 256:  # pruning saves less than it costs
+        return float(np.min(np.abs(_table_product(ring, torus.T))))
     head, rest = np.arange(0, size, 8), np.flatnonzero(np.arange(size) % 8)
     minima = _row_minima(ring[head], torus)
     before, after = rest // 8, (rest // 8 + 1) % head.size  # evaluated neighbours, in head
@@ -285,18 +287,15 @@ def _torus_minimum(p, ring, torus):
     slack = 40 * (n + m + 2) * np.finfo(float).eps * np.sum(np.abs(p.coeffs))
     low = np.maximum(minima[before] - (rest - head[before]) * lip,
                      minima[after] - (head[after] - rest) % size * lip) - slack
-    left = rest[low < np.min(minima)]
+    left = rest[(low < np.min(minima)) & (low <= floor)]
     return float(np.min(np.concatenate([minima, _row_minima(ring[left], torus)])))
 
 
 def _row_minima(rows, torus):
-    """min_t |rows[r] @ torus[t]| per row r, from products of 2 to 64 rows: numpy sums a
-    one-row product in another order, so a lone row goes twice, and values are the full product's."""
+    """min_t |rows[r] @ torus[t]| per row r, the full product's values, 64 rows at a time for memory."""
     minima = np.empty(len(rows))
     for start in range(0, len(rows), 64):
-        chunk = rows[start:start + 64]
-        values = np.resize(chunk, (max(len(chunk), 2), chunk.shape[1])) @ torus.T
-        minima[start:start + len(chunk)] = np.min(np.abs(values[: len(chunk)]), axis=1)
+        minima[start:start + 64] = np.min(np.abs(_table_product(rows[start:start + 64], torus.T)), axis=1)
     return minima
 
 

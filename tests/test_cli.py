@@ -24,6 +24,7 @@ from aglerkit.cli import (
     main,
 )
 from aglerkit.pick import NOT_SOLVABLE, SOLVABLE_UNIQUE
+from aglerkit.poly2 import BivariatePolynomial
 from aglerkit.serialize import FORMAT_TAG
 
 
@@ -529,6 +530,15 @@ class TestRetract:
         inp = write_json(tmp_path / "swap.json", swap_retract_payload())
         assert main(["retract", "--input", inp]) == EXIT_NEGATIVE
 
+    def test_exponent_beyond_int64_exit_64(self, tmp_path, capsys):
+        # (z1, z1^2 + 1e-9 z2^(10^20)): an exponent no int64 holds is malformed input
+        payload = parabola_retract_payload()
+        payload["components"][1]["data"]["terms"]["0," + str(10 ** 20)] = [1e-9, 0.0]
+        assert main(["retract", "--input", write_json(tmp_path / "rho.json", payload)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exponent %d" % 10 ** 20 in captured.err and "64-bit" in captured.err
+
     def test_parabola_normal_form_exit_0(self, tmp_path):
         inp = write_json(tmp_path / "rho.json", parabola_retract_payload())
         out = tmp_path / "nf.json"
@@ -749,6 +759,41 @@ class TestUsageAndDeterminism:
         assert main(["stability", "--input", inp]) == EXIT_OK
         monkeypatch.setenv("AGLERKIT_THREADS", "2")
         assert main(["stability", "--input", inp]) == EXIT_OK
+
+    def test_stdout_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # stability, decompose and verify on the corpus, in one child at one BLAS thread and in
+        # one at the default count (a host with one core makes both alike)
+        corpus = [[[2.0, -1.0], [-1.0, 0.0]], [[4.0, -1.0], [-1.0, 0.0]],
+                  [[8.0, -6.0, 1.0], [-6.0, 2.0, 0.0], [1.0, 0.0, 0.0]], [[4.0, -1.0, -1.0], [-1.0, 0.0, 0.0]],
+                  [[8.0, -2.0, 0.0, 0.0], [-1.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.0]]]
+        inputs = [write_json(tmp_path / ("p%d.json" % i), {"polynomial": BivariatePolynomial(coeffs).to_json()})
+                  for i, coeffs in enumerate(corpus)]
+        child = (
+            "import contextlib, io, sys\n"
+            "from aglerkit.cli import main\n"
+            "def run(*argv):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(list(argv))\n"
+            "    sys.stdout.write('%s %d\\n%s' % (argv[0], code, out.getvalue()))\n"
+            "    return out.getvalue()\n"
+            "for path in sys.argv[1:]:\n"
+            "    run('stability', '--input', path)\n"
+            "    with open(path + '.cert', 'w') as cert:\n"
+            "        cert.write(run('decompose', '--input', path))\n"
+            "    run('verify', '--input', path + '.cert')\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = [subprocess.run([sys.executable, "-c", child, *inputs], capture_output=True, text=True,
+                                  env=dict(env, **threads), timeout=300)
+                   for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
+        for proc in outputs:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.count("stability 0\n") == proc.stdout.count("verify 0\n") == len(corpus)
+        assert outputs[0].stdout == outputs[1].stdout
 
     def test_console_entry_point_runs(self, tmp_path):
         inp = write_json(tmp_path / "p.json", classic_poly_payload())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval2d
 
-from aglerkit import kernels
+from aglerkit import kernels, multipoly
 from aglerkit.errors import DomainError
 from aglerkit.kernels import (
     PSD_SUBSET_SIZE,
@@ -260,6 +260,11 @@ class TestMonomialTable:
         for i in range(0, 500, 50):  # scalar points
             for stack, lone in zip(full, bundle._table(z1[i], z2[i])):
                 assert np.array_equal(stack[:, i], lone)
+        # prefixes about the table product's row block, where a trailing lone row must join a block
+        step = max(2, (multipoly._THREADED - 1) // bundle._matrix.size - 1)
+        for count in {step - 1, step, step + 1, step + 2, 2 * step + 1} & set(range(1, 501)):
+            for stack, part in zip(full, bundle._table(z1[:count], z2[:count])):
+                assert np.array_equal(stack[:, :count], part)
 
     @pytest.mark.parametrize("bidegree", BIDEGREES)
     def test_table_matches_horner_within_rounding(self, bidegree):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aglerkit as ak
 from aglerkit.errors import DomainError
-from aglerkit.multipoly import MultiPoly, RationalMap, _compose, _QuotientRule
+from aglerkit.multipoly import _THREADED, MultiPoly, RationalMap, _compose, _QuotientRule, _table_product
 
 import exact
 
@@ -91,6 +92,79 @@ class TestEvaluate:
     def test_trailing_axis_must_match_nvars(self):
         with pytest.raises(ValueError):
             MultiPoly(2, {(1, 0): 1.0}).evaluate(np.zeros((4, 3)))
+
+    def test_exponent_beyond_int64_is_refused_by_name(self):
+        # the stack stores exponents as int64; a larger one must be malformed input, not an OverflowError
+        assert MultiPoly(2, {(0, 2 ** 63 - 1): 1.0}).terms == {(0, 2 ** 63 - 1): 1.0}
+        for big in (2 ** 63, 10 ** 20):
+            with pytest.raises(ValueError, match="exponent %d in .* signed 64-bit" % big):
+                MultiPoly(2, {(1, 0): 1.0, (0, big): 1e-9})
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestTableProduct:
+    """_table_product is the single product bit for bit, in blocks that OpenBLAS runs on one thread."""
+
+    @staticmethod
+    def products(monkeypatch):
+        """Collects the (rows, inner, columns) of every np.matmul call; _table_product makes its own so."""
+        shapes, matmul = [], np.matmul
+
+        def spy(a, b, **kwargs):
+            shapes.append((*a.shape, b.shape[1]))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return shapes
+
+    @pytest.mark.parametrize("inner", range(1, 9))
+    def test_rows_keep_the_single_products_bits(self, monkeypatch, inner):
+        # counts at the block size +-1 and a trailing lone row, which must join the block before it
+        rng = np.random.default_rng(inner)
+        for columns in (4, 5, 26, 512, 2048):
+            matrix = complex_normal(rng, (inner, columns))
+            step = max(2, (_THREADED - 1) // matrix.size - 1)
+            counts = {2, 3, step - 1, step, step + 1, step + 2, 2 * step + 1} - {1}
+            for count in sorted(counts | ({9218} if columns < 512 else set())):  # 9,218: a slice table
+                rows = complex_normal(rng, (count, inner))
+                full = rows @ matrix
+                shapes = self.products(monkeypatch)
+                assert np.array_equal(_table_product(rows, matrix), full)
+                monkeypatch.undo()
+                assert sum(shape[0] for shape in shapes) == count
+                assert all(shape[0] >= 2 for shape in shapes)
+                if 3 * matrix.size < _THREADED:
+                    assert all(np.prod(shape) < _THREADED for shape in shapes)
+                for i in (0, count // 2, count - 1):  # a lone row has its bits in the full product
+                    assert np.array_equal(_table_product(rows[i:i + 1], matrix), full[i:i + 1])
+
+    def test_no_rows_give_an_empty_table(self):
+        assert _table_product(np.zeros((0, 3), dtype=complex), np.ones((3, 5), dtype=complex)).shape == (0, 5)
+
+    def test_pipeline_products_stay_below_the_threading_size(self, monkeypatch):
+        # a guard that counts instead of timing: each product of a 512/64 check_stability and of
+        # the kernel checks is below the size from which OpenBLAS splits it across threads
+        rng = np.random.default_rng(11)
+        c = complex_normal(rng, (4, 4))
+        c[0, 0] = 0.0
+        c *= (2.0 / 3.0) / np.sum(np.abs(c))
+        c[0, 0] = 1.0  # |c - 1| <= 2/3 on the closed bidisk: strictly stable
+        random_33 = ak.BivariatePolynomial(c)
+        product_22 = ak.BivariatePolynomial([[8.0, -6.0, 1.0], [-6.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
+        bundle = ak.KernelBundle.from_certificate(ak.solve_gram(random_33, tol=1e-9, max_iter=200000, seed=42))
+        shapes = self.products(monkeypatch)
+        for p in (product_22, random_33):
+            ak.check_stability(p, 512, 64)
+        ak.verify_decomposition(bundle, samples=500)
+        ak.check_bounds(bundle, samples=500)
+        monkeypatch.undo()
+        assert len(shapes) > 10
+        assert all(np.prod(shape) < 2 ** 16 and shape[0] >= 2 for shape in shapes)  # OpenBLAS's, not ours
+        # the kernel tables: 16 monomials at (3, 3), 500 rows in each of three tables
+        assert sum(rows for rows, inner, _ in shapes if inner == 16) == 1500
 
 
 def quotient_rule(rmap, g):

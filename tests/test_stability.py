@@ -482,6 +482,21 @@ class TestShortcutSoundness:
         assert_same_report(report, _scan(p, *grids, tol=tol))
 
 
+class TestDecarloStrintzisRows:
+    """The torus condition asks only whether q's grid minimum exceeds the gap."""
+
+    @pytest.mark.parametrize("p", [HALF, NEAR_EQUALITY, linear_product(np.random.default_rng(1), 3)],
+                             ids=["half", "near_equality", "product_3"])
+    def test_rows_that_clear_the_gap_are_not_evaluated(self, monkeypatch, p):
+        # a guard that counts instead of timing: after p's own torus minimum, the test evaluates
+        # the 64 head rows of q's 512 grid and no row whose Lipschitz bound clears the gap
+        rows, row_minima = [], aglerkit.stability._row_minima
+        monkeypatch.setattr(aglerkit.stability, "_row_minima", lambda r, torus: rows.append(len(r))
+                            or row_minima(r, torus))
+        assert check_stability(p, 512, 64).verdict == STABLE_CLOSED_STRICT
+        assert len(rows) == 4 and rows[0] == 64 and rows[2:] == [64, 0]
+
+
 class TestBoundaryZeros:
     """A zero on the boundary never counts as a zero in the open bidisk."""
 
